@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
 from . import geometry, moebius
 from .geometry import PlanarCircle, PlanarConfig, PlanarLine, realize, verify_config
@@ -264,34 +264,62 @@ def entry_to_json(entry: CatalogEntry) -> dict:
     return record
 
 
+def _decode_field(record: dict, name: str, decode: Callable, optional: bool = False):
+    """``decode(record[name])``, with any failure a ValueError naming the field.
+
+    An optional field that is absent or empty decodes to None.
+    """
+    value = record.get(name)
+    if optional and not value:
+        return None
+    if name not in record:
+        raise ValueError(f"field {name!r} is missing")
+    try:
+        return decode(value)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r} is malformed ({type(exc).__name__}: {exc})") from exc
+
+
+def _labeling_from(values: list) -> tuple[Optional[int], ...]:
+    labels = tuple(values)
+    if len(labels) != 9:
+        raise ValueError(f"expected 9 labels, got {len(labels)}")
+    return labels
+
+
+def _verification_from(d: dict) -> Verification:
+    return Verification(
+        angles=tuple(d["angles"]),
+        relations=tuple(d["relations"]),
+        traces=tuple(d["traces"]),
+    )
+
+
 def entry_from_json(record: dict) -> CatalogEntry:
-    labeling = tuple(record["labeling"])
-    config = _config_from(record["config"]) if record.get("config") else None
+    """Decode one catalog record; a malformed field raises ValueError naming it."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected an object, got {type(record).__name__}")
+    labeling = _decode_field(record, "labeling", _labeling_from)
+    config = _decode_field(record, "config", _config_from, optional=True)
     generators = None
     if record.get("generators"):
         if config is None:
             raise ValueError("generators without a configuration")
-        generators = _generators_from(
-            record["generators"], Labeling(*labeling), config.top
-        )
-    verification = None
-    if record.get("verification"):
-        v = record["verification"]
-        verification = Verification(
-            angles=tuple(v["angles"]),
-            relations=tuple(v["relations"]),
-            traces=tuple(v["traces"]),
+        generators = _decode_field(
+            record,
+            "generators",
+            lambda d: _generators_from(d, Labeling(*labeling), config.top),
         )
     return CatalogEntry(
         labeling=labeling,
-        cusp=CuspType.from_code(record["cusp"]),
-        family=record["family"],
+        cusp=_decode_field(record, "cusp", CuspType.from_code),
+        family=_decode_field(record, "family", bool),
         free_slot=record.get("free_slot"),
         free_min=record.get("free_min"),
         family_n=record.get("family_n"),
         config=config,
         generators=generators,
-        verification=verification,
+        verification=_decode_field(record, "verification", _verification_from, optional=True),
     )
 
 
@@ -332,7 +360,13 @@ def load_catalog(fp: Union[str, IO[str]]) -> list[CatalogEntry]:
         raise ValueError(
             f"unsupported catalog schema {payload.get('schema')!r}; expected {SCHEMA!r}"
         )
-    return [entry_from_json(record) for record in payload["entries"]]
+    entries = []
+    for index, record in enumerate(payload["entries"]):
+        try:
+            entries.append(entry_from_json(record))
+        except ValueError as exc:
+            raise ValueError(f"catalog entry {index}: {exc}") from exc
+    return entries
 
 
 # ---------------------------------------------------------------------------

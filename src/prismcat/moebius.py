@@ -23,14 +23,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .geometry import PlanarCircle, PlanarConfig, verify_config
 from .labelings import Labeling
 
 # Determinant drift allowed on constructed generators, PSL2 distance allowed
-# for relation words, and the looser gate for words with large exponents
-# (powering an elliptic element loses precision with the exponent).
+# for relation words, and the looser gate for words with large exponents.
+# Powers are taken in closed form (MoebiusMatrix.pow), so a large-order
+# residual measures the float64 error of the generators themselves, carried
+# into the word's trace -- it grows about n**3 with the order n -- and not
+# error from powering.
 DET_TOL = 1e-10
 RELATION_TOL = 1e-7
 RELATION_TOL_LARGE = 1e-6
@@ -43,41 +44,27 @@ def relation_tolerance(exponent: int) -> float:
     return RELATION_TOL if exponent <= LARGE_EXPONENT else RELATION_TOL_LARGE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoebiusMatrix:
-    """A 2x2 complex matrix acting on the boundary plane, taken up to sign."""
+    """A 2x2 complex matrix [[a, b], [c, d]] acting on the boundary plane.
 
-    mat: np.ndarray
+    Taken up to sign (and, for the distance checks, up to scale).  The fields
+    are complex; use ``of`` to build one from any numbers.
+    """
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        object.__setattr__(self, "mat", m)
+    a: complex
+    b: complex
+    c: complex
+    d: complex
 
     @classmethod
     def of(cls, a: complex, b: complex, c: complex, d: complex) -> "MoebiusMatrix":
-        return cls(np.array([[a, b], [c, d]], dtype=complex))
+        """The matrix [[a, b], [c, d]], with each entry coerced to complex."""
+        return cls(complex(a), complex(b), complex(c), complex(d))
 
     @classmethod
     def identity(cls) -> "MoebiusMatrix":
-        return cls(np.eye(2, dtype=complex))
-
-    @property
-    def a(self) -> complex:
-        return complex(self.mat[0, 0])
-
-    @property
-    def b(self) -> complex:
-        return complex(self.mat[0, 1])
-
-    @property
-    def c(self) -> complex:
-        return complex(self.mat[1, 0])
-
-    @property
-    def d(self) -> complex:
-        return complex(self.mat[1, 1])
+        return cls(1 + 0j, 0j, 0j, 1 + 0j)
 
     @property
     def det(self) -> complex:
@@ -88,36 +75,76 @@ class MoebiusMatrix:
         return self.a + self.d
 
     def __matmul__(self, other: "MoebiusMatrix") -> "MoebiusMatrix":
-        return MoebiusMatrix(self.mat @ other.mat)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return MoebiusMatrix(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inv(self) -> "MoebiusMatrix":
         det = self.det
-        return MoebiusMatrix.of(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        return MoebiusMatrix(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def pow(self, n: int) -> "MoebiusMatrix":
-        """Matrix power by repeated squaring (n >= 0)."""
+        """The matrix power M**n (n >= 0) in closed form, at a cost independent of n.
+
+        By Cayley-Hamilton, with s = sqrt(det M), N = M/s and
+        tau = tr N / 2 = cos(theta), N**n = U_{n-1}(tau) N - U_{n-2}(tau) I,
+        where U_{k-1}(cos theta) = sin(k theta) / sin(theta) is a Chebyshev
+        polynomial of the second kind.  Hence
+        M**n = s**(n-1) U_{n-1} M - s**n U_{n-2} I.  Parabolic matrices
+        (tau = +-1, sin(theta) = 0) take the limit U_{k-1} = k tau**(k-1),
+        and singular ones satisfy M**n = (tr M)**(n-1) M.  Unlike repeated
+        squaring, no rounding error accumulates with n: the result carries
+        only the error of M's own entries.  Raises OverflowError when the
+        power leaves the float range.
+        """
         if n < 0:
             raise ValueError("exponent must be non-negative")
-        return MoebiusMatrix(np.linalg.matrix_power(self.mat, n))
+        if n == 0:
+            return MoebiusMatrix.identity()
+        a, b, c, d = self.a, self.b, self.c, self.d
+        det = self.det
+        if det == 0:
+            scale = self.trace ** (n - 1)
+            return MoebiusMatrix(scale * a, scale * b, scale * c, scale * d)
+        s = cmath.sqrt(det)
+        tau = (a + d) / (2 * s)
+        if tau * tau == 1:
+            u_n1 = n * tau ** (n - 1)
+            u_n2 = (n - 1) * tau ** (n - 2)
+        else:
+            theta = cmath.acos(tau)
+            sin_theta = cmath.sin(theta)
+            u_n1 = cmath.sin(n * theta) / sin_theta
+            u_n2 = cmath.sin((n - 1) * theta) / sin_theta
+        p = s ** (n - 1) * u_n1
+        q = s ** n * u_n2
+        return MoebiusMatrix(p * a - q, p * b, p * c, p * d - q)
 
     def apply(self, w: complex) -> complex:
         """The Moebius action w -> (a*w + b)/(c*w + d) at a finite point."""
         return (self.a * w + self.b) / (self.c * w + self.d)
 
-    def _unit_det(self) -> np.ndarray:
-        return self.mat / cmath.sqrt(self.det)
+    def _unit_det(self) -> tuple[complex, complex, complex, complex]:
+        s = cmath.sqrt(self.det)
+        return self.a / s, self.b / s, self.c / s, self.d / s
 
     def distance_to_identity(self) -> float:
         """Frobenius distance to +-I after normalizing the determinant to 1."""
-        m = self._unit_det()
-        eye = np.eye(2)
-        return float(min(np.linalg.norm(m - eye), np.linalg.norm(m + eye)))
+        a, b, c, d = self._unit_det()
+        return min(_frobenius(a - 1, b, c, d - 1), _frobenius(a + 1, b, c, d + 1))
 
     def projectively_equal(self, other: "MoebiusMatrix", tol: float = 1e-9) -> bool:
         """Equality in PSL2: min(|M - N|, |M + N|) <= tol after normalization."""
-        m = self._unit_det()
-        n = other._unit_det()
-        return float(min(np.linalg.norm(m - n), np.linalg.norm(m + n))) <= tol
+        a, b, c, d = self._unit_det()
+        e, f, g, h = other._unit_det()
+        return min(
+            _frobenius(a - e, b - f, c - g, d - h), _frobenius(a + e, b + f, c + g, d + h)
+        ) <= tol
+
+
+def _frobenius(w: complex, x: complex, y: complex, z: complex) -> float:
+    """Frobenius norm of the 2x2 matrix [[w, x], [y, z]]."""
+    return math.hypot(w.real, w.imag, x.real, x.imag, y.real, y.imag, z.real, z.imag)
 
 
 def rotation_matrix(center: complex, theta: float, ccw: bool = True) -> MoebiusMatrix:
@@ -283,7 +310,10 @@ def verify_relations(gens: GeneratorSet) -> RelationReport:
     """Evaluate the nine relation words and their PSL2 distances to identity."""
     checks = []
     for edge, word, base, exponent in gens.words():
-        residual = base.pow(exponent).distance_to_identity()
+        try:
+            residual = base.pow(exponent).distance_to_identity()
+        except OverflowError:  # only a non-elliptic base grows past the float range
+            residual = math.inf
         checks.append(RelationCheck(edge, word, exponent, residual))
     return RelationReport(tuple(checks))
 

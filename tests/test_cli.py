@@ -189,6 +189,39 @@ def test_verify_rejects_unknown_schema(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+def _corrupt_first_standalone(path, corrupt):
+    doc = json.loads(path.read_text())
+    index = next(i for i, r in enumerate(doc["entries"]) if not r["family"])
+    corrupt(doc["entries"][index])
+    path.write_text(json.dumps(doc))
+    return index
+
+
+def _assert_rejected(path, capsys, index, field):
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: catalog entry {index}: field '{field}'")
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_entry_without_cusp(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    index = _corrupt_first_standalone(path, lambda r: r.pop("cusp"))
+    _assert_rejected(path, capsys, index, "cusp")
+
+
+def test_verify_rejects_short_labeling(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    index = _corrupt_first_standalone(path, lambda r: r.update(labeling=[2, 3]))
+    _assert_rejected(path, capsys, index, "labeling")
+
+
+def test_verify_rejects_malformed_config(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    index = _corrupt_first_standalone(path, lambda r: r.update(config={"red": 1}))
+    _assert_rejected(path, capsys, index, "config")
+
+
 def test_verify_missing_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

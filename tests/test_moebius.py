@@ -2,10 +2,14 @@
 
 import cmath
 import math
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
+import mpmath
 import pytest
 
+import prismcat
 from prismcat.geometry import PlanarCircle, PlanarConfig, realize
 from prismcat.labelings import Labeling, enumerate_catalog
 from prismcat.moebius import (
@@ -28,6 +32,10 @@ from prismcat.moebius import (
 # MoebiusMatrix
 
 
+def entries(m):
+    return (m.a, m.b, m.c, m.d)
+
+
 def test_matrix_accessors_and_det():
     m = MoebiusMatrix.of(1, 2, 3, 4)
     assert (m.a, m.b, m.c, m.d) == (1, 2, 3, 4)
@@ -36,8 +44,15 @@ def test_matrix_accessors_and_det():
 
 
 def test_matrix_shape_is_validated():
-    with pytest.raises(ValueError):
-        MoebiusMatrix(np.eye(3, dtype=complex))
+    m = MoebiusMatrix.of(1, 2.5, True, -3)
+    assert entries(m) == (1, 2.5, 1, -3)
+    assert all(type(v) is complex for v in entries(m))
+    with pytest.raises(TypeError):
+        MoebiusMatrix.of(1, 0, 0)
+    with pytest.raises(TypeError):
+        MoebiusMatrix.of(1, 0, 0, 1, 0)
+    with pytest.raises(TypeError):
+        MoebiusMatrix.of(1, 0, None, 1)
 
 
 def test_matmul_and_inverse():
@@ -50,7 +65,7 @@ def test_matmul_and_inverse():
 def test_pow_identities():
     m = MoebiusMatrix.of(1, 1, 0, 1)
     assert m.pow(0).distance_to_identity() == 0
-    assert np.allclose(m.pow(3).mat, (m @ m @ m).mat)
+    assert entries(m.pow(3)) == entries(m @ m @ m)
     with pytest.raises(ValueError):
         m.pow(-1)
 
@@ -63,8 +78,8 @@ def test_apply_moebius_action():
 
 def test_projective_equality_ignores_sign_and_scale():
     m = MoebiusMatrix.of(2, 1, 1, 1)
-    neg = MoebiusMatrix(-m.mat)
-    scaled = MoebiusMatrix(3j * m.mat)
+    neg = MoebiusMatrix.of(*(-v for v in entries(m)))
+    scaled = MoebiusMatrix.of(*(3j * v for v in entries(m)))
     assert m.projectively_equal(neg)
     assert m.projectively_equal(scaled)
     assert not m.projectively_equal(MoebiusMatrix.of(1, 0, 0, 1))
@@ -72,9 +87,93 @@ def test_projective_equality_ignores_sign_and_scale():
 
 def test_distance_to_identity_handles_both_signs():
     eye = MoebiusMatrix.identity()
-    neg = MoebiusMatrix(-np.eye(2, dtype=complex))
+    neg = MoebiusMatrix.of(-1, 0, 0, -1)
     assert eye.distance_to_identity() == 0
     assert neg.distance_to_identity() == 0
+
+
+def test_import_does_not_load_numpy():
+    src = Path(prismcat.__file__).resolve().parents[1]
+    code = "import sys, prismcat, prismcat.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=src,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# MoebiusMatrix.pow against independent powers
+
+
+def exact_distance_of_power(m, n, dps=60):
+    """PSL2 distance of m**n to the identity, powering m's float64 entries exactly."""
+    with mpmath.workdps(dps):
+        mat = mpmath.matrix([[m.a, m.b], [m.c, m.d]]) ** n
+        mat /= mpmath.sqrt(mpmath.det(mat))
+        eye = mpmath.eye(2)
+        return float(min(mpmath.mnorm(mat - eye, "f"), mpmath.mnorm(mat + eye, "f")))
+
+
+@pytest.mark.parametrize("n", [10**2, 10**3, 10**4])
+def test_pow_residual_matches_exact_power(n):
+    gens, _ = gens_for((2, 3, 2, n, 6, 2, 2, 2, 2))
+    edge, _, base, exponent = gens.words()[3]
+    assert (edge, exponent) == ("a4", n)
+    residual = base.pow(n).distance_to_identity()
+    assert residual == pytest.approx(exact_distance_of_power(base, n), rel=0.01)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 10**4, 10**6])
+def test_pow_of_parabolic_is_exact(n):
+    m = MoebiusMatrix.of(1, 1, 0, 1)
+    assert entries(m.pow(n)) == (1, n, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        MoebiusMatrix.of(1.5 + 0.5j, -0.3 + 2j, 0.7 - 1j, 2.2 + 0.1j),
+        MoebiusMatrix.of(2, 1, 1, 3),
+        MoebiusMatrix.of(-1, 1, 0, -1),
+        MoebiusMatrix.of(1, 2j, 2, 4j),
+    ],
+    ids=["loxodromic", "hyperbolic", "parabolic", "singular"],
+)
+def test_pow_matches_repeated_products(m):
+    product = MoebiusMatrix.identity()
+    for n in range(13):
+        power = m.pow(n)
+        diff = [x - y for x, y in zip(entries(power), entries(product))]
+        scale = math.sqrt(sum(abs(v) ** 2 for v in entries(product)))
+        assert math.sqrt(sum(abs(v) ** 2 for v in diff)) <= 1e-13 * scale, n
+        product = product @ m
+
+
+def test_pow_overflow_is_a_failed_relation():
+    with pytest.raises(OverflowError):
+        MoebiusMatrix.of(3, 0, 0, 1 / 3).pow(1000)
+    gens, _ = gens_for((2, 3, 2, 1000, 6, 2, 2, 2, 2))
+    stretched = GeneratorSet(
+        labeling=gens.labeling,
+        m1=MoebiusMatrix.of(40, 0, 0, 1 / 40),
+        m2=gens.m2,
+        m3=gens.m3,
+        m4=gens.m4,
+        theta1=gens.theta1,
+        theta2=gens.theta2,
+        fixed1=gens.fixed1,
+        fixed2=gens.fixed2,
+        top=gens.top,
+    )
+    report = verify_relations(stretched)
+    a4 = report.checks[3]
+    assert a4.residual == math.inf and not a4.ok
+    assert not report.ok
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +240,7 @@ def gens_for(labels):
 
 def test_m1_is_inversion_when_red_is_the_axis():
     gens, _ = gens_for((2, 6, 2, 7, 3, 2, 2, 3, 2))
-    assert np.allclose(gens.m1.mat, [[0, -1], [1, 0]])
+    assert entries(gens.m1) == (0, -1, 1, 0)
     # maps the unit circle to itself
     for ang in (0.3, 1.9, 4.4):
         w = cmath.exp(1j * ang)
@@ -150,7 +249,7 @@ def test_m1_is_inversion_when_red_is_the_axis():
 
 def test_m1_pairs_unit_circles_when_red_is_shifted():
     gens, _ = gens_for((2, 3, 3, 4, 6, 2, 2, 2, 2))
-    assert np.allclose(gens.m1.mat, [[-1, -1], [1, 0]])
+    assert entries(gens.m1) == (-1, -1, 1, 0)
     # maps the unit circle to the unit circle centered at -1
     for ang in (0.3, 1.9, 4.4):
         w = cmath.exp(1j * ang)
