@@ -22,6 +22,7 @@ from .labelings import (
     CUSP_ORDER,
     CuspType,
     Labeling,
+    catalog_counts,
     enumerate_catalog,
     is_admissible,
 )
@@ -102,26 +103,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     items = enumerate_catalog()
     entries = cat.build_catalog(items, max_n=args.max_n, cusp=cusp)
 
-    summary_parts = []
-    total_families = total_specific = 0
-    for cusp_type in CUSP_ORDER:
-        if cusp is not None and cusp_type is not cusp:
-            continue
-        families = sum(
-            1 for e in entries if e.cusp is cusp_type and e.family
-        )
-        specific = sum(
-            1
-            for e in entries
-            if e.cusp is cusp_type and not e.family and e.family_n is None
-        )
-        total_families += families
-        total_specific += specific
-        summary_parts.append(f"C{cusp_type.code}: {families} + {specific}")
-    summary = (
-        f"{total_families} families, {total_specific} specific"
-        f" ({'; '.join(summary_parts)})"
-    )
+    # build_catalog turns each item of the selected cusps into one pattern or
+    # standalone entry, so the items give the entries' counts.
+    counts = catalog_counts(items)
+    shown = [c for c in CUSP_ORDER if cusp in (None, c)]
+    parts = "; ".join(f"C{c.code}: {counts[c][0]} + {counts[c][1]}" for c in shown)
+    families = sum(counts[c][0] for c in shown)
+    specific = sum(counts[c][1] for c in shown)
+    summary = f"{families} families, {specific} specific ({parts})"
 
     if args.output:
         cat.dump_catalog(entries, args.output)
@@ -130,20 +119,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         cat.dump_catalog(entries, sys.stdout)
         print(summary, file=sys.stderr)
 
-    for cusp_type in CUSP_ORDER:
-        if cusp is not None and cusp_type is not cusp:
-            continue
-        expected_fam, expected_spec = EXPECTED_COUNTS[cusp_type]
-        families = sum(1 for e in entries if e.cusp is cusp_type and e.family)
-        specific = sum(
-            1
-            for e in entries
-            if e.cusp is cusp_type and not e.family and e.family_n is None
-        )
-        if (families, specific) != (expected_fam, expected_spec):
+    for c in shown:
+        got, expected = counts[c], EXPECTED_COUNTS[c]
+        if got != expected:
             print(
-                f"count mismatch for C{cusp_type.code}: got {families} families"
-                f" + {specific} specific, expected {expected_fam} + {expected_spec}",
+                f"count mismatch for C{c.code}: got {got[0]} families"
+                f" + {got[1]} specific, expected {expected[0]} + {expected[1]}",
                 file=sys.stderr,
             )
             return 1

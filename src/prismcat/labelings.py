@@ -292,11 +292,11 @@ class CatalogItem:
 _SPH = TriangleClass.SPHERICAL
 _HYP = TriangleClass.HYPERBOLIC
 
-# Probe value for free-slot detection; see enumerate_catalog.
-PROBE = 20
 # Finite scan bound before family folding.  Every bounded slot in the catalog
 # stays <= 6, and the scan_bound=30 re-scan in the test suite asserts that no
 # admissible labeling outside the folded catalog appears at larger labels.
+# enumerate_catalog reads a slot as free when it is admissible at this value,
+# which is sound for any bound >= 7 (see there).
 SCAN_BOUND = 12
 
 
@@ -351,82 +351,65 @@ def scan_admissible(max_label: int) -> set[Labeling]:
     return found
 
 
-def _with_slot(lab: Labeling, slot: int, value: int) -> Labeling:
-    values = list(lab)
-    values[slot] = value
-    return Labeling(*values)
-
-
-def _slot_is_free(lab: Labeling, slot: int) -> bool:
-    """True when the slot stays admissible at three consecutive probe values.
-
-    Admissibility is then monotone in the slot: surviving the probes means the
-    slot's spherical partners are all 2 (any larger partner would already fail
-    at the probe), the slot cannot sit in the ideal triple (the Euclidean
-    equality cannot hold at three consecutive values), and the hyperbolic
-    circuit condition only improves as the slot grows.
-    """
-    return all(
-        is_admissible(_with_slot(lab, slot, v)).ok for v in (PROBE, PROBE + 1, PROBE + 2)
-    )
-
-
 def enumerate_catalog() -> list[CatalogItem]:
     """The complete catalog of admissible labelings, in canonical order.
 
-    Scans all labelings with labels <= 12, detects free slots by probing each
-    slot at three consecutive large values, and folds family members into
-    single items.  A family's lower bound is the larger of its admissibility
-    threshold and one past the largest value the slot takes among same-cusp
-    labelings that belong to no family pattern: above that point the free
-    slot forces every other label, so family instances and standalone rows
-    stay disjoint.
+    Scans all labelings with labels <= SCAN_BOUND, reads the free slots off
+    the scan, and folds family members into single items.
+
+    A slot is free -- admissible for every value from some point on -- exactly
+    when the labeling stays admissible with the slot set to SCAN_BOUND, that
+    is, when that labeling lies in the scan closed under the mirror symmetry.
+    Admissibility at one value v >= 7 is enough, because it is then monotone
+    in the slot: a spherical vertex through the slot holds at v only if its
+    other two labels are (2, 2), and then it holds at every value; the ideal
+    triple is Euclidean, and Euclidean triples have labels <= 6, so the slot
+    is not in it; and the hyperbolic circuit, once it holds, keeps holding as
+    the slot grows.  A labeling with a free slot is a member of the ray
+    (pattern, slot), the pattern being the labeling with ``None`` in that
+    slot.
+
+    A family's lower bound is the larger of its admissibility threshold and
+    one past the largest value the slot takes among same-cusp labelings that
+    belong to no ray: above that point the free slot forces every other
+    label, so family instances and standalone rows stay disjoint.
 
     Returns 12 families and 78 standalone items: 8 + 32 for cusp [2,3,6],
     4 + 24 for [2,4,4], 0 + 22 for [3,3,3].
     """
     scanned = scan_admissible(SCAN_BOUND)
+    closed = scanned | {symmetry_mate(lab) for lab in scanned}
 
     rays: set[tuple[tuple[Optional[int], ...], int]] = set()
+    ray_members: set[Labeling] = set()
     for lab in scanned:
         for slot in range(9):
-            if _slot_is_free(lab, slot):
-                pattern = lab[:slot] + (None,) + lab[slot + 1 :]
-                rays.add((pattern, slot))
+            head, tail = lab[:slot], lab[slot + 1 :]
+            if head + (SCAN_BOUND,) + tail in closed:
+                rays.add((head + (None,) + tail, slot))
+                ray_members.add(lab)
 
-    def matches(lab: Labeling, pattern: tuple[Optional[int], ...], slot: int) -> bool:
-        return all(lab[i] == pattern[i] for i in range(9) if i != slot)
-
-    ray_members = {
-        lab
-        for lab in scanned
-        if any(matches(lab, pattern, slot) for pattern, slot in rays)
-    }
-    core = scanned - ray_members
-
-    # One past the largest value the free slot takes among core labelings of
-    # the same cusp; above this, every admissible labeling matches a pattern.
-    def fold_threshold(cusp: CuspType, slot: int) -> int:
-        return 1 + max((lab[slot] for lab in core if CuspType.of(lab) is cusp), default=1)
+    cusp_of = {lab: CuspType.of(lab) for lab in scanned}
+    core = [(cusp_of[lab], lab) for lab in scanned - ray_members]
 
     items: list[CatalogItem] = []
     family_members: set[Labeling] = set()
-    for pattern, slot in sorted(rays, key=lambda ray: tuple(v or 0 for v in ray[0])):
-        probe_lab = Labeling(*(v if v is not None else PROBE for v in pattern))
-        cusp = CuspType.of(probe_lab)
-        lo = next(
-            v for v in range(2, PROBE) if is_admissible(_with_slot(probe_lab, slot, v))
-        )
-        free_min = max(lo, fold_threshold(cusp, slot))
-        item = CatalogItem(slots=pattern, cusp=cusp, free_min=free_min)
+    for pattern, slot in rays:
+        head, tail = pattern[:slot], pattern[slot + 1 :]
+        lo = next(v for v in range(2, SCAN_BOUND + 1) if is_admissible(head + (v,) + tail))
+        cusp = CuspType.of(Labeling(*head, lo, *tail))
+        # One past the largest value the slot takes among core labelings of
+        # the same cusp; above this, every admissible labeling is on a ray.
+        fold = 1 + max((lab[slot] for c, lab in core if c is cusp), default=1)
+        item = CatalogItem(slots=pattern, cusp=cusp, free_min=max(lo, fold))
         items.append(item)
-        for n in range(free_min, SCAN_BOUND + 1):
+        for n in range(item.free_min, SCAN_BOUND + 1):
             member = item.instantiate(n)
             assert member in scanned, f"family gap: {member} missing from scan"
             family_members.add(member)
 
-    for lab in sorted(scanned - family_members):
-        items.append(CatalogItem(slots=tuple(lab), cusp=CuspType.of(lab)))
+    for lab in scanned - family_members:
+        items.append(CatalogItem(slots=tuple(lab), cusp=cusp_of[lab]))
 
     items.sort(key=CatalogItem.sort_key)
     return items

@@ -238,3 +238,19 @@ def newton_circle(labels: tuple[int, ...]) -> tuple[float, float, float]:
             f"expected exactly one valid circle for {labels}, found {valid}"
         )
     return valid[0]
+
+
+# ---------------------------------------------------------------------------
+# Free slots by probing
+
+# Far above every bounded label of the catalog (at most 6), and beyond the
+# labelings scan's bound of 12.
+FREE_SLOT_PROBES = (20, 21, 22)
+
+
+def probe_free_slot(labels: tuple[int, ...], slot: int) -> bool:
+    """True when the labeling stays admissible with the slot at every probe value."""
+    return all(
+        brute_admissible(labels[:slot] + (v,) + labels[slot + 1 :])
+        for v in FREE_SLOT_PROBES
+    )

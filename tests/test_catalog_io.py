@@ -2,8 +2,12 @@
 
 import io
 import json
+import math
+import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from prismcat import catalog as cat
 from prismcat.labelings import CuspType, enumerate_catalog
@@ -67,6 +71,52 @@ def test_json_round_trip_is_bit_exact(full_entries):
     text = cat.dumps_catalog(full_entries)
     loaded = cat.load_catalog(io.StringIO(text))
     assert cat.dumps_catalog(loaded) == text
+
+
+def test_dumps_catalog_matches_json_dumps():
+    entries = cat.build_catalog(max_n=12)
+    expected = json.dumps(cat.catalog_to_json(entries), indent=2) + "\n"
+    assert cat.dumps_catalog(entries) == expected
+
+
+_TEXT = st.text(
+    st.characters(min_codepoint=0, max_codepoint=sys.maxunicode)
+    | st.sampled_from("\x00\x1f\x7f\"\\\n\t\u2028\xe9\u4e2d\U0001f600")
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).map(lambda n: -n)
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2250738585072e-308])
+    | _TEXT
+)
+_JSON_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_TEXT, children, max_size=5),
+    max_leaves=40,
+)
+
+
+def _nested(depth, leaf):
+    value = leaf
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value}
+    return value
+
+
+@given(_JSON_TREES)
+@example([])
+@example({})
+@example({"": [{}, [], [[]], {"a": {}}]})
+@example(_nested(60, 1.5))
+@example(_nested(61, [-0.0, math.nan]))
+def test_indented_writer_matches_json_dumps(value):
+    pieces = []
+    cat._write_json(value, "\n", pieces.append)
+    assert "".join(pieces) == json.dumps(value, indent=2)
 
 
 def test_json_document_structure(full_entries):

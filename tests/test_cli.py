@@ -222,6 +222,53 @@ def test_verify_rejects_malformed_config(tmp_path, capsys):
     _assert_rejected(path, capsys, index, "config")
 
 
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda doc: doc.pop("entries"), "catalog field 'entries' is missing"),
+        (lambda doc: doc.update(entries={"0": {}}), "catalog field 'entries' must be a list"),
+        (lambda doc: doc.update(entries=5), "catalog field 'entries' must be a list"),
+    ],
+    ids=["missing", "object", "number"],
+)
+def test_verify_rejects_malformed_entries_field(tmp_path, capsys, corrupt, message):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_non_object_document(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text("[]")
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a catalog is a JSON object")
+    assert "got list" in err
+
+
+def test_verify_reports_singular_generator(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    victim = next(r for r in doc["entries"] if not r["family"])
+    victim["generators"]["m3"] = [[{"re": 0.0, "im": 0.0}] * 2] * 2
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    label_text = " ".join(str(v) for v in victim["labeling"])
+    failures = captured.err.splitlines()
+    assert f"FAIL [{label_text}]: M3 singular, so relations and traces cannot be checked" in failures
+    # The entry's other checks still run and report.
+    assert f"FAIL [{label_text}]: M3 determinant drifts by 1.000e+00" in failures
+    assert len(failures) == 2
+    assert "checked 126 configurations" in captured.out
+    assert captured.out.strip().endswith("FAIL")
+
+
 def test_verify_missing_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -8,9 +8,11 @@ from itertools import product
 import pytest
 
 import _oracles as oracles
+from prismcat import labelings
 from prismcat.labelings import (
     EXPECTED_COUNTS,
     PRISMATIC_CIRCUIT,
+    SCAN_BOUND,
     VERTEX_TRIPLES,
     CatalogItem,
     CuspType,
@@ -284,6 +286,32 @@ def test_catalog_is_sorted_and_duplicate_free():
     keys = [item.sort_key() for item in items]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def test_free_slots_match_probe_oracle():
+    # For every scanned labeling and slot, the slot is free by probing far
+    # above the scan bound exactly when the catalog has a family through it.
+    families = {(item.slots, item.free_slot) for item in enumerate_catalog() if item.family}
+    probed = set()
+    for lab in scan_admissible(SCAN_BOUND):
+        for slot in range(9):
+            if oracles.probe_free_slot(tuple(lab), slot):
+                probed.add((lab[:slot] + (None,) + lab[slot + 1 :], slot))
+    assert probed == families
+
+
+def test_enumerate_catalog_reads_free_slots_off_the_scan(monkeypatch):
+    calls = 0
+    original = labelings.is_admissible
+
+    def counted(labeling):
+        nonlocal calls
+        calls += 1
+        return original(labeling)
+
+    monkeypatch.setattr(labelings, "is_admissible", counted)
+    assert len(labelings.enumerate_catalog()) == 90
+    assert 0 < calls <= 200
 
 
 def test_family_free_slot_is_always_a4():
