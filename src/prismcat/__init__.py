@@ -17,7 +17,6 @@ from .labelings import (
     enumerate_catalog,
     is_admissible,
     symmetry_mate,
-    vertex_triples,
 )
 from .geometry import (
     PlanarCircle,

@@ -18,7 +18,15 @@ from json.encoder import encode_basestring_ascii
 from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
 from . import geometry, moebius
-from .geometry import PlanarCircle, PlanarConfig, PlanarLine, realize, verify_config
+from .geometry import (
+    Check,
+    PlanarCircle,
+    PlanarConfig,
+    PlanarLine,
+    Report,
+    realize,
+    verify_config,
+)
 from .labelings import (
     CUSP_ORDER,
     CatalogItem,
@@ -30,6 +38,7 @@ from .moebius import (
     GeneratorSet,
     MoebiusMatrix,
     build_generators,
+    rotation_parameters,
     trace_check,
     verify_relations,
 )
@@ -54,13 +63,8 @@ FAMILY_SAMPLE_OFFSETS = (0, 1, 10)
 FAMILY_SAMPLE_LARGE = 500
 
 
-@dataclass(frozen=True)
-class Verification:
-    """The nine angle, relation and trace residuals of a verified entry."""
-
-    angles: tuple[float, ...]
-    relations: tuple[float, ...]
-    traces: tuple[float, ...]
+# The stages whose residuals an entry stores, by the field they are stored in.
+VERIFIED_STAGES = {"angles": "angle", "relations": "relation", "traces": "trace"}
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class CatalogEntry:
     family_n: Optional[int] = None
     config: Optional[PlanarConfig] = None
     generators: Optional[GeneratorSet] = None
-    verification: Optional[Verification] = None
+    verification: Optional[dict[str, tuple[float, ...]]] = None
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (
@@ -89,23 +93,48 @@ class CatalogEntry:
         )
 
 
+def check_entry(lab: Labeling, config: PlanarConfig, gens: GeneratorSet) -> Report:
+    """Every check of one realized labeling, as rows of one report.
+
+    The nine edge angles of the configuration, the generators' rotation
+    half-angles and centers recomputed from it, the four determinants, and
+    the nine relation words and trace identities.  The relation words need
+    the generators' inverses, so a singular generator ends the report with
+    an error instead of those two stages.
+    """
+    checks = list(verify_config(lab, config).checks)
+    for name, expected in rotation_parameters(lab, config).items():
+        residual = abs(getattr(gens, name) - expected)
+        checks.append(Check("generator", name, residual, 0.0, geometry.CONSTRUCTION_TOL))
+    singular = []
+    for name, matrix in gens.named():
+        checks.append(Check("determinant", name, abs(matrix.det - 1.0), 0.0, moebius.DET_TOL))
+        if matrix.det == 0:
+            singular.append(name)
+    if singular:
+        error = f"{', '.join(singular)} singular, so relations and traces cannot be checked"
+        return Report(tuple(checks), errors=(error,))
+    checks += verify_relations(gens).checks
+    checks += trace_check(gens).checks
+    return Report(tuple(checks))
+
+
 def build_entry(labeling: Sequence[int], **metadata) -> CatalogEntry:
     """Run the full pipeline on one labeling and bundle the results."""
     lab = Labeling(*labeling)
     config = realize(lab)
     gens = build_generators(lab, config)
-    verification = Verification(
-        angles=tuple(check.residual for check in verify_config(lab, config).checks),
-        relations=tuple(check.residual for check in verify_relations(gens).checks),
-        traces=tuple(check.residual for check in trace_check(gens).checks),
-    )
+    checks = check_entry(lab, config, gens).checks
     return CatalogEntry(
         labeling=tuple(lab),
         cusp=CuspType.of(lab),
         family=False,
         config=config,
         generators=gens,
-        verification=verification,
+        verification={
+            field: tuple(check.residual for check in checks if check.stage == stage)
+            for field, stage in VERIFIED_STAGES.items()
+        },
         **metadata,
     )
 
@@ -229,18 +258,23 @@ def _generators_json(gens: GeneratorSet) -> dict:
     }
 
 
-def _generators_from(d: dict, labeling: Labeling, top: PlanarCircle) -> GeneratorSet:
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _generators_from(d: dict, labeling: Labeling) -> GeneratorSet:
     return GeneratorSet(
         labeling=labeling,
         m1=_matrix_from(d["m1"]),
         m2=_matrix_from(d["m2"]),
         m3=_matrix_from(d["m3"]),
         m4=_matrix_from(d["m4"]),
-        theta1=d["theta1"],
-        theta2=d["theta2"],
+        theta1=_number(d["theta1"]),
+        theta2=_number(d["theta2"]),
         fixed1=_complex_from(d["fixed1"]),
         fixed2=_complex_from(d["fixed2"]),
-        top=top,
     )
 
 
@@ -258,9 +292,7 @@ def entry_to_json(entry: CatalogEntry) -> dict:
     }
     if entry.verification:
         record["verification"] = {
-            "angles": list(entry.verification.angles),
-            "relations": list(entry.verification.relations),
-            "traces": list(entry.verification.traces),
+            field: list(residuals) for field, residuals in entry.verification.items()
         }
     return record
 
@@ -288,12 +320,31 @@ def _labeling_from(values: list) -> tuple[Optional[int], ...]:
     return labels
 
 
-def _verification_from(d: dict) -> Verification:
-    return Verification(
-        angles=tuple(d["angles"]),
-        relations=tuple(d["relations"]),
-        traces=tuple(d["traces"]),
-    )
+def _verification_from(d: dict) -> dict[str, tuple[float, ...]]:
+    return {field: tuple(d[field]) for field in VERIFIED_STAGES}
+
+
+def _family_fields(record: dict, labeling: tuple[Optional[int], ...]) -> dict:
+    """``family``, ``free_slot``, ``free_min`` and ``family_n``, checked: a family
+    row names the one null label of its labeling as its free slot, and has a bound.
+    """
+    fields = {name: record.get(name) for name in ("free_slot", "free_min", "family_n")}
+    for name, value in fields.items():
+        if value is not None and type(value) is not int:
+            raise ValueError(f"field {name!r} must be an integer or null, got {value!r}")
+    fields["family"] = _decode_field(record, "family", bool)
+    if fields["family"]:
+        free = [slot for slot, label in enumerate(labeling) if label is None]
+        if not free:
+            raise ValueError("field 'family' is true, but the labeling has no null label")
+        if [fields["free_slot"]] != free:
+            raise ValueError(
+                "field 'free_slot' must index the one null label of a family labeling"
+                f" (null at {free}), got {fields['free_slot']!r}"
+            )
+        if fields["free_min"] is None:
+            raise ValueError("field 'free_min' must be an integer in a family row, got None")
+    return fields
 
 
 def entry_from_json(record: dict) -> CatalogEntry:
@@ -307,17 +358,12 @@ def entry_from_json(record: dict) -> CatalogEntry:
         if config is None:
             raise ValueError("generators without a configuration")
         generators = _decode_field(
-            record,
-            "generators",
-            lambda d: _generators_from(d, Labeling(*labeling), config.top),
+            record, "generators", lambda d: _generators_from(d, Labeling(*labeling))
         )
     return CatalogEntry(
         labeling=labeling,
         cusp=_decode_field(record, "cusp", CuspType.from_code),
-        family=_decode_field(record, "family", bool),
-        free_slot=record.get("free_slot"),
-        free_min=record.get("free_min"),
-        family_n=record.get("family_n"),
+        **_family_fields(record, labeling),
         config=config,
         generators=generators,
         verification=_decode_field(record, "verification", _verification_from, optional=True),
@@ -444,23 +490,6 @@ def load_catalog(fp: Union[str, IO[str]]) -> list[CatalogEntry]:
 # Verification sweep
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """Result of re-verifying a catalog file end to end."""
-
-    entries_checked: int
-    max_angle: float
-    max_relation: float
-    max_trace: float
-    max_det_drift: float
-    max_config_drift: float
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _family_samples(free_min: int, samples: Optional[Sequence[int]]) -> list[int]:
     if samples is None:
         values = [free_min + off for off in FAMILY_SAMPLE_OFFSETS]
@@ -473,97 +502,59 @@ def _family_samples(free_min: int, samples: Optional[Sequence[int]]) -> list[int
 def verify_catalog(
     entries: Sequence[CatalogEntry],
     samples: Optional[Sequence[int]] = None,
-) -> SweepReport:
+) -> Report:
     """Re-realize and re-verify every entry of a catalog.
 
-    Standalone and instance entries are checked four ways: the stored
-    configuration must reproduce all nine edge angles, a fresh realization
-    must agree with the stored circle (config drift), the stored generators
-    must satisfy all nine relations and trace identities, and their
-    determinants must still be 1.  Family pattern rows are spot-checked at
-    the sampled free-slot values (default: free_min, +1, +10, and 500).
+    Standalone and instance entries go through ``check_entry`` with their
+    stored configuration and generators, and a fresh realization must agree
+    with the stored circle (config drift).  Family pattern rows are
+    spot-checked the same way on fresh realizations at the sampled free-slot
+    values (default: free_min, +1, +10, and 500).  Each checked labeling
+    must also have the entry's cusp type.  The report's rows carry their
+    entry's tag.
     """
+    checks: list[Check] = []
+    errors: list[str] = []
     checked = 0
-    max_angle = max_relation = max_trace = max_det = max_drift = 0.0
-    failures: list[str] = []
-
-    def check_full(lab: Labeling, tag: str, entry: Optional[CatalogEntry]) -> None:
-        nonlocal checked, max_angle, max_relation, max_trace, max_det, max_drift
-        checked += 1
-        try:
-            fresh = realize(lab)
-        except (ValueError, geometry.RealizationError) as exc:
-            failures.append(f"{tag}: realization failed: {exc}")
-            return
-        if entry is not None and entry.config is not None:
-            stored = entry.config
-            report = verify_config(lab, stored)
-            max_angle = max(max_angle, report.max_residual)
-            if not report.ok:
-                bad = ", ".join(c.name for c in report.failures())
-                failures.append(f"{tag}: stored configuration fails on {bad}")
-            drift = max(
-                abs(stored.top.cx - fresh.top.cx),
-                abs(stored.top.cy - fresh.top.cy),
-                abs(stored.top.r - fresh.top.r),
-            )
-            max_drift = max(max_drift, drift)
-            if drift > geometry.ANGLE_TOL:
-                failures.append(f"{tag}: stored circle drifts from recomputation by {drift:.3e}")
-            gens = entry.generators
-            if gens is None:
-                failures.append(f"{tag}: entry has no generators")
-                return
-        else:
-            report = verify_config(lab, fresh)
-            max_angle = max(max_angle, report.max_residual)
-            if not report.ok:
-                failures.append(f"{tag}: realization fails angle verification")
-            gens = build_generators(lab, fresh)
-        singular = []
-        for name, matrix in (("M1", gens.m1), ("M2", gens.m2), ("M3", gens.m3), ("M4", gens.m4)):
-            det = matrix.det
-            drift = abs(det - 1.0)
-            max_det = max(max_det, drift)
-            if drift > moebius.DET_TOL:
-                failures.append(f"{tag}: {name} determinant drifts by {drift:.3e}")
-            if det == 0:
-                singular.append(name)
-        if singular:
-            # The relation words need the inverses of the generators.
-            failures.append(
-                f"{tag}: {', '.join(singular)} singular, so relations and traces"
-                " cannot be checked"
-            )
-            return
-        relations = verify_relations(gens)
-        max_relation = max(max_relation, relations.max_residual)
-        if not relations.ok:
-            bad = ", ".join(c.edge for c in relations.checks if not c.ok)
-            failures.append(f"{tag}: relations fail on {bad}")
-        traces = trace_check(gens)
-        max_trace = max(max_trace, traces.max_residual)
-        if not traces.ok:
-            bad = ", ".join(c.edge for c in traces.checks if not c.ok)
-            failures.append(f"{tag}: trace checks fail on {bad}")
-
     for entry in entries:
         label_text = " ".join("n" if v is None else str(v) for v in entry.labeling)
         if entry.family:
-            assert entry.free_slot is not None and entry.free_min is not None
-            for n in _family_samples(entry.free_min, samples):
-                values = list(entry.labeling)
-                values[entry.free_slot] = n
-                check_full(Labeling(*values), f"[{label_text}] at n={n}", None)
+            head, tail = entry.labeling[: entry.free_slot], entry.labeling[entry.free_slot + 1 :]
+            targets = [
+                (Labeling(*head, n, *tail), f"[{label_text}] at n={n}")
+                for n in _family_samples(entry.free_min, samples)
+            ]
         else:
-            check_full(Labeling(*entry.labeling), f"[{label_text}]", entry)
-
-    return SweepReport(
-        entries_checked=checked,
-        max_angle=max_angle,
-        max_relation=max_relation,
-        max_trace=max_trace,
-        max_det_drift=max_det,
-        max_config_drift=max_drift,
-        failures=tuple(failures),
-    )
+            targets = [(Labeling(*entry.labeling), f"[{label_text}]")]
+        for lab, tag in targets:
+            checked += 1
+            try:
+                fresh = realize(lab)
+            except (ValueError, geometry.RealizationError) as exc:
+                errors.append(f"{tag}: realization failed: {exc}")
+                continue
+            if CuspType.of(lab) is not entry.cusp:
+                errors.append(
+                    f"{tag}: stored cusp {entry.cusp.code} is not the labeling's"
+                    f" cusp {CuspType.of(lab).code}"
+                )
+            if entry.family or entry.config is None:
+                report = check_entry(lab, fresh, build_generators(lab, fresh))
+            else:
+                stored = entry.config.top
+                drift = max(
+                    abs(stored.cx - fresh.top.cx),
+                    abs(stored.cy - fresh.top.cy),
+                    abs(stored.r - fresh.top.r),
+                )
+                checks.append(Check("drift", "top", drift, 0.0, geometry.ANGLE_TOL, tag))
+                if entry.generators is None:
+                    errors.append(f"{tag}: entry has no generators")
+                    continue
+                report = check_entry(lab, entry.config, entry.generators)
+            checks += (
+                Check(stage, edge, measured, expected, tol, tag)
+                for stage, edge, measured, expected, tol, _ in report.checks
+            )
+            errors += (f"{tag}: {error}" for error in report.errors)
+    return Report(tuple(checks), tuple(errors), checked)

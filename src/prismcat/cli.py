@@ -67,27 +67,29 @@ def _print_config(labeling: Labeling, config: PlanarConfig, out) -> None:
     )
 
 
-def _print_generators(gens: GeneratorSet, out) -> None:
-    for name, matrix in (("M1", gens.m1), ("M2", gens.m2), ("M3", gens.m3), ("M4", gens.m4)):
+def _print_generators(gens: GeneratorSet, out) -> bool:
+    """Print the generators and their relation and trace rows; True if all pass."""
+    for name, matrix in gens.named():
         print(_matrix_lines(name, matrix), file=out)
+    words = gens.words()
     relations = verify_relations(gens)
     print("relations:", file=out)
-    for check in relations.checks:
+    for (edge, word, _, exponent), check in zip(words, relations.checks):
         status = "ok" if check.ok else "FAIL"
         print(
-            f"  {check.edge}: ({check.word})^{check.exponent}"
-            f"  residual {check.residual:.3e}  {status}",
+            f"  {edge}: ({word})^{exponent}  residual {check.residual:.3e}  {status}",
             file=out,
         )
     traces = trace_check(gens)
     print("traces:", file=out)
-    for check in traces.checks:
+    for (edge, word, _, _), check in zip(words, traces.checks):
         status = "ok" if check.ok else "FAIL"
         print(
-            f"  {check.edge}: |tr {check.word}| = {_sig(check.trace_abs)}"
+            f"  {edge}: |tr {word}| = {_sig(check.measured)}"
             f"  expected {_sig(check.expected)}  residual {check.residual:.3e}  {status}",
             file=out,
         )
+    return relations.ok and traces.ok
 
 
 def _parse_labeling(values: Sequence[int]) -> Labeling:
@@ -147,26 +149,25 @@ def cmd_matrices(args: argparse.Namespace) -> int:
     labeling = _parse_labeling(args.labels)
     config = realize(labeling)
     gens = build_generators(labeling, config)
-    _print_generators(gens, sys.stdout)
+    ok = _print_generators(gens, sys.stdout)
     if args.json:
         entry = cat.build_entry(labeling)
         cat.dump_catalog([entry], args.json)
-    if not verify_relations(gens).ok or not trace_check(gens).ok:
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     entries = cat.load_catalog(args.catalog)
     report = cat.verify_catalog(entries, samples=args.sample)
     print(f"checked {report.entries_checked} configurations")
-    print(f"max angle residual:    {report.max_angle:.3e}")
-    print(f"max relation residual: {report.max_relation:.3e}")
-    print(f"max trace residual:    {report.max_trace:.3e}")
-    print(f"max determinant drift: {report.max_det_drift:.3e}")
-    print(f"max config drift:      {report.max_config_drift:.3e}")
-    if report.failures:
-        for failure in report.failures:
+    print(f"max angle residual:    {report.max_residual('angle'):.3e}")
+    print(f"max relation residual: {report.max_residual('relation'):.3e}")
+    print(f"max trace residual:    {report.max_residual('trace'):.3e}")
+    print(f"max determinant drift: {report.max_residual('determinant'):.3e}")
+    print(f"max config drift:      {report.max_residual('drift'):.3e}")
+    failures = report.failures()
+    if failures:
+        for failure in failures:
             print(f"FAIL {failure}", file=sys.stderr)
         print("FAIL")
         return 1

@@ -21,7 +21,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .labelings import Labeling, is_admissible
 
@@ -132,6 +133,10 @@ class PlanarConfig:
     back: PlanarCircle
     top: PlanarCircle
     a3_branch: int
+
+    def __post_init__(self) -> None:
+        if self.a3_branch not in (2, 3):
+            raise ValueError(f"a3 branch must be 2 or 3, got {self.a3_branch!r}")
 
     def face(self, name: str) -> PlanarObject:
         return getattr(self, name)
@@ -266,15 +271,21 @@ def measure_angle(obj1: PlanarObject, obj2: PlanarObject) -> Optional[float]:
     return math.acos(cos_phi)
 
 
-@dataclass(frozen=True)
-class EdgeCheck:
-    """Measured dihedral angle along one edge versus its prescribed value."""
+class Check(NamedTuple):
+    """One verified quantity of one stage: a measured value against its expected one.
 
-    edge: int  # zero-based index into the labeling
-    name: str  # "a1".."a9"
-    faces: tuple[str, str]
+    ``edge`` names what was measured within the stage (an edge "a1".."a9",
+    a generator "M1".."M4", a generator parameter); ``entry`` tags the rows
+    of a catalog sweep with the entry they belong to.  A measurement that
+    could not be made (two disjoint faces) is ``None`` and fails.
+    """
+
+    stage: str
+    edge: str
+    measured: Optional[float]
     expected: float
-    measured: Optional[float]  # None when the two faces are disjoint
+    tol: float
+    entry: str = ""
 
     @property
     def residual(self) -> float:
@@ -282,26 +293,71 @@ class EdgeCheck:
             return math.inf
         return abs(self.measured - self.expected)
 
+    @property
+    def ok(self) -> bool:
+        return self.residual <= self.tol
+
+
+# How a failed stage reads in a failure message: the edges that failed, and
+# the worst residual among them.
+FAILURE_TEXT = {
+    "angle": "configuration fails on {edges}",
+    "generator": "stored generator parameters disagree on {edges}",
+    "determinant": "{edges} determinant drifts by {residual:.3e}",
+    "relation": "relations fail on {edges}",
+    "trace": "trace checks fail on {edges}",
+    "drift": "stored circle drifts from recomputation by {residual:.3e}",
+}
+
 
 @dataclass(frozen=True)
-class ConfigReport:
-    """Verification report for all nine edges of a configuration."""
+class Report:
+    """The rows of one or more verification stages, in the order they ran.
 
-    checks: tuple[EdgeCheck, ...]
+    ``errors`` are failures that no row records, such as an entry that
+    cannot be realized; ``entries_checked`` counts the entries whose rows
+    the report holds.
+    """
 
-    @property
-    def max_residual(self) -> float:
-        return max(check.residual for check in self.checks)
+    checks: tuple[Check, ...]
+    errors: tuple[str, ...] = ()
+    entries_checked: int = 1
+
+    @cached_property
+    def _scan(self) -> tuple[dict[str, float], dict[tuple[str, str], list[Check]]]:
+        """Each stage's worst residual, and the failed rows by entry and stage, in one pass."""
+        worst: dict[str, float] = {}
+        failed: dict[tuple[str, str], list[Check]] = {}
+        for check in self.checks:
+            residual = check.residual
+            if not residual <= check.tol:  # not check.ok, with the residual computed once
+                failed.setdefault((check.entry, check.stage), []).append(check)
+            if residual > worst.get(check.stage, 0.0):
+                worst[check.stage] = residual
+        return worst, failed
 
     @property
     def ok(self) -> bool:
-        return self.max_residual <= ANGLE_TOL
+        return not self.errors and not self._scan[1]
 
-    def failures(self) -> list[EdgeCheck]:
-        return [c for c in self.checks if c.residual > ANGLE_TOL]
+    def max_residual(self, stage: Optional[str] = None) -> float:
+        """The worst residual of one stage, or of all rows; 0 when there are none."""
+        worst = self._scan[0]
+        return max(worst.values(), default=0.0) if stage is None else worst.get(stage, 0.0)
+
+    def failures(self) -> list[str]:
+        """One message per entry and stage that failed, then the errors."""
+        messages = []
+        for (entry, stage), checks in self._scan[1].items():
+            text = FAILURE_TEXT[stage].format(
+                edges=", ".join(check.edge for check in checks),
+                residual=max(check.residual for check in checks),
+            )
+            messages.append(f"{entry}: {text}" if entry else text)
+        return messages + list(self.errors)
 
 
-def verify_config(labeling: Sequence[int], config: PlanarConfig) -> ConfigReport:
+def verify_config(labeling: Sequence[int], config: PlanarConfig) -> Report:
     """Measure all nine edge angles of a configuration against pi/a_i.
 
     Uses the edge-to-face-pair table and the measurement oracle only -- none
@@ -310,19 +366,18 @@ def verify_config(labeling: Sequence[int], config: PlanarConfig) -> ConfigReport
     the named edge.
     """
     lab = Labeling(*labeling)
-    checks = []
-    for edge, (face1, face2) in enumerate(EDGE_FACES):
-        measured = measure_angle(config.face(face1), config.face(face2))
-        checks.append(
-            EdgeCheck(
-                edge=edge,
-                name=f"a{edge + 1}",
-                faces=(face1, face2),
-                expected=math.pi / lab[edge],
-                measured=measured,
+    return Report(
+        tuple(
+            Check(
+                "angle",
+                f"a{edge + 1}",
+                measure_angle(config.face(face1), config.face(face2)),
+                math.pi / lab[edge],
+                ANGLE_TOL,
             )
+            for edge, (face1, face2) in enumerate(EDGE_FACES)
         )
-    return ConfigReport(tuple(checks))
+    )
 
 
 def realize(labeling: Sequence[int]) -> PlanarConfig:

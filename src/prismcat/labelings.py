@@ -137,18 +137,6 @@ def _edge_names(indices: Sequence[int]) -> str:
     return ", ".join(f"a{i + 1}" for i in indices)
 
 
-def vertex_triples(
-    labeling: Sequence[int],
-) -> list[tuple[tuple[int, int, int], TriangleClass]]:
-    """The six vertex incidences as (edge indices, required class) pairs.
-
-    The incidence structure is combinatorial and identical for every
-    labeling; the argument is validated but otherwise unused.
-    """
-    _validate(labeling)
-    return list(VERTEX_TRIPLES)
-
-
 @dataclass(frozen=True)
 class Admissibility:
     """Outcome of the admissibility test.  Truthy iff admissible.

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import PlanarCircle, PlanarConfig, verify_config
+from .geometry import Check, PlanarConfig, Report, verify_config
 from .labelings import Labeling
 
 # Determinant drift allowed on constructed generators, PSL2 distance allowed
@@ -171,8 +171,7 @@ class GeneratorSet:
     """The four side-pairing matrices of a realized labeling.
 
     ``fixed1`` and ``fixed2`` are the rotation centers of m2 and m3: the
-    points where the green and blue lines meet the red line.  ``top`` is the
-    circle whose reflection m4 implements.
+    points where the green and blue lines meet the red line.
     """
 
     labeling: Labeling
@@ -184,7 +183,10 @@ class GeneratorSet:
     theta2: float
     fixed1: complex
     fixed2: complex
-    top: PlanarCircle
+
+    def named(self) -> tuple[tuple[str, MoebiusMatrix], ...]:
+        """("M1", m1) .. ("M4", m4)."""
+        return (("M1", self.m1), ("M2", self.m2), ("M3", self.m3), ("M4", self.m4))
 
     def words(self) -> list[tuple[str, str, MoebiusMatrix, int]]:
         """The nine relation words as (edge, word, base matrix, exponent).
@@ -215,6 +217,20 @@ def _line_x_intersection(line, x: float) -> complex:
     return complex(x, slope * x + intercept)
 
 
+def rotation_parameters(labeling: Labeling, config: PlanarConfig) -> dict[str, float | complex]:
+    """The GeneratorSet fields theta1, theta2, fixed1 and fixed2: the half-angles
+    pi/a1 and pi/a2 of M2 and M3, and their centers, where the green and blue
+    lines meet the red line.
+    """
+    red_x = 0.0 if config.a3_branch == 2 else -0.5
+    return {
+        "theta1": math.pi / labeling.a1,
+        "theta2": math.pi / labeling.a2,
+        "fixed1": _line_x_intersection(config.green, red_x),
+        "fixed2": _line_x_intersection(config.blue, red_x),
+    }
+
+
 def build_generators(labeling: Sequence[int], config: PlanarConfig) -> GeneratorSet:
     """Construct M1..M4 from a verified configuration.
 
@@ -232,33 +248,26 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     if not report.ok:
         raise ValueError(
             f"configuration does not verify for {tuple(lab)}: "
-            f"max angle residual {report.max_residual:.3e}"
+            f"max angle residual {report.max_residual():.3e}"
         )
-    theta1 = math.pi / lab.a1
-    theta2 = math.pi / lab.a2
+    rotation = rotation_parameters(lab, config)
     x, y, r = config.top.cx, config.top.cy, config.top.r
 
     if config.a3_branch == 2:
         m1 = MoebiusMatrix.of(0.0, -1.0, 1.0, 0.0)
-        fixed1 = _line_x_intersection(config.green, 0.0)
-        fixed2 = _line_x_intersection(config.blue, 0.0)
         m4 = MoebiusMatrix.of(
             (-x + y * 1j) / r,
             (x * x + y * y) / r - r,
             1.0 / r,
             (-x - y * 1j) / r,
         )
-    elif config.a3_branch == 3:
+    else:
         m1 = MoebiusMatrix.of(-1.0, -1.0, 1.0, 0.0)
-        fixed1 = _line_x_intersection(config.green, -0.5)
-        fixed2 = _line_x_intersection(config.blue, -0.5)
         w = (-(x + 1.0) + y * 1j) / r
         m4 = MoebiusMatrix.of(w, w * (-x - y * 1j) - r, 1.0 / r, (-x - y * 1j) / r)
-    else:
-        raise ValueError(f"a3 branch must be 2 or 3, got {config.a3_branch}")
 
-    m2 = rotation_matrix(fixed1, theta1, ccw=False)
-    m3 = rotation_matrix(fixed2, theta2, ccw=True)
+    m2 = rotation_matrix(rotation["fixed1"], rotation["theta1"], ccw=False)
+    m3 = rotation_matrix(rotation["fixed2"], rotation["theta2"], ccw=True)
 
     gens = GeneratorSet(
         labeling=lab,
@@ -266,107 +275,47 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
         m2=m2,
         m3=m3,
         m4=m4,
-        theta1=theta1,
-        theta2=theta2,
-        fixed1=fixed1,
-        fixed2=fixed2,
-        top=config.top,
+        **rotation,
     )
-    for name, matrix in (("M1", m1), ("M2", m2), ("M3", m3), ("M4", m4)):
+    for name, matrix in gens.named():
         drift = abs(matrix.det - 1.0)
         if drift > DET_TOL:
             raise ValueError(f"{name} determinant drifted by {drift:.3e}")
     return gens
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    """PSL2 distance of one relation word (base^exponent) from the identity."""
+def verify_relations(gens: GeneratorSet) -> Report:
+    """Evaluate the nine relation words and their PSL2 distances to identity.
 
-    edge: str
-    word: str
-    exponent: int
-    residual: float
-
-    @property
-    def ok(self) -> bool:
-        return self.residual <= relation_tolerance(self.exponent)
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    checks: tuple[RelationCheck, ...]
-
-    @property
-    def max_residual(self) -> float:
-        return max(check.residual for check in self.checks)
-
-    @property
-    def ok(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-
-def verify_relations(gens: GeneratorSet) -> RelationReport:
-    """Evaluate the nine relation words and their PSL2 distances to identity."""
+    Each row carries the tolerance for its word's order.
+    """
     checks = []
-    for edge, word, base, exponent in gens.words():
+    for edge, _, base, exponent in gens.words():
         try:
             residual = base.pow(exponent).distance_to_identity()
         except OverflowError:  # only a non-elliptic base grows past the float range
             residual = math.inf
-        checks.append(RelationCheck(edge, word, exponent, residual))
-    return RelationReport(tuple(checks))
+        checks.append(Check("relation", edge, residual, 0.0, relation_tolerance(exponent)))
+    return Report(tuple(checks))
 
 
-@dataclass(frozen=True)
-class TraceCheck:
-    """|trace| of a relation word's base against the elliptic value 2*cos(pi/n)."""
-
-    edge: str
-    word: str
-    exponent: int
-    trace_abs: float
-    expected: float
-
-    @property
-    def residual(self) -> float:
-        return abs(self.trace_abs - self.expected)
-
-    @property
-    def ok(self) -> bool:
-        return self.residual <= TRACE_TOL
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    checks: tuple[TraceCheck, ...]
-
-    @property
-    def max_residual(self) -> float:
-        return max(check.residual for check in self.checks)
-
-    @property
-    def ok(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-
-def trace_check(gens: GeneratorSet) -> TraceReport:
+def trace_check(gens: GeneratorSet) -> Report:
     """Check each relation base is elliptic of the right order via its trace.
 
     An element of order n conjugate to a rotation by 2*pi/n has
     |trace| = 2*cos(pi/n) (after determinant normalization); this confirms
-    the relation exponents without computing any powers.
+    the relation exponents without computing any powers.  Each row measures
+    |trace| against 2*cos(pi/n).
     """
-    checks = []
-    for edge, word, base, exponent in gens.words():
-        normalized_trace = base.trace / cmath.sqrt(base.det)
-        checks.append(
-            TraceCheck(
-                edge=edge,
-                word=word,
-                exponent=exponent,
-                trace_abs=abs(normalized_trace),
-                expected=2.0 * math.cos(math.pi / exponent),
+    return Report(
+        tuple(
+            Check(
+                "trace",
+                edge,
+                abs(base.trace / cmath.sqrt(base.det)),
+                2.0 * math.cos(math.pi / exponent),
+                TRACE_TOL,
             )
+            for edge, _, base, exponent in gens.words()
         )
-    return TraceReport(tuple(checks))
+    )

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prismcat import catalog as cat
-from prismcat.labelings import CuspType, enumerate_catalog
+from prismcat.labelings import CuspType, Labeling, enumerate_catalog
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +33,24 @@ def test_build_catalog_shape(full_entries):
         assert entry.family_n is None
         assert entry.config is not None
         assert entry.generators is not None
-        assert len(entry.verification.angles) == 9
-        assert len(entry.verification.relations) == 9
-        assert len(entry.verification.traces) == 9
+        assert len(entry.verification["angles"]) == 9
+        assert len(entry.verification["relations"]) == 9
+        assert len(entry.verification["traces"]) == 9
+
+
+def test_check_entry_rows_and_stored_residuals(full_entries):
+    entry = next(e for e in full_entries if not e.family)
+    lab = Labeling(*entry.labeling)
+    report = cat.check_entry(lab, entry.config, entry.generators)
+    assert report.ok and report.entries_checked == 1
+    stages = ["angle"] * 9 + ["generator"] * 4 + ["determinant"] * 4
+    stages += ["relation"] * 9 + ["trace"] * 9
+    assert [check.stage for check in report.checks] == stages
+    # The rotation parameters are recomputed by the same float operations.
+    assert report.max_residual("generator") == 0.0
+    for field, stage in cat.VERIFIED_STAGES.items():
+        residuals = tuple(c.residual for c in report.checks if c.stage == stage)
+        assert entry.verification[field] == residuals
 
 
 def test_build_catalog_cusp_filter():
@@ -197,11 +212,11 @@ def test_verify_catalog_passes_on_fresh_entries(full_entries):
     assert report.ok
     # 78 specifics plus 12 families sampled at 4 values each
     assert report.entries_checked == 78 + 12 * 4
-    assert report.max_angle <= 1e-9
-    assert report.max_relation <= 1e-6
-    assert report.max_trace <= 1e-8
-    assert report.max_det_drift <= 1e-10
-    assert report.max_config_drift <= 1e-9
+    assert report.max_residual("angle") <= 1e-9
+    assert report.max_residual("relation") <= 1e-6
+    assert report.max_residual("trace") <= 1e-8
+    assert report.max_residual("determinant") <= 1e-10
+    assert report.max_residual("drift") <= 1e-9
 
 
 def test_verify_catalog_sample_values_below_bound_are_skipped(full_entries):
@@ -221,8 +236,8 @@ def test_verify_catalog_flags_corrupted_radius(full_entries):
     report = cat.verify_catalog(entries)
     assert not report.ok
     label_text = " ".join(str(v) for v in victim["labeling"])
-    assert any(label_text in failure for failure in report.failures)
-    assert report.max_config_drift >= 1e-4
+    assert any(label_text in failure for failure in report.failures())
+    assert report.max_residual("drift") >= 1e-4
 
 
 def test_verify_catalog_flags_tampered_generator(full_entries):
@@ -236,5 +251,5 @@ def test_verify_catalog_flags_tampered_generator(full_entries):
     label_text = " ".join(str(v) for v in victim["labeling"])
     assert any(
         label_text in failure and "relation" in failure
-        for failure in report.failures
+        for failure in report.failures()
     )

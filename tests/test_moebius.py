@@ -168,7 +168,6 @@ def test_pow_overflow_is_a_failed_relation():
         theta2=gens.theta2,
         fixed1=gens.fixed1,
         fixed2=gens.fixed2,
-        top=gens.top,
     )
     report = verify_relations(stretched)
     a4 = report.checks[3]
@@ -350,7 +349,7 @@ def test_relations_hold_on_sample_entries():
         gens, _ = gens_for(labels)
         report = verify_relations(gens)
         assert report.ok
-        assert report.max_residual <= 1e-12
+        assert report.max_residual() <= 1e-12
         assert len(report.checks) == 9
 
 
@@ -359,8 +358,9 @@ def test_relations_hold_far_into_a_family():
     report = verify_relations(gens)
     assert report.ok
     # the order-500 word gets the looser gate, everything else the strict one
-    for check in report.checks:
-        expected_tol = RELATION_TOL_LARGE if check.exponent > 100 else RELATION_TOL
+    for check, (_, _, _, exponent) in zip(report.checks, gens.words()):
+        expected_tol = RELATION_TOL_LARGE if exponent > 100 else RELATION_TOL
+        assert check.tol == expected_tol
         assert check.residual <= expected_tol
 
 
@@ -368,11 +368,9 @@ def test_traces_match_elliptic_orders():
     gens, _ = gens_for((2, 4, 2, 5, 4, 3, 3, 2, 2))
     report = trace_check(gens)
     assert report.ok
-    for check in report.checks:
-        assert check.expected == pytest.approx(
-            2 * math.cos(math.pi / check.exponent), abs=1e-15
-        )
-        assert abs(check.trace_abs - check.expected) <= TRACE_TOL
+    for check, (_, _, _, exponent) in zip(report.checks, gens.words()):
+        assert check.expected == pytest.approx(2 * math.cos(math.pi / exponent), abs=1e-15)
+        assert abs(check.measured - check.expected) <= TRACE_TOL
 
 
 def test_perturbed_top_matrix_breaks_only_its_relations():
@@ -393,7 +391,6 @@ def test_perturbed_top_matrix_breaks_only_its_relations():
         theta2=gens.theta2,
         fixed1=gens.fixed1,
         fixed2=gens.fixed2,
-        top=gens.top,
     )
     report = verify_relations(tampered)
     assert not report.ok
