@@ -27,13 +27,7 @@ from .geometry import (
     realize,
     verify_config,
 )
-from .labelings import (
-    CUSP_ORDER,
-    CatalogItem,
-    CuspType,
-    Labeling,
-    enumerate_catalog,
-)
+from .labelings import CatalogItem, CuspType, Labeling, catalog_order, enumerate_catalog
 from .moebius import (
     GeneratorSet,
     MoebiusMatrix,
@@ -86,11 +80,20 @@ class CatalogEntry:
     generators: Optional[GeneratorSet] = None
     verification: Optional[dict[str, tuple[float, ...]]] = None
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (
-            CUSP_ORDER.index(self.cusp),
-            tuple(0 if v is None else v for v in self.labeling),
-        )
+
+def label_tag(labeling: Sequence[Optional[int]]) -> str:
+    """How failure messages name an entry: its labels in brackets, n for a free slot."""
+    return "[" + " ".join("n" if v is None else str(v) for v in labeling) + "]"
+
+
+def _stored_rows(checks: Iterable[Check]) -> dict[str, list[Check]]:
+    """The rows whose residuals an entry stores, by the field they are stored in."""
+    rows: dict[str, list[Check]] = {field: [] for field in VERIFIED_STAGES}
+    fields = {stage: field for field, stage in VERIFIED_STAGES.items()}
+    for check in checks:
+        if check.stage in fields:
+            rows[fields[check.stage]].append(check)
+    return rows
 
 
 def check_entry(lab: Labeling, config: PlanarConfig, gens: GeneratorSet) -> Report:
@@ -119,40 +122,53 @@ def check_entry(lab: Labeling, config: PlanarConfig, gens: GeneratorSet) -> Repo
     return Report(tuple(checks))
 
 
-def build_entry(labeling: Sequence[int], **metadata) -> CatalogEntry:
-    """Run the full pipeline on one labeling and bundle the results."""
+def build_entry(labeling: Sequence[int], **metadata) -> tuple[CatalogEntry, Report]:
+    """Run the full pipeline on one labeling: the entry, and the report of its checks.
+
+    The entry stores the report's angle, relation and trace residuals.  It is
+    built whether or not the report passes.
+    """
     lab = Labeling(*labeling)
     config = realize(lab)
     gens = build_generators(lab, config)
-    checks = check_entry(lab, config, gens).checks
-    return CatalogEntry(
+    report = check_entry(lab, config, gens)
+    entry = CatalogEntry(
         labeling=tuple(lab),
         cusp=CuspType.of(lab),
         family=False,
         config=config,
         generators=gens,
         verification={
-            field: tuple(check.residual for check in checks if check.stage == stage)
-            for field, stage in VERIFIED_STAGES.items()
+            field: tuple(check.residual for check in rows)
+            for field, rows in _stored_rows(report.checks).items()
         },
         **metadata,
     )
+    return entry, report
 
 
 def build_catalog(
     items: Optional[Sequence[CatalogItem]] = None,
     max_n: Optional[int] = None,
     cusp: Optional[CuspType] = None,
-) -> list[CatalogEntry]:
+) -> tuple[list[CatalogEntry], list[str]]:
     """Catalog entries for the given items (default: the full enumeration).
 
     Family items become pattern rows; with ``max_n`` each family additionally
-    expands into fully verified instances for free_min..max_n.  Standalone
-    items always carry the full payload.
+    expands into built instances for free_min..max_n.  Standalone items
+    always carry the full payload.  Returns the entries in catalog order and
+    the failures of the built ones, each tagged with its entry's labels.
     """
     if items is None:
         items = enumerate_catalog()
     entries: list[CatalogEntry] = []
+    failures: list[str] = []
+
+    def add(labeling: Labeling, **metadata) -> None:
+        entry, report = build_entry(labeling, **metadata)
+        entries.append(entry)
+        failures.extend(f"{label_tag(labeling)}: {text}" for text in report.failures())
+
     for item in items:
         if cusp is not None and item.cusp is not cusp:
             continue
@@ -168,18 +184,16 @@ def build_catalog(
             )
             if max_n is not None:
                 for n in range(item.free_min, max_n + 1):
-                    entries.append(
-                        build_entry(
-                            item.instantiate(n),
-                            free_slot=item.free_slot,
-                            free_min=item.free_min,
-                            family_n=n,
-                        )
+                    add(
+                        item.instantiate(n),
+                        free_slot=item.free_slot,
+                        free_min=item.free_min,
+                        family_n=n,
                     )
         else:
-            entries.append(build_entry(item.labeling))
-    entries.sort(key=CatalogEntry.sort_key)
-    return entries
+            add(item.labeling)
+    entries.sort(key=lambda entry: catalog_order(entry.cusp, entry.labeling))
+    return entries, failures
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +335,11 @@ def _labeling_from(values: list) -> tuple[Optional[int], ...]:
 
 
 def _verification_from(d: dict) -> dict[str, tuple[float, ...]]:
-    return {field: tuple(d[field]) for field in VERIFIED_STAGES}
+    verification = {field: tuple(map(_number, d[field])) for field in VERIFIED_STAGES}
+    for field, residuals in verification.items():
+        if len(residuals) != 9:
+            raise ValueError(f"{field!r} holds {len(residuals)} residuals, expected 9")
+    return verification
 
 
 def _family_fields(record: dict, labeling: tuple[Optional[int], ...]) -> dict:
@@ -352,20 +370,17 @@ def entry_from_json(record: dict) -> CatalogEntry:
     if not isinstance(record, dict):
         raise ValueError(f"expected an object, got {type(record).__name__}")
     labeling = _decode_field(record, "labeling", _labeling_from)
-    config = _decode_field(record, "config", _config_from, optional=True)
-    generators = None
-    if record.get("generators"):
-        if config is None:
-            raise ValueError("generators without a configuration")
-        generators = _decode_field(
-            record, "generators", lambda d: _generators_from(d, Labeling(*labeling))
-        )
     return CatalogEntry(
         labeling=labeling,
         cusp=_decode_field(record, "cusp", CuspType.from_code),
         **_family_fields(record, labeling),
-        config=config,
-        generators=generators,
+        config=_decode_field(record, "config", _config_from, optional=True),
+        generators=_decode_field(
+            record,
+            "generators",
+            lambda d: _generators_from(d, Labeling(*labeling)),
+            optional=True,
+        ),
         verification=_decode_field(record, "verification", _verification_from, optional=True),
     )
 
@@ -505,27 +520,28 @@ def verify_catalog(
 ) -> Report:
     """Re-realize and re-verify every entry of a catalog.
 
-    Standalone and instance entries go through ``check_entry`` with their
-    stored configuration and generators, and a fresh realization must agree
-    with the stored circle (config drift).  Family pattern rows are
-    spot-checked the same way on fresh realizations at the sampled free-slot
-    values (default: free_min, +1, +10, and 500).  Each checked labeling
-    must also have the entry's cusp type.  The report's rows carry their
-    entry's tag.
+    Standalone and instance entries must store a configuration, generators
+    and residuals.  They go through ``check_entry`` with the stored
+    configuration and generators, a fresh realization must agree with the
+    stored circle (config drift), and each stored residual must equal the
+    recomputed one to within that row's tolerance.  Family pattern rows are
+    spot-checked with ``check_entry`` on fresh realizations at the sampled
+    free-slot values (default: free_min, +1, +10, and 500).  Each checked
+    labeling must also have the entry's cusp type.  The report's rows carry
+    their entry's tag.
     """
     checks: list[Check] = []
     errors: list[str] = []
     checked = 0
     for entry in entries:
-        label_text = " ".join("n" if v is None else str(v) for v in entry.labeling)
         if entry.family:
             head, tail = entry.labeling[: entry.free_slot], entry.labeling[entry.free_slot + 1 :]
             targets = [
-                (Labeling(*head, n, *tail), f"[{label_text}] at n={n}")
+                (Labeling(*head, n, *tail), f"{label_tag(entry.labeling)} at n={n}")
                 for n in _family_samples(entry.free_min, samples)
             ]
         else:
-            targets = [(Labeling(*entry.labeling), f"[{label_text}]")]
+            targets = [(Labeling(*entry.labeling), label_tag(entry.labeling))]
         for lab, tag in targets:
             checked += 1
             try:
@@ -538,9 +554,17 @@ def verify_catalog(
                     f"{tag}: stored cusp {entry.cusp.code} is not the labeling's"
                     f" cusp {CuspType.of(lab).code}"
                 )
-            if entry.family or entry.config is None:
+            if entry.family:
                 report = check_entry(lab, fresh, build_generators(lab, fresh))
             else:
+                missing = [
+                    name
+                    for name in ("config", "generators", "verification")
+                    if getattr(entry, name) is None
+                ]
+                if missing:
+                    errors.append(f"{tag}: entry stores no {', '.join(missing)}")
+                    continue
                 stored = entry.config.top
                 drift = max(
                     abs(stored.cx - fresh.top.cx),
@@ -548,10 +572,18 @@ def verify_catalog(
                     abs(stored.r - fresh.top.r),
                 )
                 checks.append(Check("drift", "top", drift, 0.0, geometry.ANGLE_TOL, tag))
-                if entry.generators is None:
-                    errors.append(f"{tag}: entry has no generators")
-                    continue
                 report = check_entry(lab, entry.config, entry.generators)
+                disagree = [
+                    f"{field} {check.edge}"
+                    for field, rows in _stored_rows(report.checks).items()
+                    for value, check in zip(entry.verification[field], rows)
+                    if not abs(value - check.residual) <= check.tol
+                ]
+                if disagree:
+                    errors.append(
+                        f"{tag}: stored residuals disagree with recomputation on"
+                        f" {', '.join(disagree)}"
+                    )
             checks += (
                 Check(stage, edge, measured, expected, tol, tag)
                 for stage, edge, measured, expected, tol, _ in report.checks

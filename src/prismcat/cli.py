@@ -6,17 +6,20 @@ JSON, ``realize`` solves a single labeling and reports the configuration,
 ``verify`` re-checks a previously written catalog file.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 for usage or
-domain errors (bad arguments, inadmissible labelings).
+domain errors (bad arguments, inadmissible labelings).  ``enumerate``,
+``realize`` and ``matrices`` build entries and check each one once; a failed
+check is a ``FAIL [labels]: ...`` line on stderr and exit code 1, after the
+output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import catalog as cat
-from .geometry import PlanarConfig, RealizationError, realize
+from .geometry import RealizationError, Report
 from .labelings import (
     EXPECTED_COUNTS,
     CUSP_ORDER,
@@ -26,7 +29,7 @@ from .labelings import (
     enumerate_catalog,
     is_admissible,
 )
-from .moebius import GeneratorSet, build_generators, trace_check, verify_relations
+from .moebius import GeneratorSet
 from .svg import write_svg
 
 
@@ -42,9 +45,10 @@ def _matrix_lines(name: str, m) -> str:
     return f"{name} = [[{_cpx(m.a)}, {_cpx(m.b)}], [{_cpx(m.c)}, {_cpx(m.d)}]]"
 
 
-def _print_config(labeling: Labeling, config: PlanarConfig, out) -> None:
-    print("labeling:", " ".join(str(v) for v in labeling), file=out)
-    print("cusp:", CuspType.of(labeling).code, file=out)
+def _print_config(entry: cat.CatalogEntry, out) -> None:
+    config = entry.config
+    print("labeling:", " ".join(str(v) for v in entry.labeling), file=out)
+    print("cusp:", entry.cusp.code, file=out)
     red_x = config.red.d * config.red.nx
     print(f"{'red:':<7}vertical line x = {_sig(red_x)}", file=out)
     for name in ("green", "blue"):
@@ -67,43 +71,58 @@ def _print_config(labeling: Labeling, config: PlanarConfig, out) -> None:
     )
 
 
-def _print_generators(gens: GeneratorSet, out) -> bool:
-    """Print the generators and their relation and trace rows; True if all pass."""
+def _print_generators(gens: GeneratorSet, report: Report, out) -> None:
+    """Print the generators and the relation and trace rows of their report."""
     for name, matrix in gens.named():
         print(_matrix_lines(name, matrix), file=out)
-    words = gens.words()
-    relations = verify_relations(gens)
+    relations = [check for check in report.checks if check.stage == "relation"]
+    traces = [check for check in report.checks if check.stage == "trace"]
     print("relations:", file=out)
-    for (edge, word, _, exponent), check in zip(words, relations.checks):
+    for (edge, word, _, exponent), check in zip(gens.words, relations):
         status = "ok" if check.ok else "FAIL"
         print(
             f"  {edge}: ({word})^{exponent}  residual {check.residual:.3e}  {status}",
             file=out,
         )
-    traces = trace_check(gens)
     print("traces:", file=out)
-    for (edge, word, _, _), check in zip(words, traces.checks):
+    for (edge, word, _, _), check in zip(gens.words, traces):
         status = "ok" if check.ok else "FAIL"
         print(
             f"  {edge}: |tr {word}| = {_sig(check.measured)}"
             f"  expected {_sig(check.expected)}  residual {check.residual:.3e}  {status}",
             file=out,
         )
-    return relations.ok and traces.ok
 
 
-def _parse_labeling(values: Sequence[int]) -> Labeling:
-    labeling = Labeling(*values)
+def _print_failures(failures: Iterable[str]) -> int:
+    """Print each failure as a FAIL line on stderr; the exit code, 1 if there were any."""
+    code = 0
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+        code = 1
+    return code
+
+
+def _build(args: argparse.Namespace) -> tuple[cat.CatalogEntry, Report, list[str]]:
+    """Build the entry of ``args.labels`` and write it to ``args.json`` if given.
+
+    Returns the entry, its report, and the report's failures tagged with the labels.
+    """
+    labeling = Labeling(*args.labels)
     admissible = is_admissible(labeling)
     if not admissible:
         raise ValueError(f"labeling is not admissible: {admissible.reason}")
-    return labeling
+    entry, report = cat.build_entry(labeling)
+    if args.json:
+        cat.dump_catalog([entry], args.json)
+    tag = cat.label_tag(labeling)
+    return entry, report, [f"{tag}: {text}" for text in report.failures()]
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cusp = CuspType.from_code(args.cusp) if args.cusp else None
     items = enumerate_catalog()
-    entries = cat.build_catalog(items, max_n=args.max_n, cusp=cusp)
+    entries, failures = cat.build_catalog(items, max_n=args.max_n, cusp=cusp)
 
     # build_catalog turns each item of the selected cusps into one pattern or
     # standalone entry, so the items give the entries' counts.
@@ -121,6 +140,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         cat.dump_catalog(entries, sys.stdout)
         print(summary, file=sys.stderr)
 
+    code = _print_failures(failures)
     for c in shown:
         got, expected = counts[c], EXPECTED_COUNTS[c]
         if got != expected:
@@ -130,30 +150,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    return 0
+    return code
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    labeling = _parse_labeling(args.labels)
-    config = realize(labeling)
-    _print_config(labeling, config, sys.stdout)
+    entry, _, failures = _build(args)
+    _print_config(entry, sys.stdout)
     if args.svg:
-        write_svg(config, args.svg, labeling)
-    if args.json:
-        entry = cat.build_entry(labeling)
-        cat.dump_catalog([entry], args.json)
-    return 0
+        write_svg(entry.config, args.svg, entry.labeling)
+    return _print_failures(failures)
 
 
 def cmd_matrices(args: argparse.Namespace) -> int:
-    labeling = _parse_labeling(args.labels)
-    config = realize(labeling)
-    gens = build_generators(labeling, config)
-    ok = _print_generators(gens, sys.stdout)
-    if args.json:
-        entry = cat.build_entry(labeling)
-        cat.dump_catalog([entry], args.json)
-    return 0 if ok else 1
+    entry, report, failures = _build(args)
+    _print_generators(entry.generators, report, sys.stdout)
+    return _print_failures(failures)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -165,14 +176,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"max trace residual:    {report.max_residual('trace'):.3e}")
     print(f"max determinant drift: {report.max_residual('determinant'):.3e}")
     print(f"max config drift:      {report.max_residual('drift'):.3e}")
-    failures = report.failures()
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}", file=sys.stderr)
-        print("FAIL")
-        return 1
-    print("PASS")
-    return 0
+    code = _print_failures(report.failures())
+    print("FAIL" if code else "PASS")
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

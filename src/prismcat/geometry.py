@@ -171,58 +171,6 @@ def build_lines(labeling: Sequence[int]) -> tuple[PlanarLine, PlanarLine, Planar
     return red, green, blue
 
 
-def line_circle_offset(r: float, theta: float) -> float:
-    """Closest approach r*cos(theta) of a line meeting a radius-r circle at theta."""
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r!r}")
-    if not 0 < theta <= math.pi / 2:
-        raise ValueError(f"angle must lie in (0, pi/2], got {theta!r}")
-    return r * math.cos(theta)
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """A linear equation cx*x0 + cy*y0 + cr*r = rhs on a circle (x0, y0, r)."""
-
-    cx: float
-    cy: float
-    cr: float
-    rhs: float
-
-    def residual(self, x0: float, y0: float, r: float) -> float:
-        return self.cx * x0 + self.cy * y0 + self.cr * r - self.rhs
-
-
-@dataclass(frozen=True)
-class CocircleConstraint:
-    """The unit-circle intersection equation x0^2 + y0^2 = 1 + r^2 + 2*cos_phi*r."""
-
-    cos_phi: float
-
-    def residual(self, x0: float, y0: float, r: float) -> float:
-        return x0 * x0 + y0 * y0 - (1.0 + r * r + 2.0 * self.cos_phi * r)
-
-
-def tangency_constraint(line: PlanarLine, phi: float) -> LinearConstraint:
-    """Linear condition for a circle on the line's prism side to meet it at phi.
-
-    The center must sit at distance r*cos(phi) from the line, on the prism
-    side of its normal: n . (x0, y0) - r*cos(phi) = d.  This covers sloped and
-    vertical lines uniformly; for the red line x = c it reads
-    x0 - r*cos(phi) = c.
-    """
-    if not 0 < phi <= math.pi / 2:
-        raise ValueError(f"angle must lie in (0, pi/2], got {phi!r}")
-    return LinearConstraint(line.nx, line.ny, -math.cos(phi), line.d)
-
-
-def cocircle_constraint(phi: float) -> CocircleConstraint:
-    """Condition for a circle (x0, y0, r) to meet the unit circle at angle phi."""
-    if not 0 < phi <= math.pi / 2:
-        raise ValueError(f"angle must lie in (0, pi/2], got {phi!r}")
-    return CocircleConstraint(math.cos(phi))
-
-
 def _solve_quadratic(a: float, b: float, c: float) -> list[float]:
     """Real roots of a*x^2 + b*x + c = 0, computed with the stable split.
 
@@ -383,14 +331,19 @@ def verify_config(labeling: Sequence[int], config: PlanarConfig) -> Report:
 def realize(labeling: Sequence[int]) -> PlanarConfig:
     """Realize an admissible labeling as its planar line/circle configuration.
 
-    Builds the three lines, then solves for the top circle: the green and blue
-    tangency conditions (angles pi/a7, pi/a8) are linear in (x0, y0, r), so
-    the center is an affine function of r; substituting into the unit-circle
-    condition (angle pi/a9) leaves one quadratic in r.  Each positive root is
-    accepted only if every edge angle verifies and the red line stays strictly
-    clear of the top circle (red and top share no edge; tangency would mean a
-    second ideal vertex).  Exactly one root survives in practice; if both ever
-    did, the smaller circle is kept and a warning logged.
+    Builds the three lines, then solves for the top circle (x0, y0, r).  It
+    meets the green and blue lines at pi/a7 and pi/a8 when its center lies
+    r*cos(phi) inside each line, n . (x0, y0) - r*cos(phi) = d, and it meets
+    the unit circle at pi/a9 when x0^2 + y0^2 = 1 + r^2 + 2*r*cos(pi/a9).
+    The two line conditions are linear in (x0, y0, r), so the center is an
+    affine function of r, and the circle condition leaves one quadratic in r.
+    A positive root is kept when it satisfies all three conditions to
+    CONSTRUCTION_TOL and the red line stays strictly clear of the top circle
+    (red and top share no edge; tangency would mean a second ideal vertex).
+    Exactly one root survives in practice; if both ever did, the smaller
+    circle is kept and a warning logged.  The nine edge angles are not
+    measured here: check_entry runs that independent oracle (verify_config)
+    on the result.
 
     Raises ValueError for an inadmissible labeling and RealizationError when
     no surviving root exists.
@@ -400,23 +353,22 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
         raise ValueError(adm.reason)
     lab = Labeling(*labeling)
     red, green, blue = build_lines(lab)
+    cos7 = math.cos(math.pi / lab.a7)
+    cos8 = math.cos(math.pi / lab.a8)
+    cos9 = math.cos(math.pi / lab.a9)
 
-    green_tan = tangency_constraint(green, math.pi / lab.a7)
-    blue_tan = tangency_constraint(blue, math.pi / lab.a8)
-    cocircle = cocircle_constraint(math.pi / lab.a9)
-
-    # Solve the two tangency conditions for the center as (x0, y0) = p + q*r.
-    det = green_tan.cx * blue_tan.cy - green_tan.cy * blue_tan.cx
+    # Solve the two line conditions for the center as (x0, y0) = p + q*r.
+    det = green.nx * blue.ny - green.ny * blue.nx
     if abs(det) < 1e-14:
         raise RealizationError("green and blue tangency conditions are parallel")
-    px = (green_tan.rhs * blue_tan.cy - blue_tan.rhs * green_tan.cy) / det
-    py = (green_tan.cx * blue_tan.rhs - blue_tan.cx * green_tan.rhs) / det
-    qx = (-green_tan.cr * blue_tan.cy + blue_tan.cr * green_tan.cy) / det
-    qy = (-green_tan.cx * blue_tan.cr + blue_tan.cx * green_tan.cr) / det
+    px = (green.d * blue.ny - blue.d * green.ny) / det
+    py = (green.nx * blue.d - blue.nx * green.d) / det
+    qx = (cos7 * blue.ny - cos8 * green.ny) / det
+    qy = (green.nx * cos8 - blue.nx * cos7) / det
 
-    # |p + q*r|^2 = 1 + r^2 + 2*cos_phi*r, as a quadratic in r.
+    # |p + q*r|^2 = 1 + r^2 + 2*cos9*r, as a quadratic in r.
     a = qx * qx + qy * qy - 1.0
-    b = 2.0 * (px * qx + py * qy) - 2.0 * cocircle.cos_phi
+    b = 2.0 * (px * qx + py * qy) - 2.0 * cos9
     c = px * px + py * py - 1.0
 
     survivors: list[PlanarConfig] = []
@@ -426,28 +378,24 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
         x0 = px + qx * r
         y0 = py + qy * r
         residual = max(
-            abs(green_tan.residual(x0, y0, r)),
-            abs(blue_tan.residual(x0, y0, r)),
-            abs(cocircle.residual(x0, y0, r)),
+            abs(green.nx * x0 + green.ny * y0 - cos7 * r - green.d),
+            abs(blue.nx * x0 + blue.ny * y0 - cos8 * r - blue.d),
+            abs(x0 * x0 + y0 * y0 - (1.0 + r * r + 2.0 * cos9 * r)),
         )
-        if residual > CONSTRUCTION_TOL:
-            continue
-        config = PlanarConfig(
-            red=red,
-            green=green,
-            blue=blue,
-            back=UNIT_CIRCLE,
-            top=PlanarCircle(x0, y0, r),
-            a3_branch=lab.a3,
-        )
-        if not verify_config(lab, config).ok:
-            continue
         # Red and top must be strictly disjoint; tangency (within the
         # construction tolerance) is a degenerate second cusp.
-        clearance = red.signed_distance(x0, y0) - r
-        if clearance <= CONSTRUCTION_TOL:
+        if residual > CONSTRUCTION_TOL or red.signed_distance(x0, y0) - r <= CONSTRUCTION_TOL:
             continue
-        survivors.append(config)
+        survivors.append(
+            PlanarConfig(
+                red=red,
+                green=green,
+                blue=blue,
+                back=UNIT_CIRCLE,
+                top=PlanarCircle(x0, y0, r),
+                a3_branch=lab.a3,
+            )
+        )
 
     if not survivors:
         raise RealizationError(
@@ -456,7 +404,7 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
         )
     if len(survivors) > 1:
         logger.warning(
-            "both quadratic roots verify for %s; keeping the smaller circle",
+            "both quadratic roots survive for %s; keeping the smaller circle",
             tuple(lab),
         )
         survivors.sort(key=lambda cfg: cfg.top.r)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class TriangleClass(Enum):
@@ -262,19 +262,13 @@ class CatalogItem:
         values[slot] = n
         return Labeling(*values)  # type: ignore[arg-type]
 
-    def instances(self, max_n: int) -> Iterator[Labeling]:
-        """Family members with free slot free_min..max_n (empty if standalone)."""
-        if self.family:
-            assert self.free_min is not None
-            for n in range(self.free_min, max_n + 1):
-                yield self.instantiate(n)
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Canonical catalog order: cusp, then labels with the free slot as 0."""
-        return (
-            CUSP_ORDER.index(self.cusp),
-            tuple(0 if v is None else v for v in self.slots),
-        )
+def catalog_order(cusp: CuspType, labels: Sequence[Optional[int]]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a catalog row: its cusp, then its labels with a free slot as 0.
+
+    A family pattern therefore precedes its instances.
+    """
+    return CUSP_ORDER.index(cusp), tuple(0 if v is None else v for v in labels)
 
 
 _SPH = TriangleClass.SPHERICAL
@@ -399,7 +393,7 @@ def enumerate_catalog() -> list[CatalogItem]:
     for lab in scanned - family_members:
         items.append(CatalogItem(slots=tuple(lab), cusp=cusp_of[lab]))
 
-    items.sort(key=CatalogItem.sort_key)
+    items.sort(key=lambda item: catalog_order(item.cusp, item.slots))
     return items
 
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .geometry import Check, PlanarConfig, Report, verify_config
+from .geometry import Check, PlanarConfig, Report
 from .labelings import Labeling
 
 # Determinant drift allowed on constructed generators, PSL2 distance allowed
@@ -188,11 +189,13 @@ class GeneratorSet:
         """("M1", m1) .. ("M4", m4)."""
         return (("M1", self.m1), ("M2", self.m2), ("M3", self.m3), ("M4", self.m4))
 
+    @cached_property
     def words(self) -> list[tuple[str, str, MoebiusMatrix, int]]:
         """The nine relation words as (edge, word, base matrix, exponent).
 
         Each base is elliptic of order equal to its edge label, so
-        base**exponent is the identity in PSL2.
+        base**exponent is the identity in PSL2.  Built once per generator
+        set, with three inversions, for both the relation and trace checks.
         """
         lab = self.labeling
         m1, m2, m3, m4 = self.m1, self.m2, self.m3, self.m4
@@ -232,7 +235,13 @@ def rotation_parameters(labeling: Labeling, config: PlanarConfig) -> dict[str, f
 
 
 def build_generators(labeling: Sequence[int], config: PlanarConfig) -> GeneratorSet:
-    """Construct M1..M4 from a verified configuration.
+    """Construct M1..M4 from a configuration.
+
+    Precondition: ``config`` realizes ``labeling``, as ``realize`` returns
+    it or a catalog stores it.  Nothing here measures it again: the edge
+    angles, rotation parameters and determinants of the result are rows of
+    ``catalog.check_entry``, which is where a configuration that does not
+    realize its labeling fails.
 
     Branches on the red line: for a3 = 2 (red at x = 0), M1 = [[0,-1],[1,0]]
     swaps the inside and outside of the unit circle, and the rotation centers
@@ -244,12 +253,6 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     top circle to its mirror image across the red line.
     """
     lab = Labeling(*labeling)
-    report = verify_config(lab, config)
-    if not report.ok:
-        raise ValueError(
-            f"configuration does not verify for {tuple(lab)}: "
-            f"max angle residual {report.max_residual():.3e}"
-        )
     rotation = rotation_parameters(lab, config)
     x, y, r = config.top.cx, config.top.cy, config.top.r
 
@@ -269,19 +272,7 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     m2 = rotation_matrix(rotation["fixed1"], rotation["theta1"], ccw=False)
     m3 = rotation_matrix(rotation["fixed2"], rotation["theta2"], ccw=True)
 
-    gens = GeneratorSet(
-        labeling=lab,
-        m1=m1,
-        m2=m2,
-        m3=m3,
-        m4=m4,
-        **rotation,
-    )
-    for name, matrix in gens.named():
-        drift = abs(matrix.det - 1.0)
-        if drift > DET_TOL:
-            raise ValueError(f"{name} determinant drifted by {drift:.3e}")
-    return gens
+    return GeneratorSet(labeling=lab, m1=m1, m2=m2, m3=m3, m4=m4, **rotation)
 
 
 def verify_relations(gens: GeneratorSet) -> Report:
@@ -290,7 +281,7 @@ def verify_relations(gens: GeneratorSet) -> Report:
     Each row carries the tolerance for its word's order.
     """
     checks = []
-    for edge, _, base, exponent in gens.words():
+    for edge, _, base, exponent in gens.words:
         try:
             residual = base.pow(exponent).distance_to_identity()
         except OverflowError:  # only a non-elliptic base grows past the float range
@@ -316,6 +307,6 @@ def trace_check(gens: GeneratorSet) -> Report:
                 2.0 * math.cos(math.pi / exponent),
                 TRACE_TOL,
             )
-            for edge, _, base, exponent in gens.words()
+            for edge, _, base, exponent in gens.words
         )
     )

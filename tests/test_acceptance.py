@@ -183,7 +183,7 @@ def test_c07_relations_and_traces(capfd):
             gens = build_generators(lab, config)
             relations = verify_relations(gens)
             assert relations.ok, lab
-            for check, (_, _, _, exponent) in zip(relations.checks, gens.words()):
+            for check, (_, _, _, exponent) in zip(relations.checks, gens.words):
                 assert check.residual <= relation_tolerance(exponent), (
                     lab,
                     check.edge,

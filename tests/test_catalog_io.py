@@ -10,12 +10,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prismcat import catalog as cat
-from prismcat.labelings import CuspType, Labeling, enumerate_catalog
+from prismcat import geometry, moebius
+from prismcat.moebius import MoebiusMatrix
+from prismcat.labelings import CuspType, Labeling, catalog_order, enumerate_catalog
 
 
 @pytest.fixture(scope="module")
 def full_entries():
-    return cat.build_catalog()
+    entries, failures = cat.build_catalog()
+    assert failures == []
+    return entries
 
 
 def test_build_catalog_shape(full_entries):
@@ -53,15 +57,56 @@ def test_check_entry_rows_and_stored_residuals(full_entries):
         assert entry.verification[field] == residuals
 
 
+def _count_work(monkeypatch) -> dict[str, int]:
+    """Count verify_config calls, through every binding of it, and matrix inversions."""
+    counts = {"verify_config": 0, "inv": 0}
+    verify_config, inv = geometry.verify_config, MoebiusMatrix.inv
+
+    def counted_verify_config(*args):
+        counts["verify_config"] += 1
+        return verify_config(*args)
+
+    def counted_inv(self):
+        counts["inv"] += 1
+        return inv(self)
+
+    for module in (geometry, moebius, cat):
+        for name, value in list(vars(module).items()):
+            if value is verify_config:
+                monkeypatch.setattr(module, name, counted_verify_config)
+    monkeypatch.setattr(MoebiusMatrix, "inv", counted_inv)
+    return counts
+
+
+def test_each_entry_is_measured_once(full_entries, monkeypatch):
+    # One angle measurement, and one build of the relation words (three
+    # inversions), per built entry and per configuration verify checks.
+    # A stored entry as verify reads it: freshly loaded, no words built yet.
+    stored = next(e for e in full_entries if not e.family)
+    stored = cat.load_catalog(io.StringIO(cat.dumps_catalog([stored])))[0]
+    family = next(e for e in full_entries if e.family)
+    counts = _count_work(monkeypatch)
+
+    entry, report = cat.build_entry(stored.labeling)
+    assert report.ok and counts == {"verify_config": 1, "inv": 3}
+    counts.update(verify_config=0, inv=0)
+    assert cat.verify_catalog([stored]).ok
+    assert counts == {"verify_config": 1, "inv": 3}
+    counts.update(verify_config=0, inv=0)
+    report = cat.verify_catalog([family], samples=[family.free_min])
+    assert report.ok and report.entries_checked == 1
+    assert counts == {"verify_config": 1, "inv": 3}
+
+
 def test_build_catalog_cusp_filter():
-    entries = cat.build_catalog(cusp=CuspType.C333)
+    entries, _ = cat.build_catalog(cusp=CuspType.C333)
     assert len(entries) == 22
     assert all(e.cusp is CuspType.C333 for e in entries)
 
 
 def test_build_catalog_expands_families():
     items = [i for i in enumerate_catalog() if i.family][:2]
-    entries = cat.build_catalog(items, max_n=8)
+    entries, _ = cat.build_catalog(items, max_n=8)
     patterns = [e for e in entries if e.family]
     instances = [e for e in entries if e.family_n is not None]
     assert len(patterns) == 2
@@ -75,8 +120,8 @@ def test_build_catalog_expands_families():
 
 def test_entries_sorted_with_instances_interleaved():
     items = [i for i in enumerate_catalog() if i.family][:1]
-    entries = cat.build_catalog(items, max_n=9)
-    keys = [e.sort_key() for e in entries]
+    entries, _ = cat.build_catalog(items, max_n=9)
+    keys = [catalog_order(e.cusp, e.labeling) for e in entries]
     assert keys == sorted(keys)
     # the pattern row (free slot counted as 0) precedes its instances
     assert entries[0].family
@@ -89,7 +134,7 @@ def test_json_round_trip_is_bit_exact(full_entries):
 
 
 def test_dumps_catalog_matches_json_dumps():
-    entries = cat.build_catalog(max_n=12)
+    entries, _ = cat.build_catalog(max_n=12)
     expected = json.dumps(cat.catalog_to_json(entries), indent=2) + "\n"
     assert cat.dumps_catalog(entries) == expected
 

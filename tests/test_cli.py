@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+from prismcat import moebius
 from prismcat.cli import main
 
 FIX1 = ["2", "6", "2", "7", "3", "2", "2", "3", "2"]
+# Far into a family, where the float64 generators miss the a4 relation's
+# bound of 1e-6.
+FAR = ["2", "3", "2", "5000", "6", "2", "2", "2", "2"]
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +55,19 @@ def test_enumerate_with_instances(capsys):
     assert all(r["config"] is not None for r in instances)
 
 
+def test_enumerate_reports_failed_entries_and_still_writes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(moebius, "RELATION_TOL", 1e-20)
+    out = tmp_path / "catalog.json"
+    assert main(["enumerate", "--max-n", "7", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "12 families, 78 specific" in captured.out
+    failures = captured.err.splitlines()
+    built = [r for r in json.loads(out.read_text())["entries"] if not r["family"]]
+    assert len(failures) == len(built) > 78
+    assert all(line.startswith("FAIL [") and ": relations fail on " in line for line in failures)
+    assert "FAIL [2 6 2 7 3 2 2 3 2]: relations fail on a1, a2, a3, a4, a5, a6, a7, a8, a9" in failures
+
+
 def test_enumerate_rejects_bad_cusp():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--cusp", "777"])
@@ -86,6 +103,19 @@ def test_realize_writes_svg_and_json(tmp_path, capsys):
     doc = json.loads(json_path.read_text())
     assert len(doc["entries"]) == 1
     assert doc["entries"][0]["labeling"] == [2, 6, 2, 7, 3, 2, 2, 3, 2]
+
+
+@pytest.mark.parametrize(
+    "command,printed",
+    [("realize", "labeling: 2 3 2 5000 6 2 2 2 2"), ("matrices", "a4: (M2^-1 M1)^5000")],
+)
+def test_built_entry_failure_exits_1(tmp_path, capsys, command, printed):
+    path = tmp_path / "entry.json"
+    assert main([command, *FAR, "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["FAIL [2 3 2 5000 6 2 2 2 2]: relations fail on a4"]
+    assert printed in captured.out
+    assert json.loads(path.read_text())["entries"][0]["labeling"][3] == 5000
 
 
 def test_realize_inadmissible_is_a_domain_error(capsys):
@@ -298,6 +328,59 @@ def test_verify_checks_family_cusp_on_every_sample(tmp_path, capsys):
             for n in (6, 7, 16, 500)
         ],
     )
+
+
+@pytest.mark.parametrize(
+    "fields", [("config",), ("generators",), ("verification",), ("config", "generators")]
+)
+def test_verify_requires_the_payload_of_non_family_rows(tmp_path, capsys, fields):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    victim = doc["entries"][_first_row(doc, False)]
+    victim.update(dict.fromkeys(fields))
+    path.write_text(json.dumps(doc))
+    label_text = " ".join(str(v) for v in victim["labeling"])
+    _assert_named_failures(path, capsys, [f"[{label_text}]: entry stores no {', '.join(fields)}"])
+
+
+@pytest.mark.parametrize(
+    "field,index,value,disagree",
+    [
+        ("relations", 0, 123.0, "relations a1"),
+        ("angles", 8, 2e-9, "angles a9"),
+        ("traces", 3, -2e-8, "traces a4"),
+        ("angles", 0, 5e-10, None),
+    ],
+    ids=["relation-123", "angle-over-tol", "trace-negative", "angle-within-tol"],
+)
+def test_verify_reads_stored_residuals(tmp_path, capsys, field, index, value, disagree):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    victim = doc["entries"][_first_row(doc, False)]
+    victim["verification"][field][index] += value
+    path.write_text(json.dumps(doc))
+    if disagree is None:  # within the row's tolerance
+        assert main(["verify", str(path)]) == 0
+        return
+    label_text = " ".join(str(v) for v in victim["labeling"])
+    expected = f"[{label_text}]: stored residuals disagree with recomputation on {disagree}"
+    _assert_named_failures(path, capsys, [expected])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda v: v["relations"].pop(),
+        lambda v: v["traces"].append(0.0),
+        lambda v: v["angles"].__setitem__(0, "x"),
+        lambda v: v.pop("angles"),
+    ],
+    ids=["8-relations", "10-traces", "string-angle", "no-angles"],
+)
+def test_verify_rejects_malformed_verification(tmp_path, capsys, corrupt):
+    path = make_catalog(tmp_path, capsys)
+    index = _corrupt_first_standalone(path, lambda r: corrupt(r["verification"]))
+    _assert_rejected(path, capsys, index, "verification")
 
 
 def test_verify_rejects_short_labeling(tmp_path, capsys):

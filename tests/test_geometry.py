@@ -16,11 +16,8 @@ from prismcat.geometry import (
     RealizationError,
     Report,
     build_lines,
-    cocircle_constraint,
-    line_circle_offset,
     measure_angle,
     realize,
-    tangency_constraint,
     verify_config,
 )
 from prismcat.labelings import Labeling, enumerate_catalog
@@ -124,52 +121,38 @@ def test_green_intercept_grows_with_a4():
 
 
 # ---------------------------------------------------------------------------
-# constraints
-
-
-def test_line_circle_offset_values_and_domain():
-    assert line_circle_offset(1.0, math.pi / 2) == pytest.approx(0.0, abs=1e-16)
-    assert line_circle_offset(2.0, math.pi / 3) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        line_circle_offset(-1.0, math.pi / 3)
-    with pytest.raises(ValueError):
-        line_circle_offset(1.0, 2.0)  # > pi/2
+# construction equations of the top circle
 
 
 def test_tangency_constraint_matches_shifted_line_form():
-    # For the blue line y = x of the arrangement (2,4,2,5,4,2,...), meeting
-    # the circle at pi/3 means the center satisfies y = x + r*sqrt(2)/2.
-    _, _, blue = build_lines((2, 4, 2, 5, 4, 2, 2, 2, 2))
-    constraint = tangency_constraint(blue, math.pi / 3)
-    for x0, r in [(0.6, 0.1), (0.8, 0.3), (0.55, 0.01)]:
-        y0 = x0 + r * math.sqrt(2.0) / 2.0
-        assert abs(constraint.residual(x0, y0, r)) <= 1e-15
+    # The blue line of (2,6,2,7,3,2,2,3,2) is y = sqrt(3)*x with the prism
+    # above it; meeting the top circle at pi/a8 = pi/3 puts the center at
+    # distance r*cos(pi/3) above it, y0 = sqrt(3)*x0 + r.
+    top = realize((2, 6, 2, 7, 3, 2, 2, 3, 2)).top
+    assert abs(top.cy - (SQ3 * top.cx + top.r)) <= 1e-15
 
 
 def test_tangency_constraint_center_on_line_when_orthogonal():
-    # At phi = pi/2 the constraint degenerates to "center lies on the line".
-    _, green, _ = build_lines((2, 6, 2, 7, 3, 2, 2, 2, 2))
-    constraint = tangency_constraint(green, math.pi / 2)
-    y = math.cos(math.pi / 7)
-    assert abs(constraint.residual(0.3, y, 0.05)) <= 1e-15
-    assert abs(constraint.residual(0.3, y + 0.01, 0.05)) > 1e-3
+    # At a7 = 2 the condition degenerates to "center lies on the green line",
+    # here y = cos(pi/7).
+    top = realize((2, 6, 2, 7, 3, 2, 2, 3, 2)).top
+    assert abs(top.cy - math.cos(math.pi / 7)) <= 1e-15
 
 
 def test_cocircle_constraint_matches_displayed_equations():
     # a9 = 2: x^2 + y^2 = 1 + r^2;  a9 = 3: x^2 + y^2 = 1 + r^2 + r.
-    orth = cocircle_constraint(math.pi / 2)
-    third = cocircle_constraint(math.pi / 3)
-    x, y, r = 0.9, 0.6, 0.2
-    assert abs(orth.residual(x, y, r) - (x * x + y * y - 1 - r * r)) <= 1e-15
-    assert abs(third.residual(x, y, r) - (x * x + y * y - 1 - r * r - r)) <= 1e-15
+    orth = realize((2, 6, 2, 7, 3, 2, 2, 3, 2)).top
+    assert abs(orth.cx**2 + orth.cy**2 - 1 - orth.r**2) <= 1e-15
+    third = realize((2, 3, 2, 4, 6, 2, 2, 2, 3)).top
+    assert abs(third.cx**2 + third.cy**2 - 1 - third.r**2 - third.r) <= 1e-15
 
 
 def test_constraint_domains():
-    _, green, _ = build_lines((2, 6, 2, 7, 3, 2, 2, 2, 2))
-    with pytest.raises(ValueError):
-        tangency_constraint(green, 0.0)
-    with pytest.raises(ValueError):
-        cocircle_constraint(math.pi)
+    # Every construction angle pi/a lies in (0, pi/2], because realize
+    # rejects labels below 2.
+    for labels in [(2, 6, 2, 7, 3, 2, 1, 3, 2), (2, 6, 2, 7, 3, 2, 2, 3, 0)]:
+        with pytest.raises(ValueError, match="labels must be integers >= 2"):
+            realize(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import _oracles as oracles
 from prismcat import labelings
+from prismcat.catalog import build_catalog
 from prismcat.labelings import (
     EXPECTED_COUNTS,
     PRISMATIC_CIRCUIT,
@@ -20,6 +21,7 @@ from prismcat.labelings import (
     TriangleClass,
     canonicalize,
     catalog_counts,
+    catalog_order,
     classify_triangle,
     enumerate_catalog,
     is_admissible,
@@ -282,7 +284,7 @@ def test_catalog_rows_are_admissible_and_canonical():
 
 def test_catalog_is_sorted_and_duplicate_free():
     items = enumerate_catalog()
-    keys = [item.sort_key() for item in items]
+    keys = [catalog_order(item.cusp, item.slots) for item in items]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -333,9 +335,12 @@ def test_family_bounds():
 
 
 def test_family_instances_iterate_from_bound():
+    # build_catalog expands a family from its bound, in catalog order.
     item = next(i for i in enumerate_catalog() if i.family)
-    instances = list(item.instances(item.free_min + 2))
-    assert len(instances) == 3
+    entries, failures = build_catalog([item], max_n=item.free_min + 2)
+    assert failures == []
+    instances = [e.labeling for e in entries if not e.family]
+    assert instances == [item.instantiate(n) for n in range(item.free_min, item.free_min + 3)]
     assert instances[0][item.free_slot] == item.free_min
 
 

@@ -10,6 +10,7 @@ import mpmath
 import pytest
 
 import prismcat
+from prismcat.catalog import check_entry
 from prismcat.geometry import PlanarCircle, PlanarConfig, realize
 from prismcat.labelings import Labeling, enumerate_catalog
 from prismcat.moebius import (
@@ -106,6 +107,15 @@ def test_import_does_not_load_numpy():
     assert result.stdout.strip() == "False"
 
 
+def test_package_exports_the_readme_library_names():
+    readme = (Path(prismcat.__file__).resolve().parents[2] / "README.md").read_text()
+    example = readme.split("## Library", 1)[1].split("```python", 1)[1]
+    imported = example.split("from prismcat import (", 1)[1].split(")", 1)[0]
+    names = [name.strip() for name in imported.split(",") if name.strip()]
+    assert sorted(prismcat.__all__) == sorted(names)
+    assert all(hasattr(prismcat, name) for name in prismcat.__all__)
+
+
 # ---------------------------------------------------------------------------
 # MoebiusMatrix.pow against independent powers
 
@@ -122,7 +132,7 @@ def exact_distance_of_power(m, n, dps=60):
 @pytest.mark.parametrize("n", [10**2, 10**3, 10**4])
 def test_pow_residual_matches_exact_power(n):
     gens, _ = gens_for((2, 3, 2, n, 6, 2, 2, 2, 2))
-    edge, _, base, exponent = gens.words()[3]
+    edge, _, base, exponent = gens.words[3]
     assert (edge, exponent) == ("a4", n)
     residual = base.pow(n).distance_to_identity()
     assert residual == pytest.approx(exact_distance_of_power(base, n), rel=0.01)
@@ -309,7 +319,10 @@ def test_generator_determinants_are_unimodular():
             assert abs(m.det - 1.0) <= DET_TOL
 
 
-def test_build_generators_rejects_unverified_config():
+def test_check_entry_fails_unverified_config():
+    # build_generators does not measure its configuration; check_entry's angle
+    # rows do.  Doubling the top radius keeps its center on the green line
+    # (a7 = 2 still holds) and breaks the angles with blue (a8) and back (a9).
     lab = Labeling(2, 6, 2, 7, 3, 2, 2, 3, 2)
     config = realize(lab)
     broken = PlanarConfig(
@@ -320,8 +333,9 @@ def test_build_generators_rejects_unverified_config():
         top=PlanarCircle(config.top.cx, config.top.cy, config.top.r * 2),
         a3_branch=config.a3_branch,
     )
-    with pytest.raises(ValueError, match="does not verify"):
-        build_generators(lab, broken)
+    report = check_entry(lab, broken, build_generators(lab, broken))
+    assert [c.edge for c in report.checks if c.stage == "angle" and not c.ok] == ["a8", "a9"]
+    assert report.failures()[0] == "configuration fails on a8, a9"
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +344,7 @@ def test_build_generators_rejects_unverified_config():
 
 def test_words_cover_all_nine_edges_with_label_exponents():
     gens, _ = gens_for((2, 3, 2, 3, 6, 5, 2, 2, 3))
-    words = gens.words()
+    words = gens.words
     assert [w[0] for w in words] == [f"a{i}" for i in range(1, 10)]
     assert [w[3] for w in words] == [2, 3, 2, 3, 6, 5, 2, 2, 3]
     by_edge = {w[0]: w[1] for w in words}
@@ -358,7 +372,7 @@ def test_relations_hold_far_into_a_family():
     report = verify_relations(gens)
     assert report.ok
     # the order-500 word gets the looser gate, everything else the strict one
-    for check, (_, _, _, exponent) in zip(report.checks, gens.words()):
+    for check, (_, _, _, exponent) in zip(report.checks, gens.words):
         expected_tol = RELATION_TOL_LARGE if exponent > 100 else RELATION_TOL
         assert check.tol == expected_tol
         assert check.residual <= expected_tol
@@ -368,7 +382,7 @@ def test_traces_match_elliptic_orders():
     gens, _ = gens_for((2, 4, 2, 5, 4, 3, 3, 2, 2))
     report = trace_check(gens)
     assert report.ok
-    for check, (_, _, _, exponent) in zip(report.checks, gens.words()):
+    for check, (_, _, _, exponent) in zip(report.checks, gens.words):
         assert check.expected == pytest.approx(2 * math.cos(math.pi / exponent), abs=1e-15)
         assert abs(check.measured - check.expected) <= TRACE_TOL
 
