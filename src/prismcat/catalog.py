@@ -13,6 +13,7 @@ bit.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import IO, Callable, Iterable, Optional, Sequence, Union
@@ -57,8 +58,10 @@ FAMILY_SAMPLE_OFFSETS = (0, 1, 10)
 FAMILY_SAMPLE_LARGE = 500
 
 
-# The stages whose residuals an entry stores, by the field they are stored in.
+# The stages whose residuals an entry stores, by the field they are stored in,
+# in the order check_entry runs them.
 VERIFIED_STAGES = {"angles": "angle", "relations": "relation", "traces": "trace"}
+_STORED_FIELD = {stage: field for field, stage in VERIFIED_STAGES.items()}
 
 
 @dataclass(frozen=True)
@@ -86,39 +89,33 @@ def label_tag(labeling: Sequence[Optional[int]]) -> str:
     return "[" + " ".join("n" if v is None else str(v) for v in labeling) + "]"
 
 
-def _stored_rows(checks: Iterable[Check]) -> dict[str, list[Check]]:
-    """The rows whose residuals an entry stores, by the field they are stored in."""
-    rows: dict[str, list[Check]] = {field: [] for field in VERIFIED_STAGES}
-    fields = {stage: field for field, stage in VERIFIED_STAGES.items()}
-    for check in checks:
-        if check.stage in fields:
-            rows[fields[check.stage]].append(check)
-    return rows
-
-
-def check_entry(lab: Labeling, config: PlanarConfig, gens: GeneratorSet) -> Report:
+def check_entry(
+    lab: Labeling, config: PlanarConfig, gens: GeneratorSet, *, entry: str = ""
+) -> Report:
     """Every check of one realized labeling, as rows of one report.
 
     The nine edge angles of the configuration, the generators' rotation
     half-angles and centers recomputed from it, the four determinants, and
     the nine relation words and trace identities.  The relation words need
     the generators' inverses, so a singular generator ends the report with
-    an error instead of those two stages.
+    an error instead of those two stages.  Every row carries ``entry`` as
+    its entry tag.
     """
-    checks = list(verify_config(lab, config).checks)
+    checks = list(verify_config(lab, config, entry=entry).checks)
     for name, expected in rotation_parameters(lab, config).items():
         residual = abs(getattr(gens, name) - expected)
-        checks.append(Check("generator", name, residual, 0.0, geometry.CONSTRUCTION_TOL))
+        checks.append(Check("generator", name, residual, 0.0, geometry.CONSTRUCTION_TOL, entry))
     singular = []
     for name, matrix in gens.named():
-        checks.append(Check("determinant", name, abs(matrix.det - 1.0), 0.0, moebius.DET_TOL))
-        if matrix.det == 0:
+        det = matrix.det
+        checks.append(Check("determinant", name, abs(det - 1.0), 0.0, moebius.DET_TOL, entry))
+        if det == 0:
             singular.append(name)
     if singular:
         error = f"{', '.join(singular)} singular, so relations and traces cannot be checked"
         return Report(tuple(checks), errors=(error,))
-    checks += verify_relations(gens).checks
-    checks += trace_check(gens).checks
+    checks += verify_relations(gens, entry=entry).checks
+    checks += trace_check(gens, entry=entry).checks
     return Report(tuple(checks))
 
 
@@ -139,8 +136,8 @@ def build_entry(labeling: Sequence[int], **metadata) -> tuple[CatalogEntry, Repo
         config=config,
         generators=gens,
         verification={
-            field: tuple(check.residual for check in rows)
-            for field, rows in _stored_rows(report.checks).items()
+            field: tuple(check.residual for check in report.checks if check.stage == stage)
+            for field, stage in VERIFIED_STAGES.items()
         },
         **metadata,
     )
@@ -213,7 +210,7 @@ def _matrix_json(m: MoebiusMatrix) -> list:
 
 
 def _matrix_from(rows: list) -> MoebiusMatrix:
-    return MoebiusMatrix.of(
+    return MoebiusMatrix(
         _complex_from(rows[0][0]),
         _complex_from(rows[0][1]),
         _complex_from(rows[1][0]),
@@ -275,6 +272,12 @@ def _generators_json(gens: GeneratorSet) -> dict:
 def _number(value) -> float:
     if type(value) not in (int, float):
         raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _boolean(value) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, got {value!r}")
     return value
 
 
@@ -343,25 +346,51 @@ def _verification_from(d: dict) -> dict[str, tuple[float, ...]]:
 
 
 def _family_fields(record: dict, labeling: tuple[Optional[int], ...]) -> dict:
-    """``family``, ``free_slot``, ``free_min`` and ``family_n``, checked: a family
-    row names the one null label of its labeling as its free slot, and has a bound.
+    """``family``, ``free_slot``, ``free_min`` and ``family_n``, checked.
+
+    A family row names the one null label of its labeling as its free slot,
+    has a bound and no ``family_n``.  Any other row is a standalone row, with
+    all three null, or a family instance, with all three set: ``family_n`` is
+    the label in its free slot and is at least ``free_min``.
     """
     fields = {name: record.get(name) for name in ("free_slot", "free_min", "family_n")}
     for name, value in fields.items():
         if value is not None and type(value) is not int:
             raise ValueError(f"field {name!r} must be an integer or null, got {value!r}")
-    fields["family"] = _decode_field(record, "family", bool)
+    fields["family"] = _decode_field(record, "family", _boolean)
+    slot, free_min, family_n = fields["free_slot"], fields["free_min"], fields["family_n"]
     if fields["family"]:
-        free = [slot for slot, label in enumerate(labeling) if label is None]
+        free = [index for index, label in enumerate(labeling) if label is None]
         if not free:
             raise ValueError("field 'family' is true, but the labeling has no null label")
-        if [fields["free_slot"]] != free:
+        if [slot] != free:
             raise ValueError(
                 "field 'free_slot' must index the one null label of a family labeling"
-                f" (null at {free}), got {fields['free_slot']!r}"
+                f" (null at {free}), got {slot!r}"
             )
-        if fields["free_min"] is None:
+        if free_min is None:
             raise ValueError("field 'free_min' must be an integer in a family row, got None")
+        if family_n is not None:
+            raise ValueError(f"field 'family_n' must be null in a family row, got {family_n}")
+    elif slot is None:
+        for name in ("free_min", "family_n"):
+            if fields[name] is not None:
+                raise ValueError(
+                    f"field {name!r} must be null in a row whose 'free_slot' is null,"
+                    f" got {fields[name]}"
+                )
+    else:
+        if not 0 <= slot < len(labeling):
+            raise ValueError(f"field 'free_slot' must index a label, got {slot}")
+        if family_n is None or family_n != labeling[slot]:
+            raise ValueError(
+                f"field 'family_n' must be the label in free slot {slot}"
+                f" ({labeling[slot]!r}), got {family_n!r}"
+            )
+        if free_min is None:
+            raise ValueError("field 'free_min' must be an integer in a family instance, got None")
+        if family_n < free_min:
+            raise ValueError(f"field 'family_n' is {family_n}, below the row's free_min {free_min}")
     return fields
 
 
@@ -527,11 +556,16 @@ def verify_catalog(
     recomputed one to within that row's tolerance.  Family pattern rows are
     spot-checked with ``check_entry`` on fresh realizations at the sampled
     free-slot values (default: free_min, +1, +10, and 500).  Each checked
-    labeling must also have the entry's cusp type.  The report's rows carry
+    labeling must also have the entry's cusp type, and no labeling or family
+    pattern may be stored in more than one row.  The report's rows carry
     their entry's tag.
     """
     checks: list[Check] = []
-    errors: list[str] = []
+    errors = [
+        f"{label_tag(labeling)}: the row is stored {count} times"
+        for labeling, count in Counter(entry.labeling for entry in entries).items()
+        if count > 1
+    ]
     checked = 0
     for entry in entries:
         if entry.family:
@@ -549,13 +583,13 @@ def verify_catalog(
             except (ValueError, geometry.RealizationError) as exc:
                 errors.append(f"{tag}: realization failed: {exc}")
                 continue
-            if CuspType.of(lab) is not entry.cusp:
+            cusp = CuspType.of(lab)
+            if cusp is not entry.cusp:
                 errors.append(
-                    f"{tag}: stored cusp {entry.cusp.code} is not the labeling's"
-                    f" cusp {CuspType.of(lab).code}"
+                    f"{tag}: stored cusp {entry.cusp.code} is not the labeling's cusp {cusp.code}"
                 )
             if entry.family:
-                report = check_entry(lab, fresh, build_generators(lab, fresh))
+                report = check_entry(lab, fresh, build_generators(lab, fresh), entry=tag)
             else:
                 missing = [
                     name
@@ -572,21 +606,22 @@ def verify_catalog(
                     abs(stored.r - fresh.top.r),
                 )
                 checks.append(Check("drift", "top", drift, 0.0, geometry.ANGLE_TOL, tag))
-                report = check_entry(lab, entry.config, entry.generators)
+                report = check_entry(lab, entry.config, entry.generators, entry=tag)
+                # The stored residuals in the order of their rows in the report.
+                residuals = iter(
+                    [value for field in VERIFIED_STAGES for value in entry.verification[field]]
+                )
                 disagree = [
-                    f"{field} {check.edge}"
-                    for field, rows in _stored_rows(report.checks).items()
-                    for value, check in zip(entry.verification[field], rows)
-                    if not abs(value - check.residual) <= check.tol
+                    f"{_STORED_FIELD[check.stage]} {check.edge}"
+                    for check in report.checks
+                    if check.stage in _STORED_FIELD
+                    and not abs(next(residuals) - check.residual) <= check.tol
                 ]
                 if disagree:
                     errors.append(
                         f"{tag}: stored residuals disagree with recomputation on"
                         f" {', '.join(disagree)}"
                     )
-            checks += (
-                Check(stage, edge, measured, expected, tol, tag)
-                for stage, edge, measured, expected, tol, _ in report.checks
-            )
+            checks += report.checks
             errors += (f"{tag}: {error}" for error in report.errors)
     return Report(tuple(checks), tuple(errors), checked)

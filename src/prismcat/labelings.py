@@ -62,19 +62,25 @@ class CuspType(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "CuspType":
-        for cusp in cls:
-            if cusp.code == code:
-                return cusp
-        raise ValueError(f"unknown cusp type {code!r}; expected one of 236, 244, 333")
+        try:
+            return _CUSP_BY_CODE[code]
+        except (KeyError, TypeError):  # TypeError: an unhashable code read from JSON
+            raise ValueError(
+                f"unknown cusp type {code!r}; expected one of 236, 244, 333"
+            ) from None
 
     @classmethod
     def of(cls, labeling: Labeling) -> "CuspType":
         """Cusp type of an admissible labeling, from its ideal-vertex triple."""
         ideal = tuple(sorted((labeling.a1, labeling.a2, labeling.a5)))
-        for cusp in cls:
-            if cusp.value == ideal:
-                return cusp
-        raise ValueError(f"ideal triple {ideal} is not Euclidean")
+        try:
+            return _CUSP_BY_TRIPLE[ideal]
+        except KeyError:
+            raise ValueError(f"ideal triple {ideal} is not Euclidean") from None
+
+
+_CUSP_BY_CODE = {cusp.code: cusp for cusp in CuspType}
+_CUSP_BY_TRIPLE = {cusp.value: cusp for cusp in CuspType}
 
 
 # The six vertices of the prism, as (edge indices, required triangle class).
@@ -125,12 +131,12 @@ def classify_triangle(p: int, q: int, r: int) -> TriangleClass:
     return TriangleClass.HYPERBOLIC
 
 
-def _validate(labeling: Sequence[int]) -> Labeling:
+def _validate(labeling: Sequence[int]) -> None:
     if len(labeling) != 9:
         raise ValueError(f"a labeling has nine entries, got {len(labeling)}")
-    if any(not isinstance(v, int) or v < 2 for v in labeling):
-        raise ValueError(f"edge labels must be integers >= 2, got {tuple(labeling)}")
-    return Labeling(*labeling)
+    for v in labeling:
+        if not isinstance(v, int) or v < 2:
+            raise ValueError(f"edge labels must be integers >= 2, got {tuple(labeling)}")
 
 
 def _edge_names(indices: Sequence[int]) -> str:
@@ -153,6 +159,10 @@ class Admissibility:
         return self.ok
 
 
+# The outcome of every admissible labeling; frozen, so one instance serves all.
+_ADMISSIBLE = Admissibility(True)
+
+
 def is_admissible(labeling: Sequence[int]) -> Admissibility:
     """Test whether a labeling is realizable by a one-cusped hyperbolic prism.
 
@@ -164,11 +174,12 @@ def is_admissible(labeling: Sequence[int]) -> Admissibility:
     vertical edge and at most one of a1, a2 can carry the label 2 -- so they
     are deliberately not checked.
     """
-    lab = _validate(labeling)
+    _validate(labeling)
     for indices, required in VERTEX_TRIPLES:
-        values = tuple(lab[i] for i in indices)
-        got = classify_triangle(*values)
+        i, j, k = indices
+        got = classify_triangle(labeling[i], labeling[j], labeling[k])
         if got is not required:
+            values = (labeling[i], labeling[j], labeling[k])
             if required is TriangleClass.EUCLIDEAN:
                 reason = (
                     f"ideal triple not Euclidean: ({_edge_names(indices)}) = "
@@ -180,7 +191,8 @@ def is_admissible(labeling: Sequence[int]) -> Admissibility:
                     f"{got.value}, must be spherical"
                 )
             return Admissibility(False, reason, indices)
-    values = tuple(lab[i] for i in PRISMATIC_CIRCUIT)
+    i, j, k = PRISMATIC_CIRCUIT
+    values = (labeling[i], labeling[j], labeling[k])
     got = classify_triangle(*values)
     if got is not TriangleClass.HYPERBOLIC:
         return Admissibility(
@@ -189,7 +201,7 @@ def is_admissible(labeling: Sequence[int]) -> Admissibility:
             f"is {got.value}, must be hyperbolic",
             PRISMATIC_CIRCUIT,
         )
-    return Admissibility(True)
+    return _ADMISSIBLE
 
 
 # Mirror symmetry of the prism: exchanging a1/a2, a4/a6 and a7/a8 relabels the

@@ -275,10 +275,11 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     return GeneratorSet(labeling=lab, m1=m1, m2=m2, m3=m3, m4=m4, **rotation)
 
 
-def verify_relations(gens: GeneratorSet) -> Report:
+def verify_relations(gens: GeneratorSet, *, entry: str = "") -> Report:
     """Evaluate the nine relation words and their PSL2 distances to identity.
 
-    Each row carries the tolerance for its word's order.
+    Each row carries the tolerance for its word's order, and ``entry`` as
+    its entry tag.
     """
     checks = []
     for edge, _, base, exponent in gens.words:
@@ -286,17 +287,19 @@ def verify_relations(gens: GeneratorSet) -> Report:
             residual = base.pow(exponent).distance_to_identity()
         except OverflowError:  # only a non-elliptic base grows past the float range
             residual = math.inf
-        checks.append(Check("relation", edge, residual, 0.0, relation_tolerance(exponent)))
+        checks.append(
+            Check("relation", edge, residual, 0.0, relation_tolerance(exponent), entry)
+        )
     return Report(tuple(checks))
 
 
-def trace_check(gens: GeneratorSet) -> Report:
+def trace_check(gens: GeneratorSet, *, entry: str = "") -> Report:
     """Check each relation base is elliptic of the right order via its trace.
 
     An element of order n conjugate to a rotation by 2*pi/n has
     |trace| = 2*cos(pi/n) (after determinant normalization); this confirms
     the relation exponents without computing any powers.  Each row measures
-    |trace| against 2*cos(pi/n).
+    |trace| against 2*cos(pi/n), and carries ``entry`` as its entry tag.
     """
     return Report(
         tuple(
@@ -306,6 +309,7 @@ def trace_check(gens: GeneratorSet) -> Report:
                 abs(base.trace / cmath.sqrt(base.det)),
                 2.0 * math.cos(math.pi / exponent),
                 TRACE_TOL,
+                entry,
             )
             for edge, _, base, exponent in gens.words
         )

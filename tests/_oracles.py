@@ -254,3 +254,56 @@ def probe_free_slot(labels: tuple[int, ...], slot: int) -> bool:
         brute_admissible(labels[:slot] + (v,) + labels[slot + 1 :])
         for v in FREE_SLOT_PROBES
     )
+
+
+# ---------------------------------------------------------------------------
+# Loop forms of the admissibility test and the cusp lookup
+
+# Plain transcriptions of labelings.is_admissible (one generic loop over the
+# vertex triples) and CuspType.of (a scan of the Euclidean triples), with the
+# classification done in Fractions.  The package's forms must agree with them
+# exactly: the verdict, the failure message and the offending triple.
+
+_EUCLIDEAN_TRIPLES = ((2, 3, 6), (2, 4, 4), (3, 3, 3))
+
+
+def _edge_names(indices: tuple[int, ...]) -> str:
+    return ", ".join(f"a{i + 1}" for i in indices)
+
+
+def loop_is_admissible(labels) -> tuple[bool, Optional[str], Optional[tuple[int, int, int]]]:
+    """(ok, reason, triple) of a labeling; raises ValueError for malformed input."""
+    if len(labels) != 9:
+        raise ValueError(f"a labeling has nine entries, got {len(labels)}")
+    if any(not isinstance(v, int) or v < 2 for v in labels):
+        raise ValueError(f"edge labels must be integers >= 2, got {tuple(labels)}")
+    for indices, required in _VERTEX_TRIPLES:
+        values = tuple(labels[i] for i in indices)
+        got = angle_sum_class(*values)
+        if got != required:
+            if required == "euclidean":
+                reason = f"ideal triple not Euclidean: ({_edge_names(indices)}) = {values} is {got}"
+            else:
+                reason = (
+                    f"vertex triple ({_edge_names(indices)}) = {values} is {got},"
+                    " must be spherical"
+                )
+            return False, reason, indices
+    values = tuple(labels[i] for i in _CIRCUIT)
+    got = angle_sum_class(*values)
+    if got != "hyperbolic":
+        reason = (
+            f"prismatic circuit ({_edge_names(_CIRCUIT)}) = {values} is {got},"
+            " must be hyperbolic"
+        )
+        return False, reason, _CIRCUIT
+    return True, None, None
+
+
+def loop_cusp_of(labels) -> tuple[int, int, int]:
+    """The sorted ideal triple (a1, a2, a5); raises ValueError unless it is Euclidean."""
+    ideal = tuple(sorted((labels[0], labels[1], labels[4])))
+    for triple in _EUCLIDEAN_TRIPLES:
+        if triple == ideal:
+            return triple
+    raise ValueError(f"ideal triple {ideal} is not Euclidean")

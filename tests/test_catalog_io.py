@@ -62,9 +62,9 @@ def _count_work(monkeypatch) -> dict[str, int]:
     counts = {"verify_config": 0, "inv": 0}
     verify_config, inv = geometry.verify_config, MoebiusMatrix.inv
 
-    def counted_verify_config(*args):
+    def counted_verify_config(*args, **kwargs):
         counts["verify_config"] += 1
-        return verify_config(*args)
+        return verify_config(*args, **kwargs)
 
     def counted_inv(self):
         counts["inv"] += 1
@@ -76,6 +76,19 @@ def _count_work(monkeypatch) -> dict[str, int]:
                 monkeypatch.setattr(module, name, counted_verify_config)
     monkeypatch.setattr(MoebiusMatrix, "inv", counted_inv)
     return counts
+
+
+def _count_rows(monkeypatch) -> dict[str, int]:
+    """Count the Check rows built from now on."""
+    rows = {"built": 0}
+    new = geometry.Check.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        rows["built"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.Check, "__new__", counted_new)
+    return rows
 
 
 def test_each_entry_is_measured_once(full_entries, monkeypatch):
@@ -90,8 +103,12 @@ def test_each_entry_is_measured_once(full_entries, monkeypatch):
     entry, report = cat.build_entry(stored.labeling)
     assert report.ok and counts == {"verify_config": 1, "inv": 3}
     counts.update(verify_config=0, inv=0)
-    assert cat.verify_catalog([stored]).ok
+    rows = _count_rows(monkeypatch)
+    report = cat.verify_catalog([stored])
+    assert report.ok
     assert counts == {"verify_config": 1, "inv": 3}
+    # Each row is built once, already tagged with its entry.
+    assert rows["built"] == len(report.checks)
     counts.update(verify_config=0, inv=0)
     report = cat.verify_catalog([family], samples=[family.free_min])
     assert report.ok and report.entries_checked == 1

@@ -252,6 +252,10 @@ def _first_row(doc, family):
         (True, lambda r: r.update(free_min="6"), "free_min"),
         (False, lambda r: r.update(family=True), "family"),
         (False, lambda r: r["generators"].update(theta1="x"), "generators"),
+        (False, lambda r: r.update(family_n=999, free_min=3), "free_min"),
+        (True, lambda r: r.update(family_n=r["free_min"]), "family_n"),
+        (True, lambda r: r.update(family=False), "family_n"),
+        (True, lambda r: r.update(family="false"), "family"),
     ],
     ids=[
         "free-slot-null",
@@ -259,6 +263,10 @@ def _first_row(doc, family):
         "free-min-string",
         "standalone-family",
         "theta1-string",
+        "standalone-family-n",
+        "family-family-n",
+        "family-false",
+        "family-string",
     ],
 )
 def test_verify_rejects_malformed_family_and_generator_fields(
@@ -270,6 +278,42 @@ def test_verify_rejects_malformed_family_and_generator_fields(
     corrupt(doc["entries"][index])
     path.write_text(json.dumps(doc))
     _assert_rejected(path, capsys, index, field)
+
+
+@pytest.mark.parametrize(
+    "corrupt,field",
+    [
+        (lambda r: r.update(family_n=r["family_n"] + 1), "family_n"),
+        (lambda r: r.update(free_min=r["family_n"] + 5), "family_n"),
+        (lambda r: r.update(family_n=None), "family_n"),
+        (lambda r: r.update(free_min=None), "free_min"),
+        (lambda r: r.update(free_slot=9), "free_slot"),
+    ],
+    ids=["family-n-plus-1", "free-min-above", "family-n-null", "free-min-null", "slot-9"],
+)
+def test_verify_rejects_inconsistent_instance_rows(tmp_path, capsys, corrupt, field):
+    path = tmp_path / "catalog.json"
+    assert main(["enumerate", "--cusp", "244", "--max-n", "6", "-o", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    index = next(i for i, r in enumerate(doc["entries"]) if r["family_n"] is not None)
+    corrupt(doc["entries"][index])
+    path.write_text(json.dumps(doc))
+    _assert_rejected(path, capsys, index, field)
+
+
+def test_verify_rejects_duplicate_rows(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    rows = doc["entries"]
+    doc["entries"] = rows + rows
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    tags = [" ".join("n" if v is None else str(v) for v in r["labeling"]) for r in rows]
+    assert captured.err.splitlines() == [f"FAIL [{tag}]: the row is stored 2 times" for tag in tags]
+    assert "checked 252 configurations" in captured.out
+    assert captured.out.strip().endswith("FAIL")
 
 
 def _assert_named_failures(path, capsys, expected):

@@ -2,10 +2,13 @@
 
 import json
 import os
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import _oracles as oracles
 from prismcat import labelings
@@ -156,6 +159,41 @@ def test_is_admissible_matches_exact_reference():
         )
 
 
+def _assert_matches_loop_forms(labels) -> None:
+    """is_admissible and CuspType.of equal their loop forms exactly, errors included."""
+    try:
+        expected = oracles.loop_is_admissible(labels)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            is_admissible(labels)
+        return
+    result = is_admissible(labels)
+    assert (result.ok, result.reason, result.triple) == expected
+    try:
+        cusp = oracles.loop_cusp_of(labels)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            CuspType.of(Labeling(*labels))
+    else:
+        assert CuspType.of(Labeling(*labels)).value == cusp
+
+
+def test_is_admissible_matches_loop_form_on_the_scan():
+    for lab in scan_admissible(SCAN_BOUND):
+        _assert_matches_loop_forms(lab)
+        _assert_matches_loop_forms(symmetry_mate(lab))
+
+
+@given(st.lists(st.integers(1, 40), min_size=9, max_size=9))
+@example([2, 6, 2, 7, 3, 2, 2, 3, 2])  # admissible
+@example([2, 3, 2, 7, 5, 2, 2, 3, 2])  # ideal triple not Euclidean
+@example([3, 3, 3, 3, 3, 3, 3, 3, 3])  # a finite vertex not spherical
+@example([2, 6, 2, 2, 3, 2, 2, 2, 2])  # prismatic circuit not hyperbolic
+@example([2, 3, 6, 2, 2, 2, 2, 2, 1])  # a label below 2
+def test_is_admissible_matches_loop_form(labels):
+    _assert_matches_loop_forms(labels)
+
+
 def test_is_admissible_validates_input():
     with pytest.raises(ValueError):
         is_admissible((2, 3, 6))  # wrong arity
@@ -200,6 +238,9 @@ def test_cusp_type_of_reads_ideal_triple():
     assert CuspType.of(Labeling(2, 4, 2, 5, 4, 2, 2, 2, 3)) is CuspType.C244
     assert CuspType.of(Labeling(3, 3, 2, 4, 3, 5, 3, 2, 2)) is CuspType.C333
     assert CuspType.from_code("244") is CuspType.C244
+    for code in ("235", 244, ["244"]):
+        with pytest.raises(ValueError, match="unknown cusp type"):
+            CuspType.from_code(code)
     assert CuspType.C333.code == "333"
 
 
