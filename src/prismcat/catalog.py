@@ -28,7 +28,14 @@ from .geometry import (
     realize,
     verify_config,
 )
-from .labelings import CatalogItem, CuspType, Labeling, catalog_order, enumerate_catalog
+from .labelings import (
+    CatalogItem,
+    CuspType,
+    Labeling,
+    catalog_order,
+    enumerate_catalog,
+    symmetry_mate,
+)
 from .moebius import (
     GeneratorSet,
     MoebiusMatrix,
@@ -430,6 +437,32 @@ def catalog_to_json(entries: Iterable[CatalogEntry]) -> dict:
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# Stands for one leaf in the document that _template fills.
+_SLOT = object()
+# What _write_json writes for _SLOT.  It never occurs in JSON text the writer
+# makes otherwise, since encode_basestring_ascii escapes control characters.
+_SLOT_MARK = "\0"
+
+
+def _leaf_json(value) -> str:
+    """The JSON text of one leaf, as ``json.dumps`` writes it."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is _SLOT:
+        return _SLOT_MARK
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
 
 def _write_json(value, newline: str, out: Callable[[str], None]) -> None:
     """Pass ``value`` to ``out`` in pieces, as ``json.dumps(value, indent=2)``.
@@ -437,20 +470,7 @@ def _write_json(value, newline: str, out: Callable[[str], None]) -> None:
     ``newline`` is a line break followed by the indentation of the line
     ``value`` starts on.
     """
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        out(_NONFINITE.get(text, text))
-    elif isinstance(value, str):
-        out(encode_basestring_ascii(value))
-    elif value is None:
-        out("null")
-    elif value is True:
-        out("true")
-    elif value is False:
-        out("false")
-    elif isinstance(value, int):
-        out(int.__repr__(value))
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         if not value:
             out("{}")
             return
@@ -473,7 +493,46 @@ def _write_json(value, newline: str, out: Callable[[str], None]) -> None:
             sep = "," + inner
         out(newline + "]")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out(_leaf_json(value))
+
+
+def _template(value, newline: str) -> str:
+    """``value`` written by ``_write_json`` as a ``%`` template, one ``%s`` per _SLOT."""
+    pieces: list[str] = []
+    _write_json(value, newline, pieces.append)
+    return "".join(pieces).replace("%", "%%").replace(_SLOT_MARK, "%s")
+
+
+def _with_slots(value):
+    """``value`` with each leaf replaced by _SLOT."""
+    if isinstance(value, dict):
+        return {key: _with_slots(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_with_slots(item) for item in value]
+    return _SLOT
+
+
+def _leaves(value, leaves: list, shape: list) -> None:
+    """Append the leaves of ``value`` to ``leaves`` in the order they are written.
+
+    A finite float is appended as itself, which ``%s`` writes as its repr,
+    and any other leaf as its JSON text.  For each dict or list, ``shape``
+    gets the number of leaves before it and its keys or its length, which
+    together fix where every leaf sits.
+    """
+    if isinstance(value, dict):
+        shape += len(leaves), tuple(value)
+        items = value.values()
+    else:
+        shape += len(leaves), len(value)
+        items = value
+    for item in items:
+        if type(item) is float and item - item == 0.0:
+            leaves.append(item)
+        elif isinstance(item, (dict, list)):
+            _leaves(item, leaves, shape)
+        else:
+            leaves.append(_leaf_json(item))
 
 
 def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
@@ -482,14 +541,29 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
     The text is the same, byte for byte, as ``json.dumps(doc, indent=2)``
     plus a newline.  It is not made by that call because, with ``indent``
     set, CPython before 3.13 bypasses its C encoder for the pure-Python
-    one, which spends most of its time resuming nested generators; on
-    CPython 3.11 the recursive writer above takes about two thirds of its
-    time for the same text.
+    one, which spends most of its time resuming nested generators.  Nor is
+    every node passed through ``_write_json``: all rows of one shape (the
+    same keys and list lengths in the same places) differ only in their
+    leaves, so each shape is written once, as a ``%`` template, and each
+    row fills its shape's template with its leaves.  Most of what remains
+    is the repr of each float.
     """
-    pieces: list[str] = []
-    _write_json(catalog_to_json(entries), "\n", pieces.append)
-    pieces.append("\n")
-    return "".join(pieces)
+    templates: dict[tuple, str] = {}
+    rows = []
+    for entry in entries:
+        record = entry_to_json(entry)
+        leaves: list = []
+        shape: list = []
+        _leaves(record, leaves, shape)
+        key = tuple(shape)
+        template = templates.get(key)
+        if template is None:
+            # A row starts two levels in: the document, then its entries list.
+            template = templates[key] = _template(_with_slots(record), "\n    ")
+        rows.append(template % tuple(leaves))
+    doc = catalog_to_json(())
+    doc["entries"] = [_SLOT] * len(rows)
+    return _template(doc, "\n") % tuple(rows) + "\n"
 
 
 def dump_catalog(entries: Iterable[CatalogEntry], fp: Union[str, IO[str]]) -> None:
@@ -556,16 +630,41 @@ def verify_catalog(
     recomputed one to within that row's tolerance.  Family pattern rows are
     spot-checked with ``check_entry`` on fresh realizations at the sampled
     free-slot values (default: free_min, +1, +10, and 500).  Each checked
-    labeling must also have the entry's cusp type, and no labeling or family
-    pattern may be stored in more than one row.  The report's rows carry
-    their entry's tag.
+    labeling must also have the entry's cusp type.  No labeling or family
+    pattern may be stored in more than one row, nor together with its
+    mirror image (``symmetry_mate``) when that differs from it.  A family
+    instance must have its family's pattern row in the catalog, with the
+    same ``free_min``.  The report's rows carry their entry's tag.
     """
     checks: list[Check] = []
+    stored = Counter(entry.labeling for entry in entries)
     errors = [
         f"{label_tag(labeling)}: the row is stored {count} times"
-        for labeling, count in Counter(entry.labeling for entry in entries).items()
+        for labeling, count in stored.items()
         if count > 1
     ]
+    position = {labeling: index for index, labeling in enumerate(stored)}
+    for labeling, index in position.items():
+        mate = symmetry_mate(labeling)
+        if position.get(mate, index) > index:
+            errors.append(
+                f"{label_tag(labeling)}: its mirror image {label_tag(mate)} is stored too"
+            )
+    pattern_free_min = {entry.labeling: entry.free_min for entry in entries if entry.family}
+    for entry in entries:
+        slot = entry.free_slot
+        if entry.family or slot is None:
+            continue
+        pattern = entry.labeling[:slot] + (None,) + entry.labeling[slot + 1 :]
+        if pattern not in pattern_free_min:
+            errors.append(
+                f"{label_tag(entry.labeling)}: its family row {label_tag(pattern)} is not stored"
+            )
+        elif pattern_free_min[pattern] != entry.free_min:
+            errors.append(
+                f"{label_tag(entry.labeling)}: free_min {entry.free_min} differs from"
+                f" {pattern_free_min[pattern]} in its family row"
+            )
     checked = 0
     for entry in entries:
         if entry.family:

@@ -1,12 +1,13 @@
 """Tests for catalog construction, JSON round-tripping and re-verification."""
 
+import dataclasses
 import io
 import json
 import math
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prismcat import catalog as cat
@@ -150,10 +151,123 @@ def test_json_round_trip_is_bit_exact(full_entries):
     assert cat.dumps_catalog(loaded) == text
 
 
-def test_dumps_catalog_matches_json_dumps():
-    entries, _ = cat.build_catalog(max_n=12)
+def _assert_dumps_like_json_dumps(entries):
     expected = json.dumps(cat.catalog_to_json(entries), indent=2) + "\n"
     assert cat.dumps_catalog(entries) == expected
+
+
+def test_dumps_catalog_matches_json_dumps():
+    entries, _ = cat.build_catalog(max_n=12)
+    _assert_dumps_like_json_dumps(entries)
+
+
+@pytest.fixture(scope="module")
+def mixed_entries():
+    """A family row, its instances at n = 6 and 7, and two standalone rows."""
+    items = enumerate_catalog()
+    family = next(item for item in items if item.family)
+    standalone = [item for item in items if not item.family][:2]
+    entries, failures = cat.build_catalog([family, *standalone], max_n=7)
+    assert failures == []
+    assert [e.family for e in entries].count(True) == 1
+    assert sum(e.family_n is not None for e in entries) == 2
+    return entries
+
+
+def _short_verification(entries):
+    entry = next(e for e in entries if e.verification)
+    residuals = {field: values[:3] for field, values in entry.verification.items()}
+    residuals["angles"] = ()
+    return [dataclasses.replace(entry, verification=residuals)]
+
+
+@pytest.mark.parametrize(
+    "select",
+    [
+        lambda entries: entries,
+        lambda entries: [],
+        lambda entries: [
+            dataclasses.replace(
+                e, generators=dataclasses.replace(e.generators, theta1=3, theta2=-2**70)
+            )
+            for e in entries
+            if e.generators
+        ],
+        _short_verification,
+        lambda entries: [
+            dataclasses.replace(e, verification={"traces": (math.inf,)}) for e in entries
+        ],
+        # Rows that differ only in where their leaves sit, or in a key.
+        lambda entries: [
+            dataclasses.replace(e, verification={stage: (1.0,)})
+            for e in entries
+            for stage in ("angles", "traces", "50%", "%s", "\0")
+        ],
+        lambda entries: [
+            dataclasses.replace(entries[0], labeling=labeling) for labeling in ((1, [2]), ([2], 1))
+        ],
+    ],
+    ids=[
+        "mixed",
+        "empty",
+        "int-in-float-field",
+        "short-verification",
+        "one-stage",
+        "stage-names",
+        "nested-labels",
+    ],
+)
+def test_dumps_catalog_matches_json_dumps_on_edge_rows(mixed_entries, select):
+    _assert_dumps_like_json_dumps(select(mixed_entries))
+
+
+def test_dumps_catalog_calls_are_independent(full_entries, mixed_entries):
+    catalogs = [full_entries, mixed_entries, _short_verification(mixed_entries), full_entries[:3]]
+    texts = [cat.dumps_catalog(entries) for entries in catalogs]
+    for entries, text in zip(catalogs, texts):
+        assert text == json.dumps(cat.catalog_to_json(entries), indent=2) + "\n"
+
+
+_NUMBERS = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2250738585072e-308])
+    | st.integers(min_value=-(2**70), max_value=2**70)
+)
+_RADII = st.floats(min_value=5e-324, allow_infinity=True) | st.integers(min_value=1)
+
+
+def _with_numbers(value, draw, key=None):
+    """``value`` with each number drawn anew, except line normals and circle radii."""
+    if isinstance(value, dict):
+        return {k: _with_numbers(item, draw, k) for k, item in value.items()}
+    if isinstance(value, list):
+        return value if key == "normal" else [_with_numbers(item, draw) for item in value]
+    if type(value) is float:
+        return draw(_RADII if key == "radius" else _NUMBERS)
+    return value
+
+
+@st.composite
+def _catalogs(draw, pool):
+    """Built rows as they are, and stored rows with drawn numbers and payloads."""
+    entries = []
+    for entry in draw(st.lists(st.sampled_from(pool), max_size=6)):
+        if entry.family or draw(st.booleans()):
+            entries.append(entry)
+            continue
+        entry = cat.entry_from_json(_with_numbers(cat.entry_to_json(entry), draw))
+        stages = draw(st.lists(st.sampled_from(list(cat.VERIFIED_STAGES)), unique=True))
+        verification = {s: tuple(draw(st.lists(_NUMBERS, max_size=10))) for s in stages}
+        nulled = draw(st.lists(st.sampled_from(["config", "generators"]), unique=True))
+        payload = {"verification": draw(st.sampled_from([entry.verification, verification]))}
+        entries.append(dataclasses.replace(entry, **payload, **dict.fromkeys(nulled)))
+    return entries
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_dumps_catalog_matches_json_dumps_on_any_rows(mixed_entries, data):
+    _assert_dumps_like_json_dumps(data.draw(_catalogs(mixed_entries)))
 
 
 _TEXT = st.text(

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from prismcat import catalog as cat
 from prismcat import moebius
 from prismcat.cli import main
+from prismcat.labelings import symmetry_mate
 
 FIX1 = ["2", "6", "2", "7", "3", "2", "2", "3", "2"]
 # Far into a family, where the float64 generators miss the a4 relation's
@@ -372,6 +374,74 @@ def test_verify_checks_family_cusp_on_every_sample(tmp_path, capsys):
             for n in (6, 7, 16, 500)
         ],
     )
+
+
+INSTANCE = [2, 3, 2, 7, 6, 2, 2, 2, 2]
+PATTERN = [2, 3, 2, None, 6, 2, 2, 2, 2]
+tag = cat.label_tag
+
+
+def _set_free_min(doc):
+    row = next(r for r in doc["entries"] if r["labeling"] == INSTANCE)
+    assert row["free_min"] == 6
+    row["free_min"] = 7
+
+
+def _drop_pattern(doc):
+    doc["entries"] = [r for r in doc["entries"] if r["labeling"] != PATTERN]
+
+
+@pytest.mark.parametrize(
+    "corrupt,expected",
+    [
+        (_set_free_min, [f"{tag(INSTANCE)}: free_min 7 differs from 6 in its family row"]),
+        (
+            _drop_pattern,
+            [
+                f"{tag(INSTANCE[:3] + [n] + INSTANCE[4:])}: its family row"
+                f" {tag(PATTERN)} is not stored"
+                for n in range(6, 13)
+            ],
+        ),
+    ],
+    ids=["free-min-7", "no-family-row"],
+)
+def test_verify_flags_instances_that_disagree_with_their_family_row(
+    tmp_path, capsys, corrupt, expected
+):
+    path = tmp_path / "catalog.json"
+    assert main(["enumerate", "--max-n", "12", "-o", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    _assert_named_failures(path, capsys, expected)
+
+
+@pytest.mark.parametrize(
+    "labels", [[2, 3, 2, 2, 6, 4, 2, 2, 2], PATTERN], ids=["labeling", "family-pattern"]
+)
+def test_verify_flags_a_row_stored_with_its_mirror_image(tmp_path, capsys, labels):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    mate = list(symmetry_mate(labels))
+    if None in labels:
+        row = next(r for r in doc["entries"] if r["labeling"] == labels)
+        doc["entries"].append(dict(row, labeling=mate, free_slot=mate.index(None)))
+    else:
+        doc["entries"].append(cat.entry_to_json(cat.build_entry(mate)[0]))
+    path.write_text(json.dumps(doc))
+    expected = f"{tag(labels)}: its mirror image {tag(mate)} is stored too"
+    _assert_named_failures(path, capsys, [expected])
+
+
+def test_verify_accepts_a_labeling_that_is_its_own_mirror_image(tmp_path, capsys):
+    labels = [3, 3, 2, 4, 3, 4, 2, 2, 2]
+    assert list(symmetry_mate(labels)) == labels
+    path = str(tmp_path / "self_mate.json")
+    assert main(["realize", *map(str, labels), "--json", path]) == 0
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
 
 
 @pytest.mark.parametrize(
