@@ -230,7 +230,7 @@ def _line_json(line: PlanarLine) -> dict:
 
 
 def _line_from(d: dict) -> PlanarLine:
-    return PlanarLine(d["normal"][0], d["normal"][1], d["offset"])
+    return PlanarLine(_number(d["normal"][0]), _number(d["normal"][1]), _number(d["offset"]))
 
 
 def _circle_json(circle: PlanarCircle) -> dict:
@@ -238,7 +238,7 @@ def _circle_json(circle: PlanarCircle) -> dict:
 
 
 def _circle_from(d: dict) -> PlanarCircle:
-    return PlanarCircle(d["center"][0], d["center"][1], d["radius"])
+    return PlanarCircle(_number(d["center"][0]), _number(d["center"][1]), _number(d["radius"]))
 
 
 def _config_json(config: PlanarConfig) -> dict:
@@ -277,8 +277,11 @@ def _generators_json(gens: GeneratorSet) -> dict:
 
 
 def _number(value) -> float:
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
+    """``value`` if it is a float or an int; OverflowError for an int too large for a float."""
+    if type(value) is not float:
+        if type(value) is not int:
+            raise TypeError(f"expected a number, got {value!r}")
+        float(value)  # OverflowError if it is too large
     return value
 
 
@@ -333,7 +336,7 @@ def _decode_field(record: dict, name: str, decode: Callable, optional: bool = Fa
         raise ValueError(f"field {name!r} is missing")
     try:
         return decode(value)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field {name!r} is malformed ({type(exc).__name__}: {exc})") from exc
 
 
@@ -341,6 +344,9 @@ def _labeling_from(values: list) -> tuple[Optional[int], ...]:
     labels = tuple(values)
     if len(labels) != 9:
         raise ValueError(f"expected 9 labels, got {len(labels)}")
+    for label in labels:
+        if label is not None and type(label) is not int:
+            raise ValueError(f"a label must be an integer or null, got {label!r}")
     return labels
 
 
@@ -437,12 +443,6 @@ def catalog_to_json(entries: Iterable[CatalogEntry]) -> dict:
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Stands for one leaf in the document that _template fills.
-_SLOT = object()
-# What _write_json writes for _SLOT.  It never occurs in JSON text the writer
-# makes otherwise, since encode_basestring_ascii escapes control characters.
-_SLOT_MARK = "\0"
-
 
 def _leaf_json(value) -> str:
     """The JSON text of one leaf, as ``json.dumps`` writes it."""
@@ -459,57 +459,27 @@ def _leaf_json(value) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if value is _SLOT:
-        return _SLOT_MARK
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_json(value, newline: str, out: Callable[[str], None]) -> None:
-    """Pass ``value`` to ``out`` in pieces, as ``json.dumps(value, indent=2)``.
+def _write_template(value, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` as a ``%`` template, ``%s`` at each leaf.
 
     ``newline`` is a line break followed by the indentation of the line
-    ``value`` starts on.
+    ``value`` starts on.  Filled with the leaves ``_leaves`` collects, the
+    template gives the JSON text.
     """
+    inner = newline + "  "
     if isinstance(value, dict):
-        if not value:
-            out("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            out(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out(newline + "}")
-    elif isinstance(value, list):
-        if not value:
-            out("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out(newline + "]")
-    else:
-        out(_leaf_json(value))
-
-
-def _template(value, newline: str) -> str:
-    """``value`` written by ``_write_json`` as a ``%`` template, one ``%s`` per _SLOT."""
-    pieces: list[str] = []
-    _write_json(value, newline, pieces.append)
-    return "".join(pieces).replace("%", "%%").replace(_SLOT_MARK, "%s")
-
-
-def _with_slots(value):
-    """``value`` with each leaf replaced by _SLOT."""
-    if isinstance(value, dict):
-        return {key: _with_slots(item) for key, item in value.items()}
+        items = [
+            encode_basestring_ascii(key).replace("%", "%%") + ": " + _write_template(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     if isinstance(value, list):
-        return [_with_slots(item) for item in value]
-    return _SLOT
+        items = [_write_template(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    return "%s"
 
 
 def _leaves(value, leaves: list, shape: list) -> None:
@@ -541,12 +511,11 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
     The text is the same, byte for byte, as ``json.dumps(doc, indent=2)``
     plus a newline.  It is not made by that call because, with ``indent``
     set, CPython before 3.13 bypasses its C encoder for the pure-Python
-    one, which spends most of its time resuming nested generators.  Nor is
-    every node passed through ``_write_json``: all rows of one shape (the
-    same keys and list lengths in the same places) differ only in their
-    leaves, so each shape is written once, as a ``%`` template, and each
-    row fills its shape's template with its leaves.  Most of what remains
-    is the repr of each float.
+    one, which spends most of its time resuming nested generators.  Rows of
+    one shape (the same keys and list lengths in the same places) differ
+    only in their leaves, so each shape's template is written once and each
+    row fills it with its leaves.  The document is filled the same way,
+    with the rows' text as the leaves of its entries.
     """
     templates: dict[tuple, str] = {}
     rows = []
@@ -559,11 +528,14 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
         template = templates.get(key)
         if template is None:
             # A row starts two levels in: the document, then its entries list.
-            template = templates[key] = _template(_with_slots(record), "\n    ")
+            template = templates[key] = _write_template(record, "\n    ")
         rows.append(template % tuple(leaves))
+    # The entries are the document's last field, so their leaves come last.
     doc = catalog_to_json(())
-    doc["entries"] = [_SLOT] * len(rows)
-    return _template(doc, "\n") % tuple(rows) + "\n"
+    leaves = []
+    _leaves(doc, leaves, [])
+    doc["entries"] = rows
+    return _write_template(doc, "\n") % (*leaves, *rows) + "\n"
 
 
 def dump_catalog(entries: Iterable[CatalogEntry], fp: Union[str, IO[str]]) -> None:
@@ -615,6 +587,58 @@ def _family_samples(free_min: int, samples: Optional[Sequence[int]]) -> list[int
     else:
         values = [n for n in samples if n >= free_min]
     return sorted(set(values))
+
+
+def _check_target(
+    entry: CatalogEntry, lab: Labeling, tag: str
+) -> tuple[list[Check], list[str]]:
+    """The rows and the errors of one labeling ``verify_catalog`` checks for ``entry``."""
+    try:
+        fresh = realize(lab)
+    except (ValueError, geometry.RealizationError) as exc:
+        return [], [f"{tag}: realization failed: {exc}"]
+    checks: list[Check] = []
+    errors = []
+    cusp = CuspType.of(lab)
+    if cusp is not entry.cusp:
+        errors.append(
+            f"{tag}: stored cusp {entry.cusp.code} is not the labeling's cusp {cusp.code}"
+        )
+    if entry.family:
+        report = check_entry(lab, fresh, build_generators(lab, fresh), entry=tag)
+    else:
+        missing = [
+            name
+            for name in ("config", "generators", "verification")
+            if getattr(entry, name) is None
+        ]
+        if missing:
+            return checks, [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
+        stored = entry.config.top
+        drift = max(
+            abs(stored.cx - fresh.top.cx),
+            abs(stored.cy - fresh.top.cy),
+            abs(stored.r - fresh.top.r),
+        )
+        checks.append(Check("drift", "top", drift, 0.0, geometry.ANGLE_TOL, tag))
+        report = check_entry(lab, entry.config, entry.generators, entry=tag)
+        # The stored residuals in the order of their rows in the report.
+        residuals = iter(
+            [value for field in VERIFIED_STAGES for value in entry.verification[field]]
+        )
+        disagree = [
+            f"{_STORED_FIELD[check.stage]} {check.edge}"
+            for check in report.checks
+            if check.stage in _STORED_FIELD
+            and not abs(next(residuals) - check.residual) <= check.tol
+        ]
+        if disagree:
+            errors.append(
+                f"{tag}: stored residuals disagree with recomputation on {', '.join(disagree)}"
+            )
+    checks += report.checks
+    errors += (f"{tag}: {error}" for error in report.errors)
+    return checks, errors
 
 
 def verify_catalog(
@@ -678,49 +702,10 @@ def verify_catalog(
         for lab, tag in targets:
             checked += 1
             try:
-                fresh = realize(lab)
-            except (ValueError, geometry.RealizationError) as exc:
-                errors.append(f"{tag}: realization failed: {exc}")
+                target_checks, target_errors = _check_target(entry, lab, tag)
+            except ArithmeticError as exc:
+                errors.append(f"{tag}: arithmetic failed: {type(exc).__name__}: {exc}")
                 continue
-            cusp = CuspType.of(lab)
-            if cusp is not entry.cusp:
-                errors.append(
-                    f"{tag}: stored cusp {entry.cusp.code} is not the labeling's cusp {cusp.code}"
-                )
-            if entry.family:
-                report = check_entry(lab, fresh, build_generators(lab, fresh), entry=tag)
-            else:
-                missing = [
-                    name
-                    for name in ("config", "generators", "verification")
-                    if getattr(entry, name) is None
-                ]
-                if missing:
-                    errors.append(f"{tag}: entry stores no {', '.join(missing)}")
-                    continue
-                stored = entry.config.top
-                drift = max(
-                    abs(stored.cx - fresh.top.cx),
-                    abs(stored.cy - fresh.top.cy),
-                    abs(stored.r - fresh.top.r),
-                )
-                checks.append(Check("drift", "top", drift, 0.0, geometry.ANGLE_TOL, tag))
-                report = check_entry(lab, entry.config, entry.generators, entry=tag)
-                # The stored residuals in the order of their rows in the report.
-                residuals = iter(
-                    [value for field in VERIFIED_STAGES for value in entry.verification[field]]
-                )
-                disagree = [
-                    f"{_STORED_FIELD[check.stage]} {check.edge}"
-                    for check in report.checks
-                    if check.stage in _STORED_FIELD
-                    and not abs(next(residuals) - check.residual) <= check.tol
-                ]
-                if disagree:
-                    errors.append(
-                        f"{tag}: stored residuals disagree with recomputation on"
-                        f" {', '.join(disagree)}"
-                    )
-            checks += report.checks
-            errors += (f"{tag}: {error}" for error in report.errors)
+            checks += target_checks
+            errors += target_errors
     return Report(tuple(checks), tuple(errors), checked)

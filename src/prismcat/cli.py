@@ -229,7 +229,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RealizationError, OSError) as exc:
+    except (ValueError, OverflowError, RealizationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

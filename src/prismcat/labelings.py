@@ -84,8 +84,9 @@ _CUSP_BY_TRIPLE = {cusp.value: cusp for cusp in CuspType}
 
 
 # The six vertices of the prism, as (edge indices, required triangle class).
-# This table is the single source of truth for edge/vertex incidence; the
-# geometry and moebius modules derive their face-pair conventions from it.
+# Only is_admissible reads this table.  The same incidence is written out by
+# hand in scan_admissible's loops, in geometry.EDGE_FACES and in
+# GeneratorSet.words, so a change here must be made there too.
 # Entry 0 is the ideal apex (a1, a2, a5), which must be Euclidean; the five
 # finite vertices must be spherical.
 VERTEX_TRIPLES: tuple[tuple[tuple[int, int, int], TriangleClass], ...] = (

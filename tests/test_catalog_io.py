@@ -305,9 +305,9 @@ def _nested(depth, leaf):
 @example(_nested(60, 1.5))
 @example(_nested(61, [-0.0, math.nan]))
 def test_indented_writer_matches_json_dumps(value):
-    pieces = []
-    cat._write_json(value, "\n", pieces.append)
-    assert "".join(pieces) == json.dumps(value, indent=2)
+    leaves = []
+    cat._leaves([value], leaves, [])
+    assert cat._write_template(value, "\n") % tuple(leaves) == json.dumps(value, indent=2)
 
 
 def test_json_document_structure(full_entries):

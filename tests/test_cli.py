@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prismcat import catalog as cat
 from prismcat import moebius
 from prismcat.cli import main
-from prismcat.labelings import symmetry_mate
+from prismcat.labelings import enumerate_catalog, symmetry_mate
 
 FIX1 = ["2", "6", "2", "7", "3", "2", "2", "3", "2"]
 # Far into a family, where the float64 generators miss the a4 relation's
@@ -182,6 +185,25 @@ def make_catalog(tmp_path, capsys):
     return path
 
 
+@pytest.fixture(scope="module")
+def small_dump():
+    """A dump of a family row, one of its instances and two standalone rows."""
+    items = enumerate_catalog()
+    family = next(item for item in items if item.family)
+    standalone = [item for item in items if not item.family][:2]
+    entries, failures = cat.build_catalog([family, *standalone], max_n=family.free_min)
+    assert failures == [] and len(entries) == 4
+    return json.loads(cat.dumps_catalog(entries))
+
+
+@pytest.fixture
+def small_catalog(tmp_path, small_dump):
+    """``small_dump`` written to a file."""
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(small_dump))
+    return path
+
+
 def test_verify_passes_on_enumerated_catalog(tmp_path, capsys):
     path = make_catalog(tmp_path, capsys)
     assert main(["verify", str(path)]) == 0
@@ -258,6 +280,7 @@ def _first_row(doc, family):
         (True, lambda r: r.update(family_n=r["free_min"]), "family_n"),
         (True, lambda r: r.update(family=False), "family_n"),
         (True, lambda r: r.update(family="false"), "family"),
+        (False, lambda r: r["generators"]["fixed2"].update(re=10**400), "generators"),
     ],
     ids=[
         "free-slot-null",
@@ -269,6 +292,7 @@ def _first_row(doc, family):
         "family-family-n",
         "family-false",
         "family-string",
+        "fixed2-huge",
     ],
 )
 def test_verify_rejects_malformed_family_and_generator_fields(
@@ -488,8 +512,9 @@ def test_verify_reads_stored_residuals(tmp_path, capsys, field, index, value, di
         lambda v: v["traces"].append(0.0),
         lambda v: v["angles"].__setitem__(0, "x"),
         lambda v: v.pop("angles"),
+        lambda v: v["angles"].__setitem__(0, 10**400),
     ],
-    ids=["8-relations", "10-traces", "string-angle", "no-angles"],
+    ids=["8-relations", "10-traces", "string-angle", "no-angles", "huge-angle"],
 )
 def test_verify_rejects_malformed_verification(tmp_path, capsys, corrupt):
     path = make_catalog(tmp_path, capsys)
@@ -507,6 +532,36 @@ def test_verify_rejects_malformed_config(tmp_path, capsys):
     path = make_catalog(tmp_path, capsys)
     index = _corrupt_first_standalone(path, lambda r: r.update(config={"red": 1}))
     _assert_rejected(path, capsys, index, "config")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda c: c["red"].update(offset="x"),
+        lambda c: c["top"]["center"].__setitem__(0, None),
+        lambda c: c["back"]["center"].__setitem__(1, []),
+        lambda c: c["green"]["normal"].__setitem__(0, 10**400),
+    ],
+    ids=["red-offset-string", "top-center-null", "back-center-list", "green-normal-huge"],
+)
+def test_verify_rejects_a_line_or_circle_that_is_not_numbers(small_catalog, capsys, corrupt):
+    index = _corrupt_first_standalone(small_catalog, lambda r: corrupt(r["config"]))
+    _assert_rejected(small_catalog, capsys, index, "config")
+
+
+def test_verify_rejects_a_label_that_is_not_an_integer(small_catalog, capsys):
+    index = _corrupt_first_standalone(small_catalog, lambda r: r["labeling"].__setitem__(0, [2]))
+    _assert_rejected(small_catalog, capsys, index, "labeling")
+
+
+def test_verify_fails_a_label_below_two(small_catalog, capsys):
+    doc = json.loads(small_catalog.read_text())
+    victim = doc["entries"][_first_row(doc, False)]
+    victim["labeling"][0] = 1
+    small_catalog.write_text(json.dumps(doc))
+    assert main(["verify", str(small_catalog)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAIL {tag(victim['labeling'])}: realization failed:")
 
 
 @pytest.mark.parametrize(
@@ -554,6 +609,88 @@ def test_verify_reports_singular_generator(tmp_path, capsys):
     assert len(failures) == 2
     assert "checked 126 configurations" in captured.out
     assert captured.out.strip().endswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "corrupt,error",
+    [
+        (lambda r: r["generators"]["m1"][0][1].update(re=5e-324), "ZeroDivisionError"),
+        (lambda r: r["generators"]["m1"][1][1].update(re=1e308), "ZeroDivisionError"),
+        (lambda r: r["config"]["top"]["center"].__setitem__(0, -1e308), "OverflowError"),
+    ],
+    ids=["m1-subnormal", "m1-1e308", "top-center-minus-1e308"],
+)
+def test_verify_reports_an_arithmetic_failure_as_a_fail_line(
+    small_catalog, capsys, corrupt, error
+):
+    doc = json.loads(small_catalog.read_text())
+    victim = doc["entries"][_first_row(doc, False)]
+    corrupt(victim)
+    small_catalog.write_text(json.dumps(doc))
+    assert main(["verify", str(small_catalog)]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"FAIL {tag(victim['labeling'])}: arithmetic failed: {error}: ")
+    assert "checked 7 configurations" in captured.out
+
+
+def test_verify_reports_a_free_slot_too_large_for_a_float(tmp_path, capsys):
+    huge = 10**400
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    victim = doc["entries"][_first_row(doc, True)]
+    victim["free_min"] = huge
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    pattern = tag(victim["labeling"])
+    assert capsys.readouterr().err.splitlines() == [
+        f"FAIL {pattern} at n={n}: arithmetic failed: OverflowError:"
+        " int too large to convert to float"
+        for n in (huge, huge + 1, huge + 10)
+    ]
+    assert main(["verify", str(path), "--sample", str(huge)]) == 1
+    failures = capsys.readouterr().err.splitlines()
+    assert len(failures) == 12
+    assert all(f" at n={huge}: arithmetic failed: OverflowError: " in line for line in failures)
+
+
+def test_realize_rejects_a_label_too_large_for_a_float(capsys):
+    assert main(["realize", "2", "3", "2", str(10**400), "6", "2", "2", "2", "2"]) == 2
+    assert capsys.readouterr().err == "error: int too large to convert to float\n"
+
+
+def _nodes(node, path=()):
+    """The path of every node of a JSON tree, the root's first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nodes(child, (*path, key))
+
+
+_ODD_VALUES = [None, True, "x", [], {}, [1], {"a": 1}, 0, -1, 2, 1.5, 10**400, -(10**400)]
+_ODD_VALUES += [1e308, -1e308, 5e-324, math.nan, math.inf]
+_DELETE = object()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_verify_exits_cleanly_after_any_one_edit(small_dump, tmp_path_factory, data):
+    doc = json.loads(json.dumps(small_dump))
+    path = data.draw(st.sampled_from(list(_nodes(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    deletable = [_DELETE] if path and isinstance(parent, dict) else []
+    value = data.draw(st.sampled_from(_ODD_VALUES + deletable))
+    if value is _DELETE:
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = value
+    else:
+        doc = value
+    file = tmp_path_factory.getbasetemp() / "edited.json"
+    file.write_text(json.dumps(doc))
+    assert main(["verify", str(file)]) in (0, 1, 2)
 
 
 def test_verify_missing_file(tmp_path, capsys):
