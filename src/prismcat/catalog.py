@@ -33,7 +33,6 @@ from .labelings import (
     CuspType,
     Labeling,
     catalog_order,
-    enumerate_catalog,
     symmetry_mate,
 )
 from .moebius import (
@@ -68,7 +67,6 @@ FAMILY_SAMPLE_LARGE = 500
 # The stages whose residuals an entry stores, by the field they are stored in,
 # in the order check_entry runs them.
 VERIFIED_STAGES = {"angles": "angle", "relations": "relation", "traces": "trace"}
-_STORED_FIELD = {stage: field for field, stage in VERIFIED_STAGES.items()}
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,8 @@ def check_entry(
     the nine relation words and trace identities.  The relation words need
     the generators' inverses, so a singular generator ends the report with
     an error instead of those two stages.  Every row carries ``entry`` as
-    its entry tag.
+    its entry tag, and the error starts with it the way a failure of a
+    tagged row does.
     """
     checks = list(verify_config(lab, config, entry=entry).checks)
     for name, expected in rotation_parameters(lab, config).items():
@@ -120,7 +119,7 @@ def check_entry(
             singular.append(name)
     if singular:
         error = f"{', '.join(singular)} singular, so relations and traces cannot be checked"
-        return Report(tuple(checks), errors=(error,))
+        return Report(tuple(checks), errors=(f"{entry}: {error}" if entry else error,))
     checks += verify_relations(gens, entry=entry).checks
     checks += trace_check(gens, entry=entry).checks
     return Report(tuple(checks))
@@ -130,12 +129,13 @@ def build_entry(labeling: Sequence[int], **metadata) -> tuple[CatalogEntry, Repo
     """Run the full pipeline on one labeling: the entry, and the report of its checks.
 
     The entry stores the report's angle, relation and trace residuals.  It is
-    built whether or not the report passes.
+    built whether or not the report passes.  The report's rows and errors
+    carry the entry's ``label_tag``.
     """
     lab = Labeling(*labeling)
     config = realize(lab)
     gens = build_generators(lab, config)
-    report = check_entry(lab, config, gens)
+    report = check_entry(lab, config, gens, entry=label_tag(lab))
     entry = CatalogEntry(
         labeling=tuple(lab),
         cusp=CuspType.of(lab),
@@ -152,26 +152,24 @@ def build_entry(labeling: Sequence[int], **metadata) -> tuple[CatalogEntry, Repo
 
 
 def build_catalog(
-    items: Optional[Sequence[CatalogItem]] = None,
+    items: Sequence[CatalogItem],
     max_n: Optional[int] = None,
     cusp: Optional[CuspType] = None,
 ) -> tuple[list[CatalogEntry], list[str]]:
-    """Catalog entries for the given items (default: the full enumeration).
+    """Catalog entries for the given items, such as ``enumerate_catalog()``.
 
     Family items become pattern rows; with ``max_n`` each family additionally
     expands into built instances for free_min..max_n.  Standalone items
     always carry the full payload.  Returns the entries in catalog order and
     the failures of the built ones, each tagged with its entry's labels.
     """
-    if items is None:
-        items = enumerate_catalog()
     entries: list[CatalogEntry] = []
     failures: list[str] = []
 
     def add(labeling: Labeling, **metadata) -> None:
         entry, report = build_entry(labeling, **metadata)
         entries.append(entry)
-        failures.extend(f"{label_tag(labeling)}: {text}" for text in report.failures())
+        failures.extend(report.failures())
 
     for item in items:
         if cusp is not None and item.cusp is not cusp:
@@ -209,7 +207,7 @@ def _complex_json(z: complex) -> dict:
 
 
 def _complex_from(d: dict) -> complex:
-    return complex(d["re"], d["im"])
+    return complex(_number(d["re"]), _number(d["im"]))
 
 
 def _matrix_json(m: MoebiusMatrix) -> list:
@@ -259,7 +257,7 @@ def _config_from(d: dict) -> PlanarConfig:
         blue=_line_from(d["blue"]),
         back=_circle_from(d["back"]),
         top=_circle_from(d["top"]),
-        a3_branch=d["a3_branch"],
+        a3_branch=_integer(d["a3_branch"]),
     )
 
 
@@ -282,6 +280,12 @@ def _number(value) -> float:
         if type(value) is not int:
             raise TypeError(f"expected a number, got {value!r}")
         float(value)  # OverflowError if it is too large
+    return value
+
+
+def _integer(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
@@ -327,10 +331,10 @@ def entry_to_json(entry: CatalogEntry) -> dict:
 def _decode_field(record: dict, name: str, decode: Callable, optional: bool = False):
     """``decode(record[name])``, with any failure a ValueError naming the field.
 
-    An optional field that is absent or empty decodes to None.
+    An optional field that is absent or null decodes to None.
     """
     value = record.get(name)
-    if optional and not value:
+    if optional and value is None:
         return None
     if name not in record:
         raise ValueError(f"field {name!r} is missing")
@@ -580,15 +584,6 @@ def load_catalog(fp: Union[str, IO[str]]) -> list[CatalogEntry]:
 # Verification sweep
 
 
-def _family_samples(free_min: int, samples: Optional[Sequence[int]]) -> list[int]:
-    if samples is None:
-        values = [free_min + off for off in FAMILY_SAMPLE_OFFSETS]
-        values.append(max(FAMILY_SAMPLE_LARGE, free_min))
-    else:
-        values = [n for n in samples if n >= free_min]
-    return sorted(set(values))
-
-
 def _check_target(
     entry: CatalogEntry, lab: Labeling, tag: str
 ) -> tuple[list[Check], list[str]]:
@@ -605,7 +600,7 @@ def _check_target(
             f"{tag}: stored cusp {entry.cusp.code} is not the labeling's cusp {cusp.code}"
         )
     if entry.family:
-        report = check_entry(lab, fresh, build_generators(lab, fresh), entry=tag)
+        config, gens = fresh, build_generators(lab, fresh)
     else:
         missing = [
             name
@@ -614,31 +609,30 @@ def _check_target(
         ]
         if missing:
             return checks, [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
-        stored = entry.config.top
+        config, gens = entry.config, entry.generators
         drift = max(
-            abs(stored.cx - fresh.top.cx),
-            abs(stored.cy - fresh.top.cy),
-            abs(stored.r - fresh.top.r),
+            abs(config.top.cx - fresh.top.cx),
+            abs(config.top.cy - fresh.top.cy),
+            abs(config.top.r - fresh.top.r),
         )
         checks.append(Check("drift", "top", drift, 0.0, geometry.ANGLE_TOL, tag))
-        report = check_entry(lab, entry.config, entry.generators, entry=tag)
-        # The stored residuals in the order of their rows in the report.
-        residuals = iter(
-            [value for field in VERIFIED_STAGES for value in entry.verification[field]]
-        )
+    report = check_entry(lab, config, gens, entry=tag)
+    checks += report.checks
+    if not entry.family:
         disagree = [
-            f"{_STORED_FIELD[check.stage]} {check.edge}"
-            for check in report.checks
-            if check.stage in _STORED_FIELD
-            and not abs(next(residuals) - check.residual) <= check.tol
+            f"{field} {check.edge}"
+            for field, stage in VERIFIED_STAGES.items()
+            for check, stored in zip(
+                [check for check in report.checks if check.stage == stage],
+                entry.verification[field],
+            )
+            if not abs(stored - check.residual) <= check.tol
         ]
         if disagree:
             errors.append(
                 f"{tag}: stored residuals disagree with recomputation on {', '.join(disagree)}"
             )
-    checks += report.checks
-    errors += (f"{tag}: {error}" for error in report.errors)
-    return checks, errors
+    return checks, errors + list(report.errors)
 
 
 def verify_catalog(
@@ -658,7 +652,9 @@ def verify_catalog(
     pattern may be stored in more than one row, nor together with its
     mirror image (``symmetry_mate``) when that differs from it.  A family
     instance must have its family's pattern row in the catalog, with the
-    same ``free_min``.  The report's rows carry their entry's tag.
+    same ``free_min``, and a catalog with no entries fails.  The report's
+    rows carry their entry's tag, and ``entries_checked`` counts the
+    labelings checked.
     """
     checks: list[Check] = []
     stored = Counter(entry.labeling for entry in entries)
@@ -689,23 +685,30 @@ def verify_catalog(
                 f"{label_tag(entry.labeling)}: free_min {entry.free_min} differs from"
                 f" {pattern_free_min[pattern]} in its family row"
             )
-    checked = 0
+    if not entries:
+        errors.append("the catalog has no entries")
+    # Each labeling to check: a stored row's own, or a family row's samples.
+    targets = []
     for entry in entries:
-        if entry.family:
-            head, tail = entry.labeling[: entry.free_slot], entry.labeling[entry.free_slot + 1 :]
-            targets = [
-                (Labeling(*head, n, *tail), f"{label_tag(entry.labeling)} at n={n}")
-                for n in _family_samples(entry.free_min, samples)
-            ]
+        if not entry.family:
+            targets.append((entry, Labeling(*entry.labeling), label_tag(entry.labeling)))
+            continue
+        if samples is None:
+            values = [entry.free_min + offset for offset in FAMILY_SAMPLE_OFFSETS]
+            values.append(max(FAMILY_SAMPLE_LARGE, entry.free_min))
         else:
-            targets = [(Labeling(*entry.labeling), label_tag(entry.labeling))]
-        for lab, tag in targets:
-            checked += 1
-            try:
-                target_checks, target_errors = _check_target(entry, lab, tag)
-            except ArithmeticError as exc:
-                errors.append(f"{tag}: arithmetic failed: {type(exc).__name__}: {exc}")
-                continue
-            checks += target_checks
-            errors += target_errors
-    return Report(tuple(checks), tuple(errors), checked)
+            values = [n for n in samples if n >= entry.free_min]
+        head, tail = entry.labeling[: entry.free_slot], entry.labeling[entry.free_slot + 1 :]
+        targets += (
+            (entry, Labeling(*head, n, *tail), f"{label_tag(entry.labeling)} at n={n}")
+            for n in sorted(set(values))
+        )
+    for entry, lab, tag in targets:
+        try:
+            target_checks, target_errors = _check_target(entry, lab, tag)
+        except ArithmeticError as exc:
+            errors.append(f"{tag}: arithmetic failed: {type(exc).__name__}: {exc}")
+            continue
+        checks += target_checks
+        errors += target_errors
+    return Report(tuple(checks), tuple(errors), len(targets))

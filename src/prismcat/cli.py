@@ -103,11 +103,8 @@ def _print_failures(failures: Iterable[str]) -> int:
     return code
 
 
-def _build(args: argparse.Namespace) -> tuple[cat.CatalogEntry, Report, list[str]]:
-    """Build the entry of ``args.labels`` and write it to ``args.json`` if given.
-
-    Returns the entry, its report, and the report's failures tagged with the labels.
-    """
+def _build(args: argparse.Namespace) -> tuple[cat.CatalogEntry, Report]:
+    """Build the entry of ``args.labels`` and write it to ``args.json`` if given."""
     labeling = Labeling(*args.labels)
     admissible = is_admissible(labeling)
     if not admissible:
@@ -115,8 +112,7 @@ def _build(args: argparse.Namespace) -> tuple[cat.CatalogEntry, Report, list[str
     entry, report = cat.build_entry(labeling)
     if args.json:
         cat.dump_catalog([entry], args.json)
-    tag = cat.label_tag(labeling)
-    return entry, report, [f"{tag}: {text}" for text in report.failures()]
+    return entry, report
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -154,17 +150,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    entry, _, failures = _build(args)
+    entry, report = _build(args)
     _print_config(entry, sys.stdout)
     if args.svg:
         write_svg(entry.config, args.svg, entry.labeling)
-    return _print_failures(failures)
+    return _print_failures(report.failures())
 
 
 def cmd_matrices(args: argparse.Namespace) -> int:
-    entry, report, failures = _build(args)
+    entry, report = _build(args)
     _print_generators(entry.generators, report, sys.stdout)
-    return _print_failures(failures)
+    return _print_failures(report.failures())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

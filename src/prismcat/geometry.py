@@ -73,10 +73,9 @@ class PlanarLine:
             raise ValueError(f"line normal must have unit length, got {norm!r}")
 
     @classmethod
-    def vertical(cls, x: float, prism_right: bool = True) -> "PlanarLine":
-        """The line x = const, with the prism on the given side."""
-        sign = 1.0 if prism_right else -1.0
-        return cls(sign, 0.0, sign * x)
+    def vertical(cls, x: float) -> "PlanarLine":
+        """The line x = const, with the prism on its right."""
+        return cls(1.0, 0.0, x)
 
     @classmethod
     def from_slope_intercept(

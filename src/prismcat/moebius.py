@@ -121,26 +121,11 @@ class MoebiusMatrix:
         q = s ** n * u_n2
         return MoebiusMatrix(p * a - q, p * b, p * c, p * d - q)
 
-    def apply(self, w: complex) -> complex:
-        """The Moebius action w -> (a*w + b)/(c*w + d) at a finite point."""
-        return (self.a * w + self.b) / (self.c * w + self.d)
-
-    def _unit_det(self) -> tuple[complex, complex, complex, complex]:
-        s = cmath.sqrt(self.det)
-        return self.a / s, self.b / s, self.c / s, self.d / s
-
     def distance_to_identity(self) -> float:
         """Frobenius distance to +-I after normalizing the determinant to 1."""
-        a, b, c, d = self._unit_det()
+        s = cmath.sqrt(self.det)
+        a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
         return min(_frobenius(a - 1, b, c, d - 1), _frobenius(a + 1, b, c, d + 1))
-
-    def projectively_equal(self, other: "MoebiusMatrix", tol: float = 1e-9) -> bool:
-        """Equality in PSL2: min(|M - N|, |M + N|) <= tol after normalization."""
-        a, b, c, d = self._unit_det()
-        e, f, g, h = other._unit_det()
-        return min(
-            _frobenius(a - e, b - f, c - g, d - h), _frobenius(a + e, b + f, c + g, d + h)
-        ) <= tol
 
 
 def _frobenius(w: complex, x: complex, y: complex, z: complex) -> float:

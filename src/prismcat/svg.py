@@ -8,7 +8,7 @@ same configuration are byte-identical.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geometry import PlanarConfig, PlanarLine
 
@@ -36,11 +36,9 @@ def _line_element(line: PlanarLine, color: str) -> str:
     )
 
 
-def render_svg(config: PlanarConfig, labeling: Optional[Sequence[int]] = None) -> str:
-    """Render the five faces of a configuration as a standalone SVG document."""
-    title = "prism configuration"
-    if labeling is not None:
-        title += " " + " ".join(str(v) for v in labeling)
+def render_svg(config: PlanarConfig, labeling: Sequence[int]) -> str:
+    """Render the five faces of a labeling's configuration as a standalone SVG document."""
+    title = "prism configuration " + " ".join(str(v) for v in labeling)
     size = 2 * VIEW_HALF
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -71,8 +69,6 @@ def render_svg(config: PlanarConfig, labeling: Optional[Sequence[int]] = None) -
     return "\n".join(parts) + "\n"
 
 
-def write_svg(
-    config: PlanarConfig, path: str, labeling: Optional[Sequence[int]] = None
-) -> None:
+def write_svg(config: PlanarConfig, path: str, labeling: Sequence[int]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(render_svg(config, labeling))

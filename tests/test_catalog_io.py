@@ -18,7 +18,7 @@ from prismcat.labelings import CuspType, Labeling, catalog_order, enumerate_cata
 
 @pytest.fixture(scope="module")
 def full_entries():
-    entries, failures = cat.build_catalog()
+    entries, failures = cat.build_catalog(enumerate_catalog())
     assert failures == []
     return entries
 
@@ -56,6 +56,21 @@ def test_check_entry_rows_and_stored_residuals(full_entries):
     for field, stage in cat.VERIFIED_STAGES.items():
         residuals = tuple(c.residual for c in report.checks if c.stage == stage)
         assert entry.verification[field] == residuals
+
+
+def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
+    entry = next(e for e in full_entries if not e.family)
+    tag = cat.label_tag(entry.labeling)
+    _, report = cat.build_entry(entry.labeling)
+    assert {check.entry for check in report.checks} == {tag}
+    zero = MoebiusMatrix.of(0, 0, 0, 0)
+    gens = dataclasses.replace(entry.generators, m3=zero)
+    report = cat.check_entry(Labeling(*entry.labeling), entry.config, gens, entry=tag)
+    assert report.errors == (f"{tag}: M3 singular, so relations and traces cannot be checked",)
+    assert report.failures() == [
+        f"{tag}: M3 determinant drifts by 1.000e+00",
+        *report.errors,
+    ]
 
 
 def _count_work(monkeypatch) -> dict[str, int]:
@@ -117,7 +132,7 @@ def test_each_entry_is_measured_once(full_entries, monkeypatch):
 
 
 def test_build_catalog_cusp_filter():
-    entries, _ = cat.build_catalog(cusp=CuspType.C333)
+    entries, _ = cat.build_catalog(enumerate_catalog(), cusp=CuspType.C333)
     assert len(entries) == 22
     assert all(e.cusp is CuspType.C333 for e in entries)
 
@@ -157,7 +172,7 @@ def _assert_dumps_like_json_dumps(entries):
 
 
 def test_dumps_catalog_matches_json_dumps():
-    entries, _ = cat.build_catalog(max_n=12)
+    entries, _ = cat.build_catalog(enumerate_catalog(), max_n=12)
     _assert_dumps_like_json_dumps(entries)
 
 
@@ -393,6 +408,12 @@ def test_verify_catalog_passes_on_fresh_entries(full_entries):
     assert report.max_residual("trace") <= 1e-8
     assert report.max_residual("determinant") <= 1e-10
     assert report.max_residual("drift") <= 1e-9
+
+
+def test_verify_catalog_fails_an_empty_catalog():
+    report = cat.verify_catalog([])
+    assert report.errors == ("the catalog has no entries",)
+    assert report.checks == () and report.entries_checked == 0 and not report.ok
 
 
 def test_verify_catalog_sample_values_below_bound_are_skipped(full_entries):

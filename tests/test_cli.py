@@ -281,6 +281,17 @@ def _first_row(doc, family):
         (True, lambda r: r.update(family=False), "family_n"),
         (True, lambda r: r.update(family="false"), "family"),
         (False, lambda r: r["generators"]["fixed2"].update(re=10**400), "generators"),
+        (False, lambda r: r["generators"]["m1"][0][1].update(im=False), "generators"),
+        (False, lambda r: r["generators"]["fixed1"].update(im=False), "generators"),
+        (False, lambda r: r["generators"]["m2"][1][0].update(re=True), "generators"),
+        (False, lambda r: r["config"].update(a3_branch=2.0), "config"),
+        (True, lambda r: r.update(config=False), "config"),
+        (True, lambda r: r.update(generators=0), "generators"),
+        (True, lambda r: r.update(verification=[]), "verification"),
+        (True, lambda r: r.update(config={}), "config"),
+        (False, lambda r: r.update(config=False), "config"),
+        (False, lambda r: r.update(generators={}), "generators"),
+        (False, lambda r: r.update(verification=0), "verification"),
     ],
     ids=[
         "free-slot-null",
@@ -293,6 +304,17 @@ def _first_row(doc, family):
         "family-false",
         "family-string",
         "fixed2-huge",
+        "m1-im-false",
+        "fixed1-im-false",
+        "m2-re-true",
+        "a3-branch-float",
+        "family-config-false",
+        "family-generators-0",
+        "family-verification-list",
+        "family-config-object",
+        "standalone-config-false",
+        "standalone-generators-object",
+        "standalone-verification-0",
     ],
 )
 def test_verify_rejects_malformed_family_and_generator_fields(
@@ -584,6 +606,17 @@ def test_verify_rejects_malformed_entries_field(tmp_path, capsys, corrupt, messa
     assert "Traceback" not in err
 
 
+def test_verify_fails_an_empty_catalog(small_catalog, capsys):
+    doc = json.loads(small_catalog.read_text())
+    doc["entries"] = []
+    small_catalog.write_text(json.dumps(doc))
+    assert main(["verify", str(small_catalog)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "FAIL the catalog has no entries\n"
+    assert "checked 0 configurations" in captured.out
+    assert captured.out.strip().endswith("FAIL")
+
+
 def test_verify_rejects_non_object_document(tmp_path, capsys):
     path = tmp_path / "catalog.json"
     path.write_text("[]")
@@ -667,7 +700,8 @@ def _nodes(node, path=()):
             yield from _nodes(child, (*path, key))
 
 
-_ODD_VALUES = [None, True, "x", [], {}, [1], {"a": 1}, 0, -1, 2, 1.5, 10**400, -(10**400)]
+_ODD_VALUES = [None, True, False, "x", [], {}, [1], {"a": 1}, 0, -1, 2, 1.5, 2.0]
+_ODD_VALUES += [10**400, -(10**400)]
 _ODD_VALUES += [1e308, -1e308, 5e-324, math.nan, math.inf]
 _DELETE = object()
 

@@ -41,9 +41,6 @@ def test_vertical_line_constructors():
     assert right.is_vertical
     assert (right.nx, right.ny) == (1.0, 0.0)
     assert right.d == -0.5
-    left = PlanarLine.vertical(-0.5, prism_right=False)
-    assert (left.nx, left.ny) == (-1.0, 0.0)
-    assert left.d == 0.5
     with pytest.raises(ValueError):
         right.slope_intercept()
 
