@@ -252,10 +252,7 @@ class CatalogItem:
     @property
     def free_slot(self) -> Optional[int]:
         """Zero-based index of the free slot, or None for standalone items."""
-        for i, v in enumerate(self.slots):
-            if v is None:
-                return i
-        return None
+        return self.slots.index(None) if None in self.slots else None
 
     @property
     def labeling(self) -> Labeling:
@@ -287,12 +284,14 @@ def catalog_order(cusp: CuspType, labels: Sequence[Optional[int]]) -> tuple[int,
 _SPH = TriangleClass.SPHERICAL
 _HYP = TriangleClass.HYPERBOLIC
 
-# Finite scan bound before family folding.  Every bounded slot in the catalog
-# stays <= 6, and the scan_bound=30 re-scan in the test suite asserts that no
-# admissible labeling outside the folded catalog appears at larger labels.
-# enumerate_catalog reads a slot as free when it is admissible at this value,
-# which is sound for any bound >= 7 (see there).
-SCAN_BOUND = 12
+# Finite scan bound before family folding: the smallest that decides every
+# labeling.  For w >= 7 the class of a triple (p, q, w) does not depend on w:
+# it is spherical if p = q = 2 and hyperbolic otherwise (1/2 + 1/3 + 1/7 < 1),
+# and Euclidean triples have labels <= 6.  So a label of 7 stands for every
+# value >= 7, and a labeling with labels above 7 is admissible exactly when
+# it is with those labels lowered to 7 (Andreev 1970; Roeder-Hubbard-Dunbar
+# 2007).  At 6 this fails: (2, 3, 6) is Euclidean, (2, 3, 7) hyperbolic.
+SCAN_BOUND = 7
 
 
 def scan_admissible(max_label: int) -> set[Labeling]:
@@ -349,20 +348,17 @@ def scan_admissible(max_label: int) -> set[Labeling]:
 def enumerate_catalog() -> list[CatalogItem]:
     """The complete catalog of admissible labelings, in canonical order.
 
-    Scans all labelings with labels <= SCAN_BOUND, reads the free slots off
-    the scan, and folds family members into single items.
+    Scans all labelings with labels <= SCAN_BOUND = 7, reads the free slots
+    off the scan, and folds family members into single items.  By the lemma
+    at SCAN_BOUND, every admissible labeling lowers to a scanned one, so the
+    catalog is complete for all labels, not only up to the bound.
 
     A slot is free -- admissible for every value from some point on -- exactly
     when the labeling stays admissible with the slot set to SCAN_BOUND, that
-    is, when that labeling lies in the scan closed under the mirror symmetry.
-    Admissibility at one value v >= 7 is enough, because it is then monotone
-    in the slot: a spherical vertex through the slot holds at v only if its
-    other two labels are (2, 2), and then it holds at every value; the ideal
-    triple is Euclidean, and Euclidean triples have labels <= 6, so the slot
-    is not in it; and the hyperbolic circuit, once it holds, keeps holding as
-    the slot grows.  A labeling with a free slot is a member of the ray
-    (pattern, slot), the pattern being the labeling with ``None`` in that
-    slot.
+    is, when that labeling lies in the scan closed under the mirror symmetry:
+    by the same lemma, admissibility at 7 is admissibility at every larger
+    value.  A labeling with a free slot is a member of the ray (pattern,
+    slot), the pattern being the labeling with ``None`` in that slot.
 
     A family's lower bound is the larger of its admissibility threshold and
     one past the largest value the slot takes among same-cusp labelings that

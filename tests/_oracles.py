@@ -8,6 +8,7 @@ package's enumeration or solving code.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import product
@@ -307,3 +308,52 @@ def loop_cusp_of(labels) -> tuple[int, int, int]:
         if triple == ideal:
             return triple
     raise ValueError(f"ideal triple {ideal} is not Euclidean")
+
+
+# ---------------------------------------------------------------------------
+# The PSL2 kernel's float operations, frozen
+#
+# MoebiusMatrix.pow, distance_to_identity and the trace check's |tr| as they
+# were first written, on plain (a, b, c, d) tuples: the determinant through
+# a*d - b*c, the trace through a + d, each operation in the same order.  A
+# faster kernel must agree with these bit for bit.
+
+
+def kernel_pow(m: tuple, n: int) -> tuple:
+    """M**n by the Chebyshev closed form, with its singular and parabolic branches."""
+    a, b, c, d = m
+    if n == 0:
+        return (1 + 0j, 0j, 0j, 1 + 0j)
+    det = a * d - b * c
+    if det == 0:
+        scale = (a + d) ** (n - 1)
+        return (scale * a, scale * b, scale * c, scale * d)
+    s = cmath.sqrt(det)
+    tau = (a + d) / (2 * s)
+    if tau * tau == 1:
+        u_n1 = n * tau ** (n - 1)
+        u_n2 = (n - 1) * tau ** (n - 2)
+    else:
+        theta = cmath.acos(tau)
+        sin_theta = cmath.sin(theta)
+        u_n1 = cmath.sin(n * theta) / sin_theta
+        u_n2 = cmath.sin((n - 1) * theta) / sin_theta
+    p = s ** (n - 1) * u_n1
+    q = s**n * u_n2
+    return (p * a - q, p * b, p * c, p * d - q)
+
+
+def _frobenius(w: complex, x: complex, y: complex, z: complex) -> float:
+    return math.hypot(w.real, w.imag, x.real, x.imag, y.real, y.imag, z.real, z.imag)
+
+
+def kernel_distance_to_identity(m: tuple) -> float:
+    """Frobenius distance to +-I after normalizing the determinant to 1."""
+    s = cmath.sqrt(m[0] * m[3] - m[1] * m[2])
+    a, b, c, d = m[0] / s, m[1] / s, m[2] / s, m[3] / s
+    return min(_frobenius(a - 1, b, c, d - 1), _frobenius(a + 1, b, c, d + 1))
+
+
+def kernel_abs_trace(m: tuple) -> float:
+    """|tr M| / sqrt(det M), the trace check's measured value."""
+    return abs((m[0] + m[3]) / cmath.sqrt(m[0] * m[3] - m[1] * m[2]))

@@ -436,3 +436,58 @@ def test_scan_finds_no_extra_rows_at_larger_bounds():
 
     for lab in scan_admissible(30):
         assert tuple(lab) in specifics or in_family(lab), lab
+
+
+_RANK = {TriangleClass.HYPERBOLIC: 0, TriangleClass.EUCLIDEAN: 1, TriangleClass.SPHERICAL: 2}
+
+
+def test_scan_bound_lemma_holds_exactly():
+    # For w >= 7 the class of (p, q, w) is its class at w = 7, so a label
+    # of 7 stands for every larger one and the scan to 7 decides every
+    # labeling.  Checked against the exact angle sums.
+    assert SCAN_BOUND == 7
+    for p, q in product(range(2, 9), repeat=2):
+        at_bound = oracles.angle_sum_class(p, q, 7)
+        for w in range(7, 41):
+            assert oracles.angle_sum_class(p, q, w) == at_bound, (p, q, w)
+            assert classify_triangle(p, q, w).value == at_bound, (p, q, w)
+        assert at_bound == ("spherical" if p == q == 2 else "hyperbolic")
+    # At 6 the lemma fails: (2, 3, 6) is the Euclidean [2,3,6] cusp.
+    assert classify_triangle(2, 3, 6) is TriangleClass.EUCLIDEAN
+    assert classify_triangle(2, 3, 7) is TriangleClass.HYPERBOLIC
+
+
+def test_classify_triangle_is_monotone_in_each_label():
+    # Raising any label lowers the angle sum, so the class never moves up
+    # from hyperbolic through Euclidean to spherical.
+    for labels in product(range(2, 13), repeat=3):
+        rank = _RANK[classify_triangle(*labels)]
+        for slot in range(3):
+            raised = list(labels)
+            raised[slot] += 1
+            assert _RANK[classify_triangle(*raised)] <= rank, (labels, slot)
+
+
+def test_scan_to_larger_bounds_lowers_onto_the_scan_to_seven():
+    # The lemma applied to whole labelings: lowering every label above 7 to 7
+    # keeps each vertex and circuit class, so it maps the scan to 12 onto the
+    # scan to 7, and raising a 7 in a scanned labeling stays admissible.
+    scanned = scan_admissible(SCAN_BOUND)
+    larger = scan_admissible(12)
+    lowered = {canonicalize(tuple(min(v, 7) for v in lab)) for lab in larger}
+    assert lowered == scanned
+    for lab in scanned:
+        raised = tuple(12 if v == 7 else v for v in lab)
+        assert is_admissible(raised), lab
+
+
+def test_automatic_conditions_hold_on_every_labeling():
+    # The conditions is_admissible leaves out: with the scan to 7 standing
+    # for every labeling, at most one vertical edge and at most one of a1,
+    # a2 carries the label 2.  Families free only a4, from 6 or 7.
+    for lab in scan_admissible(SCAN_BOUND):
+        assert (lab.a4, lab.a5, lab.a6).count(2) <= 1, lab
+        assert (lab.a1, lab.a2).count(2) <= 1, lab
+    families = [item for item in enumerate_catalog() if item.family]
+    assert {item.free_slot for item in families} == {3}
+    assert {item.free_min for item in families} <= {6, 7}

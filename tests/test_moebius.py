@@ -9,6 +9,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import _oracles as oracles
 import prismcat
 from prismcat.catalog import check_entry
 from prismcat.geometry import PlanarCircle, PlanarConfig, realize
@@ -410,3 +411,56 @@ def test_full_catalog_relations_and_traces():
         gens, _ = gens_for(tuple(lab))
         assert verify_relations(gens).ok, lab
         assert trace_check(gens).ok, lab
+
+
+# ---------------------------------------------------------------------------
+# The kernel's floats against its frozen first form (_oracles)
+
+
+def _bit_identity_labelings():
+    """The 90 catalog rows (families at free_min) and the family samples n = 7, 500, 10^4."""
+    for item in enumerate_catalog():
+        if not item.family:
+            yield item.labeling
+            continue
+        for n in sorted({item.free_min, 7, 500, 10**4}):
+            yield item.instantiate(n)
+
+
+def _assert_kernel_is_frozen(m: MoebiusMatrix, n: int) -> None:
+    power = m.pow(n)
+    expected = oracles.kernel_pow(tuple(m), n)
+    assert entries(power) == expected, (m, n)
+    if power.det != 0:
+        assert power.distance_to_identity() == oracles.kernel_distance_to_identity(expected)
+
+
+def test_kernel_floats_are_bit_identical_on_every_word():
+    for lab in _bit_identity_labelings():
+        gens, _ = gens_for(lab)
+        relations = verify_relations(gens).checks
+        traces = trace_check(gens).checks
+        for (edge, _, base, exponent), relation, trace in zip(gens.words, relations, traces):
+            _assert_kernel_is_frozen(base, exponent)
+            power = oracles.kernel_pow(tuple(base), exponent)
+            assert relation.measured == oracles.kernel_distance_to_identity(power), (lab, edge)
+            assert trace.measured == oracles.kernel_abs_trace(tuple(base)), (lab, edge)
+
+
+@pytest.mark.parametrize(
+    "m, exponents",
+    [
+        (MoebiusMatrix.of(1, 2j, 2, 4j), [*range(1, 13), 100]),
+        (MoebiusMatrix.of(1, 1, 0, 1), [*range(13), 10**4, 10**6]),
+        (MoebiusMatrix.of(-1, 1, 0, -1), [*range(13), 10**4, 10**6]),
+        (MoebiusMatrix.of(2, 1, 0, 2), [*range(13), 100]),
+    ],
+    ids=["singular", "parabolic", "parabolic-negative", "parabolic-scaled"],
+)
+def test_kernel_floats_are_bit_identical_on_singular_and_parabolic_branches(m, exponents):
+    a, b, c, d = m
+    if m.det != 0:
+        tau = (a + d) / (2 * cmath.sqrt(m.det))
+        assert tau * tau == 1
+    for n in exponents:
+        _assert_kernel_is_frozen(m, n)
