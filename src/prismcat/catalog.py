@@ -94,13 +94,6 @@ def label_tag(labeling: Sequence[Optional[int]]) -> str:
     return "[" + " ".join("n" if v is None else str(v) for v in labeling) + "]"
 
 
-# Where each stage's rows sit in a ``check_entry`` report: 9 angle, 4 generator,
-# 4 determinant, 9 relation and 9 trace rows, in that order.  A report that
-# ends at a singular generator has empty relation and trace slices.
-STAGE_ROWS = {"angle": slice(0, 9), "generator": slice(9, 13), "determinant": slice(13, 17),
-              "relation": slice(17, 26), "trace": slice(26, 35)}
-
-
 def check_entry(
     lab: Labeling, config: PlanarConfig, gens: GeneratorSet, *, entry: str = ""
 ) -> Report:
@@ -150,7 +143,7 @@ def build_entry(labeling: Sequence[int], **metadata) -> tuple[CatalogEntry, Repo
         config=config,
         generators=gens,
         verification={
-            field: tuple(check.residual for check in report.checks[STAGE_ROWS[stage]])
+            field: tuple(check.residual for check in report.checks if check.stage == stage)
             for field, stage in VERIFIED_STAGES.items()
         },
         **metadata,
@@ -214,10 +207,7 @@ def _complex_json(z: complex) -> dict:
 
 
 def _complex_from(d: dict) -> complex:
-    re = d["re"]
-    if type(re) is float and type(d["im"]) is float:
-        return complex(re, d["im"])
-    return complex(_number(re), _number(d["im"]))
+    return complex(_number(d["re"]), _number(d["im"]))
 
 
 def _matrix_json(m: MoebiusMatrix) -> list:
@@ -365,10 +355,7 @@ def _labeling_from(values: list) -> tuple[Optional[int], ...]:
 
 
 def _verification_from(d: dict) -> dict[str, tuple[float, ...]]:
-    verification = {
-        field: tuple([v if type(v) is float else _number(v) for v in d[field]])
-        for field in VERIFIED_STAGES
-    }
+    verification = {field: tuple(map(_number, d[field])) for field in VERIFIED_STAGES}
     for field, residuals in verification.items():
         if len(residuals) != 9:
             raise ValueError(f"{field!r} holds {len(residuals)} residuals, expected 9")
@@ -635,7 +622,10 @@ def _check_target(
         disagree = [
             f"{field} {check.edge}"
             for field, stage in VERIFIED_STAGES.items()
-            for check, stored in zip(report.checks[STAGE_ROWS[stage]], entry.verification[field])
+            for check, stored in zip(
+                [check for check in report.checks if check.stage == stage],
+                entry.verification[field],
+            )
             if not abs(stored - check.residual) <= check.tol
         ]
         if disagree:

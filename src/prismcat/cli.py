@@ -60,26 +60,32 @@ def _print_config(entry: cat.CatalogEntry, out) -> None:
             f"  (normal [{_sig(line.nx)}, {_sig(line.ny)}], offset {_sig(line.d)})",
             file=out,
         )
-    for name in ("back", "top"):
-        circle = config.face(name)
-        center = f"({_sig(circle.cx)}, {_sig(circle.cy)})"
-        print(f"{name + ':':<7}circle center {center} radius {_sig(circle.r)}", file=out)
+    back, top = config.back, config.top
+    print(
+        f"{'back:':<7}circle center ({_sig(back.cx)}, {_sig(back.cy)}) radius {_sig(back.r)}",
+        file=out,
+    )
+    print(
+        f"{'top:':<7}circle center ({_sig(top.cx)}, {_sig(top.cy)}) radius {_sig(top.r)}",
+        file=out,
+    )
 
 
 def _print_generators(gens: GeneratorSet, report: Report, out) -> None:
     """Print the generators and the relation and trace rows of their report."""
     for name, matrix in gens.named():
         print(_matrix_lines(name, matrix), file=out)
-    rows = cat.STAGE_ROWS
+    relations = [check for check in report.checks if check.stage == "relation"]
+    traces = [check for check in report.checks if check.stage == "trace"]
     print("relations:", file=out)
-    for (edge, word, _, exponent), check in zip(gens.words, report.checks[rows["relation"]]):
+    for (edge, word, _, exponent), check in zip(gens.words, relations):
         status = "ok" if check.ok else "FAIL"
         print(
             f"  {edge}: ({word})^{exponent}  residual {check.residual:.3e}  {status}",
             file=out,
         )
     print("traces:", file=out)
-    for (edge, word, _, _), check in zip(gens.words, report.checks[rows["trace"]]):
+    for (edge, word, _, _), check in zip(gens.words, traces):
         status = "ok" if check.ok else "FAIL"
         print(
             f"  {edge}: |tr {word}| = {_sig(check.measured)}"

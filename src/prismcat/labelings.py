@@ -252,7 +252,10 @@ class CatalogItem:
     @property
     def free_slot(self) -> Optional[int]:
         """Zero-based index of the free slot, or None for standalone items."""
-        return self.slots.index(None) if None in self.slots else None
+        for i, v in enumerate(self.slots):
+            if v is None:
+                return i
+        return None
 
     @property
     def labeling(self) -> Labeling:

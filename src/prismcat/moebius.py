@@ -53,9 +53,9 @@ class MoebiusMatrix(NamedTuple):
     """A 2x2 complex matrix [[a, b], [c, d]] acting on the boundary plane.
 
     Taken up to sign (and, for the distance checks, up to scale).  The fields
-    are complex; use ``of`` to build one from any numbers.  A named tuple, as
-    ``Check`` and ``Labeling`` are, to be cheap to build: each labeling builds
-    about 22 (4 generators, 3 inverses, 6 products and 9 powers).
+    are complex; use ``of`` to build one from any numbers.  A named tuple, to
+    be cheap to build (a labeling builds about 22), so it unpacks and compares
+    as its 4 entries; ``+`` and ``*`` raise TypeError instead of acting on them.
     """
 
     a: complex
@@ -76,9 +76,10 @@ class MoebiusMatrix(NamedTuple):
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    @property
-    def trace(self) -> complex:
-        return self.a + self.d
+    def __add__(self, other):  # not tuple concatenation or repetition
+        return NotImplemented
+
+    __radd__ = __mul__ = __rmul__ = __add__
 
     def __matmul__(self, other: "MoebiusMatrix") -> "MoebiusMatrix":
         a, b, c, d = self

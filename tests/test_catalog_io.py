@@ -58,34 +58,6 @@ def test_check_entry_rows_and_stored_residuals(full_entries):
         assert entry.verification[field] == residuals
 
 
-def _assert_stage_rows(report, stages):
-    """Each STAGE_ROWS slice of the report holds exactly its stage's rows."""
-    layout = []
-    for stage, rows in cat.STAGE_ROWS.items():
-        layout += [stage] * (rows.stop - rows.start)
-    assert [check.stage for check in report.checks] == layout[: len(report.checks)]
-    for stage, rows in cat.STAGE_ROWS.items():
-        held = report.checks[rows]
-        assert [check.stage for check in held] == [stage] * len(held)
-        assert held == tuple(check for check in report.checks if check.stage == stage)
-        assert bool(held) == (stage in stages), stage
-
-
-def test_stage_rows_hold_exactly_their_stage(full_entries):
-    # build_entry stores, and verify compares, the residuals of these slices;
-    # test_check_entry_rows_and_stored_residuals checks them against a filter.
-    entry = next(e for e in full_entries if not e.family)
-    lab = Labeling(*entry.labeling)
-    report = cat.check_entry(lab, entry.config, entry.generators)
-    _assert_stage_rows(report, set(cat.STAGE_ROWS))
-    assert len(report.checks) == max(rows.stop for rows in cat.STAGE_ROWS.values())
-    # A singular generator ends the report before its relation and trace rows.
-    gens = dataclasses.replace(entry.generators, m3=MoebiusMatrix.of(0, 0, 0, 0))
-    report = cat.check_entry(lab, entry.config, gens)
-    assert report.errors
-    _assert_stage_rows(report, {"angle", "generator", "determinant"})
-
-
 def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     entry = next(e for e in full_entries if not e.family)
     tag = cat.label_tag(entry.labeling)

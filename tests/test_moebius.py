@@ -47,7 +47,13 @@ def test_matrix_accessors_and_det():
     m = MoebiusMatrix.of(1, 2, 3, 4)
     assert (m.a, m.b, m.c, m.d) == (1, 2, 3, 4)
     assert m.det == 1 * 4 - 2 * 3
-    assert m.trace == 5
+
+
+def test_tuple_operators_do_not_act_on_a_matrix():
+    m = MoebiusMatrix.of(1, 2, 3, 4)
+    for op in (lambda: m + m, lambda: m + (1,), lambda: m * 2, lambda: 2 * m, lambda: m * m):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_matrix_shape_is_validated():
