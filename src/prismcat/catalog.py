@@ -240,14 +240,9 @@ def _circle_from(d: dict) -> PlanarCircle:
 
 
 def _config_json(config: PlanarConfig) -> dict:
-    return {
-        "a3_branch": config.a3_branch,
-        "red": _line_json(config.red),
-        "green": _line_json(config.green),
-        "blue": _line_json(config.blue),
-        "back": _circle_json(config.back),
-        "top": _circle_json(config.top),
-    }
+    lines = {name: _line_json(getattr(config, name)) for name in ("red", "green", "blue")}
+    circles = {name: _circle_json(getattr(config, name)) for name in ("back", "top")}
+    return {"a3_branch": config.a3_branch, **lines, **circles}
 
 
 def _config_from(d: dict) -> PlanarConfig:
@@ -262,16 +257,9 @@ def _config_from(d: dict) -> PlanarConfig:
 
 
 def _generators_json(gens: GeneratorSet) -> dict:
-    return {
-        "m1": _matrix_json(gens.m1),
-        "m2": _matrix_json(gens.m2),
-        "m3": _matrix_json(gens.m3),
-        "m4": _matrix_json(gens.m4),
-        "theta1": gens.theta1,
-        "theta2": gens.theta2,
-        "fixed1": _complex_json(gens.fixed1),
-        "fixed2": _complex_json(gens.fixed2),
-    }
+    matrices = {name.lower(): _matrix_json(matrix) for name, matrix in gens.named()}
+    fixed = {"fixed1": _complex_json(gens.fixed1), "fixed2": _complex_json(gens.fixed2)}
+    return {**matrices, "theta1": gens.theta1, "theta2": gens.theta2, **fixed}
 
 
 def _number(value) -> float:
@@ -439,7 +427,7 @@ def catalog_to_json(entries: Iterable[CatalogEntry]) -> dict:
         "provenance": {
             "tool": TOOL_NAME,
             "version": __version__,
-            "tolerances": TOLERANCES,
+            "tolerances": dict(TOLERANCES),
         },
         "entries": [entry_to_json(entry) for entry in entries],
     }
@@ -448,8 +436,10 @@ def catalog_to_json(entries: Iterable[CatalogEntry]) -> dict:
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _leaf_json(value) -> str:
-    """The JSON text of one leaf, as ``json.dumps`` writes it."""
+def _leaf(value):
+    """A leaf as ``%s`` fills it in: a finite float or an int as itself, else its JSON text."""
+    if type(value) is float and value - value == 0.0 or type(value) is int:
+        return value
     if isinstance(value, float):
         text = float.__repr__(value)
         return _NONFINITE.get(text, text)
@@ -466,6 +456,14 @@ def _leaf_json(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _plain(values) -> bool:
+    """Whether ``values`` are all finite floats, which ``%s`` writes as ``json.dumps`` does."""
+    if not {float}.issuperset(map(type, values)):
+        return False
+    total = sum(values)
+    return total - total == 0.0  # a NaN or an infinity makes the sum one
+
+
 def _write_template(value, newline: str) -> str:
     """``json.dumps(value, indent=2)`` as a ``%`` template, ``%s`` at each leaf.
 
@@ -480,7 +478,7 @@ def _write_template(value, newline: str) -> str:
             for key, item in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         items = [_write_template(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
     return "%s"
@@ -489,24 +487,57 @@ def _write_template(value, newline: str) -> str:
 def _leaves(value, leaves: list, shape: list) -> None:
     """Append the leaves of ``value`` to ``leaves`` in the order they are written.
 
-    A finite float is appended as itself, which ``%s`` writes as its repr,
-    and any other leaf as its JSON text.  For each dict or list, ``shape``
-    gets the number of leaves before it and its keys or its length, which
-    together fix where every leaf sits.
+    Each leaf is appended as ``_leaf`` gives it.  For each dict or list,
+    ``shape`` gets the number of leaves before it and its keys or its
+    length, which together fix where every leaf sits.
     """
     if isinstance(value, dict):
         shape += len(leaves), tuple(value)
         items = value.values()
     else:
         shape += len(leaves), len(value)
+        if _plain(value):
+            leaves += value
+            return
         items = value
     for item in items:
-        if type(item) is float and item - item == 0.0:
-            leaves.append(item)
-        elif isinstance(item, (dict, list)):
+        if isinstance(item, (dict, list, tuple)):
             _leaves(item, leaves, shape)
         else:
-            leaves.append(_leaf_json(item))
+            leaves.append(_leaf(item))
+
+
+def _row_leaves(entry: CatalogEntry) -> tuple[tuple, list]:
+    """The shape key and the leaves of ``entry_to_json(entry)``, read off the typed fields.
+
+    Only the labeling and the residuals, whose shapes can vary, are walked by ``_leaves``.
+    """
+    leaves: list = []
+    shape: list = []
+    _leaves(entry.labeling, leaves, shape)
+    config, gens = entry.config, entry.generators
+    head = entry.cusp.code, entry.family, entry.free_slot, entry.free_min, entry.family_n
+    leaves += map(_leaf, (*head, None if config is None else config.a3_branch))
+    numbers: list = []
+    if config is not None:
+        for line in (config.red, config.green, config.blue):
+            numbers += line.nx, line.ny, line.d
+        for circle in (config.back, config.top):
+            numbers += circle.cx, circle.cy, circle.r
+    if gens is not None:
+        for z in (*gens.m1, *gens.m2, *gens.m3, *gens.m4):
+            numbers += z.real, z.imag
+        fixed1, fixed2 = gens.fixed1, gens.fixed2
+        numbers += gens.theta1, gens.theta2, fixed1.real, fixed1.imag, fixed2.real, fixed2.imag
+    leaves += numbers if _plain(numbers) else map(_leaf, numbers)
+    if gens is None:
+        leaves.append("null")
+    residuals: list = []
+    if entry.verification:
+        _leaves(entry.verification, leaves, residuals)
+    else:
+        leaves.append("null")
+    return (tuple(shape), config is None, gens is None, tuple(residuals)), leaves
 
 
 def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
@@ -516,23 +547,19 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
     plus a newline.  It is not made by that call because, with ``indent``
     set, CPython before 3.13 bypasses its C encoder for the pure-Python
     one, which spends most of its time resuming nested generators.  Rows of
-    one shape (the same keys and list lengths in the same places) differ
-    only in their leaves, so each shape's template is written once and each
-    row fills it with its leaves.  The document is filled the same way,
-    with the rows' text as the leaves of its entries.
+    one shape differ only in their leaves, so each shape's template is
+    written once, from ``entry_to_json`` of its first row, and each row
+    fills it with the leaves ``_row_leaves`` reads off its entry.  The
+    document is filled the same way, with the rows' text as its leaves.
     """
     templates: dict[tuple, str] = {}
     rows = []
     for entry in entries:
-        record = entry_to_json(entry)
-        leaves: list = []
-        shape: list = []
-        _leaves(record, leaves, shape)
-        key = tuple(shape)
+        key, leaves = _row_leaves(entry)
         template = templates.get(key)
         if template is None:
             # A row starts two levels in: the document, then its entries list.
-            template = templates[key] = _write_template(record, "\n    ")
+            template = templates[key] = _write_template(entry_to_json(entry), "\n    ")
         rows.append(template % tuple(leaves))
     # The entries are the document's last field, so their leaves come last.
     doc = catalog_to_json(())

@@ -301,50 +301,48 @@ def scan_admissible(max_label: int) -> set[Labeling]:
     """All admissible labelings with labels <= max_label, up to mirror symmetry.
 
     Depth-first search over the nine slots.  The ideal apex is seeded from the
-    three Euclidean triples, and each vertex condition prunes as soon as its
-    last edge is assigned.  Spherical conditions are monotone (raising a label
-    shrinks the angle sum), so a failed check ends the enclosing loop; the
-    hyperbolic circuit condition is monotone the other way, so a failure there
-    merely skips to the next value.
+    Euclidean triples with labels <= max_label, and each vertex condition
+    prunes as soon as its last edge is assigned, reading the triangle's class
+    from a table ``classify_triangle`` fills once.  Spherical conditions are
+    monotone (raising a label shrinks the angle sum), so a failed check ends
+    the enclosing loop; the hyperbolic circuit condition is monotone the other
+    way, so a failure there merely skips to the next value.
     """
     if max_label < 2:
         raise ValueError("max_label must be >= 2")
     found: set[Labeling] = set()
     rng = range(2, max_label + 1)
-    cls = classify_triangle
-    for cusp in CUSP_ORDER:
-        for a1, a2, a5 in set(itertools.permutations(cusp.value)):
-            for a3 in rng:
-                # Cheapest completions use label 2; if even those overshoot
-                # the spherical bound, larger a3 cannot recover.
-                if cls(a1, a3, 2) is not _SPH or cls(a2, a3, 2) is not _SPH:
+    cls = {labels: classify_triangle(*labels) for labels in itertools.product(rng, repeat=3)}
+    seeds = {seed for cusp in CUSP_ORDER for seed in itertools.permutations(cusp.value)}
+    for a1, a2, a5 in (seed for seed in seeds if max(seed) <= max_label):
+        for a3 in rng:
+            # Cheapest completions use label 2; if even those overshoot
+            # the spherical bound, larger a3 cannot recover.
+            if cls[a1, a3, 2] is not _SPH or cls[a2, a3, 2] is not _SPH:
+                break
+            for a4 in rng:
+                if cls[a1, a3, a4] is not _SPH:
                     break
-                for a4 in rng:
-                    if cls(a1, a3, a4) is not _SPH:
+                for a6 in rng:
+                    if cls[a2, a3, a6] is not _SPH:
                         break
-                    for a6 in rng:
-                        if cls(a2, a3, a6) is not _SPH:
+                    if cls[a4, a5, a6] is not _HYP:
+                        continue
+                    for a7 in rng:
+                        if cls[a5, a7, 2] is not _SPH or cls[a4, a7, 2] is not _SPH:
                             break
-                        if cls(a4, a5, a6) is not _HYP:
-                            continue
-                        for a7 in rng:
-                            if cls(a5, a7, 2) is not _SPH or cls(a4, a7, 2) is not _SPH:
+                        for a8 in rng:
+                            if cls[a5, a7, a8] is not _SPH:
                                 break
-                            for a8 in rng:
-                                if cls(a5, a7, a8) is not _SPH:
+                            if cls[a6, a8, 2] is not _SPH:
+                                break
+                            for a9 in rng:
+                                if cls[a4, a7, a9] is not _SPH:
                                     break
-                                if cls(a6, a8, 2) is not _SPH:
+                                if cls[a6, a8, a9] is not _SPH:
                                     break
-                                for a9 in rng:
-                                    if cls(a4, a7, a9) is not _SPH:
-                                        break
-                                    if cls(a6, a8, a9) is not _SPH:
-                                        break
-                                    found.add(
-                                        canonicalize(
-                                            Labeling(a1, a2, a3, a4, a5, a6, a7, a8, a9)
-                                        )
-                                    )
+                                lab = Labeling(a1, a2, a3, a4, a5, a6, a7, a8, a9)
+                                found.add(canonicalize(lab))
     return found
 
 
@@ -363,10 +361,11 @@ def enumerate_catalog() -> list[CatalogItem]:
     value.  A labeling with a free slot is a member of the ray (pattern,
     slot), the pattern being the labeling with ``None`` in that slot.
 
-    A family's lower bound is the larger of its admissibility threshold and
-    one past the largest value the slot takes among same-cusp labelings that
-    belong to no ray: above that point the free slot forces every other
-    label, so family instances and standalone rows stay disjoint.
+    A family's lower bound is the larger of its admissibility threshold (the
+    least slot value whose labeling lies in the closed scan) and one past the
+    largest value the slot takes among same-cusp labelings that belong to no
+    ray: above that point the free slot forces every other label, so family
+    instances and standalone rows stay disjoint.
 
     Returns 12 families and 78 standalone items: 8 + 32 for cusp [2,3,6],
     4 + 24 for [2,4,4], 0 + 22 for [3,3,3].
@@ -390,7 +389,7 @@ def enumerate_catalog() -> list[CatalogItem]:
     family_members: set[Labeling] = set()
     for pattern, slot in rays:
         head, tail = pattern[:slot], pattern[slot + 1 :]
-        lo = next(v for v in range(2, SCAN_BOUND + 1) if is_admissible(head + (v,) + tail))
+        lo = next(v for v in range(2, SCAN_BOUND + 1) if head + (v,) + tail in closed)
         cusp = CuspType.of(Labeling(*head, lo, *tail))
         # One past the largest value the slot takes among core labelings of
         # the same cusp; above this, every admissible labeling is on a ray.

@@ -353,6 +353,15 @@ def test_json_document_structure(full_entries):
         }
 
 
+def test_changing_a_document_leaves_later_dumps_unchanged(full_entries):
+    text = cat.dumps_catalog(full_entries[:3])
+    doc = cat.catalog_to_json(full_entries[:3])
+    doc["provenance"]["tolerances"]["angle"] = 1.0
+    doc["provenance"]["tolerances"]["extra"] = 2.0
+    assert cat.dumps_catalog(full_entries[:3]) == text
+    assert cat.TOLERANCES["angle"] == geometry.ANGLE_TOL
+
+
 def test_complex_numbers_encode_as_re_im_pairs(full_entries):
     specific = next(e for e in full_entries if not e.family)
     record = cat.entry_to_json(specific)
