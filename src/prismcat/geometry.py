@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .labelings import Labeling, is_admissible
+from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, is_admissible
 
 logger = logging.getLogger(__name__)
 
@@ -32,22 +32,6 @@ logger = logging.getLogger(__name__)
 # residual; angle verification of all nine edges gets a slightly looser gate.
 CONSTRUCTION_TOL = 1e-10
 ANGLE_TOL = 1e-9
-
-# Faces meeting along each edge a1..a9, index-aligned with Labeling.  The pair
-# (red, top) is absent: those are the only two faces without a common edge,
-# and a valid realization keeps them strictly disjoint.
-EDGE_FACES: tuple[tuple[str, str], ...] = (
-    ("red", "green"),
-    ("red", "blue"),
-    ("red", "back"),
-    ("green", "back"),
-    ("green", "blue"),
-    ("blue", "back"),
-    ("green", "top"),
-    ("blue", "top"),
-    ("back", "top"),
-)
-EDGE_NAMES: tuple[str, ...] = tuple(f"a{edge + 1}" for edge in range(len(EDGE_FACES)))
 
 
 class RealizationError(RuntimeError):

@@ -13,6 +13,7 @@ one-parameter families plus 78 standalone configurations.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
@@ -72,7 +73,7 @@ class CuspType(Enum):
     @classmethod
     def of(cls, labeling: Labeling) -> "CuspType":
         """Cusp type of an admissible labeling, from its ideal-vertex triple."""
-        ideal = tuple(sorted((labeling.a1, labeling.a2, labeling.a5)))
+        ideal = tuple(sorted(_ideal(labeling)))
         try:
             return _CUSP_BY_TRIPLE[ideal]
         except KeyError:
@@ -83,24 +84,54 @@ _CUSP_BY_CODE = {cusp.code: cusp for cusp in CuspType}
 _CUSP_BY_TRIPLE = {cusp.value: cusp for cusp in CuspType}
 
 
-# The six vertices of the prism, as (edge indices, required triangle class).
-# Only is_admissible reads this table.  The same incidence is written out by
-# hand in scan_admissible's loops, in geometry.EDGE_FACES and in
-# GeneratorSet.words, so a change here must be made there too.
-# Entry 0 is the ideal apex (a1, a2, a5), which must be Euclidean; the five
-# finite vertices must be spherical.
-VERTEX_TRIPLES: tuple[tuple[tuple[int, int, int], TriangleClass], ...] = (
-    ((0, 1, 4), TriangleClass.EUCLIDEAN),
-    ((0, 2, 3), TriangleClass.SPHERICAL),
-    ((1, 2, 5), TriangleClass.SPHERICAL),
-    ((4, 6, 7), TriangleClass.SPHERICAL),
-    ((3, 6, 8), TriangleClass.SPHERICAL),
-    ((5, 7, 8), TriangleClass.SPHERICAL),
+# The prism's incidence, written once: the faces meeting along each edge
+# a1..a9, index-aligned with Labeling, and the faces meeting at each vertex,
+# the ideal one first.  The pair (red, top) is absent: those are the only two
+# faces without a common edge, and a valid realization keeps them strictly
+# disjoint.  Every other incidence table is derived from these two.
+EDGE_FACES: tuple[tuple[str, str], ...] = (
+    ("red", "green"),
+    ("red", "blue"),
+    ("red", "back"),
+    ("green", "back"),
+    ("green", "blue"),
+    ("blue", "back"),
+    ("green", "top"),
+    ("blue", "top"),
+    ("back", "top"),
 )
+VERTICES: tuple[tuple[str, str, str], ...] = (
+    ("red", "green", "blue"),
+    ("red", "green", "back"),
+    ("red", "blue", "back"),
+    ("green", "blue", "top"),
+    ("green", "back", "top"),
+    ("blue", "back", "top"),
+)
+EDGE_NAMES: tuple[str, ...] = tuple(f"a{edge + 1}" for edge in range(len(EDGE_FACES)))
 
-# The prismatic 3-circuit: the three vertical edges, whose labels must form a
-# hyperbolic triangle.  Not a vertex; checked separately in is_admissible.
-PRISMATIC_CIRCUIT: tuple[int, int, int] = (3, 4, 5)
+
+def _edges_among(faces: Sequence[str]) -> tuple[int, ...]:
+    """Indices of the edges both of whose faces are among ``faces``, ascending."""
+    return tuple(i for i, pair in enumerate(EDGE_FACES) if set(pair) <= set(faces))
+
+
+# The six vertices as (edge indices, required triangle class): the ideal apex
+# (a1, a2, a5) must be Euclidean, the five finite vertices spherical.
+VERTEX_TRIPLES: tuple[tuple[tuple[int, ...], TriangleClass], ...] = tuple(
+    (_edges_among(faces), TriangleClass.SPHERICAL if k else TriangleClass.EUCLIDEAN)
+    for k, faces in enumerate(VERTICES)
+)
+_ideal = operator.itemgetter(*VERTEX_TRIPLES[0][0])  # the ideal apex's three labels
+
+# The prismatic 3-circuit: the one triple of pairwise adjacent faces that is
+# not a vertex (green, blue, back).  Its edges are the three vertical ones,
+# whose labels must form a hyperbolic triangle.
+(PRISMATIC_CIRCUIT,) = (
+    _edges_among(faces)
+    for faces in itertools.combinations(sorted({face for faces in VERTICES for face in faces}), 3)
+    if len(_edges_among(faces)) == 3 and set(faces) not in map(set, VERTICES)
+)
 
 # Canonical presentation order of the cusp types.
 CUSP_ORDER: tuple[CuspType, ...] = (CuspType.C236, CuspType.C244, CuspType.C333)
@@ -140,10 +171,6 @@ def _validate(labeling: Sequence[int]) -> None:
             raise ValueError(f"edge labels must be integers >= 2, got {tuple(labeling)}")
 
 
-def _edge_names(indices: Sequence[int]) -> str:
-    return ", ".join(f"a{i + 1}" for i in indices)
-
-
 @dataclass(frozen=True)
 class Admissibility:
     """Outcome of the admissibility test.  Truthy iff admissible.
@@ -163,6 +190,15 @@ class Admissibility:
 # The outcome of every admissible labeling; frozen, so one instance serves all.
 _ADMISSIBLE = Admissibility(True)
 
+# Every condition is_admissible checks, in order, and the reason it gives when
+# a condition of each required class fails.
+_CONDITIONS = (*VERTEX_TRIPLES, (PRISMATIC_CIRCUIT, TriangleClass.HYPERBOLIC))
+_FAILURE = {
+    TriangleClass.EUCLIDEAN: "ideal triple not Euclidean: ({edges}) = {values} is {got}",
+    TriangleClass.SPHERICAL: "vertex triple ({edges}) = {values} is {got}, must be spherical",
+    TriangleClass.HYPERBOLIC: "prismatic circuit ({edges}) = {values} is {got}, must be hyperbolic",
+}
+
 
 def is_admissible(labeling: Sequence[int]) -> Admissibility:
     """Test whether a labeling is realizable by a one-cusped hyperbolic prism.
@@ -176,39 +212,25 @@ def is_admissible(labeling: Sequence[int]) -> Admissibility:
     are deliberately not checked.
     """
     _validate(labeling)
-    for indices, required in VERTEX_TRIPLES:
+    for indices, required in _CONDITIONS:
         i, j, k = indices
         got = classify_triangle(labeling[i], labeling[j], labeling[k])
         if got is not required:
+            edges = ", ".join(EDGE_NAMES[index] for index in indices)
             values = (labeling[i], labeling[j], labeling[k])
-            if required is TriangleClass.EUCLIDEAN:
-                reason = (
-                    f"ideal triple not Euclidean: ({_edge_names(indices)}) = "
-                    f"{values} is {got.value}"
-                )
-            else:
-                reason = (
-                    f"vertex triple ({_edge_names(indices)}) = {values} is "
-                    f"{got.value}, must be spherical"
-                )
+            reason = _FAILURE[required].format(edges=edges, values=values, got=got.value)
             return Admissibility(False, reason, indices)
-    i, j, k = PRISMATIC_CIRCUIT
-    values = (labeling[i], labeling[j], labeling[k])
-    got = classify_triangle(*values)
-    if got is not TriangleClass.HYPERBOLIC:
-        return Admissibility(
-            False,
-            f"prismatic circuit ({_edge_names(PRISMATIC_CIRCUIT)}) = {values} "
-            f"is {got.value}, must be hyperbolic",
-            PRISMATIC_CIRCUIT,
-        )
     return _ADMISSIBLE
 
 
-# Mirror symmetry of the prism: exchanging a1/a2, a4/a6 and a7/a8 relabels the
-# same prism viewed in a mirror.  _MATE_PERMUTATION[i] is the source index for
-# output slot i.
-_MATE_PERMUTATION = (1, 0, 2, 5, 4, 3, 7, 6, 8)
+# Mirror symmetry of the prism: exchanging the green and blue faces, which
+# swaps a1/a2, a4/a6 and a7/a8, relabels the same prism viewed in a mirror.
+# _MATE_PERMUTATION[i] is the source index for output slot i.
+_SWAP_GREEN_BLUE = {"green": "blue", "blue": "green"}
+_MATE_PERMUTATION = tuple(
+    _edges_among([_SWAP_GREEN_BLUE.get(face, face) for face in faces])[0] for faces in EDGE_FACES
+)
+_mirror = operator.itemgetter(*_MATE_PERMUTATION)
 
 
 def symmetry_mate(labeling: Sequence[int]) -> Labeling:
@@ -217,8 +239,7 @@ def symmetry_mate(labeling: Sequence[int]) -> Labeling:
     An involution; admissibility is preserved because the vertex and circuit
     triples map onto each other under the swap.
     """
-    lab = tuple(labeling)
-    return Labeling(*(lab[i] for i in _MATE_PERMUTATION))
+    return Labeling._make(_mirror(labeling))
 
 
 def canonicalize(labeling: Sequence[int]) -> Labeling:
@@ -227,9 +248,8 @@ def canonicalize(labeling: Sequence[int]) -> Labeling:
     The catalog stores only canonical representatives; canonicalize is
     idempotent.
     """
-    lab = Labeling(*labeling)
-    mate = symmetry_mate(lab)
-    return lab if tuple(lab) <= tuple(mate) else mate
+    lab = tuple(labeling)
+    return Labeling._make(min(lab, _mirror(lab)))
 
 
 @dataclass(frozen=True)
@@ -341,8 +361,7 @@ def scan_admissible(max_label: int) -> set[Labeling]:
                                     break
                                 if cls[a6, a8, a9] is not _SPH:
                                     break
-                                lab = Labeling(a1, a2, a3, a4, a5, a6, a7, a8, a9)
-                                found.add(canonicalize(lab))
+                                found.add(canonicalize((a1, a2, a3, a4, a5, a6, a7, a8, a9)))
     return found
 
 

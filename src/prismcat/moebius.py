@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .geometry import Check, PlanarConfig, Report
-from .labelings import Labeling
+from .labelings import EDGE_FACES, EDGE_NAMES, Labeling
 
 # Determinant drift allowed on constructed generators, PSL2 distance allowed
 # for relation words, and the looser gate for words with large exponents.
@@ -160,6 +160,19 @@ def rotation_matrix(center: complex, theta: float, ccw: bool = True) -> MoebiusM
     return MoebiusMatrix.of(e_minus, center * (e_plus - e_minus), 0.0, e_plus)
 
 
+# The faces in generator order: M1..M4 each pair the red face with back,
+# green, blue and top, and red sorts last.  The word of edge (f, g) is
+# M_later^-1 M_earlier, or M_earlier alone when the later face is red.
+_GENERATOR_ORDER = ("back", "green", "blue", "top", "red")
+_RED = _GENERATOR_ORDER.index("red")
+_WORD_GENERATORS = tuple(sorted(map(_GENERATOR_ORDER.index, faces)) for faces in EDGE_FACES)
+_WORD_NAMES = tuple(
+    f"M{earlier + 1}" if later == _RED else f"M{later + 1}^-1 M{earlier + 1}"
+    for earlier, later in _WORD_GENERATORS
+)
+_INVERTED = {later for _, later in _WORD_GENERATORS} - {_RED}
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """The four side-pairing matrices of a realized labeling.
@@ -188,22 +201,16 @@ class GeneratorSet:
 
         Each base is elliptic of order equal to its edge label, so
         base**exponent is the identity in PSL2.  Built once per generator
-        set, with three inversions, for both the relation and trace checks.
+        set, inverting each later generator once, for both the relation and
+        trace checks.
         """
-        lab = self.labeling
-        m1, m2, m3, m4 = self.m1, self.m2, self.m3, self.m4
-        m3_inv = m3.inv()
-        m4_inv = m4.inv()
+        ms = (self.m1, self.m2, self.m3, self.m4)
+        inverses = {later: ms[later].inv() for later in _INVERTED}
         return [
-            ("a1", "M2", m2, lab.a1),
-            ("a2", "M3", m3, lab.a2),
-            ("a3", "M1", m1, lab.a3),
-            ("a4", "M2^-1 M1", m2.inv() @ m1, lab.a4),
-            ("a5", "M3^-1 M2", m3_inv @ m2, lab.a5),
-            ("a6", "M3^-1 M1", m3_inv @ m1, lab.a6),
-            ("a7", "M4^-1 M2", m4_inv @ m2, lab.a7),
-            ("a8", "M4^-1 M3", m4_inv @ m3, lab.a8),
-            ("a9", "M4^-1 M1", m4_inv @ m1, lab.a9),
+            (edge, word, ms[earlier] if later == _RED else inverses[later] @ ms[earlier], label)
+            for edge, word, (earlier, later), label in zip(
+                EDGE_NAMES, _WORD_NAMES, _WORD_GENERATORS, self.labeling
+            )
         ]
 
 

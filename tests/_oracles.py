@@ -357,3 +357,42 @@ def kernel_distance_to_identity(m: tuple) -> float:
 def kernel_abs_trace(m: tuple) -> float:
     """|tr M| / sqrt(det M), the trace check's measured value."""
     return abs((m[0] + m[3]) / cmath.sqrt(m[0] * m[3] - m[1] * m[2]))
+
+
+# ---------------------------------------------------------------------------
+# Generators as products of two face reflections
+#
+# The reflection in a line or circle of the boundary plane is z -> A(conj z)
+# for a 2x2 matrix A, so the orientation-preserving R_red o R_f is the
+# Moebius map A_red . conj(A_f).  Matrices are (a, b, c, d) tuples.
+
+
+def face_reflection(face) -> tuple:
+    """A with the reflection in ``face`` equal to z -> A(conj z).
+
+    A line n . p = d, with nu = nx + i ny, reflects as z -> -nu^2 conj(z) + 2 d nu;
+    a circle |z - c| = r inverts as z -> c + r^2 / (conj(z) - conj(c)).
+    """
+    if hasattr(face, "r"):
+        c = complex(face.cx, face.cy)
+        return (c, face.r**2 - abs(c) ** 2, 1 + 0j, -c.conjugate())
+    nu = complex(face.nx, face.ny)
+    return (-nu * nu, 2 * face.d * nu, 0j, 1 + 0j)
+
+
+def unit_determinant(m: tuple) -> tuple:
+    """``m`` divided by a square root of its determinant."""
+    s = cmath.sqrt(m[0] * m[3] - m[1] * m[2])
+    return tuple(z / s for z in m)
+
+
+def reflection_generator(red, face) -> tuple:
+    """M_f = A_red . conj(A_f), normalized to determinant 1."""
+    a, b, c, d = face_reflection(red)
+    e, f, g, h = (z.conjugate() for z in face_reflection(face))
+    return unit_determinant((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
+
+
+def psl2_distance(m: tuple, n: tuple) -> float:
+    """Largest entry of m - n or of m + n, whichever is smaller: the distance up to sign."""
+    return min(max(abs(x - y) for x, y in zip(m, n)), max(abs(x + y) for x, y in zip(m, n)))

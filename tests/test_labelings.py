@@ -11,13 +11,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _oracles as oracles
-from prismcat import labelings
+from prismcat import geometry, labelings
 from prismcat.catalog import build_catalog
 from prismcat.labelings import (
+    EDGE_FACES,
+    EDGE_NAMES,
     EXPECTED_COUNTS,
     PRISMATIC_CIRCUIT,
     SCAN_BOUND,
     VERTEX_TRIPLES,
+    VERTICES,
     CatalogItem,
     CuspType,
     Labeling,
@@ -118,6 +121,21 @@ def test_vertex_triples_structure():
     assert all(flat.count(i) == 2 for i in range(9))
     # The prismatic circuit is the vertical-face cycle, not a vertex.
     assert PRISMATIC_CIRCUIT not in indices
+
+
+def test_derived_incidence_tables_match_the_hand_written_ones():
+    # VERTEX_TRIPLES, PRISMATIC_CIRCUIT and the mirror permutation are derived
+    # from EDGE_FACES and VERTICES; _oracles writes each out by hand.
+    assert [(edges, required.value) for edges, required in VERTEX_TRIPLES] == list(
+        oracles._VERTEX_TRIPLES
+    )
+    assert PRISMATIC_CIRCUIT == oracles._CIRCUIT
+    assert labelings._MATE_PERMUTATION == oracles._MATE
+    assert EDGE_NAMES == tuple(f"a{i}" for i in range(1, 10))
+    assert geometry.EDGE_FACES is EDGE_FACES
+    # The ideal vertex is the face triple (red, green, blue), whose edges
+    # carry the cusp.
+    assert VERTICES[0] == ("red", "green", "blue") and VERTEX_TRIPLES[0][0] == (0, 1, 4)
 
 
 def test_admissible_catalog_member():
@@ -262,6 +280,18 @@ def test_scan_at_small_bounds_matches_brute_force_quotient(bound):
     # return their labels.
     raw = oracles.brute_scan(bound)
     assert {tuple(l) for l in scan_admissible(bound)} == {min(l, oracles.mate(l)) for l in raw}
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_scan_loops_match_the_incidence_table(bound):
+    # scan_admissible's loops are written by hand; is_admissible reads the
+    # vertex triples and the circuit derived from EDGE_FACES and VERTICES.
+    # Every labeling with labels <= bound, tested one by one, gives the
+    # scan's set up to the mirror.
+    raw = [lab for lab in product(range(2, bound + 1), repeat=9) if is_admissible(lab)]
+    assert {tuple(lab) for lab in scan_admissible(bound)} == {
+        min(lab, oracles.mate(lab)) for lab in raw
+    }
 
 
 def test_scan_results_are_canonical_and_admissible():

@@ -316,6 +316,24 @@ def test_generator_determinants_are_unimodular():
             assert abs(m.det - 1.0) <= DET_TOL
 
 
+def test_generators_are_products_of_two_face_reflections():
+    # M1..M4 are R_red o R_f for f = back, green, blue, top, by the
+    # reflection form written out in _oracles, on every standalone row and
+    # on each family at free_min, +1, +10, 500 and 10**4.  The largest
+    # entrywise distance is about 2.9e-13, on M4.
+    items = enumerate_catalog()
+    labelings = [item.labeling for item in items if not item.family]
+    for item in (item for item in items if item.family):
+        lo = item.free_min
+        labelings += [item.instantiate(n) for n in (lo, lo + 1, lo + 10, 500, 10**4)]
+    assert len(labelings) == 78 + 12 * 5
+    for lab in labelings:
+        gens, config = gens_for(lab)
+        for face, m in zip(("back", "green", "blue", "top"), (gens.m1, gens.m2, gens.m3, gens.m4)):
+            expected = oracles.reflection_generator(config.red, getattr(config, face))
+            assert oracles.psl2_distance(oracles.unit_determinant(tuple(m)), expected) <= 1e-12
+
+
 def test_check_entry_fails_unverified_config():
     # build_generators does not measure its configuration; check_entry's angle
     # rows do.  Doubling the top radius keeps its center on the green line
@@ -344,10 +362,24 @@ def test_words_cover_all_nine_edges_with_label_exponents():
     words = gens.words
     assert [w[0] for w in words] == [f"a{i}" for i in range(1, 10)]
     assert [w[3] for w in words] == [2, 3, 2, 3, 6, 5, 2, 2, 3]
-    by_edge = {w[0]: w[1] for w in words}
-    assert by_edge["a1"] == "M2"
-    assert by_edge["a5"] == "M3^-1 M2"
-    assert by_edge["a9"] == "M4^-1 M1"
+    assert [w[1] for w in words] == [
+        "M2",
+        "M3",
+        "M1",
+        "M2^-1 M1",
+        "M3^-1 M2",
+        "M3^-1 M1",
+        "M4^-1 M2",
+        "M4^-1 M3",
+        "M4^-1 M1",
+    ]
+    # Each base is the product its word names, bit for bit.
+    m1, m2, m3, m4 = gens.m1, gens.m2, gens.m3, gens.m4
+    assert [w[2] for w in words] == [
+        m2, m3, m1,
+        m2.inv() @ m1, m3.inv() @ m2, m3.inv() @ m1,
+        m4.inv() @ m2, m4.inv() @ m3, m4.inv() @ m1,
+    ]
 
 
 def test_relations_hold_on_sample_entries():
