@@ -95,7 +95,12 @@ def label_tag(labeling: Sequence[Optional[int]]) -> str:
 
 
 def check_entry(
-    lab: Labeling, config: PlanarConfig, gens: GeneratorSet, *, entry: str = ""
+    lab: Labeling,
+    config: PlanarConfig,
+    gens: GeneratorSet,
+    *,
+    entry: str = "",
+    memo: dict | None = None,
 ) -> Report:
     """Every check of one realized labeling, as rows of one report.
 
@@ -105,7 +110,7 @@ def check_entry(
     the generators' inverses, so a singular generator ends the report with
     an error instead of those two stages.  Every row carries ``entry`` as
     its entry tag, and the error starts with it the way a failure of a
-    tagged row does.
+    tagged row does.  ``memo`` goes to ``verify_relations``.
     """
     checks = list(verify_config(lab, config, entry=entry).checks)
     for name, expected in rotation_parameters(lab, config).items():
@@ -120,22 +125,39 @@ def check_entry(
     if singular:
         error = f"{', '.join(singular)} singular, so relations and traces cannot be checked"
         return Report(tuple(checks), errors=(f"{entry}: {error}" if entry else error,))
-    checks += verify_relations(gens, entry=entry).checks
+    checks += verify_relations(gens, entry=entry, memo=memo).checks
     checks += trace_check(gens, entry=entry).checks
     return Report(tuple(checks))
 
 
-def build_entry(labeling: Sequence[int], **metadata) -> tuple[CatalogEntry, Report]:
+def _stored_rows(report: Report) -> dict[str, list[Check]]:
+    """The report's rows whose residuals an entry stores, by field, in one pass.
+
+    The fields come in ``VERIFIED_STAGES`` order and each field's rows in
+    report order.
+    """
+    rows: dict[str, list[Check]] = {field: [] for field in VERIFIED_STAGES}
+    by_stage = {stage: rows[field] for field, stage in VERIFIED_STAGES.items()}
+    for check in report.checks:
+        group = by_stage.get(check.stage)
+        if group is not None:
+            group.append(check)
+    return rows
+
+
+def build_entry(
+    labeling: Sequence[int], *, memo: dict | None = None, **metadata
+) -> tuple[CatalogEntry, Report]:
     """Run the full pipeline on one labeling: the entry, and the report of its checks.
 
     The entry stores the report's angle, relation and trace residuals.  It is
     built whether or not the report passes.  The report's rows and errors
-    carry the entry's ``label_tag``.
+    carry the entry's ``label_tag``.  ``memo`` goes to ``check_entry``.
     """
     lab = Labeling(*labeling)
     config = realize(lab)
     gens = build_generators(lab, config)
-    report = check_entry(lab, config, gens, entry=label_tag(lab))
+    report = check_entry(lab, config, gens, entry=label_tag(lab), memo=memo)
     entry = CatalogEntry(
         labeling=tuple(lab),
         cusp=CuspType.of(lab),
@@ -143,8 +165,8 @@ def build_entry(labeling: Sequence[int], **metadata) -> tuple[CatalogEntry, Repo
         config=config,
         generators=gens,
         verification={
-            field: tuple(check.residual for check in report.checks if check.stage == stage)
-            for field, stage in VERIFIED_STAGES.items()
+            field: tuple(check.residual for check in rows)
+            for field, rows in _stored_rows(report).items()
         },
         **metadata,
     )
@@ -162,12 +184,14 @@ def build_catalog(
     expands into built instances for free_min..max_n.  Standalone items
     always carry the full payload.  Returns the entries in catalog order and
     the failures of the built ones, each tagged with its entry's labels.
+    The built entries share one relation-word memo.
     """
     entries: list[CatalogEntry] = []
     failures: list[str] = []
+    memo: dict = {}
 
     def add(labeling: Labeling, **metadata) -> None:
-        entry, report = build_entry(labeling, **metadata)
+        entry, report = build_entry(labeling, memo=memo, **metadata)
         entries.append(entry)
         failures.extend(report.failures())
 
@@ -578,7 +602,35 @@ def dump_catalog(entries: Iterable[CatalogEntry], fp: Union[str, IO[str]]) -> No
         fp.write(text)
 
 
-def load_catalog(fp: Union[str, IO[str]]) -> list[CatalogEntry]:
+def _provenance_from(d: dict) -> dict:
+    """The ``tool`` and ``tolerances`` of a provenance object, type-checked.
+
+    ``version`` is not read: a dump verifies under any version of the tool.
+    """
+    if not isinstance(d, dict):
+        raise TypeError(f"expected an object, got {type(d).__name__}")
+    tool, tolerances = d["tool"], d["tolerances"]
+    if type(tool) is not str:
+        raise TypeError(f"'tool' must be a string, got {tool!r}")
+    if not isinstance(tolerances, dict):
+        raise TypeError(f"'tolerances' must be an object, got {type(tolerances).__name__}")
+    return {"tool": tool, "tolerances": {name: _number(v) for name, v in tolerances.items()}}
+
+
+class Catalog(list):
+    """The entries ``load_catalog`` decoded, and the document's ``provenance``."""
+
+    def __init__(self, entries: Iterable[CatalogEntry], provenance: dict) -> None:
+        super().__init__(entries)
+        self.provenance = provenance
+
+
+def load_catalog(fp: Union[str, IO[str]]) -> Catalog:
+    """Decode a catalog document; a malformed one raises ValueError naming its field.
+
+    The result is the list of entries, with the document's checked
+    ``provenance`` (its ``tool`` and ``tolerances``) as an attribute.
+    """
     if isinstance(fp, str):
         with open(fp, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -598,13 +650,17 @@ def load_catalog(fp: Union[str, IO[str]]) -> list[CatalogEntry]:
     records = payload["entries"]
     if not isinstance(records, list):
         raise ValueError(f"catalog field 'entries' must be a list, got {type(records).__name__}")
+    try:
+        provenance = _decode_field(payload, "provenance", _provenance_from)
+    except ValueError as exc:
+        raise ValueError(f"catalog {exc}") from exc
     entries = []
     for index, record in enumerate(records):
         try:
             entries.append(entry_from_json(record))
         except ValueError as exc:
             raise ValueError(f"catalog entry {index}: {exc}") from exc
-    return entries
+    return Catalog(entries, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +668,7 @@ def load_catalog(fp: Union[str, IO[str]]) -> list[CatalogEntry]:
 
 
 def _check_target(
-    entry: CatalogEntry, lab: Labeling, tag: str
+    entry: CatalogEntry, lab: Labeling, tag: str, memo: dict
 ) -> tuple[list[Check], list[str]]:
     """The rows and the errors of one labeling ``verify_catalog`` checks for ``entry``."""
     try:
@@ -643,16 +699,13 @@ def _check_target(
             abs(config.top.r - fresh.top.r),
         )
         checks.append(Check("drift", "top", drift, 0.0, geometry.ANGLE_TOL, tag))
-    report = check_entry(lab, config, gens, entry=tag)
+    report = check_entry(lab, config, gens, entry=tag, memo=memo)
     checks += report.checks
     if not entry.family:
         disagree = [
             f"{field} {check.edge}"
-            for field, stage in VERIFIED_STAGES.items()
-            for check, stored in zip(
-                [check for check in report.checks if check.stage == stage],
-                entry.verification[field],
-            )
+            for field, rows in _stored_rows(report).items()
+            for check, stored in zip(rows, entry.verification[field])
             if not abs(stored - check.residual) <= check.tol
         ]
         if disagree:
@@ -662,9 +715,28 @@ def _check_target(
     return checks, errors + list(report.errors)
 
 
+def _provenance_errors(provenance: dict) -> list[str]:
+    """How a loaded ``provenance`` differs from this tool's name and ``TOLERANCES``."""
+    errors = []
+    if provenance["tool"] != TOOL_NAME:
+        errors.append(f"provenance: tool {provenance['tool']!r} is not {TOOL_NAME!r}")
+    recorded = provenance["tolerances"]
+    names = [*TOLERANCES, *(name for name in recorded if name not in TOLERANCES)]
+    differ = [
+        f"{name} {recorded.get(name, 'missing')} (expected {TOLERANCES.get(name, 'none')})"
+        for name in names
+        if recorded.get(name) != TOLERANCES.get(name)
+    ]
+    if differ:
+        errors.append(f"provenance: recorded tolerances differ on {', '.join(differ)}")
+    return errors
+
+
 def verify_catalog(
     entries: Sequence[CatalogEntry],
     samples: Optional[Sequence[int]] = None,
+    *,
+    provenance: Optional[dict] = None,
 ) -> Report:
     """Re-realize and re-verify every entry of a catalog.
 
@@ -679,13 +751,17 @@ def verify_catalog(
     pattern may be stored in more than one row, nor together with its
     mirror image (``symmetry_mate``) when that differs from it.  A family
     instance must have its family's pattern row in the catalog, with the
-    same ``free_min``, and a catalog with no entries fails.  The report's
-    rows carry their entry's tag, and ``entries_checked`` counts the
-    labelings checked.
+    same ``free_min``, and a catalog with no entries fails.  A
+    ``provenance``, as ``load_catalog`` gives it, must name this tool and
+    record ``TOLERANCES``.  The report's rows carry their entry's tag, and
+    ``entries_checked`` counts the labelings checked.  The checked
+    labelings share one relation-word memo, so a word that repeats across
+    them is measured once.
     """
     checks: list[Check] = []
     stored = Counter(entry.labeling for entry in entries)
-    errors = [
+    errors = [] if provenance is None else _provenance_errors(provenance)
+    errors += [
         f"{label_tag(labeling)}: the row is stored {count} times"
         for labeling, count in stored.items()
         if count > 1
@@ -730,9 +806,10 @@ def verify_catalog(
             (entry, Labeling(*head, n, *tail), f"{label_tag(entry.labeling)} at n={n}")
             for n in sorted(set(values))
         )
+    memo: dict = {}
     for entry, lab, tag in targets:
         try:
-            target_checks, target_errors = _check_target(entry, lab, tag)
+            target_checks, target_errors = _check_target(entry, lab, tag, memo)
         except ArithmeticError as exc:
             errors.append(f"{tag}: arithmetic failed: {type(exc).__name__}: {exc}")
             continue

@@ -165,7 +165,7 @@ def cmd_matrices(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     entries = cat.load_catalog(args.catalog)
-    report = cat.verify_catalog(entries, samples=args.sample)
+    report = cat.verify_catalog(entries, samples=args.sample, provenance=entries.provenance)
     print(f"checked {report.entries_checked} configurations")
     print(f"max angle residual:    {report.max_residual('angle'):.3e}")
     print(f"max relation residual: {report.max_residual('relation'):.3e}")

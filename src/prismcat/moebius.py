@@ -275,18 +275,31 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     return GeneratorSet(labeling=lab, m1=m1, m2=m2, m3=m3, m4=m4, **rotation)
 
 
-def verify_relations(gens: GeneratorSet, *, entry: str = "") -> Report:
+def verify_relations(
+    gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
+) -> Report:
     """Evaluate the nine relation words and their PSL2 distances to identity.
 
     Each row carries the tolerance for its word's order, and ``entry`` as
-    its entry tag.
+    its entry tag.  ``memo`` maps a word's ``(base, exponent)`` to its
+    residual; pass one dict to every call of a sweep and each distinct word
+    is powered and measured once, or ``None`` (the default) to measure every
+    word.  A key matches only a word with equal entries, and words that
+    differ only in the signs of their zeros have the same residual, so a
+    row read from the memo is the row a fresh measurement gives.
     """
+    if memo is None:
+        memo = {}
     checks = []
     for edge, _, base, exponent in gens.words:
-        try:
-            residual = base.pow(exponent).distance_to_identity()
-        except OverflowError:  # only a non-elliptic base grows past the float range
-            residual = math.inf
+        key = base, exponent
+        residual = memo.get(key)
+        if residual is None:
+            try:
+                residual = base.pow(exponent).distance_to_identity()
+            except OverflowError:  # only a non-elliptic base grows past the float range
+                residual = math.inf
+            memo[key] = residual
         checks.append(
             Check("relation", edge, residual, 0.0, relation_tolerance(exponent), entry)
         )

@@ -131,6 +131,57 @@ def test_each_entry_is_measured_once(full_entries, monkeypatch):
     assert counts == {"verify_config": 1, "inv": 3}
 
 
+@pytest.fixture(scope="module")
+def max12_entries():
+    """``build_catalog(max_n=12)`` as built, and as ``load_catalog`` reads its dump back."""
+    entries, failures = cat.build_catalog(enumerate_catalog(), max_n=12)
+    assert failures == []
+    return entries, cat.load_catalog(io.StringIO(cat.dumps_catalog(entries)))
+
+
+def _without_a_shared_memo(monkeypatch) -> None:
+    """Make every relation check of the catalog module measure each word afresh."""
+    verify_relations = cat.verify_relations
+
+    def fresh(gens, *, entry="", memo=None):
+        return verify_relations(gens, entry=entry)
+
+    monkeypatch.setattr(cat, "verify_relations", fresh)
+
+
+def test_a_shared_memo_changes_no_row(max12_entries, monkeypatch):
+    # Every target of the sweep and every built entry, bit for bit: repr
+    # tells -0.0 from 0.0 and shows every digit of a float.
+    built, loaded = max12_entries
+    shared = cat.verify_catalog(loaded)
+    assert shared.ok and shared.entries_checked == 206
+    _without_a_shared_memo(monkeypatch)
+    fresh = cat.verify_catalog(loaded)
+    assert repr(shared.checks) == repr(fresh.checks) and fresh.errors == ()
+    fresh_built, _ = cat.build_catalog(enumerate_catalog(), max_n=12)
+    assert [repr(e.verification) for e in fresh_built] == [repr(e.verification) for e in built]
+
+
+def test_each_sweep_measures_each_distinct_word_once(max12_entries, monkeypatch):
+    # 206 targets of nine words each are 1,854 words, 686 of them distinct;
+    # a second sweep powers them all again, so no memo outlives its call.
+    _, loaded = max12_entries
+    calls = []
+    pow_ = MoebiusMatrix.pow
+
+    def counted_pow(self, n):
+        calls.append(n)
+        return pow_(self, n)
+
+    monkeypatch.setattr(MoebiusMatrix, "pow", counted_pow)
+    for _ in range(2):
+        calls.clear()
+        report = cat.verify_catalog(loaded)
+        assert report.ok and len(report.checks) > 0
+        assert sum(check.stage == "relation" for check in report.checks) == 1854
+        assert len(calls) == 686
+
+
 def test_build_catalog_cusp_filter():
     entries, _ = cat.build_catalog(enumerate_catalog(), cusp=CuspType.C333)
     assert len(entries) == 22

@@ -606,6 +606,80 @@ def test_verify_rejects_malformed_entries_field(tmp_path, capsys, corrupt, messa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda doc: doc.pop("provenance"), "is missing"),
+        (lambda doc: doc.update(provenance="prismcat"), "is malformed (TypeError: expected an"),
+        (lambda doc: doc["provenance"].pop("tool"), "is malformed (KeyError: 'tool')"),
+        (lambda doc: doc["provenance"].update(tool=5), "is malformed (TypeError: 'tool' must"),
+        (lambda doc: doc["provenance"].update(tolerances=[]), "is malformed (TypeError: 'tol"),
+        (
+            lambda doc: doc["provenance"]["tolerances"].update(angle="1e-9"),
+            "is malformed (TypeError: expected a number, got '1e-9')",
+        ),
+    ],
+    ids=["missing", "string", "no-tool", "tool-number", "tolerances-list", "tolerance-string"],
+)
+def test_verify_rejects_a_missing_or_malformed_provenance(small_catalog, capsys, corrupt, message):
+    doc = json.loads(small_catalog.read_text())
+    corrupt(doc)
+    small_catalog.write_text(json.dumps(doc))
+    assert main(["verify", str(small_catalog)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: catalog field 'provenance' {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "provenance,failures",
+    [
+        (
+            {"tool": "other"},
+            ["FAIL provenance: tool 'other' is not 'prismcat'"],
+        ),
+        (
+            {"tolerances": {**cat.TOLERANCES, "angle": 1.0, "extra": 2.0}},
+            [
+                "FAIL provenance: recorded tolerances differ on angle 1.0 (expected 1e-09),"
+                " extra 2.0 (expected none)"
+            ],
+        ),
+        (
+            {"tool": "other", "tolerances": {"angle": 1e-09}},
+            [
+                "FAIL provenance: tool 'other' is not 'prismcat'",
+                "FAIL provenance: recorded tolerances differ on construction missing"
+                " (expected 1e-10), relation missing (expected 1e-07), relation_large_power"
+                " missing (expected 1e-06), large_exponent missing (expected 100), trace"
+                " missing (expected 1e-08), determinant missing (expected 1e-10)",
+            ],
+        ),
+    ],
+    ids=["tool", "tolerances", "both"],
+)
+def test_verify_fails_a_provenance_of_another_tool_or_tolerances(
+    small_catalog, capsys, provenance, failures
+):
+    doc = json.loads(small_catalog.read_text())
+    doc["provenance"].update(provenance)
+    small_catalog.write_text(json.dumps(doc))
+    assert main(["verify", str(small_catalog)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == failures
+    assert captured.out.strip().endswith("FAIL")
+
+
+def test_verify_does_not_compare_the_provenance_version(small_catalog, capsys):
+    doc = json.loads(small_catalog.read_text())
+    expected = (main(["verify", str(small_catalog)]), capsys.readouterr())
+    for edit in (lambda p: p.update(version="0.0.0-other"), lambda p: p.pop("version")):
+        edit(doc["provenance"])
+        small_catalog.write_text(json.dumps(doc))
+        assert (main(["verify", str(small_catalog)]), capsys.readouterr()) == expected
+    assert expected[0] == 0 and expected[1].err == ""
+
+
 def test_verify_fails_an_empty_catalog(small_catalog, capsys):
     doc = json.loads(small_catalog.read_text())
     doc["entries"] = []

@@ -1,6 +1,7 @@
 """Tests for the matrix generators and the numerical relation checks."""
 
 import cmath
+import itertools
 import math
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import _oracles as oracles
 import prismcat
+from prismcat import catalog as cat
 from prismcat.catalog import check_entry
 from prismcat.geometry import PlanarCircle, PlanarConfig, realize
 from prismcat.labelings import Labeling, enumerate_catalog
@@ -471,6 +473,36 @@ def _assert_kernel_is_frozen(m: MoebiusMatrix, n: int) -> None:
     assert entries(power) == expected, (m, n)
     if power.det != 0:
         assert power.distance_to_identity() == oracles.kernel_distance_to_identity(expected)
+
+
+def test_signs_of_zeros_do_not_change_a_relation_residual(monkeypatch):
+    # A relation memo key compares with ==, under which -0.0 equals 0.0, so
+    # a word whose zeros carry other signs reads the residual measured for
+    # the first one.  Every sign of every zero, on every word of
+    # build_catalog(max_n=12) and of verify_catalog on it.
+    words = set()
+    verify = cat.verify_relations
+
+    def recording(gens, *, entry="", memo=None):
+        words.update((base, exponent) for _, _, base, exponent in gens.words)
+        return verify(gens, entry=entry, memo=memo)
+
+    monkeypatch.setattr(cat, "verify_relations", recording)
+    entries, _ = cat.build_catalog(enumerate_catalog(), max_n=12)
+    cat.verify_catalog(entries)
+    with_zeros = variants = 0
+    for base, exponent in words:
+        parts = [part for z in base for part in (z.real, z.imag)]
+        zeros = [index for index, part in enumerate(parts) if part == 0.0]
+        with_zeros += bool(zeros)
+        expected = repr(base.pow(exponent).distance_to_identity())
+        for signs in itertools.product((0.0, -0.0), repeat=len(zeros)):
+            for index, zero in zip(zeros, signs):
+                parts[index] = zero
+            flipped = MoebiusMatrix(*map(complex, parts[::2], parts[1::2]))
+            assert repr(flipped.pow(exponent).distance_to_identity()) == expected, flipped
+            variants += 1
+    assert (len(words), with_zeros, variants) == (686, 330, 1988)
 
 
 def test_kernel_floats_are_bit_identical_on_every_word():
