@@ -178,7 +178,7 @@ def test_each_sweep_measures_each_distinct_word_once(max12_entries, monkeypatch)
     for _ in range(2):
         calls.clear()
         report = cat.verify_catalog(loaded)
-        assert report.ok and len(report.checks) > 0
+        assert report.ok
         assert sum(check.stage == "relation" for check in report.checks) == 1854
         assert len(calls) == 686
 
