@@ -424,23 +424,26 @@ def _family_fields(record: dict, labeling: tuple[Optional[int], ...]) -> dict:
 
 
 def entry_from_json(record: dict) -> CatalogEntry:
-    """Decode one catalog record; a malformed field raises ValueError naming it."""
+    """Decode one catalog record; a malformed field raises ValueError naming it,
+    as does a ``config``, ``generators`` or ``verification`` in a family row."""
     if not isinstance(record, dict):
         raise ValueError(f"expected an object, got {type(record).__name__}")
     labeling = _decode_field(record, "labeling", _labeling_from)
-    return CatalogEntry(
-        labeling=labeling,
-        cusp=_decode_field(record, "cusp", CuspType.from_code),
-        **_family_fields(record, labeling),
-        config=_decode_field(record, "config", _config_from, optional=True),
-        generators=_decode_field(
-            record,
-            "generators",
-            lambda d: _generators_from(d, Labeling(*labeling)),
-            optional=True,
-        ),
-        verification=_decode_field(record, "verification", _verification_from, optional=True),
-    )
+    cusp = _decode_field(record, "cusp", CuspType.from_code)
+    family_fields = _family_fields(record, labeling)
+    decoders = {
+        "config": _config_from,
+        "generators": lambda d: _generators_from(d, Labeling(*labeling)),
+        "verification": _verification_from,
+    }
+    payload = {
+        name: _decode_field(record, name, read, optional=True) for name, read in decoders.items()
+    }
+    if family_fields["family"]:
+        for name, value in payload.items():
+            if value is not None:
+                raise ValueError(f"field {name!r} must be null in a family row")
+    return CatalogEntry(labeling=labeling, cusp=cusp, **family_fields, **payload)
 
 
 def catalog_to_json(entries: Iterable[CatalogEntry]) -> dict:
@@ -531,6 +534,16 @@ def _leaves(value, leaves: list, shape: list) -> None:
             leaves.append(_leaf(item))
 
 
+def _face_numbers(config: PlanarConfig) -> list[float]:
+    """The numbers of a configuration's faces, three a face, red, green, blue, back, top."""
+    numbers: list = []
+    for line in (config.red, config.green, config.blue):
+        numbers += line.nx, line.ny, line.d
+    for circle in (config.back, config.top):
+        numbers += circle.cx, circle.cy, circle.r
+    return numbers
+
+
 def _row_leaves(entry: CatalogEntry) -> tuple[tuple, list]:
     """The shape key and the leaves of ``entry_to_json(entry)``, read off the typed fields.
 
@@ -542,12 +555,7 @@ def _row_leaves(entry: CatalogEntry) -> tuple[tuple, list]:
     config, gens = entry.config, entry.generators
     head = entry.cusp.code, entry.family, entry.free_slot, entry.free_min, entry.family_n
     leaves += map(_leaf, (*head, None if config is None else config.a3_branch))
-    numbers: list = []
-    if config is not None:
-        for line in (config.red, config.green, config.blue):
-            numbers += line.nx, line.ny, line.d
-        for circle in (config.back, config.top):
-            numbers += circle.cx, circle.cy, circle.r
+    numbers = [] if config is None else _face_numbers(config)
     if gens is not None:
         for z in (*gens.m1, *gens.m2, *gens.m3, *gens.m4):
             numbers += z.real, z.imag
@@ -693,12 +701,12 @@ def _check_target(
         if missing:
             return checks, [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
         config, gens = entry.config, entry.generators
-        drift = max(
-            abs(config.top.cx - fresh.top.cx),
-            abs(config.top.cy - fresh.top.cy),
-            abs(config.top.r - fresh.top.r),
-        )
-        checks.append(Check("drift", "top", drift, 0.0, geometry.ANGLE_TOL, tag))
+        # Three numbers a face, then the a3 branch; the first worst is named.
+        diffs = [abs(a - b) for a, b in zip(_face_numbers(config), _face_numbers(fresh))]
+        diffs.append(abs(config.a3_branch - fresh.a3_branch))
+        drift = max(diffs)
+        where = ("red", "green", "blue", "back", "top", "a3_branch")[diffs.index(drift) // 3]
+        checks.append(Check("drift", where, drift, 0.0, geometry.ANGLE_TOL, tag))
     report = check_entry(lab, config, gens, entry=tag, memo=memo)
     checks += report.checks
     if not entry.family:
@@ -743,18 +751,18 @@ def verify_catalog(
     Standalone and instance entries must store a configuration, generators
     and residuals.  They go through ``check_entry`` with the stored
     configuration and generators, a fresh realization must agree with the
-    stored circle (config drift), and each stored residual must equal the
-    recomputed one to within that row's tolerance.  Family pattern rows are
-    spot-checked with ``check_entry`` on fresh realizations at the sampled
-    free-slot values (default: free_min, +1, +10, and 500).  Each checked
-    labeling must also have the entry's cusp type.  No labeling or family
-    pattern may be stored in more than one row, nor together with its
-    mirror image (``symmetry_mate``) when that differs from it.  A family
-    instance must have its family's pattern row in the catalog, with the
-    same ``free_min``, and a catalog with no entries fails.  A
-    ``provenance``, as ``load_catalog`` gives it, must name this tool and
-    record ``TOLERANCES``.  The report's rows carry their entry's tag, and
-    ``entries_checked`` counts the labelings checked.  The checked
+    stored faces and ``a3_branch`` (config drift), and each stored residual
+    must equal the recomputed one to within that row's tolerance.  Family
+    pattern rows are spot-checked with ``check_entry`` on fresh realizations
+    at the sampled free-slot values (default: free_min, +1, +10, and 500).
+    Each checked labeling must also have the entry's cusp type.  No
+    labeling or family pattern may be stored in more than one row, nor
+    together with its mirror image (``symmetry_mate``) when that differs
+    from it.  A family instance must have its family's pattern row in the
+    catalog, with the same ``free_min``, and a catalog with no entries
+    fails.  A ``provenance``, as ``load_catalog`` gives it, must name this
+    tool and record ``TOLERANCES``.  The report's rows carry their entry's
+    tag, and ``entries_checked`` counts the labelings checked.  The checked
     labelings share one relation-word memo, so a word that repeats across
     them is measured once.
     """

@@ -60,15 +60,10 @@ def _print_config(entry: cat.CatalogEntry, out) -> None:
             f"  (normal [{_sig(line.nx)}, {_sig(line.ny)}], offset {_sig(line.d)})",
             file=out,
         )
-    back, top = config.back, config.top
-    print(
-        f"{'back:':<7}circle center ({_sig(back.cx)}, {_sig(back.cy)}) radius {_sig(back.r)}",
-        file=out,
-    )
-    print(
-        f"{'top:':<7}circle center ({_sig(top.cx)}, {_sig(top.cy)}) radius {_sig(top.r)}",
-        file=out,
-    )
+    for name in ("back", "top"):
+        circle = config.face(name)
+        center = f"({_sig(circle.cx)}, {_sig(circle.cy)})"
+        print(f"{name + ':':<7}circle center {center} radius {_sig(circle.r)}", file=out)
 
 
 def _print_generators(gens: GeneratorSet, report: Report, out) -> None:

@@ -238,7 +238,7 @@ FAILURE_TEXT = {
     "determinant": "{edges} determinant drifts by {residual:.3e}",
     "relation": "relations fail on {edges}",
     "trace": "trace checks fail on {edges}",
-    "drift": "stored circle drifts from recomputation by {residual:.3e}",
+    "drift": "stored configuration drifts from recomputation on {edges} by {residual:.3e}",
 }
 
 

@@ -272,10 +272,7 @@ class CatalogItem:
     @property
     def free_slot(self) -> Optional[int]:
         """Zero-based index of the free slot, or None for standalone items."""
-        for i, v in enumerate(self.slots):
-            if v is None:
-                return i
-        return None
+        return next((i for i, v in enumerate(self.slots) if v is None), None)
 
     @property
     def labeling(self) -> Labeling:
@@ -304,9 +301,6 @@ def catalog_order(cusp: CuspType, labels: Sequence[Optional[int]]) -> tuple[int,
     return CUSP_ORDER.index(cusp), tuple(0 if v is None else v for v in labels)
 
 
-_SPH = TriangleClass.SPHERICAL
-_HYP = TriangleClass.HYPERBOLIC
-
 # Finite scan bound before family folding: the smallest that decides every
 # labeling.  For w >= 7 the class of a triple (p, q, w) does not depend on w:
 # it is spherical if p = q = 2 and hyperbolic otherwise (1/2 + 1/3 + 1/7 < 1),
@@ -316,52 +310,54 @@ _HYP = TriangleClass.HYPERBOLIC
 # 2007).  At 6 this fails: (2, 3, 6) is Euclidean, (2, 3, 7) hyperbolic.
 SCAN_BOUND = 7
 
+# scan_admissible sets the ideal apex's edges first, then the rest by index;
+# _SCAN_CHECKS[d] holds the other conditions whose last edge is _SCAN_ORDER[d].
+_APEX = VERTEX_TRIPLES[0][0]
+_SCAN_ORDER = (*_APEX, *(edge for edge in range(9) if edge not in _APEX))
+_SCAN_CHECKS = tuple(
+    tuple(c for c in _CONDITIONS[1:] if max(c[0], key=_SCAN_ORDER.index) == edge)
+    for edge in _SCAN_ORDER
+)
+
 
 def scan_admissible(max_label: int) -> set[Labeling]:
     """All admissible labelings with labels <= max_label, up to mirror symmetry.
 
-    Depth-first search over the nine slots.  The ideal apex is seeded from the
-    Euclidean triples with labels <= max_label, and each vertex condition
-    prunes as soon as its last edge is assigned, reading the triangle's class
-    from a table ``classify_triangle`` fills once.  Spherical conditions are
-    monotone (raising a label shrinks the angle sum), so a failed check ends
-    the enclosing loop; the hyperbolic circuit condition is monotone the other
-    way, so a failure there merely skips to the next value.
+    Depth-first search over the edges in ``_SCAN_ORDER``.  The ideal apex is
+    seeded from the Euclidean triples with labels <= max_label, and each
+    other condition prunes once its last edge is set, reading the triangle's
+    class from a table ``classify_triangle`` fills once.  Raising a triple's
+    last label only lowers its angle sum, so a failed spherical condition
+    ends the loop at that depth; a failed hyperbolic one skips the value.
     """
     if max_label < 2:
         raise ValueError("max_label must be >= 2")
     found: set[Labeling] = set()
     rng = range(2, max_label + 1)
     cls = {labels: classify_triangle(*labels) for labels in itertools.product(rng, repeat=3)}
-    seeds = {seed for cusp in CUSP_ORDER for seed in itertools.permutations(cusp.value)}
-    for a1, a2, a5 in (seed for seed in seeds if max(seed) <= max_label):
-        for a3 in rng:
-            # Cheapest completions use label 2; if even those overshoot
-            # the spherical bound, larger a3 cannot recover.
-            if cls[a1, a3, 2] is not _SPH or cls[a2, a3, 2] is not _SPH:
-                break
-            for a4 in rng:
-                if cls[a1, a3, a4] is not _SPH:
+    labels = [0] * 9
+
+    def extend(depth: int) -> None:
+        if depth == 9:
+            found.add(canonicalize(labels))
+            return
+        edge, checks = _SCAN_ORDER[depth], _SCAN_CHECKS[depth]
+        for value in rng:
+            labels[edge] = value
+            for (i, j, k), required in checks:
+                if cls[labels[i], labels[j], labels[k]] is not required:
                     break
-                for a6 in rng:
-                    if cls[a2, a3, a6] is not _SPH:
-                        break
-                    if cls[a4, a5, a6] is not _HYP:
-                        continue
-                    for a7 in rng:
-                        if cls[a5, a7, 2] is not _SPH or cls[a4, a7, 2] is not _SPH:
-                            break
-                        for a8 in rng:
-                            if cls[a5, a7, a8] is not _SPH:
-                                break
-                            if cls[a6, a8, 2] is not _SPH:
-                                break
-                            for a9 in rng:
-                                if cls[a4, a7, a9] is not _SPH:
-                                    break
-                                if cls[a6, a8, a9] is not _SPH:
-                                    break
-                                found.add(canonicalize((a1, a2, a3, a4, a5, a6, a7, a8, a9)))
+            else:
+                extend(depth + 1)
+                continue
+            if required is TriangleClass.SPHERICAL:
+                break
+
+    for seed in {seed for cusp in CUSP_ORDER for seed in itertools.permutations(cusp.value)}:
+        if max(seed) <= max_label:
+            for edge, value in zip(_APEX, seed):
+                labels[edge] = value
+            extend(len(_APEX))
     return found
 
 

@@ -498,6 +498,22 @@ def test_verify_catalog_flags_corrupted_radius(full_entries):
     assert report.max_residual("drift") >= 1e-4
 
 
+@pytest.mark.parametrize("face", ["red", "green"])
+def test_verify_catalog_flags_a_stored_line_with_its_normal_flipped(full_entries, face):
+    # Negating a line's normal and offset keeps the line and every angle it
+    # makes with another face, so only the comparison of the stored faces
+    # with a fresh realization sees the change.
+    doc = json.loads(cat.dumps_catalog(full_entries))
+    victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+    line = victim["config"][face]
+    line.update(normal=[-v for v in line["normal"]], offset=-line["offset"])
+    report = cat.verify_catalog(cat.load_catalog(io.StringIO(json.dumps(doc))))
+    assert report.failures() == [
+        f"[2 3 2 2 6 4 2 2 2]: stored configuration drifts from recomputation on {face}"
+        " by 2.000e+00"
+    ]
+
+
 def test_verify_catalog_flags_tampered_generator(full_entries):
     text = cat.dumps_catalog(full_entries)
     doc = json.loads(text)

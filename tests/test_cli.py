@@ -268,6 +268,13 @@ def _first_row(doc, family):
     return next(i for i, r in enumerate(doc["entries"]) if r["family"] is family)
 
 
+def _give_standalone_payload(row):
+    """Copy the config, generators and verification of a standalone row into ``row``."""
+    labeling = next(item for item in enumerate_catalog() if not item.family).labeling
+    record = cat.entry_to_json(cat.build_entry(labeling)[0])
+    row.update((name, record[name]) for name in ("config", "generators", "verification"))
+
+
 @pytest.mark.parametrize(
     "family,corrupt,field",
     [
@@ -292,6 +299,7 @@ def _first_row(doc, family):
         (False, lambda r: r.update(config=False), "config"),
         (False, lambda r: r.update(generators={}), "generators"),
         (False, lambda r: r.update(verification=0), "verification"),
+        (True, _give_standalone_payload, "config"),
     ],
     ids=[
         "free-slot-null",
@@ -315,6 +323,7 @@ def _first_row(doc, family):
         "standalone-config-false",
         "standalone-generators-object",
         "standalone-verification-0",
+        "family-payload",
     ],
 )
 def test_verify_rejects_malformed_family_and_generator_fields(

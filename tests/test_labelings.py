@@ -284,10 +284,11 @@ def test_scan_at_small_bounds_matches_brute_force_quotient(bound):
 
 @pytest.mark.parametrize("bound", [2, 3, 4])
 def test_scan_loops_match_the_incidence_table(bound):
-    # scan_admissible's loops are written by hand; is_admissible reads the
-    # vertex triples and the circuit derived from EDGE_FACES and VERTICES.
-    # Every labeling with labels <= bound, tested one by one, gives the
-    # scan's set up to the mirror.
+    # scan_admissible prunes a depth-first search with the conditions, and
+    # is_admissible tests them one labeling at a time; both read the vertex
+    # triples and the circuit derived from EDGE_FACES and VERTICES.  Every
+    # labeling with labels <= bound, tested one by one, gives the scan's set
+    # up to the mirror, so a wrong pruning rule shows here.
     raw = [lab for lab in product(range(2, bound + 1), repeat=9) if is_admissible(lab)]
     assert {tuple(lab) for lab in scan_admissible(bound)} == {
         min(lab, oracles.mate(lab)) for lab in raw
