@@ -13,6 +13,7 @@ bit.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -701,12 +702,13 @@ def _check_target(
         if missing:
             return checks, [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
         config, gens = entry.config, entry.generators
-        # Three numbers a face, then the a3 branch; the first worst is named.
+        # Three numbers a face, then the a3 branch; the first NaN, else the
+        # first worst, is named.
         diffs = [abs(a - b) for a, b in zip(_face_numbers(config), _face_numbers(fresh))]
         diffs.append(abs(config.a3_branch - fresh.a3_branch))
-        drift = max(diffs)
-        where = ("red", "green", "blue", "back", "top", "a3_branch")[diffs.index(drift) // 3]
-        checks.append(Check("drift", where, drift, 0.0, geometry.ANGLE_TOL, tag))
+        worst = max(range(len(diffs)), key=lambda i: (math.isnan(diffs[i]), diffs[i]))
+        where = ("red", "green", "blue", "back", "top", "a3_branch")[worst // 3]
+        checks.append(Check("drift", where, diffs[worst], 0.0, geometry.ANGLE_TOL, tag))
     report = check_entry(lab, config, gens, entry=tag, memo=memo)
     checks += report.checks
     if not entry.family:

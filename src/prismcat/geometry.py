@@ -18,15 +18,12 @@ against a circle is measured with the sign of that normal.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, is_admissible
-
-logger = logging.getLogger(__name__)
 
 # A freshly solved configuration must satisfy its defining constraints to this
 # residual; angle verification of all nine edges gets a slightly looser gate.
@@ -153,26 +150,6 @@ def build_lines(labeling: Sequence[int]) -> tuple[PlanarLine, PlanarLine, Planar
         math.cos(theta2) / math.sin(theta2), y2, prism_above=True
     )
     return red, green, blue
-
-
-def _solve_quadratic(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a*x^2 + b*x + c = 0, computed with the stable split.
-
-    The larger-magnitude root comes from u = -b - sign(b)*sqrt(disc), the
-    other from c / (a * root), avoiding cancellation when b dominates.
-    """
-    if abs(a) < 1e-300:
-        return [-c / b] if b != 0 else []
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        return []
-    sq = math.sqrt(disc)
-    u = -b - math.copysign(sq, b) if b != 0 else sq
-    if u == 0:
-        return [0.0]
-    r1 = u / (2.0 * a)
-    r2 = (2.0 * c) / u
-    return [r1] if r1 == r2 else [r1, r2]
 
 
 def measure_angle(obj1: PlanarObject, obj2: PlanarObject) -> Optional[float]:
@@ -322,18 +299,34 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
     meets the green and blue lines at pi/a7 and pi/a8 when its center lies
     r*cos(phi) inside each line, n . (x0, y0) - r*cos(phi) = d, and it meets
     the unit circle at pi/a9 when x0^2 + y0^2 = 1 + r^2 + 2*r*cos(pi/a9).
-    The two line conditions are linear in (x0, y0, r), so the center is an
-    affine function of r, and the circle condition leaves one quadratic in r.
-    A positive root is kept when it satisfies all three conditions to
-    CONSTRUCTION_TOL and the red line stays strictly clear of the top circle
-    (red and top share no edge; tangency would mean a second ideal vertex).
-    Exactly one root survives in practice; if both ever did, the smaller
-    circle is kept and a warning logged.  The nine edge angles are not
-    measured here: check_entry runs that independent oracle (verify_config)
-    on the result.
+    The two line conditions are linear in (x0, y0, r).  Their determinant is
+    the sine of the green/blue angle, |det| = sin(pi/a5) >= 1/2, since an
+    admissible a5 is 3, 4 or 6.  So the center is (x0, y0) = p + q*r, and the
+    circle condition leaves one quadratic a*r^2 + b*r + c = 0.
+
+    Lemma: exactly one root is positive.  Let D(x, y, z) = 1 - cos^2 X -
+    cos^2 Y - cos^2 Z - 2 cos X cos Y cos Z with X = pi/x, Y = pi/y,
+    Z = pi/z: the Gram determinant of the triangle with those angles, which
+    is positive, zero or negative as the triangle is spherical, Euclidean or
+    hyperbolic (Vinberg, Russian Math. Surveys 40, 1985; Andreev 1970).  Then
+
+        a = |q|^2 - 1 = -D(a5, a7, a8) / sin^2(pi/a5),
+        c = |p|^2 - 1 = -D(a4, a5, a6) / sin^2(pi/a5).
+
+    Admissibility makes the top vertex (a5, a7, a8) spherical and the
+    circuit (a4, a5, a6) hyperbolic, so a < 0 < c: the discriminant
+    b^2 - 4ac is positive and the roots have the product c/a < 0.  The
+    positive root comes from the stable split u = -b - sign(b)*sqrt(disc),
+    as u/(2a) when u < 0 and as 2c/u otherwise.
+
+    The root must satisfy all three conditions to CONSTRUCTION_TOL, and the
+    red line must stay strictly clear of the top circle (red and top share
+    no edge; tangency would mean a second ideal vertex).  The nine edge
+    angles are not measured here: check_entry runs that independent oracle
+    (verify_config) on the result.
 
     Raises ValueError for an inadmissible labeling and RealizationError when
-    no surviving root exists.
+    the positive root fails either gate.
     """
     adm = is_admissible(labeling)
     if not adm:
@@ -346,8 +339,6 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
 
     # Solve the two line conditions for the center as (x0, y0) = p + q*r.
     det = green.nx * blue.ny - green.ny * blue.nx
-    if abs(det) < 1e-14:
-        raise RealizationError("green and blue tangency conditions are parallel")
     px = (green.d * blue.ny - blue.d * green.ny) / det
     py = (green.nx * blue.d - blue.nx * green.d) / det
     qx = (cos7 * blue.ny - cos8 * green.ny) / det
@@ -357,42 +348,29 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
     a = qx * qx + qy * qy - 1.0
     b = 2.0 * (px * qx + py * qy) - 2.0 * cos9
     c = px * px + py * py - 1.0
+    sq = math.sqrt(b * b - 4.0 * a * c)
+    u = -b - math.copysign(sq, b) if b != 0 else sq
+    r = u / (2.0 * a) if u < 0 else (2.0 * c) / u
 
-    survivors: list[PlanarConfig] = []
-    for r in _solve_quadratic(a, b, c):
-        if not r > 0:
-            continue
-        x0 = px + qx * r
-        y0 = py + qy * r
-        residual = max(
-            abs(green.nx * x0 + green.ny * y0 - cos7 * r - green.d),
-            abs(blue.nx * x0 + blue.ny * y0 - cos8 * r - blue.d),
-            abs(x0 * x0 + y0 * y0 - (1.0 + r * r + 2.0 * cos9 * r)),
-        )
-        # Red and top must be strictly disjoint; tangency (within the
-        # construction tolerance) is a degenerate second cusp.
-        if residual > CONSTRUCTION_TOL or red.signed_distance(x0, y0) - r <= CONSTRUCTION_TOL:
-            continue
-        survivors.append(
-            PlanarConfig(
-                red=red,
-                green=green,
-                blue=blue,
-                back=UNIT_CIRCLE,
-                top=PlanarCircle(x0, y0, r),
-                a3_branch=lab.a3,
-            )
-        )
-
-    if not survivors:
+    x0 = px + qx * r
+    y0 = py + qy * r
+    residual = max(
+        abs(green.nx * x0 + green.ny * y0 - cos7 * r - green.d),
+        abs(blue.nx * x0 + blue.ny * y0 - cos8 * r - blue.d),
+        abs(x0 * x0 + y0 * y0 - (1.0 + r * r + 2.0 * cos9 * r)),
+    )
+    # Red and top must be strictly disjoint; tangency (within the
+    # construction tolerance) is a degenerate second cusp.
+    if residual > CONSTRUCTION_TOL or red.signed_distance(x0, y0) - r <= CONSTRUCTION_TOL:
         raise RealizationError(
             f"no valid top circle for {tuple(lab)}: the labeling is degenerate "
             "or not realizable with one cusp"
         )
-    if len(survivors) > 1:
-        logger.warning(
-            "both quadratic roots survive for %s; keeping the smaller circle",
-            tuple(lab),
-        )
-        survivors.sort(key=lambda cfg: cfg.top.r)
-    return survivors[0]
+    return PlanarConfig(
+        red=red,
+        green=green,
+        blue=blue,
+        back=UNIT_CIRCLE,
+        top=PlanarCircle(x0, y0, r),
+        a3_branch=lab.a3,
+    )

@@ -242,6 +242,54 @@ def newton_circle(labels: tuple[int, ...]) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
+# The top-radius quadratic and the Gram determinant
+#
+# ``lib`` is ``math`` for float64 or ``mpmath`` for its working precision.
+
+
+def gram_determinant(x: int, y: int, z: int, lib=math):
+    """D = 1 - cos^2 X - cos^2 Y - cos^2 Z - 2 cos X cos Y cos Z, X = pi/x, ...
+
+    The Gram determinant of the triangle with angles pi/x, pi/y, pi/z:
+    positive, zero or negative as the triangle is spherical, Euclidean or
+    hyperbolic.
+    """
+    cx, cy, cz = (lib.cos(lib.pi / v) for v in (x, y, z))
+    return 1 - cx * cx - cy * cy - cz * cz - 2 * cx * cy * cz
+
+
+def closed_form_lines(labels: tuple[int, ...], lib=math):
+    """The green and blue lines as (nx, ny, d), from the tangency equations above."""
+    t1, t2 = lib.pi / labels[0], lib.pi / labels[1]
+    green = (-lib.cos(t1), -lib.sin(t1), -lib.cos(lib.pi / labels[3]))
+    blue = (-lib.cos(t2), lib.sin(t2), -lib.cos(lib.pi / labels[5]))
+    return green, blue
+
+
+def top_quadratic_ends(labels: tuple[int, ...], green, blue, lib=math):
+    """(a, c) of the top radius's quadratic a*r^2 + b*r + c = 0.
+
+    The green and blue tangencies n . (x, y) - cos(pi/a7 or pi/a8) r = d,
+    solved by Cramer's rule, put the center at p + q*r; the back co-circle
+    equation then gives a = |q|^2 - 1 and c = |p|^2 - 1.  ``green`` and
+    ``blue`` are (nx, ny, d) triples.
+    """
+    (gx, gy, gd), (bx, by, bd) = green, blue
+    c7, c8 = lib.cos(lib.pi / labels[6]), lib.cos(lib.pi / labels[7])
+    det = gx * by - gy * bx
+    px, py = (gd * by - bd * gy) / det, (gx * bd - bx * gd) / det
+    qx, qy = (c7 * by - c8 * gy) / det, (gx * c8 - bx * c7) / det
+    return qx * qx + qy * qy - 1, px * px + py * py - 1
+
+
+def lemma_ends(labels: tuple[int, ...], lib=math):
+    """(a, c) by the lemma: -D(a5, a7, a8) and -D(a4, a5, a6), over sin^2(pi/a5)."""
+    _, _, _, a4, a5, a6, a7, a8, _ = labels
+    sin2 = lib.sin(lib.pi / a5) ** 2
+    return -gram_determinant(a5, a7, a8, lib) / sin2, -gram_determinant(a4, a5, a6, lib) / sin2
+
+
+# ---------------------------------------------------------------------------
 # Free slots by probing
 
 # Far above every bounded label of the catalog (at most 6), and beyond the

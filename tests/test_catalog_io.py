@@ -514,6 +514,20 @@ def test_verify_catalog_flags_a_stored_line_with_its_normal_flipped(full_entries
     ]
 
 
+def test_verify_catalog_names_a_nan_face_in_the_drift_row(full_entries):
+    # max() skips a NaN that does not come first, so the drift row picks the
+    # NaN out itself rather than reading 0 on the red line.
+    doc = json.loads(cat.dumps_catalog(full_entries))
+    victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+    victim["config"]["red"]["offset"] = math.nan
+    report = cat.verify_catalog(cat.load_catalog(io.StringIO(json.dumps(doc))))
+    tag = "[2 3 2 2 6 4 2 2 2]"
+    [drift] = [c for c in report.checks if c.stage == "drift" and c.entry == tag]
+    assert drift.edge == "red" and math.isnan(drift.residual) and not drift.ok
+    failure = f"{tag}: stored configuration drifts from recomputation on red by nan"
+    assert failure in report.failures()
+
+
 def test_verify_catalog_flags_tampered_generator(full_entries):
     text = cat.dumps_catalog(full_entries)
     doc = json.loads(text)

@@ -221,6 +221,19 @@ def test_verify_with_samples(tmp_path, capsys):
     assert "checked 102 configurations" in out
 
 
+def test_verify_fails_every_family_at_a_million(tmp_path, capsys):
+    # At n = 10^6 each family's top circle fails realize's absolute red/top
+    # clearance gate.  ROADMAP item 8 makes that gate relative, which is
+    # expected to turn these into passes.
+    path = make_catalog(tmp_path, capsys)
+    assert main(["verify", str(path), "--sample", "1000000"]) == 1
+    captured = capsys.readouterr()
+    failures = captured.err.splitlines()
+    assert len(failures) == 12
+    assert all(" at n=1000000: realization failed: no valid top circle" in f for f in failures)
+    assert "checked 90 configurations" in captured.out
+
+
 def test_verify_flags_corruption_and_names_entry(tmp_path, capsys):
     path = make_catalog(tmp_path, capsys)
     doc = json.loads(path.read_text())
@@ -231,6 +244,49 @@ def test_verify_flags_corruption_and_names_entry(tmp_path, capsys):
     captured = capsys.readouterr()
     label_text = " ".join(str(v) for v in victim["labeling"])
     assert label_text in captured.err
+    assert captured.out.strip().endswith("FAIL")
+
+
+def _flip_red_normal(doc):
+    row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+    row["config"]["red"] = {"normal": [-1.0, 0.0], "offset": -0.0}
+
+
+def _bump_first_m2(doc):
+    row = next(r for r in doc["entries"] if not r["family"])
+    row["generators"]["m2"][0][0]["re"] += 1e-4
+
+
+def _bump_last_m1(doc):
+    # verify measures each distinct relation word once per run; every earlier
+    # row on the last standalone row's a3 branch measured its unedited M1, so
+    # the edited M1 must be measured afresh and fail.
+    row = [r for r in doc["entries"] if not r["family"]][-1]
+    row["generators"]["m1"][0][0]["re"] += 1e-4
+
+
+@pytest.mark.parametrize(
+    "tamper,failure",
+    [
+        (
+            _flip_red_normal,
+            "[2 3 2 2 6 4 2 2 2]: stored configuration drifts from recomputation on red"
+            " by 2.000e+00",
+        ),
+        (_bump_first_m2, "[2 3 2 2 6 4 2 2 2]: relations fail on a1, a5, a7"),
+        (_bump_last_m1, "[3 3 2 5 3 5 2 3 2]: relations fail on a3, a4, a6, a9"),
+    ],
+    ids=["flipped-red", "first-m2", "last-m1"],
+)
+def test_verify_fails_a_tampered_row_of_the_enumerate_dump(tmp_path, capsys, tamper, failure):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"FAIL {failure}" in captured.err.splitlines()
+    assert "Traceback" not in captured.err
     assert captured.out.strip().endswith("FAIL")
 
 
@@ -771,8 +827,9 @@ def test_verify_reports_a_free_slot_too_large_for_a_float(tmp_path, capsys):
 
 
 def test_realize_rejects_a_label_too_large_for_a_float(capsys):
-    assert main(["realize", "2", "3", "2", str(10**400), "6", "2", "2", "2", "2"]) == 2
-    assert capsys.readouterr().err == "error: int too large to convert to float\n"
+    for huge in (10**399, 10**400):
+        assert main(["realize", "2", "3", "2", str(huge), "6", "2", "2", "2", "2"]) == 2
+        assert capsys.readouterr().err == "error: int too large to convert to float\n"
 
 
 def _nodes(node, path=()):

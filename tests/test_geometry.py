@@ -2,7 +2,9 @@
 
 import math
 import random
+from itertools import permutations, product
 
+import mpmath
 import pytest
 
 import _oracles as oracles
@@ -20,7 +22,13 @@ from prismcat.geometry import (
     realize,
     verify_config,
 )
-from prismcat.labelings import Labeling, enumerate_catalog
+from prismcat.labelings import (
+    Labeling,
+    TriangleClass,
+    classify_triangle,
+    enumerate_catalog,
+    scan_admissible,
+)
 
 SQ3 = math.sqrt(3.0)
 SQ6 = math.sqrt(6.0)
@@ -306,6 +314,79 @@ def test_realized_catalog_keeps_red_and_top_disjoint():
                 lab,
                 face,
             )
+
+
+def test_realize_raises_when_the_one_root_fails_the_clearance_gate():
+    # At n = 10^6 the red/top clearance is of order 1e-12, below the absolute
+    # gate CONSTRUCTION_TOL = 1e-10.  ROADMAP item 8 makes that gate relative,
+    # which is expected to turn this into a pass.
+    with pytest.raises(RealizationError, match=r"no valid top circle for \(2, 3, 2, 1000000,"):
+        realize((2, 3, 2, 10**6, 6, 2, 2, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# the lemma of realize: a < 0 < c, so exactly one root is positive
+
+# The cusp triples (a1, a2, a5): every ordering of the Euclidean triples.
+CUSP_TRIPLES = sorted({p for t in ((2, 3, 6), (2, 4, 4), (3, 3, 3)) for p in permutations(t)})
+
+
+def _green_blue(labels):
+    """The green and blue lines of build_lines as (nx, ny, d) triples."""
+    _, green, blue = build_lines(labels)
+    return (green.nx, green.ny, green.d), (blue.nx, blue.ny, blue.d)
+
+
+@pytest.fixture(scope="module")
+def lemma_grid():
+    """(labels, (a, c) from build_lines, (a, c) by the lemma) over cusp triples x a3 x 2..8."""
+    rows = []
+    for (a1, a2, a5), a3, a4, a6, a7, a8 in product(CUSP_TRIPLES, (2, 3), *[range(2, 9)] * 4):
+        labels = (a1, a2, a3, a4, a5, a6, a7, a8, 2)
+        ends = oracles.top_quadratic_ends(labels, *_green_blue(labels))
+        rows.append((labels, ends, oracles.lemma_ends(labels)))
+    return rows
+
+
+def test_lemma_identities_hold_in_float64(lemma_grid):
+    assert len(lemma_grid) == 10 * 2 * 7**4
+    # Relative to max(1, |value|): |a| reaches 11.7 on this grid, where the
+    # two sides differ by up to 1.6e-14, and at most 2.2e-15 relatively.
+    for labels, (a, c), (lemma_a, lemma_c) in lemma_grid:
+        for value, lemma in ((a, lemma_a), (c, lemma_c)):
+            assert abs(value - lemma) <= 1e-14 * max(1.0, abs(value)), labels
+
+
+def test_lemma_signs_follow_the_triangle_classes(lemma_grid):
+    # a < 0 exactly when the top vertex (a5, a7, a8) is spherical, and c > 0
+    # exactly when the circuit (a4, a5, a6) is hyperbolic.  On a Euclidean
+    # triple D = 0, and the float sign is rounding noise.
+    sign = {TriangleClass.SPHERICAL: -1, TriangleClass.HYPERBOLIC: 1}
+    for labels, (a, c), _ in lemma_grid:
+        _, _, _, a4, a5, a6, a7, a8, _ = labels
+        for value, triple in ((a, (a5, a7, a8)), (c, (a4, a5, a6))):
+            kind = classify_triangle(*triple)
+            if kind is TriangleClass.EUCLIDEAN:
+                assert abs(value) <= 1e-14, (labels, triple)
+            else:
+                assert value * sign[kind] > 0, (labels, triple)
+
+
+def test_lemma_identities_hold_at_50_digits():
+    with mpmath.workdps(50):
+        for labels in scan_admissible(30):
+            lines = oracles.closed_form_lines(labels, mpmath)
+            a, c = oracles.top_quadratic_ends(labels, *lines, mpmath)
+            lemma_a, lemma_c = oracles.lemma_ends(labels, mpmath)
+            assert abs(a - lemma_a) <= 1e-45 and abs(c - lemma_c) <= 1e-45, labels
+
+
+def test_every_admissible_labeling_has_one_positive_root():
+    labelings = scan_admissible(30)
+    assert len(labelings) == 374
+    for labels in labelings:
+        a, c = oracles.top_quadratic_ends(labels, *_green_blue(labels))
+        assert a < 0 < c, labels
 
 
 def test_verify_config_flags_perturbed_radius():

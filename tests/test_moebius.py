@@ -94,7 +94,10 @@ def test_distance_to_identity_handles_both_signs():
 
 def test_import_does_not_load_numpy():
     src = Path(prismcat.__file__).resolve().parents[1]
-    code = "import sys, prismcat, prismcat.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys, prismcat, prismcat.cli; "
+        "print([name in sys.modules for name in ('numpy', 'logging')])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -103,7 +106,7 @@ def test_import_does_not_load_numpy():
         cwd=src,
         timeout=60,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[False, False]"
 
 
 def test_package_exports_the_readme_library_names():
