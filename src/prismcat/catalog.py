@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import IO, Callable, Iterable, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import geometry, moebius
 from .geometry import (
@@ -70,8 +69,7 @@ FAMILY_SAMPLE_LARGE = 500
 VERIFIED_STAGES = {"angles": "angle", "relations": "relation", "traces": "trace"}
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One catalog record: a family pattern, a family instance, or a standalone.
 
     ``labeling`` holds nine labels with ``None`` in the free slot of a family
@@ -537,12 +535,7 @@ def _leaves(value, leaves: list, shape: list) -> None:
 
 def _face_numbers(config: PlanarConfig) -> list[float]:
     """The numbers of a configuration's faces, three a face, red, green, blue, back, top."""
-    numbers: list = []
-    for line in (config.red, config.green, config.blue):
-        numbers += line.nx, line.ny, line.d
-    for circle in (config.back, config.top):
-        numbers += circle.cx, circle.cy, circle.r
-    return numbers
+    return [*config.red, *config.green, *config.blue, *config.back, *config.top]
 
 
 def _row_leaves(entry: CatalogEntry) -> tuple[tuple, list]:

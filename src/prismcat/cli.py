@@ -52,7 +52,7 @@ def _print_config(entry: cat.CatalogEntry, out) -> None:
     red_x = config.red.d * config.red.nx
     print(f"{'red:':<7}vertical line x = {_sig(red_x)}", file=out)
     for name in ("green", "blue"):
-        line = config.face(name)
+        line = getattr(config, name)
         slope, intercept = line.slope_intercept()
         sign = "+" if intercept >= 0 else "-"
         print(
@@ -61,7 +61,7 @@ def _print_config(entry: cat.CatalogEntry, out) -> None:
             file=out,
         )
     for name in ("back", "top"):
-        circle = config.face(name)
+        circle = getattr(config, name)
         center = f"({_sig(circle.cx)}, {_sig(circle.cy)})"
         print(f"{name + ':':<7}circle center {center} radius {_sig(circle.r)}", file=out)
 

@@ -19,9 +19,8 @@ against a circle is measured with the sign of that normal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, is_admissible
 
@@ -35,8 +34,15 @@ class RealizationError(RuntimeError):
     """No valid top circle exists: degenerate or unrealizable input."""
 
 
-@dataclass(frozen=True)
-class PlanarLine:
+# PlanarLine, PlanarCircle and PlanarConfig check their values in __new__, which a
+# NamedTuple body may not define; _make and _replace bypass it, and the check.
+class _LineFields(NamedTuple):
+    nx: float
+    ny: float
+    d: float
+
+
+class PlanarLine(_LineFields):
     """A line in normal form n . p = d with unit normal (nx, ny).
 
     The normal points toward the prism side of the line, which fixes the sign
@@ -44,14 +50,13 @@ class PlanarLine:
     (ny == 0), never large-slope approximations.
     """
 
-    nx: float
-    ny: float
-    d: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        norm = math.hypot(self.nx, self.ny)
+    def __new__(cls, nx: float, ny: float, d: float) -> PlanarLine:
+        norm = math.hypot(nx, ny)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"line normal must have unit length, got {norm!r}")
+        return super().__new__(cls, nx, ny, d)
 
     @classmethod
     def vertical(cls, x: float) -> "PlanarLine":
@@ -82,17 +87,21 @@ class PlanarLine:
         return self.nx * x + self.ny * y - self.d
 
 
-@dataclass(frozen=True)
-class PlanarCircle:
-    """A circle with center (cx, cy) and radius r > 0."""
-
+class _CircleFields(NamedTuple):
     cx: float
     cy: float
     r: float
 
-    def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError(f"circle radius must be positive, got {self.r!r}")
+
+class PlanarCircle(_CircleFields):
+    """A circle with center (cx, cy) and radius r > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, cx: float, cy: float, r: float) -> PlanarCircle:
+        if not r > 0:
+            raise ValueError(f"circle radius must be positive, got {r!r}")
+        return super().__new__(cls, cx, cy, r)
 
 
 UNIT_CIRCLE = PlanarCircle(0.0, 0.0, 1.0)
@@ -100,14 +109,7 @@ UNIT_CIRCLE = PlanarCircle(0.0, 0.0, 1.0)
 PlanarObject = Union[PlanarLine, PlanarCircle]
 
 
-@dataclass(frozen=True)
-class PlanarConfig:
-    """Three lines and two circles realizing a labeling.
-
-    ``back`` is always the unit circle; ``a3_branch`` records which red-line
-    convention applies (x = 0 for a3 = 2, x = -1/2 for a3 = 3).
-    """
-
+class _ConfigFields(NamedTuple):
     red: PlanarLine
     green: PlanarLine
     blue: PlanarLine
@@ -115,12 +117,20 @@ class PlanarConfig:
     top: PlanarCircle
     a3_branch: int
 
-    def __post_init__(self) -> None:
-        if self.a3_branch not in (2, 3):
-            raise ValueError(f"a3 branch must be 2 or 3, got {self.a3_branch!r}")
 
-    def face(self, name: str) -> PlanarObject:
-        return getattr(self, name)
+class PlanarConfig(_ConfigFields):
+    """Three lines and two circles realizing a labeling.
+
+    ``back`` is always the unit circle; ``a3_branch`` records which red-line
+    convention applies (x = 0 for a3 = 2, x = -1/2 for a3 = 3).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, red, green, blue, back, top, a3_branch: int) -> PlanarConfig:
+        if a3_branch not in (2, 3):
+            raise ValueError(f"a3 branch must be 2 or 3, got {a3_branch!r}")
+        return super().__new__(cls, red, green, blue, back, top, a3_branch)
 
 
 def build_lines(labeling: Sequence[int]) -> tuple[PlanarLine, PlanarLine, PlanarLine]:
@@ -219,18 +229,24 @@ FAILURE_TEXT = {
 }
 
 
-@dataclass(frozen=True)
-class Report:
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest residual, or NaN if any is NaN (plain ``max`` keeps it only first); 0 if none."""
+    return max(residuals, key=lambda residual: (residual != residual, residual), default=0.0)
+
+
+class _ReportFields(NamedTuple):
+    checks: tuple[Check, ...]
+    errors: tuple[str, ...] = ()
+    entries_checked: int = 1
+
+
+class Report(_ReportFields):
     """The rows of one or more verification stages, in the order they ran.
 
     ``errors`` are failures that no row records, such as an entry that
     cannot be realized; ``entries_checked`` counts the entries whose rows
-    the report holds.
+    the report holds.  No ``__slots__``: ``_scan`` caches in ``__dict__``.
     """
-
-    checks: tuple[Check, ...]
-    errors: tuple[str, ...] = ()
-    entries_checked: int = 1
 
     @cached_property
     def _scan(self) -> tuple[dict[str, float], dict[tuple[str, str], list[Check]]]:
@@ -244,6 +260,8 @@ class Report:
             residual = math.inf if measured is None else abs(measured - expected)
             if not residual <= tol:
                 failed.setdefault((entry, stage), []).append(check)
+                if residual != residual:  # NaN is the worst, and no residual exceeds it
+                    worst[stage] = residual
             if residual > worst.get(stage, 0.0):
                 worst[stage] = residual
         return worst, failed
@@ -253,9 +271,9 @@ class Report:
         return not self.errors and not self._scan[1]
 
     def max_residual(self, stage: Optional[str] = None) -> float:
-        """The worst residual of one stage, or of all rows; 0 when there are none."""
+        """The worst residual of one stage, or of all rows (NaN if any is); 0 if there are none."""
         worst = self._scan[0]
-        return max(worst.values(), default=0.0) if stage is None else worst.get(stage, 0.0)
+        return _worst(worst.values()) if stage is None else worst.get(stage, 0.0)
 
     def failures(self) -> list[str]:
         """One message per entry and stage that failed, then the errors."""
@@ -263,7 +281,7 @@ class Report:
         for (entry, stage), checks in self._scan[1].items():
             text = FAILURE_TEXT[stage].format(
                 edges=", ".join(check.edge for check in checks),
-                residual=max(check.residual for check in checks),
+                residual=_worst(check.residual for check in checks),
             )
             messages.append(f"{entry}: {text}" if entry else text)
         return messages + list(self.errors)
@@ -366,11 +384,4 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
             f"no valid top circle for {tuple(lab)}: the labeling is degenerate "
             "or not realizable with one cusp"
         )
-    return PlanarConfig(
-        red=red,
-        green=green,
-        blue=blue,
-        back=UNIT_CIRCLE,
-        top=PlanarCircle(x0, y0, r),
-        a3_branch=lab.a3,
-    )
+    return PlanarConfig(red, green, blue, UNIT_CIRCLE, PlanarCircle(x0, y0, r), lab.a3)

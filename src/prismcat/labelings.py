@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
@@ -171,8 +170,7 @@ def _validate(labeling: Sequence[int]) -> None:
             raise ValueError(f"edge labels must be integers >= 2, got {tuple(labeling)}")
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(NamedTuple):
     """Outcome of the admissibility test.  Truthy iff admissible.
 
     On failure, ``reason`` says which condition broke and ``triple`` holds the
@@ -187,7 +185,7 @@ class Admissibility:
         return self.ok
 
 
-# The outcome of every admissible labeling; frozen, so one instance serves all.
+# The outcome of every admissible labeling; a tuple, so one instance serves all.
 _ADMISSIBLE = Admissibility(True)
 
 # Every condition is_admissible checks, in order, and the reason it gives when
@@ -252,8 +250,7 @@ def canonicalize(labeling: Sequence[int]) -> Labeling:
     return Labeling._make(min(lab, _mirror(lab)))
 
 
-@dataclass(frozen=True)
-class CatalogItem:
+class CatalogItem(NamedTuple):
     """One catalog row: a standalone labeling or a one-parameter family.
 
     ``slots`` holds the nine labels with ``None`` marking the free slot of a
@@ -288,9 +285,7 @@ class CatalogItem:
             raise ValueError("not a family; there is no free slot to fill")
         if n < self.free_min:
             raise ValueError(f"free slot takes values >= {self.free_min}, got {n}")
-        values = list(self.slots)
-        values[slot] = n
-        return Labeling(*values)  # type: ignore[arg-type]
+        return Labeling(*self.slots[:slot], n, *self.slots[slot + 1 :])  # type: ignore[arg-type]
 
 
 def catalog_order(cusp: CuspType, labels: Sequence[Optional[int]]) -> tuple[int, tuple[int, ...]]:

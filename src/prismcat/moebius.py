@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -173,14 +172,7 @@ _WORD_NAMES = tuple(
 _INVERTED = {later for _, later in _WORD_GENERATORS} - {_RED}
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """The four side-pairing matrices of a realized labeling.
-
-    ``fixed1`` and ``fixed2`` are the rotation centers of m2 and m3: the
-    points where the green and blue lines meet the red line.
-    """
-
+class _GeneratorFields(NamedTuple):
     labeling: Labeling
     m1: MoebiusMatrix
     m2: MoebiusMatrix
@@ -190,6 +182,15 @@ class GeneratorSet:
     theta2: float
     fixed1: complex
     fixed2: complex
+
+
+class GeneratorSet(_GeneratorFields):
+    """The four side-pairing matrices of a realized labeling.
+
+    ``fixed1`` and ``fixed2`` are the rotation centers of m2 and m3: the
+    points where the green and blue lines meet the red line.  No
+    ``__slots__``: ``words`` caches in ``__dict__``.
+    """
 
     def named(self) -> tuple[tuple[str, MoebiusMatrix], ...]:
         """("M1", m1) .. ("M4", m4)."""

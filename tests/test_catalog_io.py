@@ -1,6 +1,5 @@
 """Tests for catalog construction, JSON round-tripping and re-verification."""
 
-import dataclasses
 import io
 import json
 import math
@@ -64,7 +63,7 @@ def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     _, report = cat.build_entry(entry.labeling)
     assert {check.entry for check in report.checks} == {tag}
     zero = MoebiusMatrix.of(0, 0, 0, 0)
-    gens = dataclasses.replace(entry.generators, m3=zero)
+    gens = entry.generators._replace(m3=zero)
     report = cat.check_entry(Labeling(*entry.labeling), entry.config, gens, entry=tag)
     assert report.errors == (f"{tag}: M3 singular, so relations and traces cannot be checked",)
     assert report.failures() == [
@@ -245,7 +244,7 @@ def _short_verification(entries):
     entry = next(e for e in entries if e.verification)
     residuals = {field: values[:3] for field, values in entry.verification.items()}
     residuals["angles"] = ()
-    return [dataclasses.replace(entry, verification=residuals)]
+    return [entry._replace(verification=residuals)]
 
 
 @pytest.mark.parametrize(
@@ -254,24 +253,22 @@ def _short_verification(entries):
         lambda entries: entries,
         lambda entries: [],
         lambda entries: [
-            dataclasses.replace(
-                e, generators=dataclasses.replace(e.generators, theta1=3, theta2=-2**70)
-            )
+            e._replace(generators=e.generators._replace(theta1=3, theta2=-2**70))
             for e in entries
             if e.generators
         ],
         _short_verification,
         lambda entries: [
-            dataclasses.replace(e, verification={"traces": (math.inf,)}) for e in entries
+            e._replace(verification={"traces": (math.inf,)}) for e in entries
         ],
         # Rows that differ only in where their leaves sit, or in a key.
         lambda entries: [
-            dataclasses.replace(e, verification={stage: (1.0,)})
+            e._replace(verification={stage: (1.0,)})
             for e in entries
             for stage in ("angles", "traces", "50%", "%s", "\0")
         ],
         lambda entries: [
-            dataclasses.replace(entries[0], labeling=labeling) for labeling in ((1, [2]), ([2], 1))
+            entries[0]._replace(labeling=labeling) for labeling in ((1, [2]), ([2], 1))
         ],
     ],
     ids=[
@@ -327,7 +324,7 @@ def _catalogs(draw, pool):
         verification = {s: tuple(draw(st.lists(_NUMBERS, max_size=10))) for s in stages}
         nulled = draw(st.lists(st.sampled_from(["config", "generators"]), unique=True))
         payload = {"verification": draw(st.sampled_from([entry.verification, verification]))}
-        entries.append(dataclasses.replace(entry, **payload, **dict.fromkeys(nulled)))
+        entries.append(entry._replace(**payload, **dict.fromkeys(nulled)))
     return entries
 
 

@@ -265,20 +265,53 @@ def _bump_last_m1(doc):
     row["generators"]["m1"][0][0]["re"] += 1e-4
 
 
+def _nan_red_offset(doc):
+    row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+    row["config"]["red"]["offset"] = math.nan
+
+
+def _nan_first_m2(doc):
+    row = next(r for r in doc["entries"] if not r["family"])
+    row["generators"]["m2"][0][0]["re"] = math.nan
+
+
 @pytest.mark.parametrize(
-    "tamper,failure",
+    "tamper,failure,summary",
     [
         (
             _flip_red_normal,
             "[2 3 2 2 6 4 2 2 2]: stored configuration drifts from recomputation on red"
             " by 2.000e+00",
+            "max config drift:      2.000e+00",
         ),
-        (_bump_first_m2, "[2 3 2 2 6 4 2 2 2]: relations fail on a1, a5, a7"),
-        (_bump_last_m1, "[3 3 2 5 3 5 2 3 2]: relations fail on a3, a4, a6, a9"),
+        (
+            _bump_first_m2,
+            "[2 3 2 2 6 4 2 2 2]: relations fail on a1, a5, a7",
+            "max relation residual: 9.486e-04",
+        ),
+        (
+            _bump_last_m1,
+            "[3 3 2 5 3 5 2 3 2]: relations fail on a3, a4, a6, a9",
+            "max relation residual: 1.316e-03",
+        ),
+        # NaN compares false with every residual, so the summary must not
+        # skip it in favour of the valid rows around it.
+        (
+            _nan_red_offset,
+            "[2 3 2 2 6 4 2 2 2]: stored configuration drifts from recomputation on red by nan",
+            "max config drift:      nan",
+        ),
+        (
+            _nan_first_m2,
+            "[2 3 2 2 6 4 2 2 2]: M2 determinant drifts by nan",
+            "max determinant drift: nan",
+        ),
     ],
-    ids=["flipped-red", "first-m2", "last-m1"],
+    ids=["flipped-red", "first-m2", "last-m1", "nan-red", "nan-m2"],
 )
-def test_verify_fails_a_tampered_row_of_the_enumerate_dump(tmp_path, capsys, tamper, failure):
+def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
+    tmp_path, capsys, tamper, failure, summary
+):
     path = make_catalog(tmp_path, capsys)
     doc = json.loads(path.read_text())
     tamper(doc)
@@ -286,6 +319,7 @@ def test_verify_fails_a_tampered_row_of_the_enumerate_dump(tmp_path, capsys, tam
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     assert f"FAIL {failure}" in captured.err.splitlines()
+    assert summary in captured.out.splitlines()
     assert "Traceback" not in captured.err
     assert captured.out.strip().endswith("FAIL")
 
@@ -356,6 +390,7 @@ def _give_standalone_payload(row):
         (False, lambda r: r.update(generators={}), "generators"),
         (False, lambda r: r.update(verification=0), "verification"),
         (True, _give_standalone_payload, "config"),
+        (True, lambda r: r.update(free_min=None), "free_min"),
     ],
     ids=[
         "free-slot-null",
@@ -380,6 +415,7 @@ def _give_standalone_payload(row):
         "standalone-generators-object",
         "standalone-verification-0",
         "family-payload",
+        "family-free-min-null",
     ],
 )
 def test_verify_rejects_malformed_family_and_generator_fields(

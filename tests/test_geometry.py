@@ -309,7 +309,7 @@ def test_realized_catalog_keeps_red_and_top_disjoint():
         for face in ("green", "blue"):
             # The center sits at distance r*cos(angle) on the prism side,
             # which is exactly on the line when the edge angle is pi/2.
-            line = config.face(face)
+            line = getattr(config, face)
             assert line.signed_distance(config.top.cx, config.top.cy) >= -1e-12, (
                 lab,
                 face,
@@ -446,6 +446,16 @@ def test_report_rows_share_one_residual_rule():
         "[z]: realization failed",
     ]
     assert Report((rows[0], rows[3])).ok
+    # Every comparison with NaN is false: a NaN residual must still be the
+    # worst, wherever it comes among the rows.
+    drifts = Report(
+        tuple(
+            Check("determinant", name, value, 0.0, 1e-10)
+            for name, value in (("M1", 1.0), ("M2", math.nan), ("M3", 2.0))
+        )
+    )
+    assert math.isnan(drifts.max_residual("determinant")) and math.isnan(drifts.max_residual())
+    assert drifts.failures() == ["M1, M2, M3 determinant drifts by nan"]
 
 
 def test_config_requires_a_known_red_line_branch():

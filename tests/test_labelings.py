@@ -92,6 +92,8 @@ def test_classify_rejects_labels_below_two():
         classify_triangle(1, 3, 3)
     with pytest.raises(ValueError):
         classify_triangle(2, 0, 3)
+    with pytest.raises(ValueError, match="max_label must be >= 2"):
+        scan_admissible(1)
 
 
 def test_classify_large_labels_stay_exact():
@@ -429,6 +431,12 @@ def test_instantiate_rejects_below_bound():
     item = next(i for i in enumerate_catalog() if i.free_min == 7)
     with pytest.raises(ValueError):
         item.instantiate(6)
+    # A family has no single labeling, and a standalone row no free slot.
+    with pytest.raises(ValueError, match="a family has no single labeling"):
+        item.labeling
+    standalone = next(i for i in enumerate_catalog() if not i.family)
+    with pytest.raises(ValueError, match="not a family"):
+        standalone.instantiate(7)
 
 
 def test_below_bound_values_of_family_slots_appear_as_specifics():

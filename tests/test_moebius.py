@@ -96,7 +96,7 @@ def test_import_does_not_load_numpy():
     src = Path(prismcat.__file__).resolve().parents[1]
     code = (
         "import sys, prismcat, prismcat.cli; "
-        "print([name in sys.modules for name in ('numpy', 'logging')])"
+        "print([name in sys.modules for name in ('numpy', 'logging', 'dataclasses', 'inspect')])"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -106,7 +106,7 @@ def test_import_does_not_load_numpy():
         cwd=src,
         timeout=60,
     )
-    assert result.stdout.strip() == "[False, False]"
+    assert result.stdout.strip() == "[False, False, False, False]"
 
 
 def test_package_exports_the_readme_library_names():
