@@ -16,7 +16,7 @@ import json
 import math
 from collections import Counter
 from json.encoder import encode_basestring_ascii
-from typing import IO, Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
 from . import geometry, moebius
 from .geometry import (
@@ -29,7 +29,7 @@ from .geometry import (
     verify_config,
 )
 from .labelings import (
-    CatalogItem,
+    CatalogEntry,
     CuspType,
     Labeling,
     catalog_order,
@@ -69,32 +69,13 @@ FAMILY_SAMPLE_LARGE = 500
 VERIFIED_STAGES = {"angles": "angle", "relations": "relation", "traces": "trace"}
 
 
-class CatalogEntry(NamedTuple):
-    """One catalog record: a family pattern, a family instance, or a standalone.
-
-    ``labeling`` holds nine labels with ``None`` in the free slot of a family
-    pattern.  Instances keep their parent's ``free_slot``/``free_min`` and
-    record the substituted value in ``family_n``.
-    """
-
-    labeling: tuple[Optional[int], ...]
-    cusp: CuspType
-    family: bool
-    free_slot: Optional[int] = None
-    free_min: Optional[int] = None
-    family_n: Optional[int] = None
-    config: Optional[PlanarConfig] = None
-    generators: Optional[GeneratorSet] = None
-    verification: Optional[dict[str, tuple[float, ...]]] = None
-
-
 def label_tag(labeling: Sequence[Optional[int]]) -> str:
     """How failure messages name an entry: its labels in brackets, n for a free slot."""
     return "[" + " ".join("n" if v is None else str(v) for v in labeling) + "]"
 
 
 def check_entry(
-    lab: Labeling,
+    lab: Sequence[int],
     config: PlanarConfig,
     gens: GeneratorSet,
     *,
@@ -173,15 +154,15 @@ def build_entry(
 
 
 def build_catalog(
-    items: Sequence[CatalogItem],
+    rows: Sequence[CatalogEntry],
     max_n: Optional[int] = None,
     cusp: Optional[CuspType] = None,
 ) -> tuple[list[CatalogEntry], list[str]]:
-    """Catalog entries for the given items, such as ``enumerate_catalog()``.
+    """Catalog entries for the given rows, such as ``enumerate_catalog()``.
 
-    Family items become pattern rows; with ``max_n`` each family additionally
-    expands into built instances for free_min..max_n.  Standalone items
-    always carry the full payload.  Returns the entries in catalog order and
+    Family rows are kept as they are; with ``max_n`` each family additionally
+    expands into built instances for free_min..max_n.  Standalone rows are
+    built with the full payload.  Returns the entries in catalog order and
     the failures of the built ones, each tagged with its entry's labels.
     The built entries share one relation-word memo.
     """
@@ -194,29 +175,16 @@ def build_catalog(
         entries.append(entry)
         failures.extend(report.failures())
 
-    for item in items:
-        if cusp is not None and item.cusp is not cusp:
+    for row in rows:
+        if cusp is not None and row.cusp is not cusp:
             continue
-        if item.family:
-            entries.append(
-                CatalogEntry(
-                    labeling=item.slots,
-                    cusp=item.cusp,
-                    family=True,
-                    free_slot=item.free_slot,
-                    free_min=item.free_min,
-                )
-            )
-            if max_n is not None:
-                for n in range(item.free_min, max_n + 1):
-                    add(
-                        item.instantiate(n),
-                        free_slot=item.free_slot,
-                        free_min=item.free_min,
-                        family_n=n,
-                    )
-        else:
-            add(item.labeling)
+        if not row.family:
+            add(row.labeling)
+            continue
+        entries.append(row)
+        if max_n is not None:
+            for n in range(row.free_min, max_n + 1):
+                add(row.instantiate(n), free_slot=row.free_slot, free_min=row.free_min, family_n=n)
     entries.sort(key=lambda entry: catalog_order(entry.cusp, entry.labeling))
     return entries, failures
 
@@ -804,9 +772,8 @@ def verify_catalog(
             values.append(max(FAMILY_SAMPLE_LARGE, entry.free_min))
         else:
             values = [n for n in samples if n >= entry.free_min]
-        head, tail = entry.labeling[: entry.free_slot], entry.labeling[entry.free_slot + 1 :]
         targets += (
-            (entry, Labeling(*head, n, *tail), f"{label_tag(entry.labeling)} at n={n}")
+            (entry, entry.instantiate(n), f"{label_tag(entry.labeling)} at n={n}")
             for n in sorted(set(values))
         )
     memo: dict = {}

@@ -112,12 +112,12 @@ def _build(args: argparse.Namespace) -> tuple[cat.CatalogEntry, Report]:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cusp = CuspType.from_code(args.cusp) if args.cusp else None
-    items = enumerate_catalog()
-    entries, failures = cat.build_catalog(items, max_n=args.max_n, cusp=cusp)
+    rows = enumerate_catalog()
+    entries, failures = cat.build_catalog(rows, max_n=args.max_n, cusp=cusp)
 
-    # build_catalog turns each item of the selected cusps into one pattern or
-    # standalone entry, so the items give the entries' counts.
-    counts = catalog_counts(items)
+    # build_catalog keeps each row of the selected cusps as one pattern or
+    # standalone entry, so the rows give the entries' counts.
+    counts = catalog_counts(rows)
     shown = [c for c in CUSP_ORDER if cusp in (None, c)]
     parts = "; ".join(f"C{c.code}: {counts[c][0]} + {counts[c][1]}" for c in shown)
     families = sum(counts[c][0] for c in shown)

@@ -54,7 +54,7 @@ class PlanarLine(_LineFields):
 
     def __new__(cls, nx: float, ny: float, d: float) -> PlanarLine:
         norm = math.hypot(nx, ny)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"line normal must have unit length, got {norm!r}")
         return super().__new__(cls, nx, ny, d)
 
@@ -181,7 +181,7 @@ def measure_angle(obj1: PlanarObject, obj2: PlanarObject) -> Optional[float]:
         offset = obj1.signed_distance(obj2.cx, obj2.cy)
         if abs(offset) > obj2.r:
             return None
-        return math.acos(max(-1.0, min(1.0, offset / obj2.r)))
+        return math.acos(offset / obj2.r)
     assert isinstance(obj1, PlanarCircle) and isinstance(obj2, PlanarCircle)
     d2 = (obj1.cx - obj2.cx) ** 2 + (obj1.cy - obj2.cy) ** 2
     cos_phi = (d2 - obj1.r**2 - obj2.r**2) / (2.0 * obj1.r * obj2.r)

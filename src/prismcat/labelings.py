@@ -250,42 +250,37 @@ def canonicalize(labeling: Sequence[int]) -> Labeling:
     return Labeling._make(min(lab, _mirror(lab)))
 
 
-class CatalogItem(NamedTuple):
-    """One catalog row: a standalone labeling or a one-parameter family.
+class CatalogEntry(NamedTuple):
+    """One catalog row: a family pattern, a family instance, or a standalone labeling.
 
-    ``slots`` holds the nine labels with ``None`` marking the free slot of a
-    family.  For a family, every substitution of the free slot by an integer
-    >= ``free_min`` is admissible; a standalone item has ``free_min = None``.
+    ``labeling`` holds nine labels with ``None`` in the free slot of a family
+    pattern, and every substitution of that slot by an integer >=
+    ``free_min`` is admissible.  Instances keep their parent's
+    ``free_slot``/``free_min`` and record the substituted value in
+    ``family_n``.  The payload -- ``config`` (a ``geometry.PlanarConfig``),
+    ``generators`` (a ``moebius.GeneratorSet``) and the ``verification``
+    residuals -- is None in a family row and in every row
+    ``enumerate_catalog`` gives; ``catalog.build_entry`` fills it in.
     """
 
-    slots: tuple[Optional[int], ...]
+    labeling: tuple[Optional[int], ...]
     cusp: CuspType
+    family: bool
+    free_slot: Optional[int] = None
     free_min: Optional[int] = None
-
-    @property
-    def family(self) -> bool:
-        return self.free_min is not None
-
-    @property
-    def free_slot(self) -> Optional[int]:
-        """Zero-based index of the free slot, or None for standalone items."""
-        return next((i for i, v in enumerate(self.slots) if v is None), None)
-
-    @property
-    def labeling(self) -> Labeling:
-        """The labeling of a standalone item (families have no single one)."""
-        if self.family:
-            raise ValueError("a family has no single labeling; use instantiate(n)")
-        return Labeling(*self.slots)  # type: ignore[arg-type]
+    family_n: Optional[int] = None
+    config: Optional["PlanarConfig"] = None
+    generators: Optional["GeneratorSet"] = None
+    verification: Optional[dict[str, tuple[float, ...]]] = None
 
     def instantiate(self, n: int) -> Labeling:
         """The family member with the free slot set to n (n >= free_min)."""
-        slot = self.free_slot
-        if slot is None or self.free_min is None:
+        if not self.family:
             raise ValueError("not a family; there is no free slot to fill")
         if n < self.free_min:
             raise ValueError(f"free slot takes values >= {self.free_min}, got {n}")
-        return Labeling(*self.slots[:slot], n, *self.slots[slot + 1 :])  # type: ignore[arg-type]
+        slot = self.free_slot
+        return Labeling(*self.labeling[:slot], n, *self.labeling[slot + 1 :])
 
 
 def catalog_order(cusp: CuspType, labels: Sequence[Optional[int]]) -> tuple[int, tuple[int, ...]]:
@@ -356,11 +351,11 @@ def scan_admissible(max_label: int) -> set[Labeling]:
     return found
 
 
-def enumerate_catalog() -> list[CatalogItem]:
+def enumerate_catalog() -> list[CatalogEntry]:
     """The complete catalog of admissible labelings, in canonical order.
 
     Scans all labelings with labels <= SCAN_BOUND = 7, reads the free slots
-    off the scan, and folds family members into single items.  By the lemma
+    off the scan, and folds family members into single rows.  By the lemma
     at SCAN_BOUND, every admissible labeling lowers to a scanned one, so the
     catalog is complete for all labels, not only up to the bound.
 
@@ -377,8 +372,8 @@ def enumerate_catalog() -> list[CatalogItem]:
     ray: above that point the free slot forces every other label, so family
     instances and standalone rows stay disjoint.
 
-    Returns 12 families and 78 standalone items: 8 + 32 for cusp [2,3,6],
-    4 + 24 for [2,4,4], 0 + 22 for [3,3,3].
+    Returns 12 families and 78 standalone rows, none with a payload: 8 + 32
+    for cusp [2,3,6], 4 + 24 for [2,4,4], 0 + 22 for [3,3,3].
     """
     scanned = scan_admissible(SCAN_BOUND)
     closed = scanned | {symmetry_mate(lab) for lab in scanned}
@@ -395,7 +390,7 @@ def enumerate_catalog() -> list[CatalogItem]:
     cusp_of = {lab: CuspType.of(lab) for lab in scanned}
     core = [(cusp_of[lab], lab) for lab in scanned - ray_members]
 
-    items: list[CatalogItem] = []
+    rows: list[CatalogEntry] = []
     family_members: set[Labeling] = set()
     for pattern, slot in rays:
         head, tail = pattern[:slot], pattern[slot + 1 :]
@@ -404,23 +399,23 @@ def enumerate_catalog() -> list[CatalogItem]:
         # One past the largest value the slot takes among core labelings of
         # the same cusp; above this, every admissible labeling is on a ray.
         fold = 1 + max((lab[slot] for c, lab in core if c is cusp), default=1)
-        item = CatalogItem(slots=pattern, cusp=cusp, free_min=max(lo, fold))
-        items.append(item)
-        for n in range(item.free_min, SCAN_BOUND + 1):
-            member = item.instantiate(n)
+        row = CatalogEntry(pattern, cusp, True, free_slot=slot, free_min=max(lo, fold))
+        rows.append(row)
+        for n in range(row.free_min, SCAN_BOUND + 1):
+            member = row.instantiate(n)
             assert member in scanned, f"family gap: {member} missing from scan"
             family_members.add(member)
 
     for lab in scanned - family_members:
-        items.append(CatalogItem(slots=tuple(lab), cusp=cusp_of[lab]))
+        rows.append(CatalogEntry(lab, cusp_of[lab], False))
 
-    items.sort(key=lambda item: catalog_order(item.cusp, item.slots))
-    return items
+    rows.sort(key=lambda row: catalog_order(row.cusp, row.labeling))
+    return rows
 
 
-def catalog_counts(items: Sequence[CatalogItem]) -> dict[CuspType, tuple[int, int]]:
+def catalog_counts(rows: Sequence[CatalogEntry]) -> dict[CuspType, tuple[int, int]]:
     """Per-cusp (families, standalone) counts of a catalog."""
     counts = {cusp: [0, 0] for cusp in CUSP_ORDER}
-    for item in items:
-        counts[item.cusp][0 if item.family else 1] += 1
+    for row in rows:
+        counts[row.cusp][0 if row.family else 1] += 1
     return {cusp: (fams, specs) for cusp, (fams, specs) in counts.items()}

@@ -221,15 +221,17 @@ def _line_x_intersection(line, x: float) -> complex:
     return complex(x, slope * x + intercept)
 
 
-def rotation_parameters(labeling: Labeling, config: PlanarConfig) -> dict[str, float | complex]:
+def rotation_parameters(
+    labeling: Sequence[int], config: PlanarConfig
+) -> dict[str, float | complex]:
     """The GeneratorSet fields theta1, theta2, fixed1 and fixed2: the half-angles
     pi/a1 and pi/a2 of M2 and M3, and their centers, where the green and blue
     lines meet the red line.
     """
     red_x = 0.0 if config.a3_branch == 2 else -0.5
     return {
-        "theta1": math.pi / labeling.a1,
-        "theta2": math.pi / labeling.a2,
+        "theta1": math.pi / labeling[0],
+        "theta2": math.pi / labeling[1],
         "fixed1": _line_x_intersection(config.green, red_x),
         "fixed2": _line_x_intersection(config.blue, red_x),
     }

@@ -95,9 +95,9 @@ def test_c02_catalog_matches_golden_tables(capfd):
                 if item.cusp.code != cusp_code:
                     continue
                 if item.family:
-                    got_families.add((item.slots, item.free_min))
+                    got_families.add((item.labeling, item.free_min))
                 else:
-                    got_specifics.add(item.slots)
+                    got_specifics.add(item.labeling)
             assert got_families == expected_families, cusp_code
             assert got_specifics == expected_specifics, cusp_code
             assert len(rows) == len(expected_families) + len(expected_specifics)

@@ -57,6 +57,16 @@ def test_check_entry_rows_and_stored_residuals(full_entries):
         assert entry.verification[field] == residuals
 
 
+@pytest.mark.parametrize("labels", [(2, 6, 2, 7, 3, 2, 2, 3, 2), [2, 6, 2, 7, 3, 2, 2, 3, 2]])
+def test_check_entry_takes_any_nine_label_sequence(labels):
+    # Like realize and build_generators, check_entry needs no Labeling.
+    config = geometry.realize(labels)
+    gens = moebius.build_generators(labels, config)
+    report = cat.check_entry(labels, config, gens)
+    assert report.ok
+    assert report == cat.check_entry(Labeling(*labels), config, gens)
+
+
 def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     entry = next(e for e in full_entries if not e.family)
     tag = cat.label_tag(entry.labeling)
@@ -240,6 +250,15 @@ def mixed_entries():
     return entries
 
 
+class _Label(int):
+    """An int whose ``str`` is not its JSON text; ``json.dumps`` writes ``int.__repr__``."""
+
+    def __repr__(self) -> str:
+        return f"_Label({int(self)})"
+
+    __str__ = __repr__
+
+
 def _short_verification(entries):
     entry = next(e for e in entries if e.verification)
     residuals = {field: values[:3] for field, values in entry.verification.items()}
@@ -270,6 +289,9 @@ def _short_verification(entries):
         lambda entries: [
             entries[0]._replace(labeling=labeling) for labeling in ((1, [2]), ([2], 1))
         ],
+        lambda entries: [
+            e._replace(labeling=tuple(map(_Label, e.labeling))) for e in entries if not e.family
+        ],
     ],
     ids=[
         "mixed",
@@ -279,10 +301,21 @@ def _short_verification(entries):
         "one-stage",
         "stage-names",
         "nested-labels",
+        "int-subclass-labels",
     ],
 )
 def test_dumps_catalog_matches_json_dumps_on_edge_rows(mixed_entries, select):
     _assert_dumps_like_json_dumps(select(mixed_entries))
+
+
+def test_dumps_catalog_rejects_a_leaf_json_dumps_rejects(mixed_entries):
+    entries = [mixed_entries[0]._replace(labeling=(2, 1j, 2, 2, 2, 2, 2, 2, 2))]
+    with pytest.raises(TypeError) as expected:
+        json.dumps(cat.catalog_to_json(entries), indent=2)
+    with pytest.raises(TypeError) as got:
+        cat.dumps_catalog(entries)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == "Object of type complex is not JSON serializable"
 
 
 def test_dumps_catalog_calls_are_independent(full_entries, mixed_entries):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismcat import catalog as cat
-from prismcat import moebius
+from prismcat import cli, moebius
 from prismcat.cli import main
-from prismcat.labelings import enumerate_catalog, symmetry_mate
+from prismcat.labelings import EXPECTED_COUNTS, enumerate_catalog, symmetry_mate
 
 FIX1 = ["2", "6", "2", "7", "3", "2", "2", "3", "2"]
 # Far into a family, where the float64 generators miss the a4 relation's
@@ -71,6 +71,22 @@ def test_enumerate_reports_failed_entries_and_still_writes(tmp_path, monkeypatch
     assert len(failures) == len(built) > 78
     assert all(line.startswith("FAIL [") and ": relations fail on " in line for line in failures)
     assert "FAIL [2 6 2 7 3 2 2 3 2]: relations fail on a1, a2, a3, a4, a5, a6, a7, a8, a9" in failures
+
+
+def test_enumerate_reports_a_count_mismatch_and_still_writes(tmp_path, monkeypatch, capsys):
+    rows = enumerate_catalog()
+    dropped = next(row for row in rows if not row.family)
+    monkeypatch.setattr(cli, "enumerate_catalog", lambda: [row for row in rows if row != dropped])
+    out = tmp_path / "catalog.json"
+    assert main(["enumerate", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert len(json.loads(out.read_text())["entries"]) == 89
+    assert "12 families, 77 specific" in captured.out
+    families, specific = EXPECTED_COUNTS[dropped.cusp]
+    assert captured.err == (
+        f"count mismatch for C{dropped.cusp.code}: got {families} families"
+        f" + {specific - 1} specific, expected {families} + {specific}\n"
+    )
 
 
 def test_enumerate_rejects_bad_cusp():
@@ -295,11 +311,12 @@ def _nan_first_m2(doc):
             "max relation residual: 1.316e-03",
         ),
         # NaN compares false with every residual, so the summary must not
-        # skip it in favour of the valid rows around it.
+        # skip it in favour of the valid rows around it.  A NaN offset
+        # measures the red line's angles against the circles as NaN, not 0.
         (
             _nan_red_offset,
             "[2 3 2 2 6 4 2 2 2]: stored configuration drifts from recomputation on red by nan",
-            "max config drift:      nan",
+            "max angle residual:    nan\nmax config drift:      nan",
         ),
         (
             _nan_first_m2,
@@ -319,7 +336,7 @@ def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     assert f"FAIL {failure}" in captured.err.splitlines()
-    assert summary in captured.out.splitlines()
+    assert set(summary.splitlines()) <= set(captured.out.splitlines())
     assert "Traceback" not in captured.err
     assert captured.out.strip().endswith("FAIL")
 
@@ -658,18 +675,40 @@ def test_verify_rejects_malformed_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt,message",
     [
-        lambda c: c["red"].update(offset="x"),
-        lambda c: c["top"]["center"].__setitem__(0, None),
-        lambda c: c["back"]["center"].__setitem__(1, []),
-        lambda c: c["green"]["normal"].__setitem__(0, 10**400),
+        (lambda c: c["red"].update(offset="x"), "TypeError: expected a number, got 'x'"),
+        (
+            lambda c: c["top"]["center"].__setitem__(0, None),
+            "TypeError: expected a number, got None",
+        ),
+        (lambda c: c["back"]["center"].__setitem__(1, []), "TypeError: expected a number, got []"),
+        (
+            lambda c: c["green"]["normal"].__setitem__(0, 10**400),
+            "OverflowError: int too large to convert to float",
+        ),
+        # NaN fails every comparison, so the unit-length check must not be one
+        # that a NaN passes.
+        (
+            lambda c: c["green"]["normal"].__setitem__(0, math.nan),
+            "ValueError: line normal must have unit length, got nan",
+        ),
     ],
-    ids=["red-offset-string", "top-center-null", "back-center-list", "green-normal-huge"],
+    ids=[
+        "red-offset-string",
+        "top-center-null",
+        "back-center-list",
+        "green-normal-huge",
+        "green-normal-nan",
+    ],
 )
-def test_verify_rejects_a_line_or_circle_that_is_not_numbers(small_catalog, capsys, corrupt):
+def test_verify_rejects_a_line_or_circle_that_is_not_numbers(
+    small_catalog, capsys, corrupt, message
+):
     index = _corrupt_first_standalone(small_catalog, lambda r: corrupt(r["config"]))
-    _assert_rejected(small_catalog, capsys, index, "config")
+    assert main(["verify", str(small_catalog)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: catalog entry {index}: field 'config' is malformed ({message})\n"
 
 
 def test_verify_rejects_a_label_that_is_not_an_integer(small_catalog, capsys):

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _oracles as oracles
-from prismcat import geometry, labelings
+from prismcat import catalog, geometry, labelings
 from prismcat.catalog import build_catalog
 from prismcat.labelings import (
     EDGE_FACES,
@@ -21,7 +21,6 @@ from prismcat.labelings import (
     SCAN_BOUND,
     VERTEX_TRIPLES,
     VERTICES,
-    CatalogItem,
     CuspType,
     Labeling,
     TriangleClass,
@@ -328,9 +327,9 @@ def catalog_rows(items, cusp):
         if item.cusp is not cusp:
             continue
         if item.family:
-            families.add((item.slots, item.free_min))
+            families.add((item.labeling, item.free_min))
         else:
-            specifics.add(item.slots)
+            specifics.add(item.labeling)
     return families, specifics
 
 
@@ -357,7 +356,7 @@ def test_catalog_rows_are_admissible_and_canonical():
         if item.family:
             for n in (item.free_min, item.free_min + 1, item.free_min + 17, 1000):
                 lab = item.instantiate(n)
-                assert is_admissible(lab), (item.slots, n)
+                assert is_admissible(lab), (item.labeling, n)
                 assert canonicalize(lab) == lab
         else:
             assert is_admissible(item.labeling)
@@ -366,7 +365,7 @@ def test_catalog_rows_are_admissible_and_canonical():
 
 def test_catalog_is_sorted_and_duplicate_free():
     items = enumerate_catalog()
-    keys = [catalog_order(item.cusp, item.slots) for item in items]
+    keys = [catalog_order(item.cusp, item.labeling) for item in items]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -374,7 +373,7 @@ def test_catalog_is_sorted_and_duplicate_free():
 def test_free_slots_match_probe_oracle():
     # For every scanned labeling and slot, the slot is free by probing far
     # above the scan bound exactly when the catalog has a family through it.
-    families = {(item.slots, item.free_slot) for item in enumerate_catalog() if item.family}
+    families = {(item.labeling, item.free_slot) for item in enumerate_catalog() if item.family}
     probed = set()
     for lab in scan_admissible(SCAN_BOUND):
         for slot in range(9):
@@ -402,14 +401,14 @@ def test_family_free_slot_is_always_a4():
     for item in enumerate_catalog():
         if item.family:
             assert item.free_slot == 3
-            assert item.slots[3] is None
+            assert item.labeling[3] is None
 
 
 def test_family_bounds():
     bounds = {}
     for item in enumerate_catalog():
         if item.family:
-            bounds[item.slots] = item.free_min
+            bounds[item.labeling] = item.free_min
     assert bounds[(2, 6, 2, None, 3, 2, 2, 2, 2)] == 7
     assert bounds[(2, 6, 2, None, 3, 2, 2, 5, 2)] == 7
     assert bounds[(2, 3, 2, None, 6, 2, 2, 2, 2)] == 6
@@ -429,21 +428,35 @@ def test_family_instances_iterate_from_bound():
 
 def test_instantiate_rejects_below_bound():
     item = next(i for i in enumerate_catalog() if i.free_min == 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="free slot takes values >= 7, got 6"):
         item.instantiate(6)
-    # A family has no single labeling, and a standalone row no free slot.
-    with pytest.raises(ValueError, match="a family has no single labeling"):
-        item.labeling
+    # A standalone row has no free slot.
     standalone = next(i for i in enumerate_catalog() if not i.family)
     with pytest.raises(ValueError, match="not a family"):
         standalone.instantiate(7)
+
+
+def test_enumerate_catalog_rows_are_catalog_entries_without_payload():
+    rows = enumerate_catalog()
+    assert catalog.CatalogEntry is labelings.CatalogEntry
+    assert all(type(row) is labelings.CatalogEntry for row in rows)
+    assert sum(row.family for row in rows) == 12
+    for name in ("family_n", "config", "generators", "verification"):
+        assert all(getattr(row, name) is None for row in rows), name
+    # A standalone row's labeling is the scan's Labeling, with its edge names.
+    assert all(type(row.labeling) is Labeling for row in rows if not row.family)
+    for row in rows:
+        if row.family:
+            assert (row.free_slot, row.labeling[row.free_slot]) == (3, None)
+        else:
+            assert (row.free_slot, row.free_min) == (None, None)
 
 
 def test_below_bound_values_of_family_slots_appear_as_specifics():
     # (2,3,2,n,6,2,2,2,2) is a family for n >= 6; its admissible smaller
     # values n = 4, 5 must be listed as standalone rows.
     items = enumerate_catalog()
-    specifics = {item.slots for item in items if not item.family}
+    specifics = {item.labeling for item in items if not item.family}
     assert (2, 3, 2, 4, 6, 2, 2, 2, 2) in specifics
     assert (2, 3, 2, 5, 6, 2, 2, 2, 2) in specifics
     assert (2, 3, 2, 6, 6, 2, 2, 2, 2) not in specifics
@@ -470,9 +483,9 @@ def test_scan_finds_no_extra_rows_at_larger_bounds():
     # At bound 30 the scan adds only family instances, no new patterns.
     items = enumerate_catalog()
     family_patterns = [
-        (item.slots, item.free_slot) for item in items if item.family
+        (item.labeling, item.free_slot) for item in items if item.family
     ]
-    specifics = {item.slots for item in items if not item.family}
+    specifics = {item.labeling for item in items if not item.family}
 
     def in_family(lab):
         for pattern, slot in family_patterns:

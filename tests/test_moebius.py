@@ -109,13 +109,25 @@ def test_import_does_not_load_numpy():
     assert result.stdout.strip() == "[False, False, False, False]"
 
 
-def test_package_exports_the_readme_library_names():
+def _readme_library_example() -> str:
     readme = (Path(prismcat.__file__).resolve().parents[2] / "README.md").read_text()
-    example = readme.split("## Library", 1)[1].split("```python", 1)[1]
+    return readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_package_exports_the_readme_library_names():
+    example = _readme_library_example()
     imported = example.split("from prismcat import (", 1)[1].split(")", 1)[0]
     names = [name.strip() for name in imported.split(",") if name.strip()]
     assert sorted(prismcat.__all__) == sorted(names)
     assert all(hasattr(prismcat, name) for name in prismcat.__all__)
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(_readme_library_example(), "README.md", "exec"), {})
+    # Each of the 90 rows prints its worst relation residual and no failures.
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 90
+    assert all(line.endswith(" []") and float(line.split()[0]) < 1e-6 for line in lines)
 
 
 # ---------------------------------------------------------------------------
