@@ -75,14 +75,9 @@ def label_tag(labeling: Sequence[Optional[int]]) -> str:
 
 
 def check_entry(
-    lab: Sequence[int],
-    config: PlanarConfig,
-    gens: GeneratorSet,
-    *,
-    entry: str = "",
-    memo: dict | None = None,
+    config: PlanarConfig, gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
 ) -> Report:
-    """Every check of one realized labeling, as rows of one report.
+    """Every check of one realized labeling, ``gens.labeling``, as rows of one report.
 
     The nine edge angles of the configuration, the generators' rotation
     half-angles and centers recomputed from it, the four determinants, and
@@ -92,6 +87,7 @@ def check_entry(
     its entry tag, and the error starts with it the way a failure of a
     tagged row does.  ``memo`` goes to ``verify_relations``.
     """
+    lab = gens.labeling
     checks = list(verify_config(lab, config, entry=entry).checks)
     for name, expected in rotation_parameters(lab, config).items():
         residual = abs(getattr(gens, name) - expected)
@@ -137,7 +133,7 @@ def build_entry(
     lab = Labeling(*labeling)
     config = realize(lab)
     gens = build_generators(lab, config)
-    report = check_entry(lab, config, gens, entry=label_tag(lab), memo=memo)
+    report = check_entry(config, gens, entry=label_tag(lab), memo=memo)
     entry = CatalogEntry(
         labeling=tuple(lab),
         cusp=CuspType.of(lab),
@@ -668,17 +664,22 @@ def _check_target(
         diffs = [abs(a - b) for a, b in zip(_face_numbers(config), _face_numbers(fresh))]
         diffs.append(abs(config.a3_branch - fresh.a3_branch))
         worst = max(range(len(diffs)), key=lambda i: (math.isnan(diffs[i]), diffs[i]))
-        where = ("red", "green", "blue", "back", "top", "a3_branch")[worst // 3]
+        where = PlanarConfig._fields[worst // 3]
         checks.append(Check("drift", where, diffs[worst], 0.0, geometry.ANGLE_TOL, tag))
-    report = check_entry(lab, config, gens, entry=tag, memo=memo)
+    report = check_entry(config, gens, entry=tag, memo=memo)
     checks += report.checks
     if not entry.family:
-        disagree = [
-            f"{field} {check.edge}"
-            for field, rows in _stored_rows(report).items()
-            for check, stored in zip(rows, entry.verification[field])
-            if not abs(stored - check.residual) <= check.tol
-        ]
+        disagree = []
+        for field, rows in _stored_rows(report).items():
+            stored = entry.verification.get(field, ())
+            if len(stored) != 9:
+                errors.append(f"{tag}: entry stores {len(stored)} {field} residuals, expected 9")
+                continue
+            disagree += (
+                f"{field} {check.edge}"
+                for check, value in zip(rows, stored)
+                if not abs(value - check.residual) <= check.tol
+            )
         if disagree:
             errors.append(
                 f"{tag}: stored residuals disagree with recomputation on {', '.join(disagree)}"
@@ -704,10 +705,7 @@ def _provenance_errors(provenance: dict) -> list[str]:
 
 
 def verify_catalog(
-    entries: Sequence[CatalogEntry],
-    samples: Optional[Sequence[int]] = None,
-    *,
-    provenance: Optional[dict] = None,
+    entries: Sequence[CatalogEntry], samples: Optional[Sequence[int]] = None
 ) -> Report:
     """Re-realize and re-verify every entry of a catalog.
 
@@ -723,15 +721,15 @@ def verify_catalog(
     together with its mirror image (``symmetry_mate``) when that differs
     from it.  A family instance must have its family's pattern row in the
     catalog, with the same ``free_min``, and a catalog with no entries
-    fails.  A ``provenance``, as ``load_catalog`` gives it, must name this
-    tool and record ``TOLERANCES``.  The report's rows carry their entry's
-    tag, and ``entries_checked`` counts the labelings checked.  The checked
-    labelings share one relation-word memo, so a word that repeats across
-    them is measured once.
+    fails.  The ``provenance`` of a ``Catalog``, as ``load_catalog`` returns
+    it, must name this tool and record ``TOLERANCES``.  The report's rows
+    carry their entry's tag, and ``entries_checked`` counts the labelings
+    checked.  The checked labelings share one relation-word memo, so a word
+    that repeats across them is measured once.
     """
     checks: list[Check] = []
     stored = Counter(entry.labeling for entry in entries)
-    errors = [] if provenance is None else _provenance_errors(provenance)
+    errors = _provenance_errors(entries.provenance) if isinstance(entries, Catalog) else []
     errors += [
         f"{label_tag(labeling)}: the row is stored {count} times"
         for labeling, count in stored.items()

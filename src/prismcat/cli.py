@@ -22,7 +22,6 @@ from . import catalog as cat
 from .geometry import RealizationError, Report
 from .labelings import (
     EXPECTED_COUNTS,
-    CUSP_ORDER,
     CuspType,
     Labeling,
     catalog_counts,
@@ -118,7 +117,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # build_catalog keeps each row of the selected cusps as one pattern or
     # standalone entry, so the rows give the entries' counts.
     counts = catalog_counts(rows)
-    shown = [c for c in CUSP_ORDER if cusp in (None, c)]
+    shown = [c for c in CuspType if cusp in (None, c)]
     parts = "; ".join(f"C{c.code}: {counts[c][0]} + {counts[c][1]}" for c in shown)
     families = sum(counts[c][0] for c in shown)
     specific = sum(counts[c][1] for c in shown)
@@ -159,8 +158,7 @@ def cmd_matrices(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    entries = cat.load_catalog(args.catalog)
-    report = cat.verify_catalog(entries, samples=args.sample, provenance=entries.provenance)
+    report = cat.verify_catalog(cat.load_catalog(args.catalog), samples=args.sample)
     print(f"checked {report.entries_checked} configurations")
     print(f"max angle residual:    {report.max_residual('angle'):.3e}")
     print(f"max relation residual: {report.max_residual('relation'):.3e}")

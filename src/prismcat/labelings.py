@@ -48,7 +48,8 @@ class CuspType(Enum):
     """Angle multiset at the ideal vertex.
 
     The three values are the only multisets of integers >= 2 whose angle sum
-    pi/p + pi/q + pi/r equals pi, i.e. the only Euclidean triples.
+    pi/p + pi/q + pi/r equals pi, i.e. the only Euclidean triples.  They are
+    defined in catalog order, which is also the order of their values.
     """
 
     C236 = (2, 3, 6)
@@ -131,9 +132,6 @@ _ideal = operator.itemgetter(*VERTEX_TRIPLES[0][0])  # the ideal apex's three la
     for faces in itertools.combinations(sorted({face for faces in VERTICES for face in faces}), 3)
     if len(_edges_among(faces)) == 3 and set(faces) not in map(set, VERTICES)
 )
-
-# Canonical presentation order of the cusp types.
-CUSP_ORDER: tuple[CuspType, ...] = (CuspType.C236, CuspType.C244, CuspType.C333)
 
 # Catalog size constants: cusp -> (families, standalone labelings).
 EXPECTED_COUNTS: dict[CuspType, tuple[int, int]] = {
@@ -283,12 +281,15 @@ class CatalogEntry(NamedTuple):
         return Labeling(*self.labeling[:slot], n, *self.labeling[slot + 1 :])
 
 
-def catalog_order(cusp: CuspType, labels: Sequence[Optional[int]]) -> tuple[int, tuple[int, ...]]:
-    """Sort key of a catalog row: its cusp, then its labels with a free slot as 0.
+def catalog_order(
+    cusp: CuspType, labels: Sequence[Optional[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sort key of a catalog row: its cusp's value, then its labels with a free slot as 0.
 
-    A family pattern therefore precedes its instances.
+    The cusp values sort in the order ``CuspType`` defines them, and a family
+    pattern precedes its instances.
     """
-    return CUSP_ORDER.index(cusp), tuple(0 if v is None else v for v in labels)
+    return cusp.value, tuple(0 if v is None else v for v in labels)
 
 
 # Finite scan bound before family folding: the smallest that decides every
@@ -343,7 +344,7 @@ def scan_admissible(max_label: int) -> set[Labeling]:
             if required is TriangleClass.SPHERICAL:
                 break
 
-    for seed in {seed for cusp in CUSP_ORDER for seed in itertools.permutations(cusp.value)}:
+    for seed in {seed for cusp in CuspType for seed in itertools.permutations(cusp.value)}:
         if max(seed) <= max_label:
             for edge, value in zip(_APEX, seed):
                 labels[edge] = value
@@ -415,7 +416,7 @@ def enumerate_catalog() -> list[CatalogEntry]:
 
 def catalog_counts(rows: Sequence[CatalogEntry]) -> dict[CuspType, tuple[int, int]]:
     """Per-cusp (families, standalone) counts of a catalog."""
-    counts = {cusp: [0, 0] for cusp in CUSP_ORDER}
+    counts = {cusp: [0, 0] for cusp in CuspType}
     for row in rows:
         counts[row.cusp][0 if row.family else 1] += 1
     return {cusp: (fams, specs) for cusp, (fams, specs) in counts.items()}

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
+import mpmath
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -444,3 +445,67 @@ def reflection_generator(red, face) -> tuple:
 def psl2_distance(m: tuple, n: tuple) -> float:
     """Largest entry of m - n or of m + n, whichever is smaller: the distance up to sign."""
     return min(max(abs(x - y) for x, y in zip(m, n)), max(abs(x + y) for x, y in zip(m, n)))
+
+
+# ---------------------------------------------------------------------------
+# The Gram matrix of the five faces (Vinberg, Russian Math. Surveys 40, 1985)
+#
+# In R^{3,1} with the form diag(1, 1, 1, -1) each face is a spacelike unit
+# vector: the line n . p = d is (nx, ny, d, d) and the circle |p - c| = r is
+# (cx / r, cy / r, (|c|^2 - r^2 - 1) / 2r, (|c|^2 - r^2 + 1) / 2r).  Two
+# faces that meet at pi/a have product +-cos(pi/a); red and top, which do not
+# meet, have product x, the cosh of their distance.  A finite-volume prism
+# has a Gram matrix of rank 4, so det G(x) = 0 fixes x from the labels.
+
+# The faces in the order red, green, blue, back, top; each edge a1..a9 as the
+# indices of its two faces and the sign of its entry, which follows from how
+# realize orients the lines and circles.
+_GRAM_EDGES = (
+    ((0, 1), -1),
+    ((0, 2), -1),
+    ((0, 3), 1),
+    ((1, 3), 1),
+    ((1, 2), -1),
+    ((2, 3), 1),
+    ((1, 4), 1),
+    ((2, 4), 1),
+    ((3, 4), -1),
+)
+
+
+def face_vector(face) -> tuple:
+    """The unit spacelike vector of a line or circle of the boundary plane."""
+    if hasattr(face, "r"):
+        s = face.cx**2 + face.cy**2 - face.r**2
+        return (face.cx / face.r, face.cy / face.r, (s - 1) / (2 * face.r), (s + 1) / (2 * face.r))
+    return (face.nx, face.ny, face.d, face.d)
+
+
+def lorentz(u, v):
+    """The product of two vectors under diag(1, 1, 1, -1)."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] - u[3] * v[3]
+
+
+def gram_matrix(labels: tuple[int, ...], x, lib=math) -> list[list]:
+    """G(x) from the labels alone, with ``x`` as the red/top entry."""
+    g = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+    for ((i, j), sign), label in zip(_GRAM_EDGES, labels, strict=True):
+        g[i][j] = g[j][i] = sign * lib.cos(lib.pi / label)
+    g[0][4] = g[4][0] = x
+    return g
+
+
+def gram_roots(labels: tuple[int, ...], dps: int = 40) -> list:
+    """The two roots of det G(x) = 0 at ``dps`` digits, ascending, for real roots.
+
+    x fills two symmetric entries, so det G is a quadratic in x, fixed by its
+    values at -1, 0 and 1.
+    """
+    with mpmath.workdps(dps):
+        f = {
+            x: mpmath.det(mpmath.matrix(gram_matrix(labels, mpmath.mpf(x), mpmath)))
+            for x in (-1, 0, 1)
+        }
+        a, b, c = (f[1] + f[-1]) / 2 - f[0], (f[1] - f[-1]) / 2, f[0]
+        sq = mpmath.sqrt(b * b - 4 * a * c)
+        return sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a)))

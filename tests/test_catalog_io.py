@@ -44,8 +44,7 @@ def test_build_catalog_shape(full_entries):
 
 def test_check_entry_rows_and_stored_residuals(full_entries):
     entry = next(e for e in full_entries if not e.family)
-    lab = Labeling(*entry.labeling)
-    report = cat.check_entry(lab, entry.config, entry.generators)
+    report = cat.check_entry(entry.config, entry.generators)
     assert report.ok and report.entries_checked == 1
     stages = ["angle"] * 9 + ["generator"] * 4 + ["determinant"] * 4
     stages += ["relation"] * 9 + ["trace"] * 9
@@ -58,13 +57,17 @@ def test_check_entry_rows_and_stored_residuals(full_entries):
 
 
 @pytest.mark.parametrize("labels", [(2, 6, 2, 7, 3, 2, 2, 3, 2), [2, 6, 2, 7, 3, 2, 2, 3, 2]])
-def test_check_entry_takes_any_nine_label_sequence(labels):
-    # Like realize and build_generators, check_entry needs no Labeling.
+def test_check_entry_reads_the_labels_of_its_generators(labels):
+    # realize and build_generators take any nine-label sequence; check_entry
+    # reads the labels from the generators, so it needs no labels of its own.
     config = geometry.realize(labels)
     gens = moebius.build_generators(labels, config)
-    report = cat.check_entry(labels, config, gens)
+    assert gens.labeling == Labeling(*labels)
+    report = cat.check_entry(config, gens)
     assert report.ok
-    assert report == cat.check_entry(Labeling(*labels), config, gens)
+    assert [c.expected for c in report.checks if c.stage == "angle"] == [
+        math.pi / a for a in labels
+    ]
 
 
 def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
@@ -74,7 +77,7 @@ def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     assert {check.entry for check in report.checks} == {tag}
     zero = MoebiusMatrix.of(0, 0, 0, 0)
     gens = entry.generators._replace(m3=zero)
-    report = cat.check_entry(Labeling(*entry.labeling), entry.config, gens, entry=tag)
+    report = cat.check_entry(entry.config, gens, entry=tag)
     assert report.errors == (f"{tag}: M3 singular, so relations and traces cannot be checked",)
     assert report.failures() == [
         f"{tag}: M3 determinant drifts by 1.000e+00",
@@ -505,6 +508,45 @@ def test_verify_catalog_fails_an_empty_catalog():
     report = cat.verify_catalog([])
     assert report.errors == ("the catalog has no entries",)
     assert report.checks == () and report.entries_checked == 0 and not report.ok
+
+
+def test_verify_catalog_compares_the_provenance_of_a_loaded_catalog(full_entries):
+    # The loaded Catalog carries its provenance, so the library call reaches
+    # the verdict the verify command prints.  A plain list has none to compare.
+    doc = json.loads(cat.dumps_catalog(full_entries[:1]))
+    doc["provenance"]["tool"] = "other"
+    loaded = cat.load_catalog(io.StringIO(json.dumps(doc)))
+    report = cat.verify_catalog(loaded)
+    assert report.errors == ("provenance: tool 'other' is not 'prismcat'",)
+    assert not report.ok
+    assert cat.verify_catalog(list(loaded)).ok
+
+
+@pytest.mark.parametrize(
+    "cut, failures",
+    [
+        (
+            lambda v: {field: residuals[:3] for field, residuals in v.items()},
+            [f"entry stores 3 {field} residuals, expected 9" for field in cat.VERIFIED_STAGES],
+        ),
+        (
+            lambda v: {"traces": v["traces"]},
+            [
+                "entry stores 0 angles residuals, expected 9",
+                "entry stores 0 relations residuals, expected 9",
+            ],
+        ),
+    ],
+    ids=["three-each", "traces-only"],
+)
+def test_verify_catalog_fails_a_row_with_short_or_partial_residuals(full_entries, cut, failures):
+    # The decoder rejects such rows in a file; a row built in the library is
+    # checked by verify_catalog itself, which names the entry.
+    row = next(e for e in full_entries if not e.family)
+    row = row._replace(verification=cut(row.verification))
+    report = cat.verify_catalog([row])
+    tag = cat.label_tag(row.labeling)
+    assert report.failures() == [f"{tag}: {failure}" for failure in failures]
 
 
 def test_verify_catalog_sample_values_below_bound_are_skipped(full_entries):

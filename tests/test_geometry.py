@@ -389,6 +389,43 @@ def test_every_admissible_labeling_has_one_positive_root():
         assert a < 0 < c, labels
 
 
+# ---------------------------------------------------------------------------
+# the Gram matrix: realize against det G(x) = 0 from the labels alone
+
+
+def test_realize_puts_red_and_top_at_the_root_of_the_gram_determinant():
+    # The 78 standalone rows, and each family at free_min, +1, +10 and 500.
+    targets = []
+    for row in enumerate_catalog():
+        if not row.family:
+            targets.append(row.labeling)
+            continue
+        values = {row.free_min, row.free_min + 1, row.free_min + 10, 500}
+        targets += [row.instantiate(n) for n in sorted(values)]
+    assert len(targets) == 126
+    eps = 2.0**-52
+    for labels in targets:
+        config = realize(labels)
+        faces = [oracles.face_vector(config[i]) for i in range(5)]
+        products = [[oracles.lorentz(u, v) for v in faces] for u in faces]
+        x = products[0][4]
+        # Unit vectors whose products on the nine edges are the signed
+        # cosines of G(x): this fixes the sign convention.
+        expected = oracles.gram_matrix(labels, x)
+        for i, j in product(range(5), repeat=2):
+            assert abs(products[i][j] - expected[i][j]) <= ANGLE_TOL, (labels, i, j)
+        [root] = [root for root in oracles.gram_roots(labels) if root > 1]
+        # Error model: the red line is exact (x = 0 or x = -1/2), and x is
+        # its product with the top circle, whose center and radius end
+        # realize's chain of about twenty roundings (cosines, the 2x2 solve,
+        # the quadratic) and the face vector's and product's four more.  At
+        # eps/2 each, with condition numbers near 1, that is 12 eps x, which
+        # 16 eps x covers.  Measured: at most 7.2 eps x, on
+        # [3 3 2 3 3 4 4 2 2].  Relative to x - 1 the worst is 9.8e-11, on
+        # [2 3 2 500 6 4 2 2 2], where x - 1 = 2.0e-6: one ulp of x.
+        assert abs(x - root) <= 16 * eps * x, (labels, x, root)
+
+
 def test_verify_config_flags_perturbed_radius():
     lab = Labeling(2, 6, 2, 7, 3, 2, 2, 3, 2)
     config = realize(lab)

@@ -365,7 +365,7 @@ def test_check_entry_fails_unverified_config():
         top=PlanarCircle(config.top.cx, config.top.cy, config.top.r * 2),
         a3_branch=config.a3_branch,
     )
-    report = check_entry(lab, broken, build_generators(lab, broken))
+    report = check_entry(broken, build_generators(lab, broken))
     assert [c.edge for c in report.checks if c.stage == "angle" and not c.ok] == ["a8", "a9"]
     assert report.failures()[0] == "configuration fails on a8, a9"
 
@@ -422,6 +422,34 @@ def test_relations_hold_far_into_a_family():
         expected_tol = RELATION_TOL_LARGE if exponent > 100 else RELATION_TOL
         assert check.tol == expected_tol
         assert check.residual <= expected_tol
+
+
+def test_relabeling_a_family_member_by_one_fails_its_free_edge():
+    # Generators built for n but labeled n - 1 or n + 1: check_entry reads the
+    # labels from the generators, so its angle and relation rows on the free
+    # edge compare the n configuration with the neighbouring order.  The
+    # relation residual has cleared its tolerance by at least 1.9e6 times
+    # wherever this was measured.  The trace row is not asserted: it catches
+    # every such relabeling up to n = 1,000 and none at n = 2,000, since the
+    # traces of orders n and n + 1 differ by only about 2 pi^2 / n^3 (the
+    # large-n soundness gap of the trace stage).
+    for row in enumerate_catalog():
+        if not row.family:
+            continue
+        edge = f"a{row.free_slot + 1}"
+        for n in sorted({row.free_min, 10, 100, 1000, 4000}):
+            lab = row.instantiate(n)
+            config = realize(lab)
+            gens = build_generators(lab, config)
+            for label in (n - 1, n + 1):
+                relabeled = lab._replace(**{lab._fields[row.free_slot]: label})
+                report = check_entry(config, gens._replace(labeling=relabeled))
+                angle, relation = (
+                    next(c for c in report.checks if c.stage == stage and c.edge == edge)
+                    for stage in ("angle", "relation")
+                )
+                assert not angle.ok, (relabeled, angle)
+                assert relation.residual >= 1e6 * relation.tol, (relabeled, relation)
 
 
 def test_traces_match_elliptic_orders():
