@@ -122,7 +122,7 @@ def _stored_rows(report: Report) -> dict[str, list[Check]]:
 
 
 def build_entry(
-    labeling: Sequence[int], *, memo: dict | None = None, **metadata
+    labeling: Sequence[int], *, memo: dict | None = None
 ) -> tuple[CatalogEntry, Report]:
     """Run the full pipeline on one labeling: the entry, and the report of its checks.
 
@@ -144,43 +144,39 @@ def build_entry(
             field: tuple(check.residual for check in rows)
             for field, rows in _stored_rows(report).items()
         },
-        **metadata,
     )
     return entry, report
 
 
 def build_catalog(
-    rows: Sequence[CatalogEntry],
-    max_n: Optional[int] = None,
-    cusp: Optional[CuspType] = None,
+    rows: Iterable[CatalogEntry], max_n: Optional[int] = None
 ) -> tuple[list[CatalogEntry], list[str]]:
-    """Catalog entries for the given rows, such as ``enumerate_catalog()``.
+    """Catalog entries for exactly the given rows, such as ``enumerate_catalog()``.
 
-    Family rows are kept as they are; with ``max_n`` each family additionally
-    expands into built instances for free_min..max_n.  Standalone rows are
-    built with the full payload.  Returns the entries in catalog order and
-    the failures of the built ones, each tagged with its entry's labels.
-    The built entries share one relation-word memo.
+    Family rows are kept as they are; with ``max_n`` each family also expands
+    into built instances for free_min..max_n, stamped with its ``free_slot``
+    and ``free_min``.  Standalone rows are built with the full payload.
+    Returns the entries in catalog order and the failures of the built ones,
+    each tagged with its entry's labels.  They share one relation-word memo.
     """
     entries: list[CatalogEntry] = []
     failures: list[str] = []
     memo: dict = {}
 
-    def add(labeling: Labeling, **metadata) -> None:
-        entry, report = build_entry(labeling, memo=memo, **metadata)
-        entries.append(entry)
+    def build(labeling: Labeling) -> CatalogEntry:
+        entry, report = build_entry(labeling, memo=memo)
         failures.extend(report.failures())
+        return entry
 
     for row in rows:
-        if cusp is not None and row.cusp is not cusp:
-            continue
         if not row.family:
-            add(row.labeling)
+            entries.append(build(row.labeling))
             continue
         entries.append(row)
-        if max_n is not None:
-            for n in range(row.free_min, max_n + 1):
-                add(row.instantiate(n), free_slot=row.free_slot, free_min=row.free_min, family_n=n)
+        for n in range(row.free_min, max_n + 1) if max_n is not None else ():
+            instance = build(row.instantiate(n))
+            slot, free_min = row.free_slot, row.free_min
+            entries.append(instance._replace(free_slot=slot, free_min=free_min, family_n=n))
     entries.sort(key=lambda entry: catalog_order(entry.cusp, entry.labeling))
     return entries, failures
 
@@ -597,11 +593,14 @@ def load_catalog(fp: Union[str, IO[str]]) -> Catalog:
     The result is the list of entries, with the document's checked
     ``provenance`` (its ``tool`` and ``tolerances``) as an attribute.
     """
-    if isinstance(fp, str):
-        with open(fp, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    else:
-        payload = json.load(fp)
+    try:
+        if isinstance(fp, str):
+            with open(fp, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        else:
+            payload = json.load(fp)
+    except RecursionError:
+        raise ValueError("the catalog is nested too deeply to read") from None
     if not isinstance(payload, dict):
         raise ValueError(
             "a catalog is a JSON object with fields 'schema' and 'entries', "
@@ -705,7 +704,7 @@ def _provenance_errors(provenance: dict) -> list[str]:
 
 
 def verify_catalog(
-    entries: Sequence[CatalogEntry], samples: Optional[Sequence[int]] = None
+    entries: Iterable[CatalogEntry], samples: Optional[Iterable[int]] = None
 ) -> Report:
     """Re-realize and re-verify every entry of a catalog.
 
@@ -722,14 +721,34 @@ def verify_catalog(
     from it.  A family instance must have its family's pattern row in the
     catalog, with the same ``free_min``, and a catalog with no entries
     fails.  The ``provenance`` of a ``Catalog``, as ``load_catalog`` returns
-    it, must name this tool and record ``TOLERANCES``.  The report's rows
-    carry their entry's tag, and ``entries_checked`` counts the labelings
-    checked.  The checked labelings share one relation-word memo, so a word
-    that repeats across them is measured once.
+    it, must name this tool and record ``TOLERANCES``.  ``entries`` and
+    ``samples`` are each read once, so any iterable will do.  The report's
+    rows carry their entry's tag, and ``entries_checked`` counts the
+    labelings checked.  They share one relation-word memo, so a word that
+    repeats across them is measured once.
     """
-    checks: list[Check] = []
-    stored = Counter(entry.labeling for entry in entries)
     errors = _provenance_errors(entries.provenance) if isinstance(entries, Catalog) else []
+    sampled = None if samples is None else sorted(set(samples))
+    stored: Counter = Counter()
+    pattern_free_min = {}
+    instances = []
+    # Each labeling to check: a stored row's own, or a family row's samples.
+    targets = []
+    for entry in entries:
+        stored[entry.labeling] += 1
+        tag = label_tag(entry.labeling)
+        if not entry.family:
+            if entry.free_slot is not None:
+                instances.append((entry, tag))
+            targets.append((entry, Labeling(*entry.labeling), tag))
+            continue
+        pattern_free_min[entry.labeling] = entry.free_min
+        if sampled is None:
+            values = [entry.free_min + offset for offset in FAMILY_SAMPLE_OFFSETS]
+            values = sorted({*values, max(FAMILY_SAMPLE_LARGE, entry.free_min)})
+        else:
+            values = [n for n in sampled if n >= entry.free_min]
+        targets += ((entry, entry.instantiate(n), f"{tag} at n={n}") for n in values)
     errors += [
         f"{label_tag(labeling)}: the row is stored {count} times"
         for labeling, count in stored.items()
@@ -742,38 +761,19 @@ def verify_catalog(
             errors.append(
                 f"{label_tag(labeling)}: its mirror image {label_tag(mate)} is stored too"
             )
-    pattern_free_min = {entry.labeling: entry.free_min for entry in entries if entry.family}
-    for entry in entries:
+    for entry, tag in instances:
         slot = entry.free_slot
-        if entry.family or slot is None:
-            continue
         pattern = entry.labeling[:slot] + (None,) + entry.labeling[slot + 1 :]
         if pattern not in pattern_free_min:
-            errors.append(
-                f"{label_tag(entry.labeling)}: its family row {label_tag(pattern)} is not stored"
-            )
+            errors.append(f"{tag}: its family row {label_tag(pattern)} is not stored")
         elif pattern_free_min[pattern] != entry.free_min:
             errors.append(
-                f"{label_tag(entry.labeling)}: free_min {entry.free_min} differs from"
+                f"{tag}: free_min {entry.free_min} differs from"
                 f" {pattern_free_min[pattern]} in its family row"
             )
-    if not entries:
+    if not stored:
         errors.append("the catalog has no entries")
-    # Each labeling to check: a stored row's own, or a family row's samples.
-    targets = []
-    for entry in entries:
-        if not entry.family:
-            targets.append((entry, Labeling(*entry.labeling), label_tag(entry.labeling)))
-            continue
-        if samples is None:
-            values = [entry.free_min + offset for offset in FAMILY_SAMPLE_OFFSETS]
-            values.append(max(FAMILY_SAMPLE_LARGE, entry.free_min))
-        else:
-            values = [n for n in samples if n >= entry.free_min]
-        targets += (
-            (entry, entry.instantiate(n), f"{label_tag(entry.labeling)} at n={n}")
-            for n in sorted(set(values))
-        )
+    checks: list[Check] = []
     memo: dict = {}
     for entry, lab, tag in targets:
         try:

@@ -110,14 +110,13 @@ def _build(args: argparse.Namespace) -> tuple[cat.CatalogEntry, Report]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cusp = CuspType.from_code(args.cusp) if args.cusp else None
-    rows = enumerate_catalog()
-    entries, failures = cat.build_catalog(rows, max_n=args.max_n, cusp=cusp)
+    shown = [CuspType.from_code(args.cusp)] if args.cusp else list(CuspType)
+    rows = [row for row in enumerate_catalog() if row.cusp in shown]
+    entries, failures = cat.build_catalog(rows, max_n=args.max_n)
 
-    # build_catalog keeps each row of the selected cusps as one pattern or
-    # standalone entry, so the rows give the entries' counts.
+    # build_catalog keeps each row as one pattern or standalone entry, so the
+    # rows give the entries' counts.
     counts = catalog_counts(rows)
-    shown = [c for c in CuspType if cusp in (None, c)]
     parts = "; ".join(f"C{c.code}: {counts[c][0]} + {counts[c][1]}" for c in shown)
     families = sum(counts[c][0] for c in shown)
     specific = sum(counts[c][1] for c in shown)
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="write the catalog as JSON")
     p_enum.add_argument("--max-n", type=int, default=None, metavar="N",
                         help="expand each family into instances up to N")
-    p_enum.add_argument("--cusp", choices=["236", "244", "333"], default=None,
+    p_enum.add_argument("--cusp", choices=[c.code for c in CuspType], default=None,
                         help="restrict to one cusp type")
     p_enum.add_argument("-o", "--output", default=None, metavar="FILE",
                         help="write JSON here instead of stdout")

@@ -196,9 +196,24 @@ def test_each_sweep_measures_each_distinct_word_once(max12_entries, monkeypatch)
 
 
 def test_build_catalog_cusp_filter():
-    entries, _ = cat.build_catalog(enumerate_catalog(), cusp=CuspType.C333)
-    assert len(entries) == 22
-    assert all(e.cusp is CuspType.C333 for e in entries)
+    # The caller selects one cusp's rows and build_catalog builds exactly
+    # them; each instance is stamped with its row's free slot and bound.
+    rows = [row for row in enumerate_catalog() if row.cusp is CuspType.C244]
+    entries, failures = cat.build_catalog(rows, max_n=8)
+    assert failures == []
+    families = {row.labeling: row for row in rows if row.family}
+    assert [e for e in entries if e.family] == list(families.values())
+    standalone = [e.labeling for e in entries if e.free_slot is None]
+    assert standalone == [row.labeling for row in rows if not row.family]
+    instances = [e for e in entries if e.family_n is not None]
+    assert len(instances) == sum(8 - row.free_min + 1 for row in families.values())
+    for inst in instances:
+        slot = inst.free_slot
+        row = families[inst.labeling[:slot] + (None,) + inst.labeling[slot + 1 :]]
+        assert (inst.free_slot, inst.free_min) == (row.free_slot, row.free_min)
+        assert inst.family_n == inst.labeling[slot] >= row.free_min
+    assert len(entries) == len(rows) + len(instances) == 28 + 12
+    assert all(e.cusp is CuspType.C244 for e in entries)
 
 
 def test_build_catalog_expands_families():
@@ -505,9 +520,24 @@ def test_verify_catalog_passes_on_fresh_entries(full_entries):
 
 
 def test_verify_catalog_fails_an_empty_catalog():
-    report = cat.verify_catalog([])
-    assert report.errors == ("the catalog has no entries",)
-    assert report.checks == () and report.entries_checked == 0 and not report.ok
+    # An empty iterator is as empty as an empty list.
+    for entries in ([], iter([])):
+        report = cat.verify_catalog(entries)
+        assert report.errors == ("the catalog has no entries",)
+        assert report.checks == () and report.entries_checked == 0 and not report.ok
+
+
+def test_verify_catalog_reads_a_one_shot_iterator_of_entries(full_entries):
+    # Every stored row's residuals are tampered; read once, each is still checked.
+    tampered = [
+        e if e.family else e._replace(verification={**e.verification, "angles": (1.0,) * 9})
+        for e in full_entries
+    ]
+    report = cat.verify_catalog(iter(tampered))
+    assert not report.ok
+    assert report.entries_checked == 78 + 12 * 4
+    assert len(report.failures()) == 78
+    assert all("disagree with recomputation on angles a1," in f for f in report.failures())
 
 
 def test_verify_catalog_compares_the_provenance_of_a_loaded_catalog(full_entries):
@@ -551,10 +581,12 @@ def test_verify_catalog_fails_a_row_with_short_or_partial_residuals(full_entries
 
 def test_verify_catalog_sample_values_below_bound_are_skipped(full_entries):
     families = [e for e in full_entries if e.family]
-    report = cat.verify_catalog(families, samples=[3, 8, 12])
-    # every family bound is 6 or 7, so the 3 never applies
-    assert report.entries_checked == 2 * len(families)
-    assert report.ok
+    # A one-shot iterator of samples is read once, for every family.
+    for samples in ([3, 8, 12], iter([3, 8, 12])):
+        report = cat.verify_catalog(families, samples=samples)
+        # every family bound is 6 or 7, so the 3 never applies
+        assert report.entries_checked == 2 * len(families) == 24
+        assert report.ok
 
 
 def test_verify_catalog_flags_corrupted_radius(full_entries):

@@ -840,6 +840,19 @@ def test_verify_rejects_non_object_document(tmp_path, capsys):
     assert "got list" in err
 
 
+def test_verify_rejects_a_document_nested_too_deeply(small_dump, tmp_path, capsys):
+    # The decoder gives up on deep nesting with a RecursionError; Python 3.13
+    # decodes 3,000 levels, and then the entry is not an object.
+    path = tmp_path / "catalog.json"
+    path.write_text("[" * 100_000)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: the catalog is nested too deeply to read\n"
+    doc = json.dumps({**small_dump, "entries": "@"})
+    path.write_text(doc.replace('"@"', "[" * 3000 + "]" * 3000))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_reports_singular_generator(tmp_path, capsys):
     path = make_catalog(tmp_path, capsys)
     doc = json.loads(path.read_text())
