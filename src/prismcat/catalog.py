@@ -32,6 +32,7 @@ from .labelings import (
     CatalogEntry,
     CuspType,
     Labeling,
+    brief,
     catalog_order,
     symmetry_mate,
 )
@@ -198,12 +199,8 @@ def _matrix_json(m: MoebiusMatrix) -> list:
 
 
 def _matrix_from(rows: list) -> MoebiusMatrix:
-    return MoebiusMatrix(
-        _complex_from(rows[0][0]),
-        _complex_from(rows[0][1]),
-        _complex_from(rows[1][0]),
-        _complex_from(rows[1][1]),
-    )
+    (a, b), (c, d) = rows
+    return MoebiusMatrix(_complex_from(a), _complex_from(b), _complex_from(c), _complex_from(d))
 
 
 def _line_json(line: PlanarLine) -> dict:
@@ -211,7 +208,8 @@ def _line_json(line: PlanarLine) -> dict:
 
 
 def _line_from(d: dict) -> PlanarLine:
-    return PlanarLine(_number(d["normal"][0]), _number(d["normal"][1]), _number(d["offset"]))
+    nx, ny = d["normal"]
+    return PlanarLine(_number(nx), _number(ny), _number(d["offset"]))
 
 
 def _circle_json(circle: PlanarCircle) -> dict:
@@ -219,7 +217,8 @@ def _circle_json(circle: PlanarCircle) -> dict:
 
 
 def _circle_from(d: dict) -> PlanarCircle:
-    return PlanarCircle(_number(d["center"][0]), _number(d["center"][1]), _number(d["radius"]))
+    cx, cy = d["center"]
+    return PlanarCircle(_number(cx), _number(cy), _number(d["radius"]))
 
 
 def _config_json(config: PlanarConfig) -> dict:
@@ -229,14 +228,9 @@ def _config_json(config: PlanarConfig) -> dict:
 
 
 def _config_from(d: dict) -> PlanarConfig:
-    return PlanarConfig(
-        red=_line_from(d["red"]),
-        green=_line_from(d["green"]),
-        blue=_line_from(d["blue"]),
-        back=_circle_from(d["back"]),
-        top=_circle_from(d["top"]),
-        a3_branch=_integer(d["a3_branch"]),
-    )
+    lines = [_line_from(d[name]) for name in ("red", "green", "blue")]
+    circles = [_circle_from(d[name]) for name in ("back", "top")]
+    return PlanarConfig(*lines, *circles, _typed(d["a3_branch"], int))
 
 
 def _generators_json(gens: GeneratorSet) -> dict:
@@ -245,38 +239,33 @@ def _generators_json(gens: GeneratorSet) -> dict:
     return {**matrices, "theta1": gens.theta1, "theta2": gens.theta2, **fixed}
 
 
+# What a decoded JSON value of each type is called in a message.
+_KINDS = {
+    int: "an integer", bool: "true or false", str: "a string", dict: "an object", list: "a list"
+}
+
+
+def _typed(value, kind: type):
+    """``value`` if its type is exactly ``kind``, one of ``_KINDS``; else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {_KINDS[kind]}, got {brief(value)}")
+    return value
+
+
 def _number(value) -> float:
     """``value`` if it is a float or an int; OverflowError for an int too large for a float."""
     if type(value) is not float:
         if type(value) is not int:
-            raise TypeError(f"expected a number, got {value!r}")
+            raise TypeError(f"expected a number, got {brief(value)}")
         float(value)  # OverflowError if it is too large
     return value
 
 
-def _integer(value) -> int:
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _boolean(value) -> bool:
-    if type(value) is not bool:
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _generators_from(d: dict, labeling: Labeling) -> GeneratorSet:
+    matrices = map(_matrix_from, (d["m1"], d["m2"], d["m3"], d["m4"]))
     return GeneratorSet(
-        labeling=labeling,
-        m1=_matrix_from(d["m1"]),
-        m2=_matrix_from(d["m2"]),
-        m3=_matrix_from(d["m3"]),
-        m4=_matrix_from(d["m4"]),
-        theta1=_number(d["theta1"]),
-        theta2=_number(d["theta2"]),
-        fixed1=_complex_from(d["fixed1"]),
-        fixed2=_complex_from(d["fixed2"]),
+        labeling, *matrices, _number(d["theta1"]), _number(d["theta2"]),
+        _complex_from(d["fixed1"]), _complex_from(d["fixed2"]),
     )
 
 
@@ -320,8 +309,8 @@ def _labeling_from(values: list) -> tuple[Optional[int], ...]:
     if len(labels) != 9:
         raise ValueError(f"expected 9 labels, got {len(labels)}")
     for label in labels:
-        if label is not None and type(label) is not int:
-            raise ValueError(f"a label must be an integer or null, got {label!r}")
+        if label is not None:
+            _typed(label, int)
     return labels
 
 
@@ -341,11 +330,11 @@ def _family_fields(record: dict, labeling: tuple[Optional[int], ...]) -> dict:
     all three null, or a family instance, with all three set: ``family_n`` is
     the label in its free slot and is at least ``free_min``.
     """
-    fields = {name: record.get(name) for name in ("free_slot", "free_min", "family_n")}
-    for name, value in fields.items():
-        if value is not None and type(value) is not int:
-            raise ValueError(f"field {name!r} must be an integer or null, got {value!r}")
-    fields["family"] = _decode_field(record, "family", _boolean)
+    fields = {
+        name: _decode_field(record, name, lambda value: _typed(value, int), optional=True)
+        for name in ("free_slot", "free_min", "family_n")
+    }
+    fields["family"] = _decode_field(record, "family", lambda value: _typed(value, bool))
     slot, free_min, family_n = fields["free_slot"], fields["free_min"], fields["family_n"]
     if fields["family"]:
         free = [index for index, label in enumerate(labeling) if label is None]
@@ -354,39 +343,43 @@ def _family_fields(record: dict, labeling: tuple[Optional[int], ...]) -> dict:
         if [slot] != free:
             raise ValueError(
                 "field 'free_slot' must index the one null label of a family labeling"
-                f" (null at {free}), got {slot!r}"
+                f" (null at {free}), got {brief(slot)}"
             )
         if free_min is None:
             raise ValueError("field 'free_min' must be an integer in a family row, got None")
         if family_n is not None:
-            raise ValueError(f"field 'family_n' must be null in a family row, got {family_n}")
+            raise ValueError(
+                f"field 'family_n' must be null in a family row, got {brief(family_n)}"
+            )
     elif slot is None:
         for name in ("free_min", "family_n"):
             if fields[name] is not None:
                 raise ValueError(
                     f"field {name!r} must be null in a row whose 'free_slot' is null,"
-                    f" got {fields[name]}"
+                    f" got {brief(fields[name])}"
                 )
     else:
         if not 0 <= slot < len(labeling):
-            raise ValueError(f"field 'free_slot' must index a label, got {slot}")
+            raise ValueError(f"field 'free_slot' must index a label, got {brief(slot)}")
         if family_n is None or family_n != labeling[slot]:
             raise ValueError(
                 f"field 'family_n' must be the label in free slot {slot}"
-                f" ({labeling[slot]!r}), got {family_n!r}"
+                f" ({brief(labeling[slot])}), got {brief(family_n)}"
             )
         if free_min is None:
             raise ValueError("field 'free_min' must be an integer in a family instance, got None")
         if family_n < free_min:
-            raise ValueError(f"field 'family_n' is {family_n}, below the row's free_min {free_min}")
+            raise ValueError(
+                f"field 'family_n' is {brief(family_n)}, below the row's free_min {brief(free_min)}"
+            )
     return fields
 
 
 def entry_from_json(record: dict) -> CatalogEntry:
     """Decode one catalog record; a malformed field raises ValueError naming it,
-    as does a ``config``, ``generators`` or ``verification`` in a family row."""
-    if not isinstance(record, dict):
-        raise ValueError(f"expected an object, got {type(record).__name__}")
+    as does a ``config``, ``generators`` or ``verification`` in a family row.
+    A record that is not an object raises TypeError."""
+    _typed(record, dict)
     labeling = _decode_field(record, "labeling", _labeling_from)
     cusp = _decode_field(record, "cusp", CuspType.from_code)
     family_fields = _family_fields(record, labeling)
@@ -569,13 +562,8 @@ def _provenance_from(d: dict) -> dict:
 
     ``version`` is not read: a dump verifies under any version of the tool.
     """
-    if not isinstance(d, dict):
-        raise TypeError(f"expected an object, got {type(d).__name__}")
-    tool, tolerances = d["tool"], d["tolerances"]
-    if type(tool) is not str:
-        raise TypeError(f"'tool' must be a string, got {tool!r}")
-    if not isinstance(tolerances, dict):
-        raise TypeError(f"'tolerances' must be an object, got {type(tolerances).__name__}")
+    _typed(d, dict)
+    tool, tolerances = _typed(d["tool"], str), _typed(d["tolerances"], dict)
     return {"tool": tool, "tolerances": {name: _number(v) for name, v in tolerances.items()}}
 
 
@@ -608,14 +596,10 @@ def load_catalog(fp: Union[str, IO[str]]) -> Catalog:
         )
     if payload.get("schema") != SCHEMA:
         raise ValueError(
-            f"unsupported catalog schema {payload.get('schema')!r}; expected {SCHEMA!r}"
+            f"unsupported catalog schema {brief(payload.get('schema'))}; expected {SCHEMA!r}"
         )
-    if "entries" not in payload:
-        raise ValueError("catalog field 'entries' is missing")
-    records = payload["entries"]
-    if not isinstance(records, list):
-        raise ValueError(f"catalog field 'entries' must be a list, got {type(records).__name__}")
     try:
+        records = _decode_field(payload, "entries", lambda value: _typed(value, list))
         provenance = _decode_field(payload, "provenance", _provenance_from)
     except ValueError as exc:
         raise ValueError(f"catalog {exc}") from exc
@@ -623,7 +607,7 @@ def load_catalog(fp: Union[str, IO[str]]) -> Catalog:
     for index, record in enumerate(records):
         try:
             entries.append(entry_from_json(record))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"catalog entry {index}: {exc}") from exc
     return Catalog(entries, provenance)
 
@@ -690,14 +674,15 @@ def _provenance_errors(provenance: dict) -> list[str]:
     """How a loaded ``provenance`` differs from this tool's name and ``TOLERANCES``."""
     errors = []
     if provenance["tool"] != TOOL_NAME:
-        errors.append(f"provenance: tool {provenance['tool']!r} is not {TOOL_NAME!r}")
+        errors.append(f"provenance: tool {brief(provenance['tool'])} is not {TOOL_NAME!r}")
     recorded = provenance["tolerances"]
-    names = [*TOLERANCES, *(name for name in recorded if name not in TOLERANCES)]
     differ = [
-        f"{name} {recorded.get(name, 'missing')} (expected {TOLERANCES.get(name, 'none')})"
-        for name in names
-        if recorded.get(name) != TOLERANCES.get(name)
+        f"{name} {brief(recorded[name]) if name in recorded else 'missing'} (expected {value})"
+        for name, value in TOLERANCES.items()
+        if recorded.get(name) != value
     ]
+    extra = [name for name in recorded if name not in TOLERANCES]
+    differ += [f"{brief(name)} {brief(recorded[name])} (expected none)" for name in extra]
     if differ:
         errors.append(f"provenance: recorded tolerances differ on {', '.join(differ)}")
     return errors

@@ -22,12 +22,15 @@ import math
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, is_admissible
+from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, brief, is_admissible
 
 # A freshly solved configuration must satisfy its defining constraints to this
 # residual; angle verification of all nine edges gets a slightly looser gate.
 CONSTRUCTION_TOL = 1e-10
 ANGLE_TOL = 1e-9
+
+# The red line's x for each a3 branch (see PlanarConfig and build_lines).
+RED_LINE_X = {2: 0.0, 3: -0.5}
 
 
 class RealizationError(RuntimeError):
@@ -100,7 +103,7 @@ class PlanarCircle(_CircleFields):
 
     def __new__(cls, cx: float, cy: float, r: float) -> PlanarCircle:
         if not r > 0:
-            raise ValueError(f"circle radius must be positive, got {r!r}")
+            raise ValueError(f"circle radius must be positive, got {brief(r)}")
         return super().__new__(cls, cx, cy, r)
 
 
@@ -128,8 +131,8 @@ class PlanarConfig(_ConfigFields):
     __slots__ = ()
 
     def __new__(cls, red, green, blue, back, top, a3_branch: int) -> PlanarConfig:
-        if a3_branch not in (2, 3):
-            raise ValueError(f"a3 branch must be 2 or 3, got {a3_branch!r}")
+        if a3_branch not in RED_LINE_X:
+            raise ValueError(f"a3 branch must be 2 or 3, got {brief(a3_branch)}")
         return super().__new__(cls, red, green, blue, back, top, a3_branch)
 
 
@@ -143,12 +146,9 @@ def build_lines(labeling: Sequence[int]) -> tuple[PlanarLine, PlanarLine, Planar
     circle) or x = -1/2 (a3 = 3, meeting it at pi/3).
     """
     lab = Labeling(*labeling)
-    if lab.a3 == 2:
-        red = PlanarLine.vertical(0.0)
-    elif lab.a3 == 3:
-        red = PlanarLine.vertical(-0.5)
-    else:
+    if lab.a3 not in RED_LINE_X:
         raise ValueError(f"a3 must be 2 or 3, got {lab.a3}")
+    red = PlanarLine.vertical(RED_LINE_X[lab.a3])
     theta1 = math.pi / lab.a1
     theta2 = math.pi / lab.a2
     y1 = math.cos(math.pi / lab.a4) / math.sin(theta1)

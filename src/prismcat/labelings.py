@@ -14,8 +14,19 @@ from __future__ import annotations
 
 import itertools
 import operator
+import reprlib
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
+
+
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 1  # a nested list shows as [[...]], however deep it goes
+
+
+def brief(value) -> str:
+    """A value read from outside as messages show it: one level deep, at most 40 characters."""
+    text = _BRIEF.repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 class TriangleClass(Enum):
@@ -67,7 +78,7 @@ class CuspType(Enum):
             return _CUSP_BY_CODE[code]
         except (KeyError, TypeError):  # TypeError: an unhashable code read from JSON
             raise ValueError(
-                f"unknown cusp type {code!r}; expected one of 236, 244, 333"
+                f"unknown cusp type {brief(code)}; expected one of 236, 244, 333"
             ) from None
 
     @classmethod

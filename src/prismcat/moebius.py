@@ -23,7 +23,7 @@ import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .geometry import Check, PlanarConfig, Report
+from .geometry import RED_LINE_X, Check, PlanarConfig, Report
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling
 
 # Determinant drift allowed on constructed generators, PSL2 distance allowed
@@ -228,7 +228,7 @@ def rotation_parameters(
     pi/a1 and pi/a2 of M2 and M3, and their centers, where the green and blue
     lines meet the red line.
     """
-    red_x = 0.0 if config.a3_branch == 2 else -0.5
+    red_x = RED_LINE_X[config.a3_branch]
     return {
         "theta1": math.pi / labeling[0],
         "theta2": math.pi / labeling[1],

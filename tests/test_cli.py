@@ -408,6 +408,10 @@ def _give_standalone_payload(row):
         (False, lambda r: r.update(verification=0), "verification"),
         (True, _give_standalone_payload, "config"),
         (True, lambda r: r.update(free_min=None), "free_min"),
+        (False, lambda r: r["config"]["red"]["normal"].append(0.0), "config"),
+        (False, lambda r: r["config"]["top"]["center"].append(0.0), "config"),
+        (False, lambda r: r["generators"]["m1"][1].append({"re": 0.0, "im": 0.0}), "generators"),
+        (False, lambda r: r["generators"]["m1"].append(r["generators"]["m1"][0]), "generators"),
     ],
     ids=[
         "free-slot-null",
@@ -433,6 +437,10 @@ def _give_standalone_payload(row):
         "standalone-verification-0",
         "family-payload",
         "family-free-min-null",
+        "normal-three-numbers",
+        "center-three-numbers",
+        "m1-row-three-entries",
+        "m1-three-rows",
     ],
 )
 def test_verify_rejects_malformed_family_and_generator_fields(
@@ -730,10 +738,18 @@ def test_verify_fails_a_label_below_two(small_catalog, capsys):
     "corrupt,message",
     [
         (lambda doc: doc.pop("entries"), "catalog field 'entries' is missing"),
-        (lambda doc: doc.update(entries={"0": {}}), "catalog field 'entries' must be a list"),
-        (lambda doc: doc.update(entries=5), "catalog field 'entries' must be a list"),
+        (
+            lambda doc: doc.update(entries={"0": {}}),
+            "catalog field 'entries' is malformed (TypeError: expected a list, got {'0': {}})",
+        ),
+        (
+            lambda doc: doc.update(entries=5),
+            "catalog field 'entries' is malformed (TypeError: expected a list, got 5)",
+        ),
+        (lambda doc: doc.update(entries=[5]), "catalog entry 0: expected an object, got 5"),
+        (lambda doc: doc.update(entries=[[]]), "catalog entry 0: expected an object, got []"),
     ],
-    ids=["missing", "object", "number"],
+    ids=["missing", "object", "number", "entry-number", "entry-list"],
 )
 def test_verify_rejects_malformed_entries_field(tmp_path, capsys, corrupt, message):
     path = make_catalog(tmp_path, capsys)
@@ -752,8 +768,14 @@ def test_verify_rejects_malformed_entries_field(tmp_path, capsys, corrupt, messa
         (lambda doc: doc.pop("provenance"), "is missing"),
         (lambda doc: doc.update(provenance="prismcat"), "is malformed (TypeError: expected an"),
         (lambda doc: doc["provenance"].pop("tool"), "is malformed (KeyError: 'tool')"),
-        (lambda doc: doc["provenance"].update(tool=5), "is malformed (TypeError: 'tool' must"),
-        (lambda doc: doc["provenance"].update(tolerances=[]), "is malformed (TypeError: 'tol"),
+        (
+            lambda doc: doc["provenance"].update(tool=5),
+            "is malformed (TypeError: expected a string, got 5)",
+        ),
+        (
+            lambda doc: doc["provenance"].update(tolerances=[]),
+            "is malformed (TypeError: expected an object, got [])",
+        ),
         (
             lambda doc: doc["provenance"]["tolerances"].update(angle="1e-9"),
             "is malformed (TypeError: expected a number, got '1e-9')",
@@ -782,7 +804,7 @@ def test_verify_rejects_a_missing_or_malformed_provenance(small_catalog, capsys,
             {"tolerances": {**cat.TOLERANCES, "angle": 1.0, "extra": 2.0}},
             [
                 "FAIL provenance: recorded tolerances differ on angle 1.0 (expected 1e-09),"
-                " extra 2.0 (expected none)"
+                " 'extra' 2.0 (expected none)"
             ],
         ),
         (
@@ -851,6 +873,56 @@ def test_verify_rejects_a_document_nested_too_deeply(small_dump, tmp_path, capsy
     path.write_text(doc.replace('"@"', "[" * 3000 + "]" * 3000))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_DEEP = "@"  # stands in the document for a list nested 900 levels deep
+
+
+@pytest.mark.parametrize(
+    "row,path,value,field",
+    [
+        ("family", ["cusp"], "2" * 10**6, "cusp"),
+        ("family", ["free_slot"], _DEEP, "free_slot"),
+        ("family", ["family"], _DEEP, "family"),
+        ("family", ["cusp"], _DEEP, "cusp"),
+        ("standalone", ["labeling", 0], _DEEP, "labeling"),
+        ("standalone", ["config", "green", "normal", 0], _DEEP, "config"),
+        ("instance", ["free_slot"], 10**3999, "free_slot"),
+        (None, ["provenance", "tool"], "p" * 10**6, None),
+    ],
+    ids=[
+        "long-cusp",
+        "deep-free-slot",
+        "deep-family",
+        "deep-cusp",
+        "deep-label",
+        "deep-normal",
+        "huge-instance-free-slot",
+        "long-tool",
+    ],
+)
+def test_verify_names_a_bad_value_briefly(small_dump, tmp_path, capsys, row, path, value, field):
+    doc = json.loads(json.dumps(small_dump))
+    rows = doc["entries"]
+    index = {
+        "family": _first_row(doc, True),
+        "standalone": next(i for i, r in enumerate(rows) if r["config"] and r["free_slot"] is None),
+        "instance": next(i for i, r in enumerate(rows) if r["family_n"] is not None),
+    }.get(row)
+    parent = doc if row is None else rows[index]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    file = tmp_path / "catalog.json"
+    file.write_text(json.dumps(doc).replace(f'"{_DEEP}"', "[" * 900 + "]" * 900))
+    if row is None:
+        code, start = 1, "FAIL provenance: tool 'ppp"
+    else:
+        code, start = 2, f"error: catalog entry {index}: field '{field}' "
+    assert main(["verify", str(file)]) == code
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(start)
+    assert len(line) <= 200
 
 
 def test_verify_reports_singular_generator(tmp_path, capsys):
