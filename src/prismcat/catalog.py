@@ -69,10 +69,14 @@ FAMILY_SAMPLE_LARGE = 500
 # in the order check_entry runs them.
 VERIFIED_STAGES = {"angles": "angle", "relations": "relation", "traces": "trace"}
 
+# A label of at least this size has more than 40 digits; label_tag names it through brief.
+_HUGE_LABEL = 10**40
+
 
 def label_tag(labeling: Sequence[Optional[int]]) -> str:
     """How failure messages name an entry: its labels in brackets, n for a free slot."""
-    return "[" + " ".join("n" if v is None else str(v) for v in labeling) + "]"
+    labels = ("n" if v is None else str(v) if abs(v) < _HUGE_LABEL else brief(v) for v in labeling)
+    return "[" + " ".join(labels) + "]"
 
 
 def check_entry(
@@ -322,14 +326,27 @@ def _verification_from(d: dict) -> dict[str, tuple[float, ...]]:
     return verification
 
 
-def _family_fields(record: dict, labeling: tuple[Optional[int], ...]) -> dict:
-    """``family``, ``free_slot``, ``free_min`` and ``family_n``, checked.
+# The fields each kind of row must set, and those it must leave null, as the
+# README's family-field rules give them.  A standalone row or a family
+# instance may leave out its payload: ``verify`` fails it as storing none.
+_ROW_FIELDS = {
+    "family row": (("free_min",), ("family_n", "config", "generators", "verification")),
+    "standalone row": ((), ("free_min", "family_n")),
+    "family instance": (("free_min", "family_n"), ()),
+}
 
-    A family row names the one null label of its labeling as its free slot,
-    has a bound and no ``family_n``.  Any other row is a standalone row, with
-    all three null, or a family instance, with all three set: ``family_n`` is
-    the label in its free slot and is at least ``free_min``.
+
+def entry_from_json(record: dict) -> CatalogEntry:
+    """Decode one catalog record; a malformed field raises ValueError naming it.
+
+    A family row has ``family`` true and its ``free_slot`` at the one null
+    label, a standalone row has no free slot, and any other row is a family
+    instance: its ``family_n`` is the label in its free slot and at least its
+    ``free_min``.  A record that is not an object raises TypeError.
     """
+    _typed(record, dict)
+    labeling = _decode_field(record, "labeling", _labeling_from)
+    cusp = _decode_field(record, "cusp", CuspType.from_code)
     fields = {
         name: _decode_field(record, name, lambda value: _typed(value, int), optional=True)
         for name in ("free_slot", "free_min", "family_n")
@@ -337,65 +354,45 @@ def _family_fields(record: dict, labeling: tuple[Optional[int], ...]) -> dict:
     fields["family"] = _decode_field(record, "family", lambda value: _typed(value, bool))
     slot, free_min, family_n = fields["free_slot"], fields["free_min"], fields["family_n"]
     if fields["family"]:
+        kind = "family row"
         free = [index for index, label in enumerate(labeling) if label is None]
         if not free:
             raise ValueError("field 'family' is true, but the labeling has no null label")
         if [slot] != free:
             raise ValueError(
-                "field 'free_slot' must index the one null label of a family labeling"
+                f"field 'free_slot' must index the one null label of a {kind}"
                 f" (null at {free}), got {brief(slot)}"
             )
-        if free_min is None:
-            raise ValueError("field 'free_min' must be an integer in a family row, got None")
-        if family_n is not None:
-            raise ValueError(
-                f"field 'family_n' must be null in a family row, got {brief(family_n)}"
-            )
     elif slot is None:
-        for name in ("free_min", "family_n"):
-            if fields[name] is not None:
-                raise ValueError(
-                    f"field {name!r} must be null in a row whose 'free_slot' is null,"
-                    f" got {brief(fields[name])}"
-                )
+        kind = "standalone row"
     else:
+        kind = "family instance"
         if not 0 <= slot < len(labeling):
             raise ValueError(f"field 'free_slot' must index a label, got {brief(slot)}")
-        if family_n is None or family_n != labeling[slot]:
+        if family_n != labeling[slot]:
             raise ValueError(
                 f"field 'family_n' must be the label in free slot {slot}"
                 f" ({brief(labeling[slot])}), got {brief(family_n)}"
             )
-        if free_min is None:
-            raise ValueError("field 'free_min' must be an integer in a family instance, got None")
-        if family_n < free_min:
-            raise ValueError(
-                f"field 'family_n' is {brief(family_n)}, below the row's free_min {brief(free_min)}"
-            )
-    return fields
-
-
-def entry_from_json(record: dict) -> CatalogEntry:
-    """Decode one catalog record; a malformed field raises ValueError naming it,
-    as does a ``config``, ``generators`` or ``verification`` in a family row.
-    A record that is not an object raises TypeError."""
-    _typed(record, dict)
-    labeling = _decode_field(record, "labeling", _labeling_from)
-    cusp = _decode_field(record, "cusp", CuspType.from_code)
-    family_fields = _family_fields(record, labeling)
+    must_set, must_be_null = _ROW_FIELDS[kind]
+    for name in must_set:
+        if record.get(name) is None:
+            raise ValueError(f"field {name!r} must be set in a {kind}")
+    for name in must_be_null:
+        if record.get(name) is not None:
+            raise ValueError(f"field {name!r} must be null in a {kind}, got {brief(record[name])}")
+    if kind == "family instance" and family_n < free_min:
+        raise ValueError(
+            f"field 'family_n' is {brief(family_n)}, below the row's free_min {brief(free_min)}"
+        )
     decoders = {
         "config": _config_from,
         "generators": lambda d: _generators_from(d, Labeling(*labeling)),
         "verification": _verification_from,
     }
-    payload = {
-        name: _decode_field(record, name, read, optional=True) for name, read in decoders.items()
-    }
-    if family_fields["family"]:
-        for name, value in payload.items():
-            if value is not None:
-                raise ValueError(f"field {name!r} must be null in a family row")
-    return CatalogEntry(labeling=labeling, cusp=cusp, **family_fields, **payload)
+    for name, read in decoders.items():
+        fields[name] = _decode_field(record, name, read, optional=True)
+    return CatalogEntry(labeling=labeling, cusp=cusp, **fields)
 
 
 def catalog_to_json(entries: Iterable[CatalogEntry]) -> dict:
@@ -733,7 +730,7 @@ def verify_catalog(
             values = sorted({*values, max(FAMILY_SAMPLE_LARGE, entry.free_min)})
         else:
             values = [n for n in sampled if n >= entry.free_min]
-        targets += ((entry, entry.instantiate(n), f"{tag} at n={n}") for n in values)
+        targets += ((entry, entry.instantiate(n), f"{tag} at n={brief(n)}") for n in values)
     errors += [
         f"{label_tag(labeling)}: the row is stored {count} times"
         for labeling, count in stored.items()
@@ -753,8 +750,8 @@ def verify_catalog(
             errors.append(f"{tag}: its family row {label_tag(pattern)} is not stored")
         elif pattern_free_min[pattern] != entry.free_min:
             errors.append(
-                f"{tag}: free_min {entry.free_min} differs from"
-                f" {pattern_free_min[pattern]} in its family row"
+                f"{tag}: free_min {brief(entry.free_min)} differs from"
+                f" {brief(pattern_free_min[pattern])} in its family row"
             )
     if not stored:
         errors.append("the catalog has no entries")

@@ -176,7 +176,9 @@ def _validate(labeling: Sequence[int]) -> None:
         raise ValueError(f"a labeling has nine entries, got {len(labeling)}")
     for v in labeling:
         if not isinstance(v, int) or v < 2:
-            raise ValueError(f"edge labels must be integers >= 2, got {tuple(labeling)}")
+            raise ValueError(
+                f"edge labels must be integers >= 2, got ({', '.join(map(brief, labeling))})"
+            )
 
 
 class Admissibility(NamedTuple):
@@ -224,7 +226,7 @@ def is_admissible(labeling: Sequence[int]) -> Admissibility:
         got = classify_triangle(labeling[i], labeling[j], labeling[k])
         if got is not required:
             edges = ", ".join(EDGE_NAMES[index] for index in indices)
-            values = (labeling[i], labeling[j], labeling[k])
+            values = f"({', '.join(brief(labeling[index]) for index in indices)})"
             reason = _FAILURE[required].format(edges=edges, values=values, got=got.value)
             return Admissibility(False, reason, indices)
     return _ADMISSIBLE

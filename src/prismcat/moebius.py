@@ -246,21 +246,21 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     ``catalog.check_entry``, which is where a configuration that does not
     realize its labeling fails.
 
-    Branches on the red line: for a3 = 2 (red at x = 0), M1 = [[0,-1],[1,0]]
-    swaps the inside and outside of the unit circle, and the rotation centers
-    lie on the imaginary axis.  For a3 = 3 (red at x = -1/2), M1 =
-    [[-1,-1],[1,0]] pairs the unit sphere with the unit sphere centered at
-    (-1, 0), and the centers are the green/blue intersections with x = -1/2.
-    M2 and M3 rotate by 2*pi/a1 and 2*pi/a2 in opposite senses -- M2 turns
-    the prism side toward the red line, M3 away from it -- and M4 maps the
-    top circle to its mirror image across the red line.
+    M1 = [[2h,-1],[1,0]], h = ``RED_LINE_X`` of the a3 branch, is w -> 2h - 1/w:
+    inversion in the unit circle, then reflection in the red line x = h.  It
+    swaps the inside and outside of the unit circle for a3 = 2 (h = 0) and
+    pairs the unit sphere with the one centered at (-1, 0) for a3 = 3
+    (h = -1/2).  The rotation centers are the green/blue intersections with
+    the red line.  M2 and M3 rotate by 2*pi/a1 and 2*pi/a2 in opposite senses
+    -- M2 turns the prism side toward the red line, M3 away from it -- and M4
+    maps the top circle to its mirror image across the red line.
     """
     lab = Labeling(*labeling)
     rotation = rotation_parameters(lab, config)
     x, y, r = config.top.cx, config.top.cy, config.top.r
 
+    m1 = MoebiusMatrix.of(2.0 * RED_LINE_X[config.a3_branch], -1.0, 1.0, 0.0)
     if config.a3_branch == 2:
-        m1 = MoebiusMatrix.of(0.0, -1.0, 1.0, 0.0)
         m4 = MoebiusMatrix.of(
             (-x + y * 1j) / r,
             (x * x + y * y) / r - r,
@@ -268,7 +268,6 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
             (-x - y * 1j) / r,
         )
     else:
-        m1 = MoebiusMatrix.of(-1.0, -1.0, 1.0, 0.0)
         w = (-(x + 1.0) + y * 1j) / r
         m4 = MoebiusMatrix.of(w, w * (-x - y * 1j) - r, 1.0 / r, (-x - y * 1j) / r)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from prismcat import catalog as cat
 from prismcat import geometry, moebius
 from prismcat.moebius import MoebiusMatrix
-from prismcat.labelings import CuspType, Labeling, catalog_order, enumerate_catalog
+from prismcat.labelings import CuspType, Labeling, brief, catalog_order, enumerate_catalog
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,14 @@ def test_check_entry_reads_the_labels_of_its_generators(labels):
     assert [c.expected for c in report.checks if c.stage == "angle"] == [
         math.pi / a for a in labels
     ]
+
+
+def test_label_tag_shows_a_label_of_more_than_40_digits_briefly():
+    longest = 10**40 - 1
+    assert cat.label_tag([2, None, longest, -longest]) == f"[2 n {longest} -{longest}]"
+    for huge in (10**40, -(10**40)):
+        assert cat.label_tag([huge, 3]) == f"[{brief(huge)} 3]"
+    assert cat.label_tag([10**40 + 1]) != cat.label_tag([10**40])
 
 
 def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):

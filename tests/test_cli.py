@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from prismcat import catalog as cat
 from prismcat import cli, moebius
 from prismcat.cli import main
-from prismcat.labelings import EXPECTED_COUNTS, enumerate_catalog, symmetry_mate
+from prismcat.labelings import EXPECTED_COUNTS, brief, enumerate_catalog, symmetry_mate
 
 FIX1 = ["2", "6", "2", "7", "3", "2", "2", "3", "2"]
 # Far into a family, where the float64 generators miss the a4 relation's
@@ -412,6 +412,10 @@ def _give_standalone_payload(row):
         (False, lambda r: r["config"]["top"]["center"].append(0.0), "config"),
         (False, lambda r: r["generators"]["m1"][1].append({"re": 0.0, "im": 0.0}), "generators"),
         (False, lambda r: r["generators"]["m1"].append(r["generators"]["m1"][0]), "generators"),
+        (False, lambda r: r.update(free_slot=3), "family_n"),
+        (False, lambda r: r.update(free_min=6), "free_min"),
+        (True, lambda r: r.update(labeling=[None, *r["labeling"][1:]]), "free_slot"),
+        (True, lambda r: r.update(free_slot=0), "free_slot"),
     ],
     ids=[
         "free-slot-null",
@@ -441,6 +445,10 @@ def _give_standalone_payload(row):
         "center-three-numbers",
         "m1-row-three-entries",
         "m1-three-rows",
+        "standalone-free-slot",
+        "standalone-free-min",
+        "family-second-null-label",
+        "family-slot-at-a-label",
     ],
 )
 def test_verify_rejects_malformed_family_and_generator_fields(
@@ -551,6 +559,7 @@ def test_verify_checks_family_cusp_on_every_sample(tmp_path, capsys):
 INSTANCE = [2, 3, 2, 7, 6, 2, 2, 2, 2]
 PATTERN = [2, 3, 2, None, 6, 2, 2, 2, 2]
 tag = cat.label_tag
+_HUGE = 10**3999
 
 
 def _set_free_min(doc):
@@ -561,6 +570,10 @@ def _set_free_min(doc):
 
 def _drop_pattern(doc):
     doc["entries"] = [r for r in doc["entries"] if r["labeling"] != PATTERN]
+
+
+def _set_huge_pattern_free_min(doc):
+    next(r for r in doc["entries"] if r["labeling"] == PATTERN)["free_min"] = _HUGE
 
 
 @pytest.mark.parametrize(
@@ -575,8 +588,21 @@ def _drop_pattern(doc):
                 for n in range(6, 13)
             ],
         ),
+        (
+            _set_huge_pattern_free_min,
+            [
+                f"{tag(INSTANCE[:3] + [n] + INSTANCE[4:])}: free_min 6 differs from"
+                f" {brief(_HUGE)} in its family row"
+                for n in range(6, 13)
+            ]
+            + [
+                f"{tag(PATTERN)} at n={brief(n)}: arithmetic failed: OverflowError:"
+                " int too large to convert to float"
+                for n in (_HUGE, _HUGE + 1, _HUGE + 10)
+            ],
+        ),
     ],
-    ids=["free-min-7", "no-family-row"],
+    ids=["free-min-7", "no-family-row", "huge-family-free-min"],
 )
 def test_verify_flags_instances_that_disagree_with_their_family_row(
     tmp_path, capsys, corrupt, expected
@@ -976,14 +1002,39 @@ def test_verify_reports_a_free_slot_too_large_for_a_float(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     pattern = tag(victim["labeling"])
     assert capsys.readouterr().err.splitlines() == [
-        f"FAIL {pattern} at n={n}: arithmetic failed: OverflowError:"
+        f"FAIL {pattern} at n={brief(n)}: arithmetic failed: OverflowError:"
         " int too large to convert to float"
         for n in (huge, huge + 1, huge + 10)
     ]
     assert main(["verify", str(path), "--sample", str(huge)]) == 1
     failures = capsys.readouterr().err.splitlines()
     assert len(failures) == 12
-    assert all(f" at n={huge}: arithmetic failed: OverflowError: " in line for line in failures)
+    expected = f" at n={brief(huge)}: arithmetic failed: OverflowError: "
+    assert all(expected in line for line in failures)
+
+
+@pytest.mark.parametrize(
+    "field,slot,value",
+    [
+        *(("labeling", slot, _HUGE) for slot in range(9)),
+        ("labeling", 0, -_HUGE),
+        ("free_min", None, _HUGE),
+        ("--sample", None, _HUGE),
+    ],
+    ids=[*(f"a{slot + 1}" for slot in range(9)), "a1-negative", "free-min", "sample"],
+)
+def test_verify_shows_a_huge_integer_briefly(tmp_path, capsys, field, slot, value):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    if field == "labeling":
+        doc["entries"][_first_row(doc, False)]["labeling"][slot] = value
+    elif field == "free_min":
+        doc["entries"][_first_row(doc, True)]["free_min"] = value
+    path.write_text(json.dumps(doc))
+    sample = ["--sample", str(value)] if field == "--sample" else []
+    assert main(["verify", str(path), *sample]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and max(map(len, lines)) <= 200
 
 
 def test_realize_rejects_a_label_too_large_for_a_float(capsys):
