@@ -409,43 +409,23 @@ def catalog_to_json(entries: Iterable[CatalogEntry]) -> dict:
     }
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ENCODE = json.JSONEncoder(separators=("\n", ":")).encode
 
 
-def _leaf(value):
-    """A leaf as ``%s`` fills it in: a finite float or an int as itself, else its JSON text."""
-    if type(value) is float and value - value == 0.0 or type(value) is int:
-        return value
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _spell(leaves: list) -> tuple[str, ...]:
+    """The JSON text of each leaf, as ``json.dumps`` writes it, from one call to json's encoder.
 
-
-def _plain(values) -> bool:
-    """Whether ``values`` are all finite floats, which ``%s`` writes as ``json.dumps`` does."""
-    if not {float}.issuperset(map(type, values)):
-        return False
-    total = sum(values)
-    return total - total == 0.0  # a NaN or an infinity makes the sum one
+    json escapes a line break inside a string, so each line of its text is one leaf.
+    """
+    return tuple(_ENCODE(leaves)[1:-1].split("\n")) if leaves else ()
 
 
 def _write_template(value, newline: str) -> str:
     """``json.dumps(value, indent=2)`` as a ``%`` template, ``%s`` at each leaf.
 
     ``newline`` is a line break followed by the indentation of the line
-    ``value`` starts on.  Filled with the leaves ``_leaves`` collects, the
-    template gives the JSON text.
+    ``value`` starts on.  Filled with the texts ``_spell`` gives the leaves
+    ``_leaves`` collects, the template gives the JSON text.
     """
     inner = newline + "  "
     if isinstance(value, dict):
@@ -463,16 +443,15 @@ def _write_template(value, newline: str) -> str:
 def _leaves(value, leaves: list, shape: list) -> None:
     """Append the leaves of ``value`` to ``leaves`` in the order they are written.
 
-    Each leaf is appended as ``_leaf`` gives it.  For each dict or list,
-    ``shape`` gets the number of leaves before it and its keys or its
-    length, which together fix where every leaf sits.
+    For each dict or list, ``shape`` gets the number of leaves before it and
+    its keys or its length, which together fix where every leaf sits.
     """
     if isinstance(value, dict):
         shape += len(leaves), tuple(value)
         items = value.values()
     else:
         shape += len(leaves), len(value)
-        if _plain(value):
+        if {float}.issuperset(map(type, value)):  # a list of floats holds no container
             leaves += value
             return
         items = value
@@ -480,7 +459,7 @@ def _leaves(value, leaves: list, shape: list) -> None:
         if isinstance(item, (dict, list, tuple)):
             _leaves(item, leaves, shape)
         else:
-            leaves.append(_leaf(item))
+            leaves.append(item)
 
 
 def _face_numbers(config: PlanarConfig) -> list[float]:
@@ -489,31 +468,23 @@ def _face_numbers(config: PlanarConfig) -> list[float]:
 
 
 def _row_leaves(entry: CatalogEntry) -> tuple[tuple, list]:
-    """The shape key and the leaves of ``entry_to_json(entry)``, read off the typed fields.
-
-    Only the labeling and the residuals, whose shapes can vary, are walked by ``_leaves``.
-    """
+    """The shape key and the leaves of ``entry_to_json(entry)``, read off the typed fields."""
     leaves: list = []
     shape: list = []
-    _leaves(entry.labeling, leaves, shape)
     config, gens = entry.config, entry.generators
-    head = entry.cusp.code, entry.family, entry.free_slot, entry.free_min, entry.family_n
-    leaves += map(_leaf, (*head, None if config is None else config.a3_branch))
     numbers = [] if config is None else _face_numbers(config)
-    if gens is not None:
+    if gens is None:
+        numbers.append(None)
+    else:
         for z in (*gens.m1, *gens.m2, *gens.m3, *gens.m4):
             numbers += z.real, z.imag
         fixed1, fixed2 = gens.fixed1, gens.fixed2
         numbers += gens.theta1, gens.theta2, fixed1.real, fixed1.imag, fixed2.real, fixed2.imag
-    leaves += numbers if _plain(numbers) else map(_leaf, numbers)
-    if gens is None:
-        leaves.append("null")
-    residuals: list = []
-    if entry.verification:
-        _leaves(entry.verification, leaves, residuals)
-    else:
-        leaves.append("null")
-    return (tuple(shape), config is None, gens is None, tuple(residuals)), leaves
+    head = entry.cusp.code, entry.family, entry.free_slot, entry.free_min, entry.family_n
+    # The a3 branch is the config's first leaf, and a null config's only one.
+    a3_branch = None if config is None else config.a3_branch
+    _leaves((entry.labeling, *head, a3_branch, numbers, entry.verification or None), leaves, shape)
+    return tuple(shape), leaves
 
 
 def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
@@ -525,8 +496,9 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
     one, which spends most of its time resuming nested generators.  Rows of
     one shape differ only in their leaves, so each shape's template is
     written once, from ``entry_to_json`` of its first row, and each row
-    fills it with the leaves ``_row_leaves`` reads off its entry.  The
-    document is filled the same way, with the rows' text as its leaves.
+    fills it with the texts that one call to json's C encoder (``_spell``)
+    gives the leaves ``_row_leaves`` reads off its entry.  The document is
+    filled the same way, with the rows' text as its last leaves.
     """
     templates: dict[tuple, str] = {}
     rows = []
@@ -536,13 +508,13 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
         if template is None:
             # A row starts two levels in: the document, then its entries list.
             template = templates[key] = _write_template(entry_to_json(entry), "\n    ")
-        rows.append(template % tuple(leaves))
+        rows.append(template % _spell(leaves))
     # The entries are the document's last field, so their leaves come last.
     doc = catalog_to_json(())
     leaves = []
     _leaves(doc, leaves, [])
     doc["entries"] = rows
-    return _write_template(doc, "\n") % (*leaves, *rows) + "\n"
+    return _write_template(doc, "\n") % (*_spell(leaves), *rows) + "\n"
 
 
 def dump_catalog(entries: Iterable[CatalogEntry], fp: Union[str, IO[str]]) -> None:

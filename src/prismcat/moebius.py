@@ -216,7 +216,9 @@ class GeneratorSet(_GeneratorFields):
 
 
 def _line_x_intersection(line, x: float) -> complex:
-    """The point of a non-vertical line at the given x, as a complex number."""
+    """The point of a line at the given x, as a complex number; NaN on a vertical line."""
+    if line.is_vertical:
+        return complex(math.nan, math.nan)
     slope, intercept = line.slope_intercept()
     return complex(x, slope * x + intercept)
 

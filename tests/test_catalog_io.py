@@ -318,6 +318,18 @@ def _short_verification(entries):
         lambda entries: [
             e._replace(labeling=tuple(map(_Label, e.labeling))) for e in entries if not e.family
         ],
+        # A container in a scalar slot is laid out as json.dumps lays it out.
+        lambda entries: [e._replace(free_slot=[3, [4.5]]) for e in entries],
+        lambda entries: [
+            e._replace(config=e.config._replace(a3_branch=[2, {"b": None}]))
+            for e in entries
+            if e.config
+        ],
+        lambda entries: [
+            e._replace(generators=e.generators._replace(theta1=[0.5, [math.nan]]))
+            for e in entries
+            if e.generators
+        ],
     ],
     ids=[
         "mixed",
@@ -328,6 +340,9 @@ def _short_verification(entries):
         "stage-names",
         "nested-labels",
         "int-subclass-labels",
+        "list-free-slot",
+        "list-a3-branch",
+        "list-theta1",
     ],
 )
 def test_dumps_catalog_matches_json_dumps_on_edge_rows(mixed_entries, select):
@@ -335,13 +350,14 @@ def test_dumps_catalog_matches_json_dumps_on_edge_rows(mixed_entries, select):
 
 
 def test_dumps_catalog_rejects_a_leaf_json_dumps_rejects(mixed_entries):
-    entries = [mixed_entries[0]._replace(labeling=(2, 1j, 2, 2, 2, 2, 2, 2, 2))]
-    with pytest.raises(TypeError) as expected:
-        json.dumps(cat.catalog_to_json(entries), indent=2)
-    with pytest.raises(TypeError) as got:
-        cat.dumps_catalog(entries)
-    assert str(got.value) == str(expected.value)
-    assert str(got.value) == "Object of type complex is not JSON serializable"
+    for leaf, kind in ((1j, "complex"), ({2}, "set")):
+        entries = [mixed_entries[0]._replace(labeling=(2, leaf, 2, 2, 2, 2, 2, 2, 2))]
+        with pytest.raises(TypeError) as expected:
+            json.dumps(cat.catalog_to_json(entries), indent=2)
+        with pytest.raises(TypeError) as got:
+            cat.dumps_catalog(entries)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"Object of type {kind} is not JSON serializable"
 
 
 def test_dumps_catalog_calls_are_independent(full_entries, mixed_entries):
@@ -430,7 +446,7 @@ def _nested(depth, leaf):
 def test_indented_writer_matches_json_dumps(value):
     leaves = []
     cat._leaves([value], leaves, [])
-    assert cat._write_template(value, "\n") % tuple(leaves) == json.dumps(value, indent=2)
+    assert cat._write_template(value, "\n") % cat._spell(leaves) == json.dumps(value, indent=2)
 
 
 def test_json_document_structure(full_entries):

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -291,6 +293,16 @@ def _nan_first_m2(doc):
     row["generators"]["m2"][0][0]["re"] = math.nan
 
 
+def _vertical(face, line):
+    """Store a vertical ``face`` line in the first standalone row."""
+
+    def tamper(doc):
+        row = next(r for r in doc["entries"] if not r["family"])
+        row["config"][face] = line
+
+    return tamper
+
+
 @pytest.mark.parametrize(
     "tamper,failure,summary",
     [
@@ -323,8 +335,22 @@ def _nan_first_m2(doc):
             "[2 3 2 2 6 4 2 2 2]: M2 determinant drifts by nan",
             "max determinant drift: nan",
         ),
+        # A vertical green or blue line meets the red line nowhere, so the
+        # rotation center it gives is NaN.
+        (
+            _vertical("green", {"normal": [1.0, 0.0], "offset": 0.3}),
+            "[2 3 2 2 6 4 2 2 2]: stored generator parameters disagree on fixed1",
+            "max config drift:      1.000e+00",
+        ),
+        (
+            _vertical("blue", {"normal": [-1.0, 0.0], "offset": 0.0}),
+            "[2 3 2 2 6 4 2 2 2]: stored generator parameters disagree on fixed2",
+            "max config drift:      8.660e-01",
+        ),
     ],
-    ids=["flipped-red", "first-m2", "last-m1", "nan-red", "nan-m2"],
+    ids=[
+        "flipped-red", "first-m2", "last-m1", "nan-red", "nan-m2", "vertical-green", "vertical-blue"
+    ],
 )
 def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
     tmp_path, capsys, tamper, failure, summary
@@ -1075,7 +1101,15 @@ def test_verify_exits_cleanly_after_any_one_edit(small_dump, tmp_path_factory, d
         doc = value
     file = tmp_path_factory.getbasetemp() / "edited.json"
     file.write_text(json.dumps(doc))
-    assert main(["verify", str(file)]) in (0, 1, 2)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", str(file)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        # Only a file the decoder rejects exits 2: a well-typed one fails by entry.
+        first = err.getvalue().partition("\n")[0]
+        decoder = ("error: catalog ", "error: a catalog is", "error: unsupported catalog schema")
+        assert first.startswith(decoder), first
 
 
 def test_verify_missing_file(tmp_path, capsys):
