@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from json.encoder import encode_basestring_ascii
 from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
 from . import geometry, moebius
@@ -111,7 +110,7 @@ def check_entry(
     return Report(tuple(checks))
 
 
-def _stored_rows(report: Report) -> dict[str, list[Check]]:
+def stored_rows(report: Report) -> dict[str, list[Check]]:
     """The report's rows whose residuals an entry stores, by field, in one pass.
 
     The fields come in ``VERIFIED_STAGES`` order and each field's rows in
@@ -147,7 +146,7 @@ def build_entry(
         generators=gens,
         verification={
             field: tuple(check.residual for check in rows)
-            for field, rows in _stored_rows(report).items()
+            for field, rows in stored_rows(report).items()
         },
     )
     return entry, report
@@ -326,11 +325,12 @@ def _verification_from(d: dict) -> dict[str, tuple[float, ...]]:
     return verification
 
 
-# The fields each kind of row must set, and those it must leave null, as the
-# README's family-field rules give them.  A standalone row or a family
-# instance may leave out its payload: ``verify`` fails it as storing none.
+# An entry's payload fields, and those each kind of row must set and must leave
+# null, as the README's family-field rules give them.  A standalone row or a
+# family instance may leave out its payload: ``verify`` fails it as storing none.
+_PAYLOAD = CatalogEntry._fields[-3:]
 _ROW_FIELDS = {
-    "family row": (("free_min",), ("family_n", "config", "generators", "verification")),
+    "family row": (("free_min",), ("family_n", *_PAYLOAD)),
     "standalone row": ((), ("free_min", "family_n")),
     "family instance": (("free_min", "family_n"), ()),
 }
@@ -424,13 +424,13 @@ def _write_template(value, newline: str) -> str:
     """``json.dumps(value, indent=2)`` as a ``%`` template, ``%s`` at each leaf.
 
     ``newline`` is a line break followed by the indentation of the line
-    ``value`` starts on.  Filled with the texts ``_spell`` gives the leaves
-    ``_leaves`` collects, the template gives the JSON text.
+    ``value`` starts on; ``json.dumps({key: 0})`` spells each key.  Filled with
+    the texts ``_spell`` gives the leaves ``_leaves`` collects, it is the JSON text.
     """
     inner = newline + "  "
     if isinstance(value, dict):
         items = [
-            encode_basestring_ascii(key).replace("%", "%%") + ": " + _write_template(item, inner)
+            json.dumps({key: 0})[1:-4].replace("%", "%%") + ": " + _write_template(item, inner)
             for key, item in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
@@ -444,10 +444,11 @@ def _leaves(value, leaves: list, shape: list) -> None:
     """Append the leaves of ``value`` to ``leaves`` in the order they are written.
 
     For each dict or list, ``shape`` gets the number of leaves before it and
-    its keys or its length, which together fix where every leaf sits.
+    its length or its keys' ``repr``, which fix where every leaf sits and how each
+    key is spelled (``1``, ``True`` and ``1.0`` are one key to Python, three to json).
     """
     if isinstance(value, dict):
-        shape += len(leaves), tuple(value)
+        shape += len(leaves), tuple(map(repr, value))
         items = value.values()
     else:
         shape += len(leaves), len(value)
@@ -603,11 +604,7 @@ def _check_target(
     if entry.family:
         config, gens = fresh, build_generators(lab, fresh)
     else:
-        missing = [
-            name
-            for name in ("config", "generators", "verification")
-            if getattr(entry, name) is None
-        ]
+        missing = [name for name in _PAYLOAD if getattr(entry, name) is None]
         if missing:
             return checks, [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
         config, gens = entry.config, entry.generators
@@ -622,7 +619,7 @@ def _check_target(
     checks += report.checks
     if not entry.family:
         disagree = []
-        for field, rows in _stored_rows(report).items():
+        for field, rows in stored_rows(report).items():
             stored = entry.verification.get(field, ())
             if len(stored) != 9:
                 errors.append(f"{tag}: entry stores {len(stored)} {field} residuals, expected 9")

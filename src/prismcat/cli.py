@@ -69,17 +69,16 @@ def _print_generators(gens: GeneratorSet, report: Report, out) -> None:
     """Print the generators and the relation and trace rows of their report."""
     for name, matrix in gens.named():
         print(_matrix_lines(name, matrix), file=out)
-    relations = [check for check in report.checks if check.stage == "relation"]
-    traces = [check for check in report.checks if check.stage == "trace"]
+    rows = cat.stored_rows(report)
     print("relations:", file=out)
-    for (edge, word, _, exponent), check in zip(gens.words, relations):
+    for (edge, word, _, exponent), check in zip(gens.words, rows["relations"]):
         status = "ok" if check.ok else "FAIL"
         print(
             f"  {edge}: ({word})^{exponent}  residual {check.residual:.3e}  {status}",
             file=out,
         )
     print("traces:", file=out)
-    for (edge, word, _, _), check in zip(gens.words, traces):
+    for (edge, word, _, _), check in zip(gens.words, rows["traces"]):
         status = "ok" if check.ok else "FAIL"
         print(
             f"  {edge}: |tr {word}| = {_sig(check.measured)}"

@@ -250,16 +250,16 @@ class Report(_ReportFields):
 
     @cached_property
     def _scan(self) -> tuple[dict[str, float], dict[tuple[str, str], list[Check]]]:
-        """Each stage's worst residual, and the failed rows by entry and stage, in one pass."""
+        """Each stage's worst residual, and the failed rows by entry and stage, in one pass.
+
+        Each row's ``residual`` is read once: ``Check.ok`` would compute it again.
+        """
         worst: dict[str, float] = {}
         failed: dict[tuple[str, str], list[Check]] = {}
         for check in self.checks:
-            stage, _, measured, expected, tol, entry = check
-            # Check.residual and Check.ok, inlined: this loop runs once per row
-            # of a whole catalog sweep.
-            residual = math.inf if measured is None else abs(measured - expected)
-            if not residual <= tol:
-                failed.setdefault((entry, stage), []).append(check)
+            stage, residual = check.stage, check.residual
+            if not residual <= check.tol:
+                failed.setdefault((check.entry, stage), []).append(check)
                 if residual != residual:  # NaN is the worst, and no residual exceeds it
                     worst[stage] = residual
             if residual > worst.get(stage, 0.0):

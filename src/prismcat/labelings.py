@@ -196,9 +196,6 @@ class Admissibility(NamedTuple):
         return self.ok
 
 
-# The outcome of every admissible labeling; a tuple, so one instance serves all.
-_ADMISSIBLE = Admissibility(True)
-
 # Every condition is_admissible checks, in order, and the reason it gives when
 # a condition of each required class fails.
 _CONDITIONS = (*VERTEX_TRIPLES, (PRISMATIC_CIRCUIT, TriangleClass.HYPERBOLIC))
@@ -229,7 +226,7 @@ def is_admissible(labeling: Sequence[int]) -> Admissibility:
             values = f"({', '.join(brief(labeling[index]) for index in indices)})"
             reason = _FAILURE[required].format(edges=edges, values=values, got=got.value)
             return Admissibility(False, reason, indices)
-    return _ADMISSIBLE
+    return Admissibility(True)
 
 
 # Mirror symmetry of the prism: exchanging the green and blue faces, which

@@ -38,10 +38,6 @@ RELATION_TOL_LARGE = 1e-6
 LARGE_EXPONENT = 100
 TRACE_TOL = 1e-8
 
-# Bound once: the relation and trace checks call these for every word.
-_sqrt, _acos, _sin = cmath.sqrt, cmath.acos, cmath.sin
-_hypot = math.hypot
-
 
 def relation_tolerance(exponent: int) -> float:
     """PSL2-distance threshold for a relation word of the given order."""
@@ -113,16 +109,16 @@ class MoebiusMatrix(NamedTuple):
         if det == 0:
             scale = (a + d) ** (n - 1)
             return MoebiusMatrix(scale * a, scale * b, scale * c, scale * d)
-        s = _sqrt(det)
+        s = cmath.sqrt(det)
         tau = (a + d) / (2 * s)
         if tau * tau == 1:
             u_n1 = n * tau ** (n - 1)
             u_n2 = (n - 1) * tau ** (n - 2)
         else:
-            theta = _acos(tau)
-            sin_theta = _sin(theta)
-            u_n1 = _sin(n * theta) / sin_theta
-            u_n2 = _sin((n - 1) * theta) / sin_theta
+            theta = cmath.acos(tau)
+            sin_theta = cmath.sin(theta)
+            u_n1 = cmath.sin(n * theta) / sin_theta
+            u_n2 = cmath.sin((n - 1) * theta) / sin_theta
         p = s ** (n - 1) * u_n1
         q = s ** n * u_n2
         return MoebiusMatrix(p * a - q, p * b, p * c, p * d - q)
@@ -130,14 +126,14 @@ class MoebiusMatrix(NamedTuple):
     def distance_to_identity(self) -> float:
         """Frobenius distance to +-I after normalizing the determinant to 1."""
         a, b, c, d = self
-        s = _sqrt(a * d - b * c)
+        s = cmath.sqrt(a * d - b * c)
         a, b, c, d = a / s, b / s, c / s, d / s
         return min(_frobenius(a - 1, b, c, d - 1), _frobenius(a + 1, b, c, d + 1))
 
 
 def _frobenius(w: complex, x: complex, y: complex, z: complex) -> float:
     """Frobenius norm of the 2x2 matrix [[w, x], [y, z]]."""
-    return _hypot(w.real, w.imag, x.real, x.imag, y.real, y.imag, z.real, z.imag)
+    return math.hypot(w.real, w.imag, x.real, x.imag, y.real, y.imag, z.real, z.imag)
 
 
 def rotation_matrix(center: complex, theta: float, ccw: bool = True) -> MoebiusMatrix:
@@ -320,7 +316,7 @@ def trace_check(gens: GeneratorSet, *, entry: str = "") -> Report:
     """
     checks = []
     for edge, _, (a, b, c, d), exponent in gens.words:
-        measured = abs((a + d) / _sqrt(a * d - b * c))
+        measured = abs((a + d) / cmath.sqrt(a * d - b * c))
         expected = 2.0 * math.cos(math.pi / exponent)
         checks.append(Check("trace", edge, measured, expected, TRACE_TOL, entry))
     return Report(tuple(checks))

@@ -312,6 +312,12 @@ def _short_verification(entries):
             for e in entries
             for stage in ("angles", "traces", "50%", "%s", "\0")
         ],
+        # Keys that are one key to Python and that json spells apart.
+        lambda entries: [
+            e._replace(verification={key: (1.0,)})
+            for e in entries
+            for key in (1, True, 1.0, 0, False, 0.0, -0.0, None, "1")
+        ],
         lambda entries: [
             entries[0]._replace(labeling=labeling) for labeling in ((1, [2]), ([2], 1))
         ],
@@ -338,6 +344,7 @@ def _short_verification(entries):
         "short-verification",
         "one-stage",
         "stage-names",
+        "odd-keys",
         "nested-labels",
         "int-subclass-labels",
         "list-free-slot",
@@ -350,14 +357,20 @@ def test_dumps_catalog_matches_json_dumps_on_edge_rows(mixed_entries, select):
 
 
 def test_dumps_catalog_rejects_a_leaf_json_dumps_rejects(mixed_entries):
-    for leaf, kind in ((1j, "complex"), ({2}, "set")):
-        entries = [mixed_entries[0]._replace(labeling=(2, leaf, 2, 2, 2, 2, 2, 2, 2))]
+    entry = mixed_entries[0]
+    rows = [entry._replace(labeling=(2, leaf, 2, 2, 2, 2, 2, 2, 2)) for leaf in (1j, {2})]
+    rows.append(entry._replace(verification={(1, 2): (1.0,)}))
+    messages = [
+        "Object of type complex is not JSON serializable",
+        "Object of type set is not JSON serializable",
+        "keys must be str, int, float, bool or None, not tuple",
+    ]
+    for row, message in zip(rows, messages, strict=True):
         with pytest.raises(TypeError) as expected:
-            json.dumps(cat.catalog_to_json(entries), indent=2)
+            json.dumps(cat.catalog_to_json([row]), indent=2)
         with pytest.raises(TypeError) as got:
-            cat.dumps_catalog(entries)
-        assert str(got.value) == str(expected.value)
-        assert str(got.value) == f"Object of type {kind} is not JSON serializable"
+            cat.dumps_catalog([row])
+        assert str(got.value) == str(expected.value) == message
 
 
 def test_dumps_catalog_calls_are_independent(full_entries, mixed_entries):
@@ -423,9 +436,12 @@ _SCALARS = (
     | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, -2.2250738585072e-308])
     | _TEXT
 )
+# A dict key is any scalar: json accepts a str, int, float, bool or None key.
 _JSON_TREES = st.recursive(
     _SCALARS,
-    lambda children: st.lists(children, max_size=5) | st.dictionaries(_TEXT, children, max_size=5),
+    lambda children: (
+        st.lists(children, max_size=5) | st.dictionaries(_SCALARS, children, max_size=5)
+    ),
     max_leaves=40,
 )
 
