@@ -670,13 +670,14 @@ def verify_catalog(
     labeling or family pattern may be stored in more than one row, nor
     together with its mirror image (``symmetry_mate``) when that differs
     from it.  A family instance must have its family's pattern row in the
-    catalog, with the same ``free_min``, and a catalog with no entries
-    fails.  The ``provenance`` of a ``Catalog``, as ``load_catalog`` returns
-    it, must name this tool and record ``TOLERANCES``.  ``entries`` and
-    ``samples`` are each read once, so any iterable will do.  The report's
-    rows carry their entry's tag, and ``entries_checked`` counts the
-    labelings checked.  They share one relation-word memo, so a word that
-    repeats across them is measured once.
+    catalog, with the same ``free_min``.  A catalog with no entries fails,
+    and so does one that gives no labeling to check (family rows only, with
+    every sample below its bound).  The ``provenance`` of a ``Catalog``, as
+    ``load_catalog`` returns it, must name this tool and record
+    ``TOLERANCES``.  ``entries`` and ``samples`` are each read once, so any
+    iterable will do.  The report's rows carry their entry's tag, and
+    ``entries_checked`` counts the labelings checked.  They share one
+    relation-word memo, so a word that repeats across them is measured once.
     """
     errors = _provenance_errors(entries.provenance) if isinstance(entries, Catalog) else []
     sampled = None if samples is None else sorted(set(samples))
@@ -724,6 +725,8 @@ def verify_catalog(
             )
     if not stored:
         errors.append("the catalog has no entries")
+    elif not targets:
+        errors.append("no labeling to check: every sample is below its family's bound")
     checks: list[Check] = []
     memo: dict = {}
     for entry, lab, tag in targets:

@@ -565,6 +565,8 @@ def test_verify_catalog_fails_an_empty_catalog():
         report = cat.verify_catalog(entries)
         assert report.errors == ("the catalog has no entries",)
         assert report.checks == () and report.entries_checked == 0 and not report.ok
+    # The empty catalog fails only for having no entries, whatever the samples.
+    assert cat.verify_catalog([], samples=[3]).errors == ("the catalog has no entries",)
 
 
 def test_verify_catalog_reads_a_one_shot_iterator_of_entries(full_entries):
@@ -627,6 +629,15 @@ def test_verify_catalog_sample_values_below_bound_are_skipped(full_entries):
         # every family bound is 6 or 7, so the 3 never applies
         assert report.entries_checked == 2 * len(families) == 24
         assert report.ok
+
+
+def test_verify_catalog_fails_when_no_sample_reaches_a_family(full_entries):
+    # Every family bound is 6 or 7, so these samples leave nothing to check.
+    families = [e for e in full_entries if e.family]
+    for samples in ([3, 5], [-5], [], iter([3])):
+        report = cat.verify_catalog(families, samples=samples)
+        assert report.errors == ("no labeling to check: every sample is below its family's bound",)
+        assert report.checks == () and report.entries_checked == 0 and not report.ok
 
 
 def test_verify_catalog_flags_corrupted_radius(full_entries):

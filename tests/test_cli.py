@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -894,6 +896,22 @@ def test_verify_does_not_compare_the_provenance_version(small_catalog, capsys):
     assert expected[0] == 0 and expected[1].err == ""
 
 
+@pytest.mark.parametrize("sample", ["3", "-5"])
+def test_verify_fails_when_no_sample_reaches_a_family(small_dump, tmp_path, capsys, sample):
+    # A file of family rows only: every family bound is 6 or 7, so nothing
+    # is realized or checked.
+    doc = dict(small_dump, entries=[row for row in small_dump["entries"] if row["family"]])
+    path = tmp_path / "families.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--sample", sample]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "FAIL no labeling to check: every sample is below its family's bound\n"
+    )
+    assert captured.out.startswith("checked 0 configurations\n")
+    assert captured.out.endswith("\nFAIL\n")
+
+
 def test_verify_fails_an_empty_catalog(small_catalog, capsys):
     doc = json.loads(small_catalog.read_text())
     doc["entries"] = []
@@ -1121,3 +1139,108 @@ def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+# main must parse each argv below as the parser of every command does: the
+# usage argvs ask for help or are usage errors, the parser accepts the valid
+# ones.  FILE is a small catalog, OUT a file to write and MISSING a path that
+# is not there.
+USAGE_ARGVS = [
+    [], ["-h"], ["--help"], ["-h", "verify"], ["-x"],
+    ["bogus"], ["verif"],
+    ["enumerate", "-h"], ["realize", "-h"], ["matrices", "-h"], ["verify", "-h"],
+    ["verify", "--he"],
+    ["verify"], ["enumerate", "--max-n"], ["realize", *FIX1[:8]], ["matrices", "--json"],
+    ["verify", "FILE", "--sample", "x"], ["enumerate", "--cusp", "999"],
+    ["verify", "x.json", "--bogus"], ["realize", *FIX1, "2"], ["enumerate", "verify"],
+]
+VALID_ARGVS = [
+    ["verify", "--", "FILE"],
+    ["verify", "MISSING"],
+    ["realize", "2", "3", "2", "7", "5", "2", "2", "3", "2"],
+    ["enumerate", "--cusp", "244", "-o", "OUT"],
+    ["realize", *FIX1, "--json", "OUT"],
+    ["matrices", *FIX1],
+    ["verify", "FILE"],
+    ["verify", "FILE", "--sample", "7"],
+]
+
+
+@pytest.fixture
+def place_argv(small_catalog, tmp_path):
+    """Put the paths of FILE, OUT and MISSING into an argv."""
+    paths = {
+        "FILE": str(small_catalog),
+        "OUT": str(tmp_path / "out.json"),
+        "MISSING": str(tmp_path / "missing.json"),
+    }
+    return lambda argv: [paths.get(arg, arg) for arg in argv]
+
+
+def _outcome(argv, capsys):
+    """The exit code, or the SystemExit code, stdout and stderr of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    return (code, *capsys.readouterr())
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "no-argument"
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS + VALID_ARGVS, ids=_argv_id)
+def test_main_parses_as_the_parser_of_every_command(argv, place_argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = place_argv(argv)
+    got = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert got == _outcome(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=_argv_id)
+def test_main_gives_the_arguments_of_the_parser_of_every_command(argv, place_argv):
+    argv = place_argv(argv)
+    assert vars(cli._parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv,code,built",
+    [
+        (["verify", "FILE", "--sample", "7"], 0, 2),
+        (["enumerate", "--cusp", "333", "-o", "OUT"], 0, 2),
+        (["realize", *FIX1], 0, 2),
+        (["matrices", *FIX1], 0, 2),
+        ([], ("SystemExit", 2), 5),
+        (["-h"], ("SystemExit", 0), 5),
+        (["bogus"], ("SystemExit", 2), 5),
+    ],
+)
+def test_main_builds_only_the_parser_of_the_named_command(
+    argv, code, built, place_argv, monkeypatch, capsys
+):
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert _outcome(place_argv(argv), capsys)[0] == code
+    assert len(parsers) == built
+
+
+def test_main_reads_sys_argv_without_an_argv(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _outcome(["matrices", *FIX1], capsys)
+    monkeypatch.setattr(sys, "argv", ["prismcat", "matrices", *FIX1])
+    assert _outcome(None, capsys) == expected
+    monkeypatch.setattr(sys, "argv", ["prismcat", "verify", "x.json", "--bogus"])
+    code, out, err = _outcome(None, capsys)
+    assert (code, out) == (("SystemExit", 2), "")
+    assert err.startswith("usage: prismcat [-h] {enumerate,realize,matrices,verify} ...\n")
