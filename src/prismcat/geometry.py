@@ -367,7 +367,7 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
     b = 2.0 * (px * qx + py * qy) - 2.0 * cos9
     c = px * px + py * py - 1.0
     sq = math.sqrt(b * b - 4.0 * a * c)
-    u = -b - math.copysign(sq, b) if b != 0 else sq
+    u = -b - sq if b > 0 else sq - b
     r = u / (2.0 * a) if u < 0 else (2.0 * c) / u
 
     x0 = px + qx * r

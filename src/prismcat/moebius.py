@@ -48,20 +48,15 @@ class MoebiusMatrix(NamedTuple):
     """A 2x2 complex matrix [[a, b], [c, d]] acting on the boundary plane.
 
     Taken up to sign (and, for the distance checks, up to scale).  The fields
-    are complex; use ``of`` to build one from any numbers.  A named tuple, to
-    be cheap to build (a labeling builds about 22), so it unpacks and compares
-    as its 4 entries; ``+`` and ``*`` raise TypeError instead of acting on them.
+    are complex.  A named tuple, to be cheap to build (a labeling builds about
+    22), so it unpacks and compares as its 4 entries; ``+`` and ``*`` raise
+    TypeError instead of acting on them.
     """
 
     a: complex
     b: complex
     c: complex
     d: complex
-
-    @classmethod
-    def of(cls, a: complex, b: complex, c: complex, d: complex) -> "MoebiusMatrix":
-        """The matrix [[a, b], [c, d]], with each entry coerced to complex."""
-        return cls(complex(a), complex(b), complex(c), complex(d))
 
     @classmethod
     def identity(cls) -> "MoebiusMatrix":
@@ -152,7 +147,7 @@ def rotation_matrix(center: complex, theta: float, ccw: bool = True) -> MoebiusM
         theta = -theta
     e_plus = cmath.exp(1j * theta)
     e_minus = cmath.exp(-1j * theta)
-    return MoebiusMatrix.of(e_minus, center * (e_plus - e_minus), 0.0, e_plus)
+    return MoebiusMatrix(e_minus, center * (e_plus - e_minus), 0j, e_plus)
 
 
 # The faces in generator order: M1..M4 each pair the red face with back,
@@ -216,7 +211,7 @@ def _line_x_intersection(line, x: float) -> complex:
     if line.is_vertical:
         return complex(math.nan, math.nan)
     slope, intercept = line.slope_intercept()
-    return complex(x, slope * x + intercept)
+    return x + (slope * x + intercept) * 1j
 
 
 def rotation_parameters(
@@ -257,17 +252,17 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     rotation = rotation_parameters(lab, config)
     x, y, r = config.top.cx, config.top.cy, config.top.r
 
-    m1 = MoebiusMatrix.of(2.0 * RED_LINE_X[config.a3_branch], -1.0, 1.0, 0.0)
+    m1 = MoebiusMatrix(2.0 * RED_LINE_X[config.a3_branch] + 0j, -1 + 0j, 1 + 0j, 0j)
     if config.a3_branch == 2:
-        m4 = MoebiusMatrix.of(
+        m4 = MoebiusMatrix(
             (-x + y * 1j) / r,
-            (x * x + y * y) / r - r,
-            1.0 / r,
+            (x * x + y * y) / r - r + 0j,
+            1.0 / r + 0j,
             (-x - y * 1j) / r,
         )
     else:
         w = (-(x + 1.0) + y * 1j) / r
-        m4 = MoebiusMatrix.of(w, w * (-x - y * 1j) - r, 1.0 / r, (-x - y * 1j) / r)
+        m4 = MoebiusMatrix(w, w * (-x - y * 1j) - r, 1.0 / r + 0j, (-x - y * 1j) / r)
 
     m2 = rotation_matrix(rotation["fixed1"], rotation["theta1"], ccw=False)
     m3 = rotation_matrix(rotation["fixed2"], rotation["theta2"], ccw=True)

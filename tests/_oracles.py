@@ -3,19 +3,25 @@
 Everything here is deliberately written from first principles -- plain
 formula transcriptions and brute-force loops -- so that agreement with the
 package is meaningful.  Nothing in this module calls back into the
-package's enumeration or solving code.
+package's enumeration or solving code.  The one exception, ``digits``,
+calls nothing either: it rebinds the numeric names of ``geometry`` and
+``moebius`` so that the package's own code runs at another precision.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 from typing import Iterator, Optional
 
 import mpmath
 import numpy as np
+
+from prismcat import geometry, moebius
 
 # ---------------------------------------------------------------------------
 # Triangle classification via exact rationals
@@ -509,3 +515,50 @@ def gram_roots(labels: tuple[int, ...], dps: int = 40) -> list:
         a, b, c = (f[1] + f[-1]) / 2 - f[0], (f[1] - f[-1]) / 2, f[0]
         sq = mpmath.sqrt(b * b - 4 * a * c)
         return sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a)))
+
+
+# ---------------------------------------------------------------------------
+# The package at another precision
+#
+# geometry and moebius compute in the type of their inputs, and take every
+# function and constant from the module names ``math`` and ``cmath``.  Bound
+# to mpmath, the unchanged realize, build_generators and checks run at its
+# working precision.  These are all the names they use.
+
+
+def _hypot(*xs):
+    """The Euclidean norm of any number of reals: ``math.hypot``'s arity, which mpmath's lacks."""
+    return mpmath.sqrt(mpmath.fsum(x * x for x in xs))
+
+
+_MPMATH_MATH = SimpleNamespace(
+    pi=mpmath.pi,
+    cos=mpmath.cos,
+    sin=mpmath.sin,
+    acos=mpmath.acos,
+    sqrt=mpmath.sqrt,
+    hypot=_hypot,
+    inf=mpmath.inf,
+    nan=mpmath.nan,
+)
+_MPMATH_CMATH = SimpleNamespace(
+    sqrt=mpmath.sqrt, exp=mpmath.exp, acos=mpmath.acos, sin=mpmath.sin
+)
+
+
+@contextmanager
+def digits(dps: int) -> Iterator[None]:
+    """Run geometry and moebius in mpmath at ``dps`` significant digits.
+
+    Rebinds ``geometry.math``, ``moebius.math`` and ``moebius.cmath``, and
+    restores them and mpmath's precision on exit.  Floats passed in are read
+    exactly; a result holds mpmath numbers.
+    """
+    saved = geometry.math, moebius.math, moebius.cmath
+    with mpmath.workdps(dps):
+        geometry.math = moebius.math = _MPMATH_MATH
+        moebius.cmath = _MPMATH_CMATH
+        try:
+            yield
+        finally:
+            geometry.math, moebius.math, moebius.cmath = saved

@@ -83,7 +83,7 @@ def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     tag = cat.label_tag(entry.labeling)
     _, report = cat.build_entry(entry.labeling)
     assert {check.entry for check in report.checks} == {tag}
-    zero = MoebiusMatrix.of(0, 0, 0, 0)
+    zero = MoebiusMatrix(0j, 0j, 0j, 0j)
     gens = entry.generators._replace(m3=zero)
     report = cat.check_entry(entry.config, gens, entry=tag)
     assert report.errors == (f"{tag}: M3 singular, so relations and traces cannot be checked",)

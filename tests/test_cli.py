@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -1139,6 +1140,40 @@ def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the output contract across commits
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("enumerate", "f6301f87a631b0bda35c1ab1bf63029a0ddeaf7651192abc9e502a7eda1623a8"),
+        (
+            "enumerate --max-n 12",
+            "0132ad72666fc4e081d64e01c7df50480bbc902d6dd163821e0fd94bfce1b117",
+        ),
+        (
+            "matrices 2 4 3 5 4 2 2 2 2",
+            "75bf0f6719b5bbaf3e7a29a9e47d2bc4447815f4eaaa6b2c0cf134b43301251c",
+        ),
+        (
+            "matrices 2 6 2 7 3 2 2 3 2",
+            "0bd82d17ce81e76ae0a45bf54bd81964378b9368de6b9350ff158b94a360ac68",
+        ),
+    ],
+)
+def test_stdout_keeps_its_bytes_across_commits(argv, digest, capsys):
+    """The SHA-256 of each command's stdout, the same on Python 3.10 to 3.13.
+
+    A change to the code under these commands must keep these bytes; only a
+    deliberate change of the output contract updates a digest.  The catalog
+    embeds ``prismcat.__version__`` in its provenance, so a version bump
+    changes the two ``enumerate`` digests.
+    """
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 import _oracles as oracles
+from prismcat.catalog import _face_numbers, check_entry
 from prismcat.geometry import (
     ANGLE_TOL,
     UNIT_CIRCLE,
@@ -29,6 +30,7 @@ from prismcat.labelings import (
     enumerate_catalog,
     scan_admissible,
 )
+from prismcat.moebius import build_generators
 
 SQ3 = math.sqrt(3.0)
 SQ6 = math.sqrt(6.0)
@@ -424,6 +426,59 @@ def test_realize_puts_red_and_top_at_the_root_of_the_gram_determinant():
         # [3 3 2 3 3 4 4 2 2].  Relative to x - 1 the worst is 9.8e-11, on
         # [2 3 2 500 6 4 2 2 2], where x - 1 = 2.0e-6: one ulp of x.
         assert abs(x - root) <= 16 * eps * x, (labels, x, root)
+
+
+# ---------------------------------------------------------------------------
+# float64 against the same code at 50 digits (oracles.digits)
+
+
+def test_float64_faces_agree_with_50_digit_faces():
+    # The 78 standalone rows, and each family at free_min, +1, +10, 500,
+    # 2000 and 4500.  Every face number of float64's realize lies within 1e-14
+    # of realize's at 50 digits (3.0e-15 measured at worst), so the drift
+    # row's tolerance, ANGLE_TOL = 1e-9, has more than 5 orders of headroom
+    # over float64's error.  At 50 digits every check of every one passes.
+    targets = []
+    for row in enumerate_catalog():
+        if not row.family:
+            targets.append(row.labeling)
+            continue
+        values = {row.free_min, row.free_min + 1, row.free_min + 10, 500, 2000, 4500}
+        targets += [row.instantiate(n) for n in sorted(values)]
+    assert len(targets) == 150
+    floats = [realize(labels) for labels in targets]
+    with oracles.digits(50):
+        for labels, config in zip(targets, floats):
+            precise = realize(labels)
+            assert precise.a3_branch == config.a3_branch
+            gap = max(abs(a - b) for a, b in zip(_face_numbers(config), _face_numbers(precise)))
+            assert gap <= 1e-14, (labels, gap)
+            report = check_entry(precise, build_generators(labels, precise))
+            assert report.ok, (labels, report.failures())
+
+
+def test_float64_angles_sit_at_the_floor_of_their_stored_faces():
+    # A face stores cos(pi/n) as an offset close to 1, and rounding that one
+    # number moves the angle by up to (eps/2) n/pi.  The float64 faces of
+    # each family at n = 10^3, 10^4 and 10^5, read exactly and measured at
+    # 50 digits, keep all nine angles within that floor of pi/a_i (at 0.33
+    # to 0.42 of it, on a4 of [2 3 2 n 6 2 2 2 2]).  So reordering float64's
+    # operations can move where float64 stops by a small factor at most.
+    eps = 2.0**-52
+    families = [row for row in enumerate_catalog() if row.family]
+    assert len(families) == 12
+    for n in (10**3, 10**4, 10**5):
+        labelings = [row.instantiate(n) for row in families]
+        floats = [realize(labels) for labels in labelings]
+        floor = eps / 2 * n / math.pi
+        with oracles.digits(50):
+            for labels, config in zip(labelings, floats):
+                exact = PlanarConfig(
+                    *(type(face)(*map(mpmath.mpf, face)) for face in config[:5]),
+                    config.a3_branch,
+                )
+                report = verify_config(labels, exact)
+                assert report.max_residual() <= floor, (labels, report.max_residual(), floor)
 
 
 def test_verify_config_flags_perturbed_radius():
