@@ -17,8 +17,9 @@ import math
 from collections import Counter
 from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
-from . import geometry, moebius
+from . import geometry
 from .geometry import (
+    TOLERANCES,
     Check,
     PlanarCircle,
     PlanarConfig,
@@ -46,17 +47,6 @@ from .moebius import (
 
 SCHEMA = "prism-catalog/1"
 TOOL_NAME = "prismcat"
-
-# Thresholds the pipeline was verified against, recorded in every dump.
-TOLERANCES: dict[str, float] = {
-    "construction": geometry.CONSTRUCTION_TOL,
-    "angle": geometry.ANGLE_TOL,
-    "relation": moebius.RELATION_TOL,
-    "relation_large_power": moebius.RELATION_TOL_LARGE,
-    "large_exponent": moebius.LARGE_EXPONENT,
-    "trace": moebius.TRACE_TOL,
-    "determinant": moebius.DET_TOL,
-}
 
 # Default free-slot values at which a family is spot-checked: the bound, its
 # two nearest successors of interest, and a deliberately large power.
@@ -92,14 +82,15 @@ def check_entry(
     tagged row does.  ``memo`` goes to ``verify_relations``.
     """
     lab = gens.labeling
+    construction, determinant = TOLERANCES["construction"], TOLERANCES["determinant"]
     checks = list(verify_config(lab, config, entry=entry).checks)
     for name, expected in rotation_parameters(lab, config).items():
         residual = abs(getattr(gens, name) - expected)
-        checks.append(Check("generator", name, residual, 0.0, geometry.CONSTRUCTION_TOL, entry))
+        checks.append(Check("generator", name, residual, 0.0, construction, entry))
     singular = []
     for name, matrix in gens.named():
         det = matrix.det
-        checks.append(Check("determinant", name, abs(det - 1.0), 0.0, moebius.DET_TOL, entry))
+        checks.append(Check("determinant", name, abs(det - 1.0), 0.0, determinant, entry))
         if det == 0:
             singular.append(name)
     if singular:
@@ -614,7 +605,7 @@ def _check_target(
         diffs.append(abs(config.a3_branch - fresh.a3_branch))
         worst = max(range(len(diffs)), key=lambda i: (math.isnan(diffs[i]), diffs[i]))
         where = PlanarConfig._fields[worst // 3]
-        checks.append(Check("drift", where, diffs[worst], 0.0, geometry.ANGLE_TOL, tag))
+        checks.append(Check("drift", where, diffs[worst], 0.0, TOLERANCES["angle"], tag))
     report = check_entry(config, gens, entry=tag, memo=memo)
     checks += report.checks
     if not entry.family:

@@ -24,10 +24,23 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, brief, is_admissible
 
-# A freshly solved configuration must satisfy its defining constraints to this
-# residual; angle verification of all nine edges gets a slightly looser gate.
-CONSTRUCTION_TOL = 1e-10
-ANGLE_TOL = 1e-9
+# The bound of every check, read by each check when it runs, recorded by every
+# dump as ``provenance.tolerances`` and compared against by ``verify``.  A
+# solved configuration and the generators' rotation parameters are exact to
+# ``construction``; edge angles and stored-face drift get a looser ``angle``.
+# A relation word's PSL2 distance to the identity gets ``relation_large_power``
+# above order ``large_exponent``: powers are taken in closed form
+# (MoebiusMatrix.pow), so it measures the generators' own float64 error carried
+# into the word -- growing about n**3 with the order n -- not powering error.
+TOLERANCES: dict[str, float] = {
+    "construction": 1e-10,
+    "angle": 1e-9,
+    "relation": 1e-7,
+    "relation_large_power": 1e-6,
+    "large_exponent": 100,
+    "trace": 1e-8,
+    "determinant": 1e-10,
+}
 
 # The red line's x for each a3 branch (see PlanarConfig and build_lines).
 RED_LINE_X = {2: 0.0, 3: -0.5}
@@ -218,7 +231,7 @@ class Check(NamedTuple):
 
 
 # How a failed stage reads in a failure message: the edges that failed, and
-# the worst residual among them.
+# the worst residual among them.  Report.failures names any other stage.
 FAILURE_TEXT = {
     "angle": "configuration fails on {edges}",
     "generator": "stored generator parameters disagree on {edges}",
@@ -279,7 +292,8 @@ class Report(_ReportFields):
         """One message per entry and stage that failed, then the errors."""
         messages = []
         for (entry, stage), checks in self._scan[1].items():
-            text = FAILURE_TEXT[stage].format(
+            text = FAILURE_TEXT.get(stage, "{stage} checks fail on {edges}").format(
+                stage=stage,
                 edges=", ".join(check.edge for check in checks),
                 residual=_worst(check.residual for check in checks),
             )
@@ -295,6 +309,7 @@ def verify_config(labeling: Sequence[int], config: PlanarConfig, *, entry: str =
     realize().  A disjoint face pair is reported as an infinite residual on
     the named edge.  The rows carry ``entry`` as their entry tag.
     """
+    tol = TOLERANCES["angle"]
     return Report(
         tuple(
             Check(
@@ -302,7 +317,7 @@ def verify_config(labeling: Sequence[int], config: PlanarConfig, *, entry: str =
                 edge,
                 measure_angle(getattr(config, face1), getattr(config, face2)),
                 math.pi / label,
-                ANGLE_TOL,
+                tol,
                 entry,
             )
             for edge, (face1, face2), label in zip(EDGE_NAMES, EDGE_FACES, labeling, strict=True)
@@ -337,11 +352,11 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
     positive root comes from the stable split u = -b - sign(b)*sqrt(disc),
     as u/(2a) when u < 0 and as 2c/u otherwise.
 
-    The root must satisfy all three conditions to CONSTRUCTION_TOL, and the
-    red line must stay strictly clear of the top circle (red and top share
-    no edge; tangency would mean a second ideal vertex).  The nine edge
-    angles are not measured here: check_entry runs that independent oracle
-    (verify_config) on the result.
+    The root must satisfy all three conditions to TOLERANCES["construction"],
+    and the red line must stay strictly clear of the top circle by more than
+    it (red and top share no edge; tangency would mean a second ideal
+    vertex).  The nine edge angles are not measured here: check_entry runs
+    that independent oracle (verify_config) on the result.
 
     Raises ValueError for an inadmissible labeling and RealizationError when
     the positive root fails either gate.
@@ -379,7 +394,8 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
     )
     # Red and top must be strictly disjoint; tangency (within the
     # construction tolerance) is a degenerate second cusp.
-    if residual > CONSTRUCTION_TOL or red.signed_distance(x0, y0) - r <= CONSTRUCTION_TOL:
+    tol = TOLERANCES["construction"]
+    if residual > tol or red.signed_distance(x0, y0) - r <= tol:
         raise RealizationError(
             f"no valid top circle for {tuple(lab)}: the labeling is degenerate "
             "or not realizable with one cusp"

@@ -23,25 +23,14 @@ import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .geometry import RED_LINE_X, Check, PlanarConfig, Report
+from .geometry import RED_LINE_X, TOLERANCES, Check, PlanarConfig, Report
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling
 
-# Determinant drift allowed on constructed generators, PSL2 distance allowed
-# for relation words, and the looser gate for words with large exponents.
-# Powers are taken in closed form (MoebiusMatrix.pow), so a large-order
-# residual measures the float64 error of the generators themselves, carried
-# into the word's trace -- it grows about n**3 with the order n -- and not
-# error from powering.
-DET_TOL = 1e-10
-RELATION_TOL = 1e-7
-RELATION_TOL_LARGE = 1e-6
-LARGE_EXPONENT = 100
-TRACE_TOL = 1e-8
-
-
 def relation_tolerance(exponent: int) -> float:
-    """PSL2-distance threshold for a relation word of the given order."""
-    return RELATION_TOL if exponent <= LARGE_EXPONENT else RELATION_TOL_LARGE
+    """PSL2-distance threshold for a relation word of the given order, from TOLERANCES."""
+    if exponent <= TOLERANCES["large_exponent"]:
+        return TOLERANCES["relation"]
+    return TOLERANCES["relation_large_power"]
 
 
 class MoebiusMatrix(NamedTuple):
@@ -309,9 +298,10 @@ def trace_check(gens: GeneratorSet, *, entry: str = "") -> Report:
     the relation exponents without computing any powers.  Each row measures
     |trace| against 2*cos(pi/n), and carries ``entry`` as its entry tag.
     """
+    tol = TOLERANCES["trace"]
     checks = []
     for edge, _, (a, b, c, d), exponent in gens.words:
         measured = abs((a + d) / cmath.sqrt(a * d - b * c))
         expected = 2.0 * math.cos(math.pi / exponent)
-        checks.append(Check("trace", edge, measured, expected, TRACE_TOL, entry))
+        checks.append(Check("trace", edge, measured, expected, tol, entry))
     return Report(tuple(checks))

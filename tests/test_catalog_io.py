@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -499,7 +500,7 @@ def test_changing_a_document_leaves_later_dumps_unchanged(full_entries):
     doc["provenance"]["tolerances"]["angle"] = 1.0
     doc["provenance"]["tolerances"]["extra"] = 2.0
     assert cat.dumps_catalog(full_entries[:3]) == text
-    assert cat.TOLERANCES["angle"] == geometry.ANGLE_TOL
+    assert cat.TOLERANCES["angle"] == 1e-9 and "extra" not in cat.TOLERANCES
 
 
 def test_complex_numbers_encode_as_re_im_pairs(full_entries):
@@ -592,6 +593,56 @@ def test_verify_catalog_compares_the_provenance_of_a_loaded_catalog(full_entries
     assert report.errors == ("provenance: tool 'other' is not 'prismcat'",)
     assert not report.ok
     assert cat.verify_catalog(list(loaded)).ok
+
+
+def _readme_tolerance_rows() -> list[tuple[str, list[str], list[float]]]:
+    """The README's tolerance table: each row's check, its TOLERANCES entries and its bounds."""
+    readme = (Path(cat.__file__).resolve().parents[2] / "README.md").read_text()
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("| ") or line.startswith(("| check", "| -")):
+            continue
+        check, entries, bounds = (cell.strip() for cell in line.strip("|").split("|"))
+        names = [name.strip(" `") for name in entries.split("/")]
+        rows.append((check, names, [float(bound) for bound in bounds.split("/")]))
+    return rows
+
+
+def test_readme_tolerance_table_names_the_bound_each_stage_reads(monkeypatch):
+    rows = _readme_tolerance_rows()
+    assert len(rows) == 7
+    for check, names, bounds in rows:
+        assert [cat.TOLERANCES[name] for name in names] == bounds, check
+    relation = next(check for check, _, _ in rows if "(`relation`)" in check)
+    assert f"order <= {cat.TOLERANCES['large_exponent']} / above" in relation
+    # Each bound made distinct and read back from the rows: a row's tol names
+    # the entry its stage read when it ran.
+    lab = Labeling(2, 3, 2, 500, 6, 2, 2, 2, 2)
+    entry, _ = cat.build_entry(lab)
+    bounds = [name for name in cat.TOLERANCES if name != "large_exponent"]
+    for index, name in enumerate(bounds, 1):
+        monkeypatch.setitem(cat.TOLERANCES, name, cat.TOLERANCES[name] * (1 + index / 64))
+    read = {cat.TOLERANCES[name]: name for name in bounds}
+    stages: dict[str, set] = {}
+    for row in cat.verify_catalog([entry]).checks:
+        stages.setdefault(row.stage, set()).add(read[row.tol])
+    for check, names, _ in rows:
+        stage = check.rsplit("(`", 1)[1].rstrip("`)")
+        if stage == "realize":
+            # realize's gates reject this labeling once their bound exceeds its clearance.
+            rejects = []
+            for name in bounds:
+                with monkeypatch.context() as patch:
+                    patch.setitem(cat.TOLERANCES, name, 10.0)
+                    try:
+                        geometry.realize(lab)
+                    except geometry.RealizationError:
+                        rejects.append(name)
+            assert rejects == names
+        else:
+            assert stages.pop(stage) == set(names), stage
+    assert stages == {}
 
 
 @pytest.mark.parametrize(

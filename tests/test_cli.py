@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismcat import catalog as cat
-from prismcat import cli, moebius
+from prismcat import cli
 from prismcat.cli import main
 from prismcat.labelings import EXPECTED_COUNTS, brief, enumerate_catalog, symmetry_mate
 
@@ -66,16 +66,33 @@ def test_enumerate_with_instances(capsys):
 
 
 def test_enumerate_reports_failed_entries_and_still_writes(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(moebius, "RELATION_TOL", 1e-20)
+    monkeypatch.setitem(cat.TOLERANCES, "relation", 1e-20)
+    reports = []
+    build_entry = cat.build_entry
+
+    def recorded_build_entry(*args, **kwargs):
+        entry, report = build_entry(*args, **kwargs)
+        reports.append(report)
+        return entry, report
+
+    monkeypatch.setattr(cat, "build_entry", recorded_build_entry)
     out = tmp_path / "catalog.json"
     assert main(["enumerate", "--max-n", "7", "-o", str(out)]) == 1
     captured = capsys.readouterr()
     assert "12 families, 78 specific" in captured.out
     failures = captured.err.splitlines()
-    built = [r for r in json.loads(out.read_text())["entries"] if not r["family"]]
-    assert len(failures) == len(built) > 78
+    doc = json.loads(out.read_text())
+    built = [r for r in doc["entries"] if not r["family"]]
+    assert len(failures) == len(built) == len(reports) > 78
     assert all(line.startswith("FAIL [") and ": relations fail on " in line for line in failures)
     assert "FAIL [2 6 2 7 3 2 2 3 2]: relations fail on a1, a2, a3, a4, a5, a6, a7, a8, a9" in failures
+    # The dump records the bound its relation rows were held to.
+    assert doc["provenance"]["tolerances"]["relation"] == 1e-20
+    relations = [
+        check for report in reports for check in report.checks if check.stage == "relation"
+    ]
+    assert len(relations) == 9 * len(built)
+    assert {check.tol for check in relations} == {1e-20}
 
 
 def test_enumerate_reports_a_count_mismatch_and_still_writes(tmp_path, monkeypatch, capsys):

@@ -8,9 +8,10 @@ import mpmath
 import pytest
 
 import _oracles as oracles
+from prismcat import catalog
 from prismcat.catalog import _face_numbers, check_entry
 from prismcat.geometry import (
-    ANGLE_TOL,
+    TOLERANCES,
     UNIT_CIRCLE,
     Check,
     PlanarCircle,
@@ -320,8 +321,8 @@ def test_realized_catalog_keeps_red_and_top_disjoint():
 
 def test_realize_raises_when_the_one_root_fails_the_clearance_gate():
     # At n = 10^6 the red/top clearance is of order 1e-12, below the absolute
-    # gate CONSTRUCTION_TOL = 1e-10.  ROADMAP item 8 makes that gate relative,
-    # which is expected to turn this into a pass.
+    # gate TOLERANCES["construction"] = 1e-10.  ROADMAP item 8 makes that gate
+    # relative, which is expected to turn this into a pass.
     with pytest.raises(RealizationError, match=r"no valid top circle for \(2, 3, 2, 1000000,"):
         realize((2, 3, 2, 10**6, 6, 2, 2, 2, 2))
 
@@ -415,7 +416,7 @@ def test_realize_puts_red_and_top_at_the_root_of_the_gram_determinant():
         # cosines of G(x): this fixes the sign convention.
         expected = oracles.gram_matrix(labels, x)
         for i, j in product(range(5), repeat=2):
-            assert abs(products[i][j] - expected[i][j]) <= ANGLE_TOL, (labels, i, j)
+            assert abs(products[i][j] - expected[i][j]) <= TOLERANCES["angle"], (labels, i, j)
         [root] = [root for root in oracles.gram_roots(labels) if root > 1]
         # Error model: the red line is exact (x = 0 or x = -1/2), and x is
         # its product with the top circle, whose center and radius end
@@ -436,8 +437,8 @@ def test_float64_faces_agree_with_50_digit_faces():
     # The 78 standalone rows, and each family at free_min, +1, +10, 500,
     # 2000 and 4500.  Every face number of float64's realize lies within 1e-14
     # of realize's at 50 digits (3.0e-15 measured at worst), so the drift
-    # row's tolerance, ANGLE_TOL = 1e-9, has more than 5 orders of headroom
-    # over float64's error.  At 50 digits every check of every one passes.
+    # row's tolerance, TOLERANCES["angle"] = 1e-9, has more than 5 orders of
+    # headroom over float64's error.  At 50 digits every check of every one passes.
     targets = []
     for row in enumerate_catalog():
         if not row.family:
@@ -520,8 +521,8 @@ def test_verify_config_reports_missing_intersections_as_failures():
 
 def test_report_rows_share_one_residual_rule():
     rows = (
-        Check("angle", "a1", 1.0, 1.0 + 1e-12, ANGLE_TOL, "[x]"),
-        Check("angle", "a2", None, 0.5, ANGLE_TOL, "[x]"),
+        Check("angle", "a1", 1.0, 1.0 + 1e-12, 1e-9, "[x]"),
+        Check("angle", "a2", None, 0.5, 1e-9, "[x]"),
         Check("relation", "a2", 2e-7, 0.0, 1e-7, "[x]"),
         Check("relation", "a4", 5e-7, 0.0, 1e-6, "[y]"),
     )
@@ -550,6 +551,15 @@ def test_report_rows_share_one_residual_rule():
     assert drifts.failures() == ["M1, M2, M3 determinant drifts by nan"]
 
 
+def test_report_names_a_failed_stage_it_has_no_text_for():
+    report = Report((Check("order", "a4", 1.0, 0.0, 1e-9), Check("order", "a5", 1.0, 1.0, 1e-9)))
+    assert not report.ok
+    assert report.max_residual("order") == 1.0
+    assert report.failures() == ["order checks fail on a4"]
+    tagged = Report((Check("certificate", "M1", None, 0.0, 0.0, "[x]"),))
+    assert tagged.failures() == ["[x]: certificate checks fail on M1"]
+
+
 def test_config_requires_a_known_red_line_branch():
     config = realize(Labeling(2, 6, 2, 7, 3, 2, 2, 3, 2))
     with pytest.raises(ValueError, match="a3 branch"):
@@ -557,7 +567,18 @@ def test_config_requires_a_known_red_line_branch():
 
 
 def test_angle_tolerance_constant_is_exposed():
-    assert ANGLE_TOL == 1e-9
+    # One table holds every bound, and the catalog records that same object.
+    assert TOLERANCES["angle"] == 1e-9
+    assert catalog.TOLERANCES is TOLERANCES
+    assert list(TOLERANCES.items()) == [
+        ("construction", 1e-10),
+        ("angle", 1e-9),
+        ("relation", 1e-7),
+        ("relation_large_power", 1e-6),
+        ("large_exponent", 100),
+        ("trace", 1e-8),
+        ("determinant", 1e-10),
+    ]
 
 
 def test_circle_requires_positive_radius():

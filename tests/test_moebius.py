@@ -14,14 +14,9 @@ import _oracles as oracles
 import prismcat
 from prismcat import catalog as cat
 from prismcat.catalog import check_entry
-from prismcat.geometry import PlanarCircle, PlanarConfig, realize
+from prismcat.geometry import TOLERANCES, PlanarCircle, PlanarConfig, realize
 from prismcat.labelings import Labeling, enumerate_catalog
 from prismcat.moebius import (
-    DET_TOL,
-    LARGE_EXPONENT,
-    RELATION_TOL,
-    RELATION_TOL_LARGE,
-    TRACE_TOL,
     GeneratorSet,
     MoebiusMatrix,
     build_generators,
@@ -242,9 +237,10 @@ def test_rotation_half_angle_domain():
 
 
 def test_relation_tolerance_tiers():
-    assert relation_tolerance(2) == RELATION_TOL
-    assert relation_tolerance(LARGE_EXPONENT) == RELATION_TOL
-    assert relation_tolerance(LARGE_EXPONENT + 1) == RELATION_TOL_LARGE
+    large = TOLERANCES["large_exponent"]
+    assert relation_tolerance(2) == TOLERANCES["relation"] == 1e-7
+    assert relation_tolerance(large) == TOLERANCES["relation"]
+    assert relation_tolerance(large + 1) == TOLERANCES["relation_large_power"] == 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +322,7 @@ def test_generator_determinants_are_unimodular():
     ]:
         gens, _ = gens_for(labels)
         for m in (gens.m1, gens.m2, gens.m3, gens.m4):
-            assert abs(m.det - 1.0) <= DET_TOL
+            assert abs(m.det - 1.0) <= TOLERANCES["determinant"]
 
 
 def test_generators_are_products_of_two_face_reflections():
@@ -415,7 +411,7 @@ def test_relations_hold_far_into_a_family():
     assert report.ok
     # the order-500 word gets the looser gate, everything else the strict one
     for check, (_, _, _, exponent) in zip(report.checks, gens.words):
-        expected_tol = RELATION_TOL_LARGE if exponent > 100 else RELATION_TOL
+        expected_tol = TOLERANCES["relation_large_power" if exponent > 100 else "relation"]
         assert check.tol == expected_tol
         assert check.residual <= expected_tol
 
@@ -483,7 +479,7 @@ def test_traces_match_elliptic_orders():
     assert report.ok
     for check, (_, _, _, exponent) in zip(report.checks, gens.words):
         assert check.expected == pytest.approx(2 * math.cos(math.pi / exponent), abs=1e-15)
-        assert abs(check.measured - check.expected) <= TRACE_TOL
+        assert abs(check.measured - check.expected) <= TOLERANCES["trace"]
 
 
 def test_perturbed_top_matrix_breaks_only_its_relations():
