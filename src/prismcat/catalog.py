@@ -58,14 +58,10 @@ FAMILY_SAMPLE_LARGE = 500
 # in the order check_entry runs them.
 VERIFIED_STAGES = {"angles": "angle", "relations": "relation", "traces": "trace"}
 
-# A label of at least this size has more than 40 digits; label_tag names it through brief.
-_HUGE_LABEL = 10**40
-
 
 def label_tag(labeling: Sequence[Optional[int]]) -> str:
     """How failure messages name an entry: its labels in brackets, n for a free slot."""
-    labels = ("n" if v is None else str(v) if abs(v) < _HUGE_LABEL else brief(v) for v in labeling)
-    return "[" + " ".join(labels) + "]"
+    return "[" + " ".join("n" if v is None else brief(v) for v in labeling) + "]"
 
 
 def check_entry(
@@ -483,14 +479,14 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
     """The catalog document as JSON text indented by two spaces, ending in a newline.
 
     The text is the same, byte for byte, as ``json.dumps(doc, indent=2)``
-    plus a newline.  It is not made by that call because, with ``indent``
-    set, CPython before 3.13 bypasses its C encoder for the pure-Python
-    one, which spends most of its time resuming nested generators.  Rows of
-    one shape differ only in their leaves, so each shape's template is
-    written once, from ``entry_to_json`` of its first row, and each row
-    fills it with the texts that one call to json's C encoder (``_spell``)
-    gives the leaves ``_row_leaves`` reads off its entry.  The document is
-    filled the same way, with the rows' text as its last leaves.
+    plus a newline.  json writes the document, and the rows' texts go into
+    its empty ``entries`` list, its last field.  json does not write the rows
+    because, with ``indent`` set, CPython before 3.13 bypasses its C encoder
+    for the pure-Python one, which spends most of its time resuming nested
+    generators.  Rows of one shape differ only in their leaves, so each
+    shape's template is written once, from ``entry_to_json`` of its first
+    row, and each row fills it with the texts that one call to json's C
+    encoder (``_spell``) gives the leaves ``_row_leaves`` reads off its entry.
     """
     templates: dict[tuple, str] = {}
     rows = []
@@ -501,12 +497,13 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
             # A row starts two levels in: the document, then its entries list.
             template = templates[key] = _write_template(entry_to_json(entry), "\n    ")
         rows.append(template % _spell(leaves))
-    # The entries are the document's last field, so their leaves come last.
-    doc = catalog_to_json(())
-    leaves = []
-    _leaves(doc, leaves, [])
-    doc["entries"] = rows
-    return _write_template(doc, "\n") % (*_spell(leaves), *rows) + "\n"
+    # json ends the document in its last field, the empty entries list, and a brace.
+    text = json.dumps(catalog_to_json(()), indent=2) + "\n"
+    if rows:  # one join splices the rows in, so the text is built once, beside them
+        rows[0] = text[: -len("[]\n}\n")] + "[\n    " + rows[0]
+        rows[-1] += "\n  ]\n}\n"
+        text = ",\n    ".join(rows)
+    return text
 
 
 def dump_catalog(entries: Iterable[CatalogEntry], fp: Union[str, IO[str]]) -> None:

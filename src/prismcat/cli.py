@@ -155,14 +155,18 @@ def cmd_matrices(args: argparse.Namespace) -> int:
     return _print_failures(report.failures())
 
 
+# The lines of verify's summary: each stage's largest residual, by the name its line gives it.
+_VERIFY_SUMMARY = {
+    "angle": "angle residual", "relation": "relation residual", "trace": "trace residual",
+    "determinant": "determinant drift", "drift": "config drift",
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     report = cat.verify_catalog(cat.load_catalog(args.catalog), samples=args.sample)
     print(f"checked {report.entries_checked} configurations")
-    print(f"max angle residual:    {report.max_residual('angle'):.3e}")
-    print(f"max relation residual: {report.max_residual('relation'):.3e}")
-    print(f"max trace residual:    {report.max_residual('trace'):.3e}")
-    print(f"max determinant drift: {report.max_residual('determinant'):.3e}")
-    print(f"max config drift:      {report.max_residual('drift'):.3e}")
+    for stage, name in _VERIFY_SUMMARY.items():
+        print(f"max {name + ':':<19}{report.max_residual(stage):.3e}")
     code = _print_failures(report.failures())
     print("FAIL" if code else "PASS")
     return code

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, brief, is_admissible
 
@@ -122,8 +122,6 @@ class PlanarCircle(_CircleFields):
 
 UNIT_CIRCLE = PlanarCircle(0.0, 0.0, 1.0)
 
-PlanarObject = Union[PlanarLine, PlanarCircle]
-
 
 class _ConfigFields(NamedTuple):
     red: PlanarLine
@@ -175,7 +173,7 @@ def build_lines(labeling: Sequence[int]) -> tuple[PlanarLine, PlanarLine, Planar
     return red, green, blue
 
 
-def measure_angle(obj1: PlanarObject, obj2: PlanarObject) -> Optional[float]:
+def measure_angle(obj1: PlanarLine | PlanarCircle, obj2: PlanarLine | PlanarCircle) -> float | None:
     """Intersection angle of two lines/circles, or None when they are disjoint.
 
     Line/line uses the normals; line/circle and circle/circle measure the

@@ -21,10 +21,16 @@ from typing import NamedTuple, Optional, Sequence
 
 _BRIEF = reprlib.Repr()
 _BRIEF.maxlevel = 1  # a nested list shows as [[...]], however deep it goes
+_FULL_BELOW = 10**40  # an integer smaller than this in size has at most 40 digits
 
 
 def brief(value) -> str:
-    """A value read from outside as messages show it: one level deep, at most 40 characters."""
+    """A value read from outside as messages show it: one level deep, at most 40 characters.
+
+    An integer of at most 40 digits shows in full.
+    """
+    if type(value) is int and -_FULL_BELOW < value < _FULL_BELOW:
+        return str(value)
     text = _BRIEF.repr(value)
     return text if len(text) <= 40 else text[:37] + "..."
 

@@ -52,16 +52,10 @@ def render_svg(config: PlanarConfig, labeling: Sequence[int]) -> str:
             f'<g transform="matrix(1 0 0 -1 0 0)" fill="none" '
             f'stroke-width="{_fmt(STROKE_WIDTH)}" stroke-linecap="round">'
         ),
-        _line_element(config.red, "red"),
-        _line_element(config.green, "green"),
-        _line_element(config.blue, "blue"),
-        (
-            f'<circle cx="{_fmt(config.back.cx)}" cy="{_fmt(config.back.cy)}" '
-            f'r="{_fmt(config.back.r)}" stroke="black"/>'
-        ),
-        (
-            f'<circle cx="{_fmt(config.top.cx)}" cy="{_fmt(config.top.cy)}" '
-            f'r="{_fmt(config.top.r)}" stroke="black"/>'
+        *(_line_element(getattr(config, color), color) for color in ("red", "green", "blue")),
+        *(
+            f'<circle cx="{_fmt(c.cx)}" cy="{_fmt(c.cy)}" r="{_fmt(c.r)}" stroke="black"/>'
+            for c in (config.back, config.top)
         ),
         "</g>",
         "</svg>",

@@ -72,9 +72,13 @@ def test_check_entry_reads_the_labels_of_its_generators(labels):
 
 
 def test_label_tag_shows_a_label_of_more_than_40_digits_briefly():
+    # label_tag names each label through brief, which shows at most 40 digits in full.
     longest = 10**40 - 1
+    for full in (longest, -longest):
+        assert brief(full) == str(full)
     assert cat.label_tag([2, None, longest, -longest]) == f"[2 n {longest} -{longest}]"
     for huge in (10**40, -(10**40)):
+        assert len(brief(huge)) == 40 and "..." in brief(huge)
         assert cat.label_tag([huge, 3]) == f"[{brief(huge)} 3]"
     assert cat.label_tag([10**40 + 1]) != cat.label_tag([10**40])
 
@@ -262,6 +266,8 @@ def _assert_dumps_like_json_dumps(entries):
 def test_dumps_catalog_matches_json_dumps():
     entries, _ = cat.build_catalog(enumerate_catalog(), max_n=12)
     _assert_dumps_like_json_dumps(entries)
+    # The document with no rows keeps json's empty entries list.
+    _assert_dumps_like_json_dumps([])
 
 
 @pytest.fixture(scope="module")

@@ -806,6 +806,17 @@ def test_verify_fails_a_label_below_two(small_catalog, capsys):
     assert err.startswith(f"FAIL {tag(victim['labeling'])}: realization failed:")
 
 
+def test_verify_shows_a_label_of_40_digits_in_full_in_tag_and_message(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    _corrupt_first_standalone(path, lambda r: r["labeling"].__setitem__(0, -(10**39)))
+    assert main(["verify", str(path)]) == 1
+    labels = "-1" + "0" * 39, "3", "2", "2", "6", "4", "2", "2", "2"
+    assert capsys.readouterr().err == (
+        f"FAIL [{' '.join(labels)}]: realization failed:"
+        f" edge labels must be integers >= 2, got ({', '.join(labels)})\n"
+    )
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -1176,20 +1187,39 @@ def test_no_subcommand_is_a_usage_error():
             "75bf0f6719b5bbaf3e7a29a9e47d2bc4447815f4eaaa6b2c0cf134b43301251c",
         ),
         (
+            "enumerate -o FILE && verify FILE",
+            "0b98f78d51f3f9d7584a6a38b8c04f391b48f5d7448c5a641cf567b9054fdeb5",
+        ),
+        (
+            "enumerate --max-n 12 -o FILE && verify FILE",
+            "b5d4e7eb381c53345758adc776442ae2350382e0292c8af0b02dbe6d49765402",
+        ),
+        (
+            "enumerate -o FILE && verify FILE --sample 7 12 500",
+            "5854226dca41dab201bd727aee82b71f247498e03102cb05fd642f81345105b6",
+        ),
+        (
             "matrices 2 6 2 7 3 2 2 3 2",
             "0bd82d17ce81e76ae0a45bf54bd81964378b9368de6b9350ff158b94a360ac68",
         ),
     ],
 )
-def test_stdout_keeps_its_bytes_across_commits(argv, digest, capsys):
+def test_stdout_keeps_its_bytes_across_commits(argv, digest, tmp_path, capsys):
     """The SHA-256 of each command's stdout, the same on Python 3.10 to 3.13.
 
     A change to the code under these commands must keep these bytes; only a
     deliberate change of the output contract updates a digest.  The catalog
     embeds ``prismcat.__version__`` in its provenance, so a version bump
-    changes the two ``enumerate`` digests.
+    changes the two ``enumerate`` digests.  Where commands are joined by
+    ``&&``, the earlier ones write the catalog FILE the last one reads, and
+    only the last one's stdout is hashed.
     """
-    assert main(argv.split()) == 0
+    path = str(tmp_path / "catalog.json")
+    *writers, command = ([path if w == "FILE" else w for w in c.split()] for c in argv.split("&&"))
+    for writer in writers:
+        assert main(writer) == 0
+    capsys.readouterr()
+    assert main(command) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
