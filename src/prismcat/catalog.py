@@ -67,28 +67,29 @@ def label_tag(labeling: Sequence[Optional[int]]) -> str:
 def check_entry(
     config: PlanarConfig, gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
 ) -> Report:
-    """Every check of one realized labeling, ``gens.labeling``, as rows of one report.
+    """Every check of one realized labeling, ``gens.labeling``, as one record a stage.
 
     The nine edge angles of the configuration, the generators' rotation
     half-angles and centers recomputed from it, the four determinants, and
     the nine relation words and trace identities.  The relation words need
     the generators' inverses, so a singular generator ends the report with
-    an error instead of those two stages.  Every row carries ``entry`` as
-    its entry tag, and the error starts with it the way a failure of a
-    tagged row does.  ``memo`` goes to ``verify_relations``.
+    an error instead of those two records.  Every record carries ``entry``
+    as its entry tag, and the error starts with it the way a failure of a
+    tagged record does.  ``memo`` goes to ``verify_relations``.
     """
     lab = gens.labeling
-    construction, determinant = TOLERANCES["construction"], TOLERANCES["determinant"]
-    checks = list(verify_config(lab, config, entry=entry).checks)
-    for name, expected in rotation_parameters(lab, config).items():
-        residual = abs(getattr(gens, name) - expected)
-        checks.append(Check("generator", name, residual, 0.0, construction, entry))
-    singular = []
-    for name, matrix in gens.named():
-        det = matrix.det
-        checks.append(Check("determinant", name, abs(det - 1.0), 0.0, determinant, entry))
-        if det == 0:
-            singular.append(name)
+    rotation = rotation_parameters(lab, config)
+    parameters = tuple(abs(getattr(gens, name) - value) for name, value in rotation.items())
+    names, matrices = zip(*gens.named())
+    dets = [matrix.det for matrix in matrices]
+    drifts = tuple(abs(det - 1.0) for det in dets)
+    zeros, construction = (0.0,) * 4, (TOLERANCES["construction"],) * 4
+    checks = [
+        *verify_config(lab, config, entry=entry).checks,
+        Check("generator", tuple(rotation), parameters, zeros, construction, entry),
+        Check("determinant", names, drifts, zeros, (TOLERANCES["determinant"],) * 4, entry),
+    ]
+    singular = [name for name, det in zip(names, dets) if det == 0]
     if singular:
         error = f"{', '.join(singular)} singular, so relations and traces cannot be checked"
         return Report(tuple(checks), errors=(f"{entry}: {error}" if entry else error,))
@@ -97,19 +98,14 @@ def check_entry(
     return Report(tuple(checks))
 
 
-def stored_rows(report: Report) -> dict[str, list[Check]]:
-    """The report's rows whose residuals an entry stores, by field, in one pass.
+def stored_checks(report: Report) -> dict[str, Check]:
+    """The records of one entry's report whose residuals the entry stores, by field.
 
-    The fields come in ``VERIFIED_STAGES`` order and each field's rows in
-    report order.
+    The fields come in ``VERIFIED_STAGES`` order.  A stage the report has no
+    record of (a singular generator's relations and traces) has no field.
     """
-    rows: dict[str, list[Check]] = {field: [] for field in VERIFIED_STAGES}
-    by_stage = {stage: rows[field] for field, stage in VERIFIED_STAGES.items()}
-    for check in report.checks:
-        group = by_stage.get(check.stage)
-        if group is not None:
-            group.append(check)
-    return rows
+    by_stage = {check.stage: check for check in report.checks}
+    return {field: by_stage[stage] for field, stage in VERIFIED_STAGES.items() if stage in by_stage}
 
 
 def build_entry(
@@ -117,14 +113,16 @@ def build_entry(
 ) -> tuple[CatalogEntry, Report]:
     """Run the full pipeline on one labeling: the entry, and the report of its checks.
 
-    The entry stores the report's angle, relation and trace residuals.  It is
-    built whether or not the report passes.  The report's rows and errors
-    carry the entry's ``label_tag``.  ``memo`` goes to ``check_entry``.
+    The entry stores the residuals of the report's angle, relation and trace
+    records, and an empty tuple for a stage the report has no record of.  It
+    is built whether or not the report passes.  The report's records and
+    errors carry the entry's ``label_tag``.  ``memo`` goes to ``check_entry``.
     """
     lab = Labeling(*labeling)
     config = realize(lab)
     gens = build_generators(lab, config)
     report = check_entry(config, gens, entry=label_tag(lab), memo=memo)
+    checks = stored_checks(report)
     entry = CatalogEntry(
         labeling=tuple(lab),
         cusp=CuspType.of(lab),
@@ -132,8 +130,8 @@ def build_entry(
         config=config,
         generators=gens,
         verification={
-            field: tuple(check.residual for check in rows)
-            for field, rows in stored_rows(report).items()
+            field: checks[field].residuals if field in checks else ()
+            for field in VERIFIED_STAGES
         },
     )
     return entry, report
@@ -487,6 +485,12 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
     shape's template is written once, from ``entry_to_json`` of its first
     row, and each row fills it with the texts that one call to json's C
     encoder (``_spell``) gives the leaves ``_row_leaves`` reads off its entry.
+
+    From 3.13 on, json writes the same text as fast.  So once
+    ``requires-python`` reaches 3.13, the body becomes ``json.dumps(doc,
+    indent=2)`` plus a newline, with ``doc = catalog_to_json(entries)``.
+    ``_ENCODE``, ``_spell``, ``_write_template``, ``_leaves`` and
+    ``_row_leaves`` then go; ``_face_numbers`` stays for the ``drift`` record.
     """
     templates: dict[tuple, str] = {}
     rows = []
@@ -577,7 +581,7 @@ def load_catalog(fp: Union[str, IO[str]]) -> Catalog:
 def _check_target(
     entry: CatalogEntry, lab: Labeling, tag: str, memo: dict
 ) -> tuple[list[Check], list[str]]:
-    """The rows and the errors of one labeling ``verify_catalog`` checks for ``entry``."""
+    """The records and the errors of one labeling ``verify_catalog`` checks for ``entry``."""
     try:
         fresh = realize(lab)
     except (ValueError, geometry.RealizationError) as exc:
@@ -602,21 +606,24 @@ def _check_target(
         diffs.append(abs(config.a3_branch - fresh.a3_branch))
         worst = max(range(len(diffs)), key=lambda i: (math.isnan(diffs[i]), diffs[i]))
         where = PlanarConfig._fields[worst // 3]
-        checks.append(Check("drift", where, diffs[worst], 0.0, TOLERANCES["angle"], tag))
+        drift = Check("drift", (where,), (diffs[worst],), (0.0,), (TOLERANCES["angle"],), tag)
+        checks.append(drift)
     report = check_entry(config, gens, entry=tag, memo=memo)
     checks += report.checks
     if not entry.family:
         disagree = []
-        for field, rows in stored_rows(report).items():
+        recomputed = stored_checks(report)
+        for field in VERIFIED_STAGES:
             stored = entry.verification.get(field, ())
             if len(stored) != 9:
                 errors.append(f"{tag}: entry stores {len(stored)} {field} residuals, expected 9")
-                continue
-            disagree += (
-                f"{field} {check.edge}"
-                for check, value in zip(rows, stored)
-                if not abs(value - check.residual) <= check.tol
-            )
+            elif field in recomputed:
+                check = recomputed[field]
+                compared = zip(stored, check.edges, check.residuals, check.tol)
+                disagree += (
+                    f"{field} {edge}" for value, edge, residual, tol in compared
+                    if not abs(value - residual) <= tol
+                )
         if disagree:
             errors.append(
                 f"{tag}: stored residuals disagree with recomputation on {', '.join(disagree)}"
@@ -651,7 +658,7 @@ def verify_catalog(
     and residuals.  They go through ``check_entry`` with the stored
     configuration and generators, a fresh realization must agree with the
     stored faces and ``a3_branch`` (config drift), and each stored residual
-    must equal the recomputed one to within that row's tolerance.  Family
+    must equal the recomputed one to within that edge's tolerance.  Family
     pattern rows are spot-checked with ``check_entry`` on fresh realizations
     at the sampled free-slot values (default: free_min, +1, +10, and 500).
     Each checked labeling must also have the entry's cusp type.  No
@@ -663,7 +670,7 @@ def verify_catalog(
     every sample below its bound).  The ``provenance`` of a ``Catalog``, as
     ``load_catalog`` returns it, must name this tool and record
     ``TOLERANCES``.  ``entries`` and ``samples`` are each read once, so any
-    iterable will do.  The report's rows carry their entry's tag, and
+    iterable will do.  The report's records carry their entry's tag, and
     ``entries_checked`` counts the labelings checked.  They share one
     relation-word memo, so a word that repeats across them is measured once.
     """

@@ -202,30 +202,30 @@ def measure_angle(obj1: PlanarLine | PlanarCircle, obj2: PlanarLine | PlanarCirc
 
 
 class Check(NamedTuple):
-    """One verified quantity of one stage: a measured value against its expected one.
+    """One stage of one entry: each edge's measured value against its expected one.
 
-    ``edge`` names what was measured within the stage (an edge "a1".."a9",
-    a generator "M1".."M4", a generator parameter); ``entry`` tags the rows
-    of a catalog sweep with the entry they belong to.  A measurement that
-    could not be made (two disjoint faces) is ``None`` and fails.
+    ``edges``, ``measured``, ``expected`` and ``tol`` are index-aligned
+    tuples.  An edge names what was measured within the stage (an edge
+    "a1".."a9", a generator "M1".."M4", a generator parameter); each edge has
+    its own bound in ``tol``.  ``entry`` tags the records of a catalog sweep
+    with the entry they belong to.  A measurement that could not be made (two
+    disjoint faces) is ``None`` and fails.
     """
 
     stage: str
-    edge: str
-    measured: Optional[float]
-    expected: float
-    tol: float
+    edges: tuple[str, ...]
+    measured: tuple[Optional[float], ...]
+    expected: tuple[float, ...]
+    tol: tuple[float, ...]
     entry: str = ""
 
     @property
-    def residual(self) -> float:
-        if self.measured is None:
-            return math.inf
-        return abs(self.measured - self.expected)
-
-    @property
-    def ok(self) -> bool:
-        return self.residual <= self.tol
+    def residuals(self) -> tuple[float, ...]:
+        """Each edge's ``|measured - expected|``, infinite where ``measured`` is ``None``."""
+        return tuple(
+            math.inf if measured is None else abs(measured - expected)
+            for measured, expected in zip(self.measured, self.expected)
+        )
 
 
 # How a failed stage reads in a failure message: the edges that failed, and
@@ -252,29 +252,27 @@ class _ReportFields(NamedTuple):
 
 
 class Report(_ReportFields):
-    """The rows of one or more verification stages, in the order they ran.
+    """The records of one or more verification stages, in the order they ran.
 
-    ``errors`` are failures that no row records, such as an entry that
-    cannot be realized; ``entries_checked`` counts the entries whose rows
+    ``errors`` are failures that no record holds, such as an entry that
+    cannot be realized; ``entries_checked`` counts the entries whose records
     the report holds.  No ``__slots__``: ``_scan`` caches in ``__dict__``.
     """
 
     @cached_property
-    def _scan(self) -> tuple[dict[str, float], dict[tuple[str, str], list[Check]]]:
-        """Each stage's worst residual, and the failed rows by entry and stage, in one pass.
-
-        Each row's ``residual`` is read once: ``Check.ok`` would compute it again.
-        """
+    def _scan(self) -> tuple[dict[str, float], dict[tuple[str, str], list[tuple[str, float]]]]:
+        """Each stage's worst residual, and the failed edges and residuals by entry and stage."""
         worst: dict[str, float] = {}
-        failed: dict[tuple[str, str], list[Check]] = {}
+        failed: dict[tuple[str, str], list[tuple[str, float]]] = {}
         for check in self.checks:
-            stage, residual = check.stage, check.residual
-            if not residual <= check.tol:
-                failed.setdefault((check.entry, stage), []).append(check)
-                if residual != residual:  # NaN is the worst, and no residual exceeds it
+            stage = check.stage
+            for edge, residual, tol in zip(check.edges, check.residuals, check.tol):
+                if not residual <= tol:
+                    failed.setdefault((check.entry, stage), []).append((edge, residual))
+                    if residual != residual:  # NaN is the worst, and no residual exceeds it
+                        worst[stage] = residual
+                if residual > worst.get(stage, 0.0):
                     worst[stage] = residual
-            if residual > worst.get(stage, 0.0):
-                worst[stage] = residual
         return worst, failed
 
     @property
@@ -282,18 +280,18 @@ class Report(_ReportFields):
         return not self.errors and not self._scan[1]
 
     def max_residual(self, stage: Optional[str] = None) -> float:
-        """The worst residual of one stage, or of all rows (NaN if any is); 0 if there are none."""
+        """The worst residual of one stage, or of all (NaN if any is); 0 if there are none."""
         worst = self._scan[0]
         return _worst(worst.values()) if stage is None else worst.get(stage, 0.0)
 
     def failures(self) -> list[str]:
         """One message per entry and stage that failed, then the errors."""
         messages = []
-        for (entry, stage), checks in self._scan[1].items():
+        for (entry, stage), failed in self._scan[1].items():
             text = FAILURE_TEXT.get(stage, "{stage} checks fail on {edges}").format(
                 stage=stage,
-                edges=", ".join(check.edge for check in checks),
-                residual=_worst(check.residual for check in checks),
+                edges=", ".join(edge for edge, _ in failed),
+                residual=_worst(residual for _, residual in failed),
             )
             messages.append(f"{entry}: {text}" if entry else text)
         return messages + list(self.errors)
@@ -305,22 +303,13 @@ def verify_config(labeling: Sequence[int], config: PlanarConfig, *, entry: str =
     Uses the edge-to-face-pair table and the measurement oracle only -- none
     of the construction equations -- so it independently cross-checks
     realize().  A disjoint face pair is reported as an infinite residual on
-    the named edge.  The rows carry ``entry`` as their entry tag.
+    the named edge.  The one record carries ``entry`` as its entry tag.
     """
-    tol = TOLERANCES["angle"]
-    return Report(
-        tuple(
-            Check(
-                "angle",
-                edge,
-                measure_angle(getattr(config, face1), getattr(config, face2)),
-                math.pi / label,
-                tol,
-                entry,
-            )
-            for edge, (face1, face2), label in zip(EDGE_NAMES, EDGE_FACES, labeling, strict=True)
-        )
-    )
+    edges = tuple(zip(EDGE_FACES, labeling, strict=True))
+    measured = tuple(measure_angle(getattr(config, f), getattr(config, g)) for (f, g), _ in edges)
+    expected = tuple(math.pi / label for _, label in edges)
+    tol = (TOLERANCES["angle"],) * len(edges)
+    return Report((Check("angle", EDGE_NAMES, measured, expected, tol, entry),))
 
 
 def realize(labeling: Sequence[int]) -> PlanarConfig:

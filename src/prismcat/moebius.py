@@ -224,7 +224,7 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
 
     Precondition: ``config`` realizes ``labeling``, as ``realize`` returns
     it or a catalog stores it.  Nothing here measures it again: the edge
-    angles, rotation parameters and determinants of the result are rows of
+    angles, rotation parameters and determinants of the result are records of
     ``catalog.check_entry``, which is where a configuration that does not
     realize its labeling fails.
 
@@ -264,18 +264,19 @@ def verify_relations(
 ) -> Report:
     """Evaluate the nine relation words and their PSL2 distances to identity.
 
-    Each row carries the tolerance for its word's order, and ``entry`` as
-    its entry tag.  ``memo`` maps a word's ``(base, exponent)`` to its
-    residual; pass one dict to every call of a sweep and each distinct word
-    is powered and measured once, or ``None`` (the default) to measure every
-    word.  A key matches only a word with equal entries, and words that
-    differ only in the signs of their zeros have the same residual, so a
-    row read from the memo is the row a fresh measurement gives.
+    The one record measures each word's distance against 0, carries each
+    word's tolerance for its order, and ``entry`` as its entry tag.  ``memo``
+    maps a word's ``(base, exponent)`` to its residual; pass one dict to
+    every call of a sweep and each distinct word is powered and measured
+    once, or ``None`` (the default) to measure every word.  A key matches
+    only a word with equal entries, and words that differ only in the signs
+    of their zeros have the same residual, so a residual read from the memo
+    is the one a fresh measurement gives.
     """
     if memo is None:
         memo = {}
-    checks = []
-    for edge, _, base, exponent in gens.words:
+    residuals, tols = [], []
+    for _, _, base, exponent in gens.words:
         key = base, exponent
         residual = memo.get(key)
         if residual is None:
@@ -284,10 +285,10 @@ def verify_relations(
             except OverflowError:  # only a non-elliptic base grows past the float range
                 residual = math.inf
             memo[key] = residual
-        checks.append(
-            Check("relation", edge, residual, 0.0, relation_tolerance(exponent), entry)
-        )
-    return Report(tuple(checks))
+        residuals.append(residual)
+        tols.append(relation_tolerance(exponent))
+    zeros = (0.0,) * len(residuals)
+    return Report((Check("relation", EDGE_NAMES, tuple(residuals), zeros, tuple(tols), entry),))
 
 
 def trace_check(gens: GeneratorSet, *, entry: str = "") -> Report:
@@ -295,13 +296,13 @@ def trace_check(gens: GeneratorSet, *, entry: str = "") -> Report:
 
     An element of order n conjugate to a rotation by 2*pi/n has
     |trace| = 2*cos(pi/n) (after determinant normalization); this confirms
-    the relation exponents without computing any powers.  Each row measures
-    |trace| against 2*cos(pi/n), and carries ``entry`` as its entry tag.
+    the relation exponents without computing any powers.  The one record
+    measures each |trace| against 2*cos(pi/n), and carries ``entry`` as its
+    entry tag.
     """
-    tol = TOLERANCES["trace"]
-    checks = []
-    for edge, _, (a, b, c, d), exponent in gens.words:
-        measured = abs((a + d) / cmath.sqrt(a * d - b * c))
-        expected = 2.0 * math.cos(math.pi / exponent)
-        checks.append(Check("trace", edge, measured, expected, tol, entry))
-    return Report(tuple(checks))
+    measured, expected = [], []
+    for _, _, (a, b, c, d), exponent in gens.words:
+        measured.append(abs((a + d) / cmath.sqrt(a * d - b * c)))
+        expected.append(2.0 * math.cos(math.pi / exponent))
+    tol = (TOLERANCES["trace"],) * len(measured)
+    return Report((Check("trace", EDGE_NAMES, tuple(measured), tuple(expected), tol, entry),))

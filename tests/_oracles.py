@@ -14,9 +14,10 @@ import cmath
 import math
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import mpmath
 import numpy as np
@@ -27,6 +28,7 @@ from prismcat import geometry, moebius
 # Triangle classification via exact rationals
 
 
+@lru_cache(maxsize=None)
 def angle_sum_class(p: int, q: int, r: int) -> str:
     """Classify by comparing 1/p + 1/q + 1/r with 1 using Fractions."""
     total = Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
@@ -61,8 +63,12 @@ def brute_admissible(labels: tuple[int, ...]) -> bool:
     return angle_sum_class(labels[i], labels[j], labels[k]) == "hyperbolic"
 
 
-def brute_scan(max_label: int) -> set[tuple[int, ...]]:
-    """Every admissible labeling with labels in [2, max_label], by raw loops."""
+def brute_scan(max_label: int, circuit: bool = True) -> set[tuple[int, ...]]:
+    """Every admissible labeling with labels in [2, max_label], by raw loops.
+
+    With ``circuit`` false, every labeling whose six vertex triples have
+    their required classes, whatever the class of its prismatic circuit.
+    """
     found: set[tuple[int, ...]] = set()
     values = range(2, max_label + 1)
     # Nested filtering keeps this tractable without mirroring the package's
@@ -75,7 +81,7 @@ def brute_scan(max_label: int) -> set[tuple[int, ...]]:
                 continue
             if angle_sum_class(a2, a3, a6) != "spherical":
                 continue
-            if angle_sum_class(a4, a5, a6) != "hyperbolic":
+            if circuit and angle_sum_class(a4, a5, a6) != "hyperbolic":
                 continue
             for a7, a8, a9 in product(values, repeat=3):
                 if angle_sum_class(a5, a7, a8) != "spherical":
@@ -502,10 +508,14 @@ def gram_matrix(labels: tuple[int, ...], x, lib=math) -> list[list]:
 
 
 def gram_roots(labels: tuple[int, ...], dps: int = 40) -> list:
-    """The two roots of det G(x) = 0 at ``dps`` digits, ascending, for real roots.
+    """The real roots of det G(x) = 0 at ``dps`` digits, ascending.
 
     x fills two symmetric entries, so det G is a quadratic in x, fixed by its
-    values at -1, 0 and 1.
+    values at -1, 0 and 1.  Its x^2 coefficient is, up to sign, the Gram
+    determinant of green, blue and back, whose edges are the prismatic
+    circuit (a4, a5, a6).  For a Euclidean circuit it is 0, and a
+    coefficient below 10**(-dps/2), far above the rounding at ``dps``
+    digits, counts as 0.  Raises ValueError if det G is 0 for every x.
     """
     with mpmath.workdps(dps):
         f = {
@@ -513,8 +523,58 @@ def gram_roots(labels: tuple[int, ...], dps: int = 40) -> list:
             for x in (-1, 0, 1)
         }
         a, b, c = (f[1] + f[-1]) / 2 - f[0], (f[1] - f[-1]) / 2, f[0]
-        sq = mpmath.sqrt(b * b - 4 * a * c)
+        zero = mpmath.mpf(10) ** (-dps / 2)
+        if abs(a) <= zero:
+            if abs(b) <= zero:
+                if abs(c) <= zero:
+                    raise ValueError(f"det G(x) is 0 for every x on {labels}")
+                return []
+            return [-c / b]
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        sq = mpmath.sqrt(disc)
         return sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a)))
+
+
+def gram_spectrum(labels: tuple[int, ...], x) -> list[float]:
+    """The eigenvalues of G(x) in float64, ascending, with ``x`` rounded to a float."""
+    return np.linalg.eigvalsh(np.array(gram_matrix(labels, float(x)))).tolist()
+
+
+# ---------------------------------------------------------------------------
+# A report's records as one row per edge
+
+
+class Row(NamedTuple):
+    """One edge of one record (``geometry.Check``) of a report."""
+
+    stage: str
+    edge: str
+    measured: Optional[float]
+    expected: float
+    tol: float
+    entry: str
+    residual: float
+
+    @property
+    def ok(self) -> bool:
+        return self.residual <= self.tol
+
+
+def rows(report) -> list[Row]:
+    """The report's records flattened into one row per edge, in report order.
+
+    Each record's five per-edge tuples must be index-aligned: a record whose
+    tuples differ in length raises ValueError.
+    """
+    return [
+        Row(check.stage, edge, measured, expected, tol, check.entry, residual)
+        for check in report.checks
+        for edge, measured, expected, tol, residual in zip(
+            check.edges, check.measured, check.expected, check.tol, check.residuals, strict=True
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

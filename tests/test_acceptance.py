@@ -183,11 +183,8 @@ def test_c07_relations_and_traces(capfd):
             gens = build_generators(lab, config)
             relations = verify_relations(gens)
             assert relations.ok, lab
-            for check, (_, _, _, exponent) in zip(relations.checks, gens.words):
-                assert check.residual <= relation_tolerance(exponent), (
-                    lab,
-                    check.edge,
-                )
+            for row, (_, _, _, exponent) in zip(oracles.rows(relations), gens.words):
+                assert row.residual <= relation_tolerance(exponent), (lab, row.edge)
             traces = trace_check(gens)
             assert traces.ok, lab
             assert traces.max_residual() <= 1e-8, lab

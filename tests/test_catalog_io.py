@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _oracles as oracles
 from prismcat import catalog as cat
 from prismcat import geometry, moebius
 from prismcat.moebius import MoebiusMatrix
@@ -47,14 +48,20 @@ def test_check_entry_rows_and_stored_residuals(full_entries):
     entry = next(e for e in full_entries if not e.family)
     report = cat.check_entry(entry.config, entry.generators)
     assert report.ok and report.entries_checked == 1
-    stages = ["angle"] * 9 + ["generator"] * 4 + ["determinant"] * 4
-    stages += ["relation"] * 9 + ["trace"] * 9
+    # One record a stage, and one row an edge.
+    stages = ["angle", "generator", "determinant", "relation", "trace"]
     assert [check.stage for check in report.checks] == stages
+    counts = {"angle": 9, "generator": 4, "determinant": 4, "relation": 9, "trace": 9}
+    assert [row.stage for row in oracles.rows(report)] == [
+        stage for stage in stages for _ in range(counts[stage])
+    ]
     # The rotation parameters are recomputed by the same float operations.
     assert report.max_residual("generator") == 0.0
+    checks = cat.stored_checks(report)
+    assert list(checks) == list(cat.VERIFIED_STAGES)
     for field, stage in cat.VERIFIED_STAGES.items():
-        residuals = tuple(c.residual for c in report.checks if c.stage == stage)
-        assert entry.verification[field] == residuals
+        residuals = tuple(r.residual for r in oracles.rows(report) if r.stage == stage)
+        assert entry.verification[field] == residuals == checks[field].residuals
 
 
 @pytest.mark.parametrize("labels", [(2, 6, 2, 7, 3, 2, 2, 3, 2), [2, 6, 2, 7, 3, 2, 2, 3, 2]])
@@ -66,7 +73,7 @@ def test_check_entry_reads_the_labels_of_its_generators(labels):
     assert gens.labeling == Labeling(*labels)
     report = cat.check_entry(config, gens)
     assert report.ok
-    assert [c.expected for c in report.checks if c.stage == "angle"] == [
+    assert [r.expected for r in oracles.rows(report) if r.stage == "angle"] == [
         math.pi / a for a in labels
     ]
 
@@ -119,17 +126,17 @@ def _count_work(monkeypatch) -> dict[str, int]:
     return counts
 
 
-def _count_rows(monkeypatch) -> dict[str, int]:
-    """Count the Check rows built from now on."""
-    rows = {"built": 0}
+def _count_records(monkeypatch) -> dict[str, int]:
+    """Count the Check records built from now on."""
+    records = {"built": 0}
     new = geometry.Check.__new__
 
     def counted_new(cls, *args, **kwargs):
-        rows["built"] += 1
+        records["built"] += 1
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(geometry.Check, "__new__", counted_new)
-    return rows
+    return records
 
 
 def test_each_entry_is_measured_once(full_entries, monkeypatch):
@@ -144,12 +151,13 @@ def test_each_entry_is_measured_once(full_entries, monkeypatch):
     entry, report = cat.build_entry(stored.labeling)
     assert report.ok and counts == {"verify_config": 1, "inv": 3}
     counts.update(verify_config=0, inv=0)
-    rows = _count_rows(monkeypatch)
+    records = _count_records(monkeypatch)
     report = cat.verify_catalog([stored])
     assert report.ok
     assert counts == {"verify_config": 1, "inv": 3}
-    # Each row is built once, already tagged with its entry.
-    assert rows["built"] == len(report.checks)
+    # Each record is built once, already tagged with its entry: one for
+    # each stage, and one for the drift of the stored faces.
+    assert records["built"] == len(report.checks) == 6
     counts.update(verify_config=0, inv=0)
     report = cat.verify_catalog([family], samples=[family.free_min])
     assert report.ok and report.entries_checked == 1
@@ -204,7 +212,7 @@ def test_each_sweep_measures_each_distinct_word_once(max12_entries, monkeypatch)
         calls.clear()
         report = cat.verify_catalog(loaded)
         assert report.ok
-        assert sum(check.stage == "relation" for check in report.checks) == 1854
+        assert sum(row.stage == "relation" for row in oracles.rows(report)) == 1854
         assert len(calls) == 686
 
 
@@ -631,7 +639,7 @@ def test_readme_tolerance_table_names_the_bound_each_stage_reads(monkeypatch):
         monkeypatch.setitem(cat.TOLERANCES, name, cat.TOLERANCES[name] * (1 + index / 64))
     read = {cat.TOLERANCES[name]: name for name in bounds}
     stages: dict[str, set] = {}
-    for row in cat.verify_catalog([entry]).checks:
+    for row in oracles.rows(cat.verify_catalog([entry])):
         stages.setdefault(row.stage, set()).add(read[row.tol])
     for check, names, _ in rows:
         stage = check.rsplit("(`", 1)[1].rstrip("`)")
@@ -734,7 +742,7 @@ def test_verify_catalog_names_a_nan_face_in_the_drift_row(full_entries):
     victim["config"]["red"]["offset"] = math.nan
     report = cat.verify_catalog(cat.load_catalog(io.StringIO(json.dumps(doc))))
     tag = "[2 3 2 2 6 4 2 2 2]"
-    [drift] = [c for c in report.checks if c.stage == "drift" and c.entry == tag]
+    [drift] = [r for r in oracles.rows(report) if r.stage == "drift" and r.entry == tag]
     assert drift.edge == "red" and math.isnan(drift.residual) and not drift.ok
     failure = f"{tag}: stored configuration drifts from recomputation on red by nan"
     assert failure in report.failures()

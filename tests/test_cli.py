@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles as oracles
 from prismcat import catalog as cat
 from prismcat import cli
 from prismcat.cli import main
@@ -89,10 +90,10 @@ def test_enumerate_reports_failed_entries_and_still_writes(tmp_path, monkeypatch
     # The dump records the bound its relation rows were held to.
     assert doc["provenance"]["tolerances"]["relation"] == 1e-20
     relations = [
-        check for report in reports for check in report.checks if check.stage == "relation"
+        row for report in reports for row in oracles.rows(report) if row.stage == "relation"
     ]
     assert len(relations) == 9 * len(built)
-    assert {check.tol for check in relations} == {1e-20}
+    assert {row.tol for row in relations} == {1e-20}
 
 
 def test_enumerate_reports_a_count_mismatch_and_still_writes(tmp_path, monkeypatch, capsys):
@@ -541,6 +542,29 @@ def test_verify_rejects_duplicate_rows(tmp_path, capsys):
     tags = [" ".join("n" if v is None else str(v) for v in r["labeling"]) for r in rows]
     assert captured.err.splitlines() == [f"FAIL [{tag}]: the row is stored 2 times" for tag in tags]
     assert "checked 252 configurations" in captured.out
+    assert captured.out.strip().endswith("FAIL")
+
+
+def test_verify_groups_the_failures_of_a_row_stored_twice_by_entry_and_stage(tmp_path, capsys):
+    # Both copies carry one tag, so each stage's failures of the two copies
+    # make one line, and each copy's disagreeing stored residuals make one.
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    victim = next(r for r in doc["entries"] if not r["family"])
+    victim["config"]["top"]["radius"] *= 1.001
+    doc["entries"].append(json.loads(json.dumps(victim)))
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    tag = "[2 3 2 2 6 4 2 2 2]"
+    assert captured.err.splitlines() == [
+        f"FAIL {tag}: stored configuration drifts from recomputation on top, top by 1.000e-03",
+        f"FAIL {tag}: configuration fails on a9, a9",
+        f"FAIL {tag}: the row is stored 2 times",
+        f"FAIL {tag}: stored residuals disagree with recomputation on angles a9",
+        f"FAIL {tag}: stored residuals disagree with recomputation on angles a9",
+    ]
+    assert "checked 127 configurations" in captured.out
     assert captured.out.strip().endswith("FAIL")
 
 

@@ -497,7 +497,7 @@ def test_verify_config_flags_perturbed_radius():
     assert not report.ok
     # a7 = 2 pins the center to the green line, so only the blue tangency
     # and the unit-circle intersection notice a radius change.
-    broken = {check.edge for check in report.checks if not check.ok}
+    broken = {row.edge for row in oracles.rows(report) if not row.ok}
     assert broken == {"a8", "a9"}
     assert report.failures() == ["configuration fails on a8, a9"]
 
@@ -516,19 +516,18 @@ def test_verify_config_reports_missing_intersections_as_failures():
     report = verify_config(lab, detached)
     assert not report.ok
     assert report.max_residual() == math.inf
-    assert {c.edge for c in report.checks if not c.ok} >= {"a7", "a8", "a9"}
+    assert {r.edge for r in oracles.rows(report) if not r.ok} >= {"a7", "a8", "a9"}
 
 
 def test_report_rows_share_one_residual_rule():
-    rows = (
-        Check("angle", "a1", 1.0, 1.0 + 1e-12, 1e-9, "[x]"),
-        Check("angle", "a2", None, 0.5, 1e-9, "[x]"),
-        Check("relation", "a2", 2e-7, 0.0, 1e-7, "[x]"),
-        Check("relation", "a4", 5e-7, 0.0, 1e-6, "[y]"),
+    records = (
+        Check("angle", ("a1", "a2"), (1.0, None), (1.0 + 1e-12, 0.5), (1e-9, 1e-9), "[x]"),
+        Check("relation", ("a2",), (2e-7,), (0.0,), (1e-7,), "[x]"),
+        Check("relation", ("a4",), (5e-7,), (0.0,), (1e-6,), "[y]"),
     )
-    assert [row.ok for row in rows] == [True, False, False, True]
-    assert rows[1].residual == math.inf
-    report = Report(rows, errors=("[z]: realization failed",), entries_checked=3)
+    assert records[0].residuals == (pytest.approx(1e-12), math.inf)
+    report = Report(records, errors=("[z]: realization failed",), entries_checked=3)
+    assert [row.ok for row in oracles.rows(report)] == [True, False, False, True]
     assert not report.ok
     assert report.max_residual("relation") == 5e-7
     assert report.max_residual("trace") == 0.0
@@ -538,25 +537,25 @@ def test_report_rows_share_one_residual_rule():
         "[x]: relations fail on a2",
         "[z]: realization failed",
     ]
-    assert Report((rows[0], rows[3])).ok
+    assert Report((records[0]._replace(measured=(1.0, 0.5)), records[2])).ok
     # Every comparison with NaN is false: a NaN residual must still be the
-    # worst, wherever it comes among the rows.
-    drifts = Report(
-        tuple(
-            Check("determinant", name, value, 0.0, 1e-10)
-            for name, value in (("M1", 1.0), ("M2", math.nan), ("M3", 2.0))
-        )
-    )
+    # worst, wherever it comes among the edges.
+    names, values = ("M1", "M2", "M3"), (1.0, math.nan, 2.0)
+    drifts = Report((Check("determinant", names, values, (0.0,) * 3, (1e-10,) * 3),))
     assert math.isnan(drifts.max_residual("determinant")) and math.isnan(drifts.max_residual())
     assert drifts.failures() == ["M1, M2, M3 determinant drifts by nan"]
+    # One entry's failures of one stage make one message across its records,
+    # as when a row is stored twice under one tag.
+    twice = Report((records[1], records[1]))
+    assert twice.failures() == ["[x]: relations fail on a2, a2"]
 
 
 def test_report_names_a_failed_stage_it_has_no_text_for():
-    report = Report((Check("order", "a4", 1.0, 0.0, 1e-9), Check("order", "a5", 1.0, 1.0, 1e-9)))
+    report = Report((Check("order", ("a4", "a5"), (1.0, 1.0), (0.0, 1.0), (1e-9, 1e-9)),))
     assert not report.ok
     assert report.max_residual("order") == 1.0
     assert report.failures() == ["order checks fail on a4"]
-    tagged = Report((Check("certificate", "M1", None, 0.0, 0.0, "[x]"),))
+    tagged = Report((Check("certificate", ("M1",), (None,), (0.0,), (0.0,), "[x]"),))
     assert tagged.failures() == ["[x]: certificate checks fail on M1"]
 
 

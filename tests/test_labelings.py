@@ -1,6 +1,7 @@
 """Tests for triangle classification, admissibility and the enumeration."""
 
 import json
+import math
 import os
 import re
 from fractions import Fraction
@@ -273,6 +274,41 @@ def test_scan_matches_brute_force_quotient():
     assert {min(l, oracles.mate(l)) for l in raw} == scanned
     # Every raw labeling's mate is raw-admissible too.
     assert all(oracles.mate(l) in raw for l in raw)
+
+
+def test_vinberg_criterion_decides_the_classification():
+    # Vinberg (1985): five faces meeting at these angles bound a hyperbolic
+    # polyhedron when a Gram matrix G(x) of rank 4 has signature (3, 1).
+    # x is the product of the red and top faces, which do not meet, so it is
+    # the cosh of their distance: x > 1.  So det G(x) = 0 must have a root
+    # x > 1 at which G has three positive eigenvalues and one negative.
+    # That criterion reads no triangle rule; on every labeling <= 8 whose
+    # six vertex triples pass, it holds exactly where is_admissible's
+    # circuit rule does.  The 454 others have a spherical (413) or Euclidean
+    # (41) prismatic circuit.
+    candidates = {min(lab, oracles.mate(lab)) for lab in oracles.brute_scan(8, circuit=False)}
+    assert len(candidates) == 564
+    circuits = {True: [], False: []}
+    # The signature counts an eigenvalue outside +-1e-9 as nonzero.
+    # Measured, the zero eigenvalue is at most 1.6e-15 and every other at
+    # least 0.37, so no rounding can move an eigenvalue across the cut.
+    zero, nonzero = 0.0, math.inf
+    for labels in sorted(candidates):
+        signatures = []
+        for x in oracles.gram_roots(labels, dps=30):
+            if x > 1:
+                spectrum = oracles.gram_spectrum(labels, x)
+                zero = max(zero, *(abs(v) for v in spectrum if abs(v) <= 1e-9))
+                nonzero = min(nonzero, *(abs(v) for v in spectrum if abs(v) > 1e-9))
+                signs = [(v > 1e-9) - (v < -1e-9) for v in spectrum]
+                signatures.append((signs.count(1), signs.count(-1)))
+        vinberg = (3, 1) in signatures
+        assert vinberg == bool(is_admissible(labels)), (labels, signatures)
+        circuit = (labels[i] for i in oracles._CIRCUIT)
+        circuits[vinberg].append(oracles.angle_sum_class(*circuit))
+    assert len(circuits[True]) == 110 and set(circuits[True]) == {"hyperbolic"}
+    assert sorted(circuits[False]) == ["euclidean"] * 41 + ["spherical"] * 413
+    assert zero <= 1e-12 and nonzero >= 0.1
 
 
 @pytest.mark.parametrize("bound", range(2, 8))
