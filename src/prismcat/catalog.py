@@ -83,11 +83,10 @@ def check_entry(
     names, matrices = zip(*gens.named())
     dets = [matrix.det for matrix in matrices]
     drifts = tuple(abs(det - 1.0) for det in dets)
-    zeros, construction = (0.0,) * 4, (TOLERANCES["construction"],) * 4
     checks = [
         *verify_config(lab, config, entry=entry).checks,
-        Check("generator", tuple(rotation), parameters, zeros, construction, entry),
-        Check("determinant", names, drifts, zeros, (TOLERANCES["determinant"],) * 4, entry),
+        Check("generator", tuple(rotation), parameters, (TOLERANCES["construction"],) * 4, entry),
+        Check("determinant", names, drifts, (TOLERANCES["determinant"],) * 4, entry),
     ]
     singular = [name for name, det in zip(names, dets) if det == 0]
     if singular:
@@ -606,8 +605,7 @@ def _check_target(
         diffs.append(abs(config.a3_branch - fresh.a3_branch))
         worst = max(range(len(diffs)), key=lambda i: (math.isnan(diffs[i]), diffs[i]))
         where = PlanarConfig._fields[worst // 3]
-        drift = Check("drift", (where,), (diffs[worst],), (0.0,), (TOLERANCES["angle"],), tag)
-        checks.append(drift)
+        checks.append(Check("drift", (where,), (diffs[worst],), (TOLERANCES["angle"],), tag))
     report = check_entry(config, gens, entry=tag, memo=memo)
     checks += report.checks
     if not entry.family:

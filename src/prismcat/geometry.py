@@ -19,7 +19,6 @@ against a circle is measured with the sign of that normal.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, brief, is_admissible
@@ -202,30 +201,23 @@ def measure_angle(obj1: PlanarLine | PlanarCircle, obj2: PlanarLine | PlanarCirc
 
 
 class Check(NamedTuple):
-    """One stage of one entry: each edge's measured value against its expected one.
+    """One stage of one entry: each edge's residual against its bound.
 
-    ``edges``, ``measured``, ``expected`` and ``tol`` are index-aligned
-    tuples.  An edge names what was measured within the stage (an edge
-    "a1".."a9", a generator "M1".."M4", a generator parameter); each edge has
-    its own bound in ``tol``.  ``entry`` tags the records of a catalog sweep
-    with the entry they belong to.  A measurement that could not be made (two
-    disjoint faces) is ``None`` and fails.
+    ``edges``, ``residuals`` and ``tol`` are index-aligned tuples.  An edge
+    names what was measured within the stage (an edge "a1".."a9", a
+    generator "M1".."M4", a generator parameter); its residual is
+    ``|measured - expected|``, computed once where the stage measures, and
+    it passes when the residual is within its own bound in ``tol``.  A
+    measurement that could not be made (two disjoint faces) has an infinite
+    residual.  ``entry`` tags the records of a catalog sweep with the entry
+    they belong to.
     """
 
     stage: str
     edges: tuple[str, ...]
-    measured: tuple[Optional[float], ...]
-    expected: tuple[float, ...]
+    residuals: tuple[float, ...]
     tol: tuple[float, ...]
     entry: str = ""
-
-    @property
-    def residuals(self) -> tuple[float, ...]:
-        """Each edge's ``|measured - expected|``, infinite where ``measured`` is ``None``."""
-        return tuple(
-            math.inf if measured is None else abs(measured - expected)
-            for measured, expected in zip(self.measured, self.expected)
-        )
 
 
 # How a failed stage reads in a failure message: the edges that failed, and
@@ -245,55 +237,47 @@ def _worst(residuals: Iterable[float]) -> float:
     return max(residuals, key=lambda residual: (residual != residual, residual), default=0.0)
 
 
-class _ReportFields(NamedTuple):
-    checks: tuple[Check, ...]
-    errors: tuple[str, ...] = ()
-    entries_checked: int = 1
-
-
-class Report(_ReportFields):
+class Report(NamedTuple):
     """The records of one or more verification stages, in the order they ran.
 
     ``errors`` are failures that no record holds, such as an entry that
     cannot be realized; ``entries_checked`` counts the entries whose records
-    the report holds.  No ``__slots__``: ``_scan`` caches in ``__dict__``.
+    the report holds.
     """
 
-    @cached_property
-    def _scan(self) -> tuple[dict[str, float], dict[tuple[str, str], list[tuple[str, float]]]]:
-        """Each stage's worst residual, and the failed edges and residuals by entry and stage."""
-        worst: dict[str, float] = {}
-        failed: dict[tuple[str, str], list[tuple[str, float]]] = {}
-        for check in self.checks:
-            stage = check.stage
-            for edge, residual, tol in zip(check.edges, check.residuals, check.tol):
-                if not residual <= tol:
-                    failed.setdefault((check.entry, stage), []).append((edge, residual))
-                    if residual != residual:  # NaN is the worst, and no residual exceeds it
-                        worst[stage] = residual
-                if residual > worst.get(stage, 0.0):
-                    worst[stage] = residual
-        return worst, failed
+    checks: tuple[Check, ...]
+    errors: tuple[str, ...] = ()
+    entries_checked: int = 1
 
     @property
     def ok(self) -> bool:
-        return not self.errors and not self._scan[1]
+        return not self.failures()
 
     def max_residual(self, stage: Optional[str] = None) -> float:
         """The worst residual of one stage, or of all (NaN if any is); 0 if there are none."""
-        worst = self._scan[0]
-        return _worst(worst.values()) if stage is None else worst.get(stage, 0.0)
+        return _worst(
+            residual
+            for check in self.checks
+            if stage is None or check.stage == stage
+            for residual in check.residuals
+        )
 
     def failures(self) -> list[str]:
-        """One message per entry and stage that failed, then the errors."""
+        """One message per record with a failed edge, then the errors."""
         messages = []
-        for (entry, stage), failed in self._scan[1].items():
-            text = FAILURE_TEXT.get(stage, "{stage} checks fail on {edges}").format(
-                stage=stage,
-                edges=", ".join(edge for edge, _ in failed),
-                residual=_worst(residual for _, residual in failed),
-            )
-            messages.append(f"{entry}: {text}" if entry else text)
+        for check in self.checks:
+            failed = [
+                (edge, residual)
+                for edge, residual, tol in zip(check.edges, check.residuals, check.tol)
+                if not residual <= tol
+            ]
+            if failed:
+                text = FAILURE_TEXT.get(check.stage, "{stage} checks fail on {edges}").format(
+                    stage=check.stage,
+                    edges=", ".join(edge for edge, _ in failed),
+                    residual=_worst(residual for _, residual in failed),
+                )
+                messages.append(f"{check.entry}: {text}" if check.entry else text)
         return messages + list(self.errors)
 
 
@@ -305,11 +289,12 @@ def verify_config(labeling: Sequence[int], config: PlanarConfig, *, entry: str =
     realize().  A disjoint face pair is reported as an infinite residual on
     the named edge.  The one record carries ``entry`` as its entry tag.
     """
-    edges = tuple(zip(EDGE_FACES, labeling, strict=True))
-    measured = tuple(measure_angle(getattr(config, f), getattr(config, g)) for (f, g), _ in edges)
-    expected = tuple(math.pi / label for _, label in edges)
-    tol = (TOLERANCES["angle"],) * len(edges)
-    return Report((Check("angle", EDGE_NAMES, measured, expected, tol, entry),))
+    residuals = []
+    for (f, g), label in zip(EDGE_FACES, labeling, strict=True):
+        angle = measure_angle(getattr(config, f), getattr(config, g))
+        residuals.append(math.inf if angle is None else abs(angle - math.pi / label))
+    tol = (TOLERANCES["angle"],) * len(residuals)
+    return Report((Check("angle", EDGE_NAMES, tuple(residuals), tol, entry),))
 
 
 def realize(labeling: Sequence[int]) -> PlanarConfig:
@@ -350,7 +335,7 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
     """
     adm = is_admissible(labeling)
     if not adm:
-        raise ValueError(adm.reason)
+        raise ValueError(f"labeling is not admissible: {adm.reason}")
     lab = Labeling(*labeling)
     red, green, blue = build_lines(lab)
     cos7 = math.cos(math.pi / lab.a7)

@@ -264,7 +264,7 @@ def verify_relations(
 ) -> Report:
     """Evaluate the nine relation words and their PSL2 distances to identity.
 
-    The one record measures each word's distance against 0, carries each
+    The one record holds each word's distance as its residual, carries each
     word's tolerance for its order, and ``entry`` as its entry tag.  ``memo``
     maps a word's ``(base, exponent)`` to its residual; pass one dict to
     every call of a sweep and each distinct word is powered and measured
@@ -287,22 +287,28 @@ def verify_relations(
             memo[key] = residual
         residuals.append(residual)
         tols.append(relation_tolerance(exponent))
-    zeros = (0.0,) * len(residuals)
-    return Report((Check("relation", EDGE_NAMES, tuple(residuals), zeros, tuple(tols), entry),))
+    return Report((Check("relation", EDGE_NAMES, tuple(residuals), tuple(tols), entry),))
+
+
+def traces(gens: GeneratorSet) -> list[tuple[float, float]]:
+    """Each relation word's |trace| and the 2*cos(pi/n) that its order n gives it.
+
+    An element of order n conjugate to a rotation by 2*pi/n has
+    |trace| = 2*cos(pi/n) after determinant normalization, which confirms
+    the relation exponents without computing any powers.
+    """
+    return [
+        (abs((a + d) / cmath.sqrt(a * d - b * c)), 2.0 * math.cos(math.pi / exponent))
+        for _, _, (a, b, c, d), exponent in gens.words
+    ]
 
 
 def trace_check(gens: GeneratorSet, *, entry: str = "") -> Report:
     """Check each relation base is elliptic of the right order via its trace.
 
-    An element of order n conjugate to a rotation by 2*pi/n has
-    |trace| = 2*cos(pi/n) (after determinant normalization); this confirms
-    the relation exponents without computing any powers.  The one record
-    measures each |trace| against 2*cos(pi/n), and carries ``entry`` as its
-    entry tag.
+    The one record holds each word's ``|trace| - 2*cos(pi/n)`` from
+    ``traces``, in absolute value, and carries ``entry`` as its entry tag.
     """
-    measured, expected = [], []
-    for _, _, (a, b, c, d), exponent in gens.words:
-        measured.append(abs((a + d) / cmath.sqrt(a * d - b * c)))
-        expected.append(2.0 * math.cos(math.pi / exponent))
-    tol = (TOLERANCES["trace"],) * len(measured)
-    return Report((Check("trace", EDGE_NAMES, tuple(measured), tuple(expected), tol, entry),))
+    residuals = tuple(abs(measured - expected) for measured, expected in traces(gens))
+    tol = (TOLERANCES["trace"],) * len(residuals)
+    return Report((Check("trace", EDGE_NAMES, residuals, tol, entry),))

@@ -551,11 +551,9 @@ class Row(NamedTuple):
 
     stage: str
     edge: str
-    measured: Optional[float]
-    expected: float
+    residual: float
     tol: float
     entry: str
-    residual: float
 
     @property
     def ok(self) -> bool:
@@ -565,15 +563,13 @@ class Row(NamedTuple):
 def rows(report) -> list[Row]:
     """The report's records flattened into one row per edge, in report order.
 
-    Each record's five per-edge tuples must be index-aligned: a record whose
+    Each record's three per-edge tuples must be index-aligned: a record whose
     tuples differ in length raises ValueError.
     """
     return [
-        Row(check.stage, edge, measured, expected, tol, check.entry, residual)
+        Row(check.stage, edge, residual, tol, check.entry)
         for check in report.checks
-        for edge, measured, expected, tol, residual in zip(
-            check.edges, check.measured, check.expected, check.tol, check.residuals, strict=True
-        )
+        for edge, residual, tol in zip(check.edges, check.residuals, check.tol, strict=True)
     ]
 
 

@@ -14,7 +14,9 @@ import _oracles as oracles
 from prismcat import catalog as cat
 from prismcat import geometry, moebius
 from prismcat.moebius import MoebiusMatrix
-from prismcat.labelings import CuspType, Labeling, brief, catalog_order, enumerate_catalog
+from prismcat.labelings import (
+    EDGE_FACES, CuspType, Labeling, brief, catalog_order, enumerate_catalog
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +75,10 @@ def test_check_entry_reads_the_labels_of_its_generators(labels):
     assert gens.labeling == Labeling(*labels)
     report = cat.check_entry(config, gens)
     assert report.ok
-    assert [r.expected for r in oracles.rows(report) if r.stage == "angle"] == [
-        math.pi / a for a in labels
-    ]
+    assert report.checks[0].residuals == tuple(
+        abs(geometry.measure_angle(getattr(config, f), getattr(config, g)) - math.pi / a)
+        for (f, g), a in zip(EDGE_FACES, labels, strict=True)
+    )
 
 
 def test_label_tag_shows_a_label_of_more_than_40_digits_briefly():

@@ -165,8 +165,10 @@ def test_built_entry_failure_exits_1(tmp_path, capsys, command, printed):
 def test_realize_inadmissible_is_a_domain_error(capsys):
     code = main(["realize", "2", "3", "2", "7", "5", "2", "2", "3", "2"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "ideal triple not Euclidean" in err
+    assert capsys.readouterr().err == (
+        "error: labeling is not admissible: ideal triple not Euclidean:"
+        " (a1, a2, a5) = (2, 3, 5) is spherical\n"
+    )
 
 
 def test_realize_rejects_wrong_arity():
@@ -545,9 +547,9 @@ def test_verify_rejects_duplicate_rows(tmp_path, capsys):
     assert captured.out.strip().endswith("FAIL")
 
 
-def test_verify_groups_the_failures_of_a_row_stored_twice_by_entry_and_stage(tmp_path, capsys):
-    # Both copies carry one tag, so each stage's failures of the two copies
-    # make one line, and each copy's disagreeing stored residuals make one.
+def test_verify_names_each_failed_edge_of_a_row_stored_twice_once_per_copy(tmp_path, capsys):
+    # Both copies carry one tag, and each copy's records make their own
+    # lines: each names its failed edges once.
     path = make_catalog(tmp_path, capsys)
     doc = json.loads(path.read_text())
     victim = next(r for r in doc["entries"] if not r["family"])
@@ -557,9 +559,13 @@ def test_verify_groups_the_failures_of_a_row_stored_twice_by_entry_and_stage(tmp
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     tag = "[2 3 2 2 6 4 2 2 2]"
+    copy = [
+        f"FAIL {tag}: stored configuration drifts from recomputation on top by 1.000e-03",
+        f"FAIL {tag}: configuration fails on a9",
+    ]
     assert captured.err.splitlines() == [
-        f"FAIL {tag}: stored configuration drifts from recomputation on top, top by 1.000e-03",
-        f"FAIL {tag}: configuration fails on a9, a9",
+        *copy,
+        *copy,
         f"FAIL {tag}: the row is stored 2 times",
         f"FAIL {tag}: stored residuals disagree with recomputation on angles a9",
         f"FAIL {tag}: stored residuals disagree with recomputation on angles a9",
@@ -630,6 +636,7 @@ INSTANCE = [2, 3, 2, 7, 6, 2, 2, 2, 2]
 PATTERN = [2, 3, 2, None, 6, 2, 2, 2, 2]
 tag = cat.label_tag
 _HUGE = 10**3999
+_INADMISSIBLE = "labeling is not admissible: "
 
 
 def _set_free_min(doc):
@@ -828,6 +835,16 @@ def test_verify_fails_a_label_below_two(small_catalog, capsys):
     assert main(["verify", str(small_catalog)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"FAIL {tag(victim['labeling'])}: realization failed:")
+
+
+def test_verify_says_why_a_stored_labeling_is_not_admissible(small_catalog, capsys):
+    doc = json.loads(small_catalog.read_text())
+    victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+    victim["labeling"][4] = 5
+    small_catalog.write_text(json.dumps(doc))
+    reason = "ideal triple not Euclidean: (a1, a2, a5) = (2, 3, 5) is spherical"
+    line = f"[2 3 2 2 5 4 2 2 2]: realization failed: {_INADMISSIBLE}{reason}"
+    _assert_named_failures(small_catalog, capsys, [line])
 
 
 def test_verify_shows_a_label_of_40_digits_in_full_in_tag_and_message(tmp_path, capsys):
@@ -1131,7 +1148,8 @@ def test_verify_shows_a_huge_integer_briefly(tmp_path, capsys, field, slot, valu
     sample = ["--sample", str(value)] if field == "--sample" else []
     assert main(["verify", str(path), *sample]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert lines and max(map(len, lines)) <= 200
+    # realize's prefix of an inadmissible labeling is the one text beyond the bound.
+    assert lines and max(len(line.replace(_INADMISSIBLE, "")) for line in lines) <= 200
 
 
 def test_realize_rejects_a_label_too_large_for_a_float(capsys):

@@ -276,22 +276,21 @@ def test_scan_matches_brute_force_quotient():
     assert all(oracles.mate(l) in raw for l in raw)
 
 
-def test_vinberg_criterion_decides_the_classification():
+def _vinberg_verdicts(candidates) -> tuple[dict[bool, list[str]], float, float]:
+    """Assert that Vinberg's criterion agrees with is_admissible on each labeling.
+
+    Returns each labeling's prismatic circuit class under the criterion's
+    verdict, the largest |eigenvalue| read as zero and the smallest read as
+    nonzero.
+    """
     # Vinberg (1985): five faces meeting at these angles bound a hyperbolic
     # polyhedron when a Gram matrix G(x) of rank 4 has signature (3, 1).
     # x is the product of the red and top faces, which do not meet, so it is
     # the cosh of their distance: x > 1.  So det G(x) = 0 must have a root
     # x > 1 at which G has three positive eigenvalues and one negative.
-    # That criterion reads no triangle rule; on every labeling <= 8 whose
-    # six vertex triples pass, it holds exactly where is_admissible's
-    # circuit rule does.  The 454 others have a spherical (413) or Euclidean
-    # (41) prismatic circuit.
-    candidates = {min(lab, oracles.mate(lab)) for lab in oracles.brute_scan(8, circuit=False)}
-    assert len(candidates) == 564
+    # That criterion reads no triangle rule.  The signature counts an
+    # eigenvalue outside +-1e-9 as nonzero.
     circuits = {True: [], False: []}
-    # The signature counts an eigenvalue outside +-1e-9 as nonzero.
-    # Measured, the zero eigenvalue is at most 1.6e-15 and every other at
-    # least 0.37, so no rounding can move an eigenvalue across the cut.
     zero, nonzero = 0.0, math.inf
     for labels in sorted(candidates):
         signatures = []
@@ -306,8 +305,48 @@ def test_vinberg_criterion_decides_the_classification():
         assert vinberg == bool(is_admissible(labels)), (labels, signatures)
         circuit = (labels[i] for i in oracles._CIRCUIT)
         circuits[vinberg].append(oracles.angle_sum_class(*circuit))
+    return circuits, zero, nonzero
+
+
+def test_vinberg_criterion_decides_the_classification():
+    # On every labeling <= 8 whose six vertex triples pass, Vinberg's
+    # criterion holds exactly where is_admissible's circuit rule does.  The
+    # 454 others have a spherical (413) or Euclidean (41) prismatic circuit.
+    candidates = {min(lab, oracles.mate(lab)) for lab in oracles.brute_scan(8, circuit=False)}
+    assert len(candidates) == 564
+    circuits, zero, nonzero = _vinberg_verdicts(candidates)
     assert len(circuits[True]) == 110 and set(circuits[True]) == {"hyperbolic"}
     assert sorted(circuits[False]) == ["euclidean"] * 41 + ["spherical"] * 413
+    # Measured, the zero eigenvalue is at most 1.6e-15 and every other at
+    # least 0.37, so no rounding can move an eigenvalue across the cut.
+    assert zero <= 1e-12 and nonzero >= 0.1
+
+
+def test_vinberg_criterion_decides_labels_far_above_the_scan_bound():
+    # The SCAN_BOUND lemma says a label of 7 stands for every larger one.
+    # Raise one label at a time of each labeling <= 7 whose vertex triples
+    # pass to 9, 12, 30 or 1000, and keep the results whose vertex triples
+    # still pass: Vinberg's criterion decides each as is_admissible does.
+    base = {min(lab, oracles.mate(lab)) for lab in oracles.brute_scan(7, circuit=False)}
+    assert len(base) == 530
+    raised = {
+        min(new, oracles.mate(new))
+        for lab in base
+        for slot in range(9)
+        for value in (9, 12, 30, 1000)
+        for new in [lab[:slot] + (value,) + lab[slot + 1 :]]
+        if all(
+            oracles.angle_sum_class(*(new[i] for i in triple)) == required
+            for triple, required in oracles._VERTEX_TRIPLES
+        )
+    }
+    assert len(raised) == 136
+    circuits, zero, nonzero = _vinberg_verdicts(raised)
+    # A raised label makes no Euclidean circuit, since those have labels <= 6.
+    assert len(circuits[True]) == 48 and set(circuits[True]) == {"hyperbolic"}
+    assert circuits[False] == ["spherical"] * 88
+    # Measured, the zero eigenvalue is at most 1.7e-15 and every other at
+    # least 0.389.
     assert zero <= 1e-12 and nonzero >= 0.1
 
 

@@ -23,6 +23,7 @@ from prismcat.moebius import (
     relation_tolerance,
     rotation_matrix,
     trace_check,
+    traces,
     verify_relations,
 )
 
@@ -477,9 +478,10 @@ def test_traces_match_elliptic_orders():
     gens, _ = gens_for((2, 4, 2, 5, 4, 3, 3, 2, 2))
     report = trace_check(gens)
     assert report.ok
-    for row, (_, _, _, exponent) in zip(oracles.rows(report), gens.words, strict=True):
-        assert row.expected == pytest.approx(2 * math.cos(math.pi / exponent), abs=1e-15)
-        assert abs(row.measured - row.expected) <= TOLERANCES["trace"]
+    rows = zip(traces(gens), oracles.rows(report), gens.words, strict=True)
+    for (measured, expected), row, (_, _, _, exponent) in rows:
+        assert expected == pytest.approx(2 * math.cos(math.pi / exponent), abs=1e-15)
+        assert row.residual == abs(measured - expected) <= TOLERANCES["trace"]
 
 
 def test_perturbed_top_matrix_breaks_only_its_relations():
@@ -576,13 +578,12 @@ def test_kernel_floats_are_bit_identical_on_every_word():
         # would multiply a complex componentwise, other operations than here.
         assert all(type(z) is complex for _, m in gens.named() for z in m), lab
         relations = oracles.rows(verify_relations(gens))
-        traces = oracles.rows(trace_check(gens))
-        rows = zip(gens.words, relations, traces, strict=True)
-        for (edge, _, base, exponent), relation, trace in rows:
+        rows = zip(gens.words, relations, traces(gens), strict=True)
+        for (edge, _, base, exponent), relation, (trace, _) in rows:
             _assert_kernel_is_frozen(base, exponent)
             power = oracles.kernel_pow(tuple(base), exponent)
-            assert relation.measured == oracles.kernel_distance_to_identity(power), (lab, edge)
-            assert trace.measured == oracles.kernel_abs_trace(tuple(base)), (lab, edge)
+            assert relation.residual == oracles.kernel_distance_to_identity(power), (lab, edge)
+            assert trace == oracles.kernel_abs_trace(tuple(base)), (lab, edge)
 
 
 @pytest.mark.parametrize(
