@@ -71,14 +71,14 @@ def _print_generators(gens: GeneratorSet, report: Report, out) -> None:
     """Print the generators, and each relation word against the relation and trace records."""
     for name, matrix in gens.named():
         print(_matrix_lines(name, matrix), file=out)
-    checks = cat.stored_checks(report)
+    checks, words = cat.stored_checks(report), gens.words
     print("relations:", file=out)
-    rows = zip(gens.words, checks["relations"].residuals, checks["relations"].tol)
+    rows = zip(words, checks["relations"].residuals, checks["relations"].tol)
     for (edge, word, _, exponent), residual, tol in rows:
         status = "ok" if residual <= tol else "FAIL"
         print(f"  {edge}: ({word})^{exponent}  residual {residual:.3e}  {status}", file=out)
     print("traces:", file=out)
-    rows = zip(gens.words, traces(gens), checks["traces"].residuals, checks["traces"].tol)
+    rows = zip(words, traces(gens), checks["traces"].residuals, checks["traces"].tol)
     for (edge, word, _, _), (measured, expected), residual, tol in rows:
         status = "ok" if residual <= tol else "FAIL"
         print(

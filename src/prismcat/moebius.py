@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .geometry import RED_LINE_X, TOLERANCES, Check, PlanarConfig, Report
@@ -149,7 +148,6 @@ _WORD_NAMES = tuple(
     f"M{earlier + 1}" if later == _RED else f"M{later + 1}^-1 M{earlier + 1}"
     for earlier, later in _WORD_GENERATORS
 )
-_INVERTED = {later for _, later in _WORD_GENERATORS} - {_RED}
 
 
 class _GeneratorFields(NamedTuple):
@@ -168,31 +166,45 @@ class GeneratorSet(_GeneratorFields):
     """The four side-pairing matrices of a realized labeling.
 
     ``fixed1`` and ``fixed2`` are the rotation centers of m2 and m3: the
-    points where the green and blue lines meet the red line.  No
-    ``__slots__``: ``words`` caches in ``__dict__``.
+    points where the green and blue lines meet the red line.
     """
+
+    __slots__ = ()
 
     def named(self) -> tuple[tuple[str, MoebiusMatrix], ...]:
         """("M1", m1) .. ("M4", m4)."""
         return (("M1", self.m1), ("M2", self.m2), ("M3", self.m3), ("M4", self.m4))
 
-    @cached_property
+    @property
     def words(self) -> list[tuple[str, str, MoebiusMatrix, int]]:
         """The nine relation words as (edge, word, base matrix, exponent).
 
         Each base is elliptic of order equal to its edge label, so
-        base**exponent is the identity in PSL2.  Built once per generator
-        set, inverting each later generator once, for both the relation and
-        trace checks.
+        base**exponent is the identity in PSL2.  Built afresh on each read,
+        inverting each later generator once; the relation and trace checks
+        build only the words their memo has not measured.
         """
-        ms = (self.m1, self.m2, self.m3, self.m4)
-        inverses = {later: ms[later].inv() for later in _INVERTED}
+        ms, inverses = (self.m1, self.m2, self.m3, self.m4), {}
         return [
-            (edge, word, ms[earlier] if later == _RED else inverses[later] @ ms[earlier], label)
+            (edge, word, _word_base(ms, earlier, later, inverses), label)
             for edge, word, (earlier, later), label in zip(
                 EDGE_NAMES, _WORD_NAMES, _WORD_GENERATORS, self.labeling
             )
         ]
+
+
+def _word_base(
+    ms: Sequence[MoebiusMatrix], earlier: int, later: int, inverses: dict
+) -> MoebiusMatrix:
+    """The base of the word of generators ``earlier`` and ``later`` of ``ms``:
+    M_later^-1 M_earlier, or M_earlier alone when the later face is red.
+    ``inverses`` keeps each inverse taken, so each generator is inverted once.
+    """
+    if later == _RED:
+        return ms[earlier]
+    if later not in inverses:
+        inverses[later] = ms[later].inv()
+    return inverses[later] @ ms[earlier]
 
 
 def _line_x_intersection(line, x: float) -> complex:
@@ -259,6 +271,34 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     return GeneratorSet(labeling=lab, m1=m1, m2=m2, m3=m3, m4=m4, **rotation)
 
 
+def _word_residuals(gens: GeneratorSet, memo: dict | None) -> list[tuple[float, float]]:
+    """Each relation word's (relation residual, trace residual), read from ``memo``.
+
+    ``memo`` maps ``(M_earlier, M_later or None, exponent)``, with ``None``
+    when the later face is red, to the two residuals.  A hit builds, inverts,
+    powers and traces nothing; a miss measures the word and stores both.  A
+    key matches only generators with equal entries, which give the same base
+    up to the signs of its zeros, and such bases have the same residuals.
+    ``None`` stands for an empty memo.
+    """
+    if memo is None:
+        memo = {}
+    ms, inverses, measured = (gens.m1, gens.m2, gens.m3, gens.m4), {}, []
+    for (earlier, later), exponent in zip(_WORD_GENERATORS, gens.labeling):
+        key = ms[earlier], None if later == _RED else ms[later], exponent
+        residuals = memo.get(key)
+        if residuals is None:
+            base = _word_base(ms, earlier, later, inverses)
+            try:
+                relation = base.pow(exponent).distance_to_identity()
+            except OverflowError:  # only a non-elliptic base grows past the float range
+                relation = math.inf
+            trace, expected = _trace(base, exponent)
+            residuals = memo[key] = relation, abs(trace - expected)
+        measured.append(residuals)
+    return measured
+
+
 def verify_relations(
     gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
 ) -> Report:
@@ -266,28 +306,21 @@ def verify_relations(
 
     The one record holds each word's distance as its residual, carries each
     word's tolerance for its order, and ``entry`` as its entry tag.  ``memo``
-    maps a word's ``(base, exponent)`` to its residual; pass one dict to
-    every call of a sweep and each distinct word is powered and measured
-    once, or ``None`` (the default) to measure every word.  A key matches
-    only a word with equal entries, and words that differ only in the signs
-    of their zeros have the same residual, so a residual read from the memo
-    is the one a fresh measurement gives.
+    maps a word's generator pair and exponent to its relation and trace
+    residuals; pass one dict to every call of a sweep, and to ``trace_check``
+    too, and each distinct word is built, powered and traced once.  ``None``
+    (the default) measures every word.  A residual read from the memo is the
+    one a fresh measurement gives.
     """
-    if memo is None:
-        memo = {}
-    residuals, tols = [], []
-    for _, _, base, exponent in gens.words:
-        key = base, exponent
-        residual = memo.get(key)
-        if residual is None:
-            try:
-                residual = base.pow(exponent).distance_to_identity()
-            except OverflowError:  # only a non-elliptic base grows past the float range
-                residual = math.inf
-            memo[key] = residual
-        residuals.append(residual)
-        tols.append(relation_tolerance(exponent))
-    return Report((Check("relation", EDGE_NAMES, tuple(residuals), tuple(tols), entry),))
+    residuals = tuple(relation for relation, _ in _word_residuals(gens, memo))
+    tols = tuple(map(relation_tolerance, gens.labeling))
+    return Report((Check("relation", EDGE_NAMES, residuals, tols, entry),))
+
+
+def _trace(base: MoebiusMatrix, exponent: int) -> tuple[float, float]:
+    """A word's |trace| after determinant normalization, and the 2*cos(pi/n) its order gives it."""
+    a, b, c, d = base
+    return abs((a + d) / cmath.sqrt(a * d - b * c)), 2.0 * math.cos(math.pi / exponent)
 
 
 def traces(gens: GeneratorSet) -> list[tuple[float, float]]:
@@ -297,18 +330,18 @@ def traces(gens: GeneratorSet) -> list[tuple[float, float]]:
     |trace| = 2*cos(pi/n) after determinant normalization, which confirms
     the relation exponents without computing any powers.
     """
-    return [
-        (abs((a + d) / cmath.sqrt(a * d - b * c)), 2.0 * math.cos(math.pi / exponent))
-        for _, _, (a, b, c, d), exponent in gens.words
-    ]
+    return [_trace(base, exponent) for _, _, base, exponent in gens.words]
 
 
-def trace_check(gens: GeneratorSet, *, entry: str = "") -> Report:
+def trace_check(gens: GeneratorSet, *, entry: str = "", memo: dict | None = None) -> Report:
     """Check each relation base is elliptic of the right order via its trace.
 
-    The one record holds each word's ``|trace| - 2*cos(pi/n)`` from
-    ``traces``, in absolute value, and carries ``entry`` as its entry tag.
+    The one record holds each word's ``|trace| - 2*cos(pi/n)``, the two
+    values ``traces`` gives, in absolute value, and carries ``entry`` as its
+    entry tag.  ``memo`` is the memo of ``verify_relations``: a word it holds
+    is read from it, and a word it lacks is measured, its relation residual
+    too, and stored.  ``None`` (the default) measures every word.
     """
-    residuals = tuple(abs(measured - expected) for measured, expected in traces(gens))
+    residuals = tuple(trace for _, trace in _word_residuals(gens, memo))
     tol = (TOLERANCES["trace"],) * len(residuals)
     return Report((Check("trace", EDGE_NAMES, residuals, tol, entry),))

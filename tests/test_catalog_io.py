@@ -176,31 +176,64 @@ def max12_entries():
 
 
 def _without_a_shared_memo(monkeypatch) -> None:
-    """Make every relation check of the catalog module measure each word afresh."""
-    verify_relations = cat.verify_relations
+    """Make every relation and trace check of the catalog module measure each word afresh."""
+    for name in ("verify_relations", "trace_check"):
 
-    def fresh(gens, *, entry="", memo=None):
-        return verify_relations(gens, entry=entry)
+        def fresh(gens, *, entry="", memo=None, check=getattr(cat, name)):
+            return check(gens, entry=entry)
 
-    monkeypatch.setattr(cat, "verify_relations", fresh)
+        monkeypatch.setattr(cat, name, fresh)
+
+
+def _flip_zero_signs(entries) -> tuple[cat.Catalog, int]:
+    """The entries' dump, loaded with the sign of every zero matrix entry
+    flipped in every other stored row, and the number of zeros flipped."""
+    doc = json.loads(cat.dumps_catalog(entries))
+    flipped = 0
+    for row in [row for row in doc["entries"] if not row["family"]][::2]:
+        for name in ("m1", "m2", "m3", "m4"):
+            for z in (z for matrix_row in row["generators"][name] for z in matrix_row):
+                for part in ("re", "im"):
+                    if z[part] == 0.0:
+                        z[part] = math.copysign(0.0, -math.copysign(1.0, z[part]))
+                        flipped += 1
+    return cat.load_catalog(io.StringIO(json.dumps(doc))), flipped
 
 
 def test_a_shared_memo_changes_no_row(max12_entries, monkeypatch):
     # Every target of the sweep and every built entry, bit for bit: repr
-    # tells -0.0 from 0.0 and shows every digit of a float.
+    # tells -0.0 from 0.0 and shows every digit of a float.  A memo key
+    # compares generators with ==, under which -0.0 equals 0.0, so the
+    # sweep also runs on the dump with the zeros of every other stored row
+    # flipped: a word reads the residuals measured for generators whose
+    # zeros carry other signs.
     built, loaded = max12_entries
-    shared = cat.verify_catalog(loaded)
-    assert shared.ok and shared.entries_checked == 206
+    zeros_flipped, flipped = _flip_zero_signs(loaded)
+    assert flipped == 1094
+    catalogs = (loaded, zeros_flipped)
+    shared = [cat.verify_catalog(catalog) for catalog in catalogs]
+    assert all(report.ok and report.entries_checked == 206 for report in shared)
     _without_a_shared_memo(monkeypatch)
-    fresh = cat.verify_catalog(loaded)
-    assert list(map(repr, shared.checks)) == list(map(repr, fresh.checks))
-    assert fresh.errors == ()
+    for catalog, report in zip(catalogs, shared):
+        fresh = cat.verify_catalog(catalog)
+        assert list(map(repr, report.checks)) == list(map(repr, fresh.checks))
+        assert fresh.errors == ()
     fresh_built, _ = cat.build_catalog(enumerate_catalog(), max_n=12)
     assert [repr(e.verification) for e in fresh_built] == [repr(e.verification) for e in built]
 
 
+def test_an_unmoved_row_gets_the_drift_record_of_the_face_scan(max12_entries):
+    # Equal faces differ by 0.0 in every number, so the scan names the first.
+    _, loaded = max12_entries
+    drifts = [check for check in cat.verify_catalog(loaded).checks if check.stage == "drift"]
+    assert len(drifts) == 158
+    assert {(check.edges, check.residuals) for check in drifts} == {(("red",), (0.0,))}
+
+
 def test_each_sweep_measures_each_distinct_word_once(max12_entries, monkeypatch):
-    # 206 targets of nine words each are 1,854 words, 686 of them distinct;
+    # 206 targets of nine words each are 1,854 words, 686 of them distinct.
+    # The memo keys a word by its generator pair and exponent, and 5 of the
+    # 686 bases are each reached from two pairs, so 691 words are powered;
     # a second sweep powers them all again, so no memo outlives its call.
     _, loaded = max12_entries
     calls = []
@@ -216,7 +249,7 @@ def test_each_sweep_measures_each_distinct_word_once(max12_entries, monkeypatch)
         report = cat.verify_catalog(loaded)
         assert report.ok
         assert sum(row.stage == "relation" for row in oracles.rows(report)) == 1854
-        assert len(calls) == 686
+        assert len(calls) == 691
 
 
 def test_build_catalog_cusp_filter():

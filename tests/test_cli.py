@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 from prismcat import catalog as cat
-from prismcat import cli
+from prismcat import cli, geometry
 from prismcat.cli import main
 from prismcat.labelings import EXPECTED_COUNTS, brief, enumerate_catalog, symmetry_mate
 
@@ -316,6 +316,17 @@ def _nan_first_m2(doc):
     row["generators"]["m2"][0][0]["re"] = math.nan
 
 
+def _far_top_with_its_angles(doc):
+    # The top circle moved off the prism, so it meets no face it should: a7,
+    # a8 and a9 measure infinite residuals, and the row stores them.
+    row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+    row["config"]["top"]["center"] = [5.0, 5.0]
+    config = cat.entry_from_json(row).config
+    row["verification"]["angles"] = list(
+        geometry.verify_config(row["labeling"], config).checks[0].residuals
+    )
+
+
 def _vertical(face, line):
     """Store a vertical ``face`` line in the first standalone row."""
 
@@ -358,6 +369,14 @@ def _vertical(face, line):
             "[2 3 2 2 6 4 2 2 2]: M2 determinant drifts by nan",
             "max determinant drift: nan",
         ),
+        # A stored infinity equals its recomputation, but inf - inf is NaN,
+        # so the two disagree edge by edge.
+        (
+            _far_top_with_its_angles,
+            "[2 3 2 2 6 4 2 2 2]: stored residuals disagree with recomputation on"
+            " angles a7, angles a8, angles a9",
+            "max angle residual:    inf\nmax config drift:      5.000e+00",
+        ),
         # A vertical green or blue line meets the red line nowhere, so the
         # rotation center it gives is NaN.
         (
@@ -372,7 +391,8 @@ def _vertical(face, line):
         ),
     ],
     ids=[
-        "flipped-red", "first-m2", "last-m1", "nan-red", "nan-m2", "vertical-green", "vertical-blue"
+        "flipped-red", "first-m2", "last-m1", "nan-red", "nan-m2", "stored-infinity",
+        "vertical-green", "vertical-blue",
     ],
 )
 def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
@@ -388,6 +408,33 @@ def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
     assert set(summary.splitlines()) <= set(captured.out.splitlines())
     assert "Traceback" not in captured.err
     assert captured.out.strip().endswith("FAIL")
+
+
+def test_verify_prints_every_line_of_a_stored_infinity(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    _far_top_with_its_angles(doc)
+    row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+    assert row["verification"]["angles"][6:] == [math.inf] * 3
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "checked 126 configurations\n"
+        "max angle residual:    inf\n"
+        "max relation residual: 3.678e-10\n"
+        "max trace residual:    2.087e-14\n"
+        "max determinant drift: 2.842e-14\n"
+        "max config drift:      5.000e+00\n"
+        "FAIL\n"
+    )
+    tag = "FAIL [2 3 2 2 6 4 2 2 2]:"
+    assert captured.err == (
+        f"{tag} stored configuration drifts from recomputation on top by 5.000e+00\n"
+        f"{tag} configuration fails on a7, a8, a9\n"
+        f"{tag} stored residuals disagree with recomputation on angles a7, angles a8,"
+        " angles a9\n"
+    )
 
 
 def test_verify_rejects_unknown_schema(tmp_path, capsys):
