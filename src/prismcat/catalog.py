@@ -71,44 +71,35 @@ def check_entry(
 
     The nine edge angles of the configuration, the generators' rotation
     half-angles and centers recomputed from it, the four determinants, and
-    the nine relation words and trace identities.  The relation words need
-    the generators' inverses, so a singular generator ends the report with
-    an error instead of those two records.  Every record carries ``entry``
-    as its entry tag, and the error starts with it the way a failure of a
-    tagged record does.  ``memo`` goes to both ``verify_relations`` and
-    ``trace_check``, so each word is measured once for the two; ``None``
-    gives them one new dict.
+    the nine relation words and trace identities: five records, whatever the
+    generators.  A word that cannot be measured (a singular generator) has
+    infinite residuals.  Every record carries ``entry`` as its entry tag.
+    ``memo`` goes to both ``verify_relations`` and ``trace_check``, so each
+    word is measured once for the two; ``None`` gives them one new dict.
     """
     lab = gens.labeling
     rotation = rotation_parameters(lab, config)
     parameters = tuple(abs(getattr(gens, name) - value) for name, value in rotation.items())
     names, matrices = zip(*gens.named())
-    dets = [matrix.det for matrix in matrices]
-    drifts = tuple(abs(det - 1.0) for det in dets)
-    checks = [
+    drifts = tuple(abs(matrix.det - 1.0) for matrix in matrices)
+    if memo is None:
+        memo = {}
+    return Report((
         *verify_config(lab, config, entry=entry).checks,
         Check("generator", tuple(rotation), parameters, (TOLERANCES["construction"],) * 4, entry),
         Check("determinant", names, drifts, (TOLERANCES["determinant"],) * 4, entry),
-    ]
-    singular = [name for name, det in zip(names, dets) if det == 0]
-    if singular:
-        error = f"{', '.join(singular)} singular, so relations and traces cannot be checked"
-        return Report(tuple(checks), errors=(f"{entry}: {error}" if entry else error,))
-    if memo is None:
-        memo = {}
-    checks += verify_relations(gens, entry=entry, memo=memo).checks
-    checks += trace_check(gens, entry=entry, memo=memo).checks
-    return Report(tuple(checks))
+        *verify_relations(gens, entry=entry, memo=memo).checks,
+        *trace_check(gens, entry=entry, memo=memo).checks,
+    ))
 
 
 def stored_checks(report: Report) -> dict[str, Check]:
     """The records of one entry's report whose residuals the entry stores, by field.
 
-    The fields come in ``VERIFIED_STAGES`` order.  A stage the report has no
-    record of (a singular generator's relations and traces) has no field.
+    The fields come in ``VERIFIED_STAGES`` order.
     """
     by_stage = {check.stage: check for check in report.checks}
-    return {field: by_stage[stage] for field, stage in VERIFIED_STAGES.items() if stage in by_stage}
+    return {field: by_stage[stage] for field, stage in VERIFIED_STAGES.items()}
 
 
 def build_entry(
@@ -117,25 +108,20 @@ def build_entry(
     """Run the full pipeline on one labeling: the entry, and the report of its checks.
 
     The entry stores the residuals of the report's angle, relation and trace
-    records, and an empty tuple for a stage the report has no record of.  It
-    is built whether or not the report passes.  The report's records and
-    errors carry the entry's ``label_tag``.  ``memo`` goes to ``check_entry``.
+    records.  It is built whether or not the report passes.  The report's
+    records carry the entry's ``label_tag``.  ``memo`` goes to ``check_entry``.
     """
     lab = Labeling(*labeling)
     config = realize(lab)
     gens = build_generators(lab, config)
     report = check_entry(config, gens, entry=label_tag(lab), memo=memo)
-    checks = stored_checks(report)
     entry = CatalogEntry(
         labeling=tuple(lab),
         cusp=CuspType.of(lab),
         family=False,
         config=config,
         generators=gens,
-        verification={
-            field: checks[field].residuals if field in checks else ()
-            for field in VERIFIED_STAGES
-        },
+        verification={field: check.residuals for field, check in stored_checks(report).items()},
     )
     return entry, report
 
@@ -451,17 +437,14 @@ def _leaves(value, leaves: list, shape: list) -> None:
             leaves.append(item)
 
 
-def _face_numbers(config: PlanarConfig) -> list[float]:
-    """The numbers of a configuration's faces, three a face, red, green, blue, back, top."""
-    return [*config.red, *config.green, *config.blue, *config.back, *config.top]
-
-
 def _row_leaves(entry: CatalogEntry) -> tuple[tuple, list]:
     """The shape key and the leaves of ``entry_to_json(entry)``, read off the typed fields."""
     leaves: list = []
     shape: list = []
     config, gens = entry.config, entry.generators
-    numbers = [] if config is None else _face_numbers(config)
+    numbers = []
+    if config is not None:
+        numbers += *config.red, *config.green, *config.blue, *config.back, *config.top
     if gens is None:
         numbers.append(None)
     else:
@@ -493,7 +476,7 @@ def dumps_catalog(entries: Iterable[CatalogEntry]) -> str:
     ``requires-python`` reaches 3.13, the body becomes ``json.dumps(doc,
     indent=2)`` plus a newline, with ``doc = catalog_to_json(entries)``.
     ``_ENCODE``, ``_spell``, ``_write_template``, ``_leaves`` and
-    ``_row_leaves`` then go; ``_face_numbers`` stays for the ``drift`` record.
+    ``_row_leaves`` then go.
     """
     templates: dict[tuple, str] = {}
     rows = []
@@ -603,44 +586,32 @@ def _check_target(
         if missing:
             return checks, [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
         config, gens = entry.config, entry.generators
-        if config == fresh:
-            # The record the scan below gives equal faces: every difference
-            # is 0.0, so it names the first face.  realize never returns a
-            # non-finite number, so equal faces hide no NaN or inf - inf.
-            where, drift = PlanarConfig._fields[0], 0.0
-        else:
-            # Three numbers a face, then the a3 branch; the first NaN, else
-            # the first worst, is named.
-            diffs = [abs(a - b) for a, b in zip(_face_numbers(config), _face_numbers(fresh))]
-            diffs.append(abs(config.a3_branch - fresh.a3_branch))
-            worst = max(range(len(diffs)), key=lambda i: (math.isnan(diffs[i]), diffs[i]))
-            where, drift = PlanarConfig._fields[worst // 3], diffs[worst]
-        checks.append(Check("drift", (where,), (drift,), (TOLERANCES["angle"],), tag))
+        drifts = (*map(math.dist, config[:5], fresh[:5]), abs(config.a3_branch - fresh.a3_branch))
+        tol = (TOLERANCES["angle"],) * len(drifts)
+        checks.append(Check("drift", PlanarConfig._fields, drifts, tol, tag))
     report = check_entry(config, gens, entry=tag, memo=memo)
     checks += report.checks
     if not entry.family:
         disagree = []
-        recomputed = stored_checks(report)
-        for field in VERIFIED_STAGES:
+        for field, check in stored_checks(report).items():
             stored = entry.verification.get(field, ())
             if len(stored) != 9:
                 errors.append(f"{tag}: entry stores {len(stored)} {field} residuals, expected 9")
-            elif field in recomputed:
-                check = recomputed[field]
-                # Equal finite residuals agree on every edge; an infinite one
-                # is compared below, where inf - inf is NaN and disagrees.
-                if stored == check.residuals and math.isfinite(sum(stored)):
-                    continue
-                compared = zip(stored, check.edges, check.residuals, check.tol)
-                disagree += (
-                    f"{field} {edge}" for value, edge, residual, tol in compared
-                    if not abs(value - residual) <= tol
-                )
+                continue
+            # Equal finite residuals agree on every edge; an infinite one
+            # is compared below, where inf - inf is NaN and disagrees.
+            if stored == check.residuals and math.isfinite(sum(stored)):
+                continue
+            compared = zip(stored, check.edges, check.residuals, check.tol)
+            disagree += (
+                f"{field} {edge}" for value, edge, residual, tol in compared
+                if not abs(value - residual) <= tol
+            )
         if disagree:
             errors.append(
                 f"{tag}: stored residuals disagree with recomputation on {', '.join(disagree)}"
             )
-    return checks, errors + list(report.errors)
+    return checks, errors
 
 
 def _provenance_errors(provenance: dict) -> list[str]:
@@ -668,9 +639,10 @@ def verify_catalog(
 
     Standalone and instance entries must store a configuration, generators
     and residuals.  They go through ``check_entry`` with the stored
-    configuration and generators, a fresh realization must agree with the
-    stored faces and ``a3_branch`` (config drift), and each stored residual
-    must equal the recomputed one to within that edge's tolerance.  Family
+    configuration and generators, each stored face must lie within the
+    ``drift`` bound of a fresh realization's, by its Euclidean distance, and
+    so must ``a3_branch``; and each stored residual must equal the
+    recomputed one to within that edge's tolerance.  Family
     pattern rows are spot-checked with ``check_entry`` on fresh realizations
     at the sampled free-slot values (default: free_min, +1, +10, and 500).
     Each checked labeling must also have the entry's cusp type.  No

@@ -208,9 +208,10 @@ class Check(NamedTuple):
     generator "M1".."M4", a generator parameter); its residual is
     ``|measured - expected|``, computed once where the stage measures, and
     it passes when the residual is within its own bound in ``tol``.  A
-    measurement that could not be made (two disjoint faces) has an infinite
-    residual.  ``entry`` tags the records of a catalog sweep with the entry
-    they belong to.
+    measurement that could not be made (two disjoint faces, a relation word
+    with a singular generator) has an infinite residual, so a stage always
+    has its record.  ``entry`` tags the records of a catalog sweep with the
+    entry they belong to.
     """
 
     stage: str

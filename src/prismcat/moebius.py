@@ -279,7 +279,8 @@ def _word_residuals(gens: GeneratorSet, memo: dict | None) -> list[tuple[float, 
     powers and traces nothing; a miss measures the word and stores both.  A
     key matches only generators with equal entries, which give the same base
     up to the signs of its zeros, and such bases have the same residuals.
-    ``None`` stands for an empty memo.
+    ``None`` stands for an empty memo.  A word that cannot be measured, one
+    whose inverse, base or power has determinant 0, reads ``(inf, inf)``.
     """
     if memo is None:
         memo = {}
@@ -288,13 +289,17 @@ def _word_residuals(gens: GeneratorSet, memo: dict | None) -> list[tuple[float, 
         key = ms[earlier], None if later == _RED else ms[later], exponent
         residuals = memo.get(key)
         if residuals is None:
-            base = _word_base(ms, earlier, later, inverses)
             try:
-                relation = base.pow(exponent).distance_to_identity()
-            except OverflowError:  # only a non-elliptic base grows past the float range
-                relation = math.inf
-            trace, expected = _trace(base, exponent)
-            residuals = memo[key] = relation, abs(trace - expected)
+                base = _word_base(ms, earlier, later, inverses)
+                try:
+                    relation = base.pow(exponent).distance_to_identity()
+                except OverflowError:  # only a non-elliptic base grows past the float range
+                    relation = math.inf
+                trace, expected = _trace(base, exponent)
+                residuals = relation, abs(trace - expected)
+            except ZeroDivisionError:
+                residuals = math.inf, math.inf
+            memo[key] = residuals
         measured.append(residuals)
     return measured
 
@@ -310,7 +315,8 @@ def verify_relations(
     residuals; pass one dict to every call of a sweep, and to ``trace_check``
     too, and each distinct word is built, powered and traced once.  ``None``
     (the default) measures every word.  A residual read from the memo is the
-    one a fresh measurement gives.
+    one a fresh measurement gives, and a word that cannot be measured (a
+    generator it inverts, or its base or power, is singular) reads ``inf``.
     """
     residuals = tuple(relation for relation, _ in _word_residuals(gens, memo))
     tols = tuple(map(relation_tolerance, gens.labeling))
@@ -340,7 +346,8 @@ def trace_check(gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
     values ``traces`` gives, in absolute value, and carries ``entry`` as its
     entry tag.  ``memo`` is the memo of ``verify_relations``: a word it holds
     is read from it, and a word it lacks is measured, its relation residual
-    too, and stored.  ``None`` (the default) measures every word.
+    too, and stored.  ``None`` (the default) measures every word.  A word
+    that cannot be measured reads ``inf``, as in ``verify_relations``.
     """
     residuals = tuple(trace for _, trace in _word_residuals(gens, memo))
     tol = (TOLERANCES["trace"],) * len(residuals)

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import _oracles as oracles
 from prismcat import catalog as cat
 from prismcat import geometry, moebius
+from prismcat.geometry import PlanarConfig, Report
 from prismcat.moebius import MoebiusMatrix
 from prismcat.labelings import (
-    EDGE_FACES, CuspType, Labeling, brief, catalog_order, enumerate_catalog
+    EDGE_FACES, EDGE_NAMES, CuspType, Labeling, brief, catalog_order, enumerate_catalog
 )
 
 
@@ -98,14 +99,57 @@ def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     tag = cat.label_tag(entry.labeling)
     _, report = cat.build_entry(entry.labeling)
     assert {check.entry for check in report.checks} == {tag}
+    # A singular M3 fails its determinant and the words that contain it, on
+    # records that carry the tag.
     zero = MoebiusMatrix(0j, 0j, 0j, 0j)
     gens = entry.generators._replace(m3=zero)
     report = cat.check_entry(entry.config, gens, entry=tag)
-    assert report.errors == (f"{tag}: M3 singular, so relations and traces cannot be checked",)
+    assert {check.entry for check in report.checks} == {tag} and report.errors == ()
     assert report.failures() == [
         f"{tag}: M3 determinant drifts by 1.000e+00",
-        *report.errors,
+        f"{tag}: relations fail on a2, a5, a6, a8",
+        f"{tag}: trace checks fail on a2, a5, a6, a8",
     ]
+
+
+_M1_WORDS = ("a3", "a4", "a6", "a9")
+
+
+@pytest.mark.parametrize(
+    "change,failed",
+    [
+        (lambda gens: gens, ()),
+        (lambda gens: gens._replace(m3=MoebiusMatrix(0j, 0j, 0j, 0j)), ("a2", "a5", "a6", "a8")),
+        (lambda gens: gens._replace(m1=gens.m1._replace(b=5e-324 + 0j)), _M1_WORDS),
+        (lambda gens: gens._replace(m1=gens.m1._replace(d=1e308 + 0j)), _M1_WORDS),
+    ],
+    ids=["untouched", "m3-zeroed", "m1-subnormal", "m1-1e308"],
+)
+def test_a_word_that_cannot_be_measured_reads_inf(full_entries, change, failed):
+    # A zero determinant (M3's own, or one that underflows in an M1 word's
+    # base or power) leaves the word unmeasurable: it fails with an infinite
+    # relation residual, and an infinite or huge trace residual, while every
+    # stage keeps its record and every other word its residual.
+    entry = next(e for e in full_entries if not e.family)
+    gens = change(entry.generators)
+    report = cat.check_entry(entry.config, gens)
+    assert [check.stage for check in report.checks] == [
+        "angle", "generator", "determinant", "relation", "trace"
+    ]
+    assert report.errors == ()
+    relation, trace = report.checks[3:]
+    assert moebius.verify_relations(gens) == Report((relation,))
+    assert moebius.trace_check(gens) == Report((trace,))
+    untouched = entry.verification
+    for check, field in ((relation, "relations"), (trace, "traces")):
+        assert len(check.residuals) == 9
+        assert [
+            edge for edge, residual, tol in zip(check.edges, check.residuals, check.tol)
+            if not residual <= tol
+        ] == list(failed)
+        for edge, residual, kept in zip(check.edges, check.residuals, untouched[field]):
+            assert residual == kept if edge not in failed else residual > 1e161
+    assert all(relation.residuals[EDGE_NAMES.index(edge)] == math.inf for edge in failed)
 
 
 def _count_work(monkeypatch) -> dict[str, int]:
@@ -222,12 +266,14 @@ def test_a_shared_memo_changes_no_row(max12_entries, monkeypatch):
     assert [repr(e.verification) for e in fresh_built] == [repr(e.verification) for e in built]
 
 
-def test_an_unmoved_row_gets_the_drift_record_of_the_face_scan(max12_entries):
-    # Equal faces differ by 0.0 in every number, so the scan names the first.
+def test_an_unmoved_row_gets_six_zero_drifts(max12_entries):
+    # Each face of a stored row lies at distance 0.0 from its fresh realization.
     _, loaded = max12_entries
     drifts = [check for check in cat.verify_catalog(loaded).checks if check.stage == "drift"]
     assert len(drifts) == 158
-    assert {(check.edges, check.residuals) for check in drifts} == {(("red",), (0.0,))}
+    assert {(check.edges, check.residuals) for check in drifts} == {
+        (PlanarConfig._fields, (0.0,) * 6)
+    }
 
 
 def test_each_sweep_measures_each_distinct_word_once(max12_entries, monkeypatch):
@@ -771,17 +817,31 @@ def test_verify_catalog_flags_a_stored_line_with_its_normal_flipped(full_entries
 
 
 def test_verify_catalog_names_a_nan_face_in_the_drift_row(full_entries):
-    # max() skips a NaN that does not come first, so the drift row picks the
-    # NaN out itself rather than reading 0 on the red line.
-    doc = json.loads(cat.dumps_catalog(full_entries))
-    victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
-    victim["config"]["red"]["offset"] = math.nan
-    report = cat.verify_catalog(cat.load_catalog(io.StringIO(json.dumps(doc))))
+    # The drift record holds each face's distance from a fresh realization.
+    # A NaN offset makes the red face's distance NaN, which fails and which
+    # the summary shows; a top radius moved by 1e-12 reads 1e-12 on the top
+    # face and passes, within the drift bound of 1e-9.
     tag = "[2 3 2 2 6 4 2 2 2]"
-    [drift] = [r for r in oracles.rows(report) if r.stage == "drift" and r.entry == tag]
-    assert drift.edge == "red" and math.isnan(drift.residual) and not drift.ok
-    failure = f"{tag}: stored configuration drifts from recomputation on red by nan"
-    assert failure in report.failures()
+    tampers = [
+        ("red", lambda config: config["red"].update(offset=math.nan), "nan"),
+        ("top", lambda config: config["top"].update(radius=config["top"]["radius"] + 1e-12),
+         "1.000e-12"),
+    ]
+    for face, tamper, shown in tampers:
+        doc = json.loads(cat.dumps_catalog(full_entries))
+        victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+        tamper(victim["config"])
+        report = cat.verify_catalog(cat.load_catalog(io.StringIO(json.dumps(doc))))
+        [drift] = [c for c in report.checks if c.stage == "drift" and c.entry == tag]
+        assert drift.edges == PlanarConfig._fields
+        assert [e for e, residual in zip(drift.edges, drift.residuals) if residual != 0.0] == [face]
+        residual = drift.residuals[drift.edges.index(face)]
+        assert f"{residual:.3e}" == f"{report.max_residual('drift'):.3e}" == shown
+        failure = f"{tag}: stored configuration drifts from recomputation on {face} by {shown}"
+        if face == "red":
+            assert failure in report.failures()
+        else:
+            assert report.ok
 
 
 def test_verify_catalog_flags_tampered_generator(full_entries):

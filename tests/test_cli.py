@@ -375,19 +375,19 @@ def _vertical(face, line):
             _far_top_with_its_angles,
             "[2 3 2 2 6 4 2 2 2]: stored residuals disagree with recomputation on"
             " angles a7, angles a8, angles a9",
-            "max angle residual:    inf\nmax config drift:      5.000e+00",
+            "max angle residual:    inf\nmax config drift:      6.153e+00",
         ),
         # A vertical green or blue line meets the red line nowhere, so the
         # rotation center it gives is NaN.
         (
             _vertical("green", {"normal": [1.0, 0.0], "offset": 0.3}),
             "[2 3 2 2 6 4 2 2 2]: stored generator parameters disagree on fixed1",
-            "max config drift:      1.000e+00",
+            "max config drift:      1.446e+00",
         ),
         (
             _vertical("blue", {"normal": [-1.0, 0.0], "offset": 0.0}),
             "[2 3 2 2 6 4 2 2 2]: stored generator parameters disagree on fixed2",
-            "max config drift:      8.660e-01",
+            "max config drift:      1.225e+00",
         ),
     ],
     ids=[
@@ -425,12 +425,12 @@ def test_verify_prints_every_line_of_a_stored_infinity(tmp_path, capsys):
         "max relation residual: 3.678e-10\n"
         "max trace residual:    2.087e-14\n"
         "max determinant drift: 2.842e-14\n"
-        "max config drift:      5.000e+00\n"
+        "max config drift:      6.153e+00\n"
         "FAIL\n"
     )
     tag = "FAIL [2 3 2 2 6 4 2 2 2]:"
     assert captured.err == (
-        f"{tag} stored configuration drifts from recomputation on top by 5.000e+00\n"
+        f"{tag} stored configuration drifts from recomputation on top by 6.153e+00\n"
         f"{tag} configuration fails on a7, a8, a9\n"
         f"{tag} stored residuals disagree with recomputation on angles a7, angles a8,"
         " angles a9\n"
@@ -1112,7 +1112,14 @@ def test_verify_names_a_bad_value_briefly(small_dump, tmp_path, capsys, row, pat
     assert len(line) <= 200
 
 
+def _stored_disagreement(edges):
+    """The residual fields and edges of a stored-residual line: relations, then traces."""
+    return ", ".join(f"{field} {edge}" for field in ("relations", "traces") for edge in edges)
+
+
 def test_verify_reports_singular_generator(tmp_path, capsys):
+    # A singular M3 leaves the words that contain it unmeasurable: they read
+    # inf, so they fail, and disagree with the residuals the row stores.
     path = make_catalog(tmp_path, capsys)
     doc = json.loads(path.read_text())
     victim = next(r for r in doc["entries"] if not r["family"])
@@ -1121,27 +1128,61 @@ def test_verify_reports_singular_generator(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     label_text = " ".join(str(v) for v in victim["labeling"])
-    failures = captured.err.splitlines()
-    assert f"FAIL [{label_text}]: M3 singular, so relations and traces cannot be checked" in failures
-    # The entry's other checks still run and report.
-    assert f"FAIL [{label_text}]: M3 determinant drifts by 1.000e+00" in failures
-    assert len(failures) == 2
+    stored = _stored_disagreement(("a2", "a5", "a6", "a8"))
+    assert captured.err.splitlines() == [
+        f"FAIL [{label_text}]: M3 determinant drifts by 1.000e+00",
+        f"FAIL [{label_text}]: relations fail on a2, a5, a6, a8",
+        f"FAIL [{label_text}]: trace checks fail on a2, a5, a6, a8",
+        f"FAIL [{label_text}]: stored residuals disagree with recomputation on {stored}",
+    ]
     assert "checked 126 configurations" in captured.out
     assert captured.out.strip().endswith("FAIL")
 
 
 @pytest.mark.parametrize(
-    "corrupt,error",
+    "corrupt,determinant",
     [
-        (lambda r: r["generators"]["m1"][0][1].update(re=5e-324), "ZeroDivisionError"),
-        (lambda r: r["generators"]["m1"][1][1].update(re=1e308), "ZeroDivisionError"),
-        (lambda r: r["config"]["top"]["center"].__setitem__(0, -1e308), "OverflowError"),
+        (
+            lambda r: r["generators"]["m1"][0][1].update(re=5e-324),
+            ["M1 determinant drifts by 1.000e+00"],
+        ),
+        (lambda r: r["generators"]["m1"][1][1].update(re=1e308), []),
     ],
-    ids=["m1-subnormal", "m1-1e308", "top-center-minus-1e308"],
+    ids=["m1-subnormal", "m1-1e308"],
 )
-def test_verify_reports_an_arithmetic_failure_as_a_fail_line(
-    small_catalog, capsys, corrupt, error
+def test_verify_reports_an_extreme_stored_m1_as_record_fail_lines(
+    small_catalog, capsys, corrupt, determinant
 ):
+    # The words that contain M1 meet a determinant that underflows to 0, so
+    # they cannot be measured and read inf.  M1 = [[0, -1], [1, 1e308]] keeps
+    # its determinant 1, so only its words fail.
+    doc = json.loads(small_catalog.read_text())
+    victim = doc["entries"][_first_row(doc, False)]
+    corrupt(victim)
+    small_catalog.write_text(json.dumps(doc))
+    assert main(["verify", str(small_catalog)]) == 1
+    captured = capsys.readouterr()
+    words = ("a3", "a4", "a6", "a9")
+    lines = [
+        *determinant,
+        f"relations fail on {', '.join(words)}",
+        f"trace checks fail on {', '.join(words)}",
+        f"stored residuals disagree with recomputation on {_stored_disagreement(words)}",
+    ]
+    prefix = f"FAIL {tag(victim['labeling'])}: "
+    assert captured.err.splitlines() == [prefix + line for line in lines]
+    assert "checked 7 configurations" in captured.out
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda r: r["config"]["top"]["center"].__setitem__(0, -1e308),
+        lambda r: r["config"]["top"].update(radius=1e308),
+    ],
+    ids=["top-center-minus-1e308", "top-radius-1e308"],
+)
+def test_verify_reports_an_arithmetic_failure_as_a_fail_line(small_catalog, capsys, corrupt):
     doc = json.loads(small_catalog.read_text())
     victim = doc["entries"][_first_row(doc, False)]
     corrupt(victim)
@@ -1149,7 +1190,7 @@ def test_verify_reports_an_arithmetic_failure_as_a_fail_line(
     assert main(["verify", str(small_catalog)]) == 1
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
-    assert line.startswith(f"FAIL {tag(victim['labeling'])}: arithmetic failed: {error}: ")
+    assert line.startswith(f"FAIL {tag(victim['labeling'])}: arithmetic failed: OverflowError: ")
     assert "checked 7 configurations" in captured.out
 
 
