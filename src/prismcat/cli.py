@@ -30,7 +30,7 @@ from .labelings import (
     # test checks that this binding is restored.
     is_admissible,  # noqa: F401
 )
-from .moebius import GeneratorSet, traces
+from .moebius import WORD_NAMES, GeneratorSet, traces
 from .svg import write_svg
 
 
@@ -67,19 +67,23 @@ def _print_config(entry: cat.CatalogEntry, out) -> None:
         print(f"{name + ':':<7}circle center {center} radius {_sig(circle.r)}", file=out)
 
 
-def _print_generators(gens: GeneratorSet, report: Report, out) -> None:
-    """Print the generators, and each relation word against the relation and trace records."""
+def _print_generators(gens: GeneratorSet, report: Report, memo: dict, out) -> None:
+    """Print the generators, and each relation word against the relation and trace records.
+
+    The |tr| of each word is read from ``memo``, the memo the report's checks filled.
+    """
     for name, matrix in gens.named():
         print(_matrix_lines(name, matrix), file=out)
-    checks, words = cat.stored_checks(report), gens.words
+    checks = cat.stored_checks(report)
+    relations, traced = checks["relations"], checks["traces"]
     print("relations:", file=out)
-    rows = zip(words, checks["relations"].residuals, checks["relations"].tol)
-    for (edge, word, _, exponent), residual, tol in rows:
+    rows = zip(relations.edges, WORD_NAMES, gens.labeling, relations.residuals, relations.tol)
+    for edge, word, exponent, residual, tol in rows:
         status = "ok" if residual <= tol else "FAIL"
         print(f"  {edge}: ({word})^{exponent}  residual {residual:.3e}  {status}", file=out)
     print("traces:", file=out)
-    rows = zip(words, traces(gens), checks["traces"].residuals, checks["traces"].tol)
-    for (edge, word, _, _), (measured, expected), residual, tol in rows:
+    rows = zip(traced.edges, WORD_NAMES, traces(gens, memo), traced.residuals, traced.tol)
+    for edge, word, (measured, expected), residual, tol in rows:
         status = "ok" if residual <= tol else "FAIL"
         print(
             f"  {edge}: |tr {word}| = {_sig(measured)}"
@@ -97,9 +101,9 @@ def _print_failures(failures: Iterable[str]) -> int:
     return code
 
 
-def _build(args: argparse.Namespace) -> tuple[cat.CatalogEntry, Report]:
-    """Build the entry of ``args.labels`` and write it to ``args.json`` if given."""
-    entry, report = cat.build_entry(Labeling(*args.labels))
+def _build(args: argparse.Namespace, memo: dict | None = None) -> tuple[cat.CatalogEntry, Report]:
+    """Build the entry of ``args.labels`` with ``memo``; write it to ``args.json`` if given."""
+    entry, report = cat.build_entry(Labeling(*args.labels), memo=memo)
     if args.json:
         cat.dump_catalog([entry], args.json)
     return entry, report
@@ -147,8 +151,9 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 
 def cmd_matrices(args: argparse.Namespace) -> int:
-    entry, report = _build(args)
-    _print_generators(entry.generators, report, sys.stdout)
+    memo: dict = {}
+    entry, report = _build(args, memo)
+    _print_generators(entry.generators, report, memo, sys.stdout)
     return _print_failures(report.failures())
 
 

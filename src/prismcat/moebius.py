@@ -77,10 +77,10 @@ class MoebiusMatrix(NamedTuple):
         where U_{k-1}(cos theta) = sin(k theta) / sin(theta) is a Chebyshev
         polynomial of the second kind.  Hence
         M**n = s**(n-1) U_{n-1} M - s**n U_{n-2} I.  Parabolic matrices
-        (tau = +-1, sin(theta) = 0) take the limit U_{k-1} = k tau**(k-1),
-        and singular ones satisfy M**n = (tr M)**(n-1) M.  Unlike repeated
-        squaring, no rounding error accumulates with n: the result carries
-        only the error of M's own entries.  Raises OverflowError when the
+        (tau = +-1, sin(theta) = 0) take the limit U_{k-1} = k tau**(k-1).
+        Unlike repeated squaring, no rounding error accumulates with n: the
+        result carries only the error of M's own entries.  Raises
+        ZeroDivisionError on a singular matrix, and OverflowError when the
         power leaves the float range.
         """
         if n < 0:
@@ -88,11 +88,7 @@ class MoebiusMatrix(NamedTuple):
         if n == 0:
             return MoebiusMatrix.identity()
         a, b, c, d = self
-        det = a * d - b * c
-        if det == 0:
-            scale = (a + d) ** (n - 1)
-            return MoebiusMatrix(scale * a, scale * b, scale * c, scale * d)
-        s = cmath.sqrt(det)
+        s = cmath.sqrt(a * d - b * c)
         tau = (a + d) / (2 * s)
         if tau * tau == 1:
             u_n1 = n * tau ** (n - 1)
@@ -144,13 +140,19 @@ def rotation_matrix(center: complex, theta: float, ccw: bool = True) -> MoebiusM
 _GENERATOR_ORDER = ("back", "green", "blue", "top", "red")
 _RED = _GENERATOR_ORDER.index("red")
 _WORD_GENERATORS = tuple(sorted(map(_GENERATOR_ORDER.index, faces)) for faces in EDGE_FACES)
-_WORD_NAMES = tuple(
+WORD_NAMES = tuple(
     f"M{earlier + 1}" if later == _RED else f"M{later + 1}^-1 M{earlier + 1}"
     for earlier, later in _WORD_GENERATORS
 )
 
 
-class _GeneratorFields(NamedTuple):
+class GeneratorSet(NamedTuple):
+    """The four side-pairing matrices of a realized labeling.
+
+    ``fixed1`` and ``fixed2`` are the rotation centers of m2 and m3: the
+    points where the green and blue lines meet the red line.
+    """
+
     labeling: Labeling
     m1: MoebiusMatrix
     m2: MoebiusMatrix
@@ -161,50 +163,9 @@ class _GeneratorFields(NamedTuple):
     fixed1: complex
     fixed2: complex
 
-
-class GeneratorSet(_GeneratorFields):
-    """The four side-pairing matrices of a realized labeling.
-
-    ``fixed1`` and ``fixed2`` are the rotation centers of m2 and m3: the
-    points where the green and blue lines meet the red line.
-    """
-
-    __slots__ = ()
-
     def named(self) -> tuple[tuple[str, MoebiusMatrix], ...]:
         """("M1", m1) .. ("M4", m4)."""
         return (("M1", self.m1), ("M2", self.m2), ("M3", self.m3), ("M4", self.m4))
-
-    @property
-    def words(self) -> list[tuple[str, str, MoebiusMatrix, int]]:
-        """The nine relation words as (edge, word, base matrix, exponent).
-
-        Each base is elliptic of order equal to its edge label, so
-        base**exponent is the identity in PSL2.  Built afresh on each read,
-        inverting each later generator once; the relation and trace checks
-        build only the words their memo has not measured.
-        """
-        ms, inverses = (self.m1, self.m2, self.m3, self.m4), {}
-        return [
-            (edge, word, _word_base(ms, earlier, later, inverses), label)
-            for edge, word, (earlier, later), label in zip(
-                EDGE_NAMES, _WORD_NAMES, _WORD_GENERATORS, self.labeling
-            )
-        ]
-
-
-def _word_base(
-    ms: Sequence[MoebiusMatrix], earlier: int, later: int, inverses: dict
-) -> MoebiusMatrix:
-    """The base of the word of generators ``earlier`` and ``later`` of ``ms``:
-    M_later^-1 M_earlier, or M_earlier alone when the later face is red.
-    ``inverses`` keeps each inverse taken, so each generator is inverted once.
-    """
-    if later == _RED:
-        return ms[earlier]
-    if later not in inverses:
-        inverses[later] = ms[later].inv()
-    return inverses[later] @ ms[earlier]
 
 
 def _line_x_intersection(line, x: float) -> complex:
@@ -271,36 +232,44 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     return GeneratorSet(labeling=lab, m1=m1, m2=m2, m3=m3, m4=m4, **rotation)
 
 
-def _word_residuals(gens: GeneratorSet, memo: dict | None) -> list[tuple[float, float]]:
-    """Each relation word's (relation residual, trace residual), read from ``memo``.
+def _word_residuals(gens: GeneratorSet, memo: dict | None) -> list[tuple[float, float, float]]:
+    """Each relation word's (relation residual, trace residual, |trace|), read from ``memo``.
 
-    ``memo`` maps ``(M_earlier, M_later or None, exponent)``, with ``None``
-    when the later face is red, to the two residuals.  A hit builds, inverts,
-    powers and traces nothing; a miss measures the word and stores both.  A
-    key matches only generators with equal entries, which give the same base
-    up to the signs of its zeros, and such bases have the same residuals.
-    ``None`` stands for an empty memo.  A word that cannot be measured, one
-    whose inverse, base or power has determinant 0, reads ``(inf, inf)``.
+    The one place a word is built, inverted, powered and traced.  Its base is
+    M_later^-1 M_earlier, or M_earlier alone when the later face is red, and
+    each generator is inverted at most once a call.  ``memo`` maps
+    ``(M_earlier, M_later or None, exponent)``, with ``None`` when the later
+    face is red, to the three values.  A hit measures nothing; a miss
+    measures the word and stores them.  A key matches only generators with
+    equal entries, which give the same base up to the signs of its zeros,
+    and such bases have the same values.  ``None`` stands for an empty memo.
+    A word that cannot be measured, one whose inverse, base or power has
+    determinant 0, reads ``(inf, inf, inf)``.
     """
     if memo is None:
         memo = {}
     ms, inverses, measured = (gens.m1, gens.m2, gens.m3, gens.m4), {}, []
     for (earlier, later), exponent in zip(_WORD_GENERATORS, gens.labeling):
         key = ms[earlier], None if later == _RED else ms[later], exponent
-        residuals = memo.get(key)
-        if residuals is None:
+        values = memo.get(key)
+        if values is None:
             try:
-                base = _word_base(ms, earlier, later, inverses)
+                base = ms[earlier]
+                if later != _RED:
+                    if later not in inverses:
+                        inverses[later] = ms[later].inv()
+                    base = inverses[later] @ base
                 try:
                     relation = base.pow(exponent).distance_to_identity()
                 except OverflowError:  # only a non-elliptic base grows past the float range
                     relation = math.inf
-                trace, expected = _trace(base, exponent)
-                residuals = relation, abs(trace - expected)
+                a, b, c, d = base
+                trace = abs((a + d) / cmath.sqrt(a * d - b * c))
+                values = relation, abs(trace - 2.0 * math.cos(math.pi / exponent)), trace
             except ZeroDivisionError:
-                residuals = math.inf, math.inf
-            memo[key] = residuals
-        measured.append(residuals)
+                values = math.inf, math.inf, math.inf
+            memo[key] = values
+        measured.append(values)
     return measured
 
 
@@ -311,32 +280,32 @@ def verify_relations(
 
     The one record holds each word's distance as its residual, carries each
     word's tolerance for its order, and ``entry`` as its entry tag.  ``memo``
-    maps a word's generator pair and exponent to its relation and trace
-    residuals; pass one dict to every call of a sweep, and to ``trace_check``
-    too, and each distinct word is built, powered and traced once.  ``None``
-    (the default) measures every word.  A residual read from the memo is the
-    one a fresh measurement gives, and a word that cannot be measured (a
-    generator it inverts, or its base or power, is singular) reads ``inf``.
+    maps a word's generator pair and exponent to what was measured of it;
+    pass one dict to every call of a sweep, and to ``trace_check`` and
+    ``traces`` too, and each distinct word is built, powered and traced once.
+    ``None`` (the default) measures every word.  A residual read from the
+    memo is the one a fresh measurement gives, and a word that cannot be
+    measured (a generator it inverts, or its base or power, is singular)
+    reads ``inf``.
     """
-    residuals = tuple(relation for relation, _ in _word_residuals(gens, memo))
+    residuals = tuple(relation for relation, _, _ in _word_residuals(gens, memo))
     tols = tuple(map(relation_tolerance, gens.labeling))
     return Report((Check("relation", EDGE_NAMES, residuals, tols, entry),))
 
 
-def _trace(base: MoebiusMatrix, exponent: int) -> tuple[float, float]:
-    """A word's |trace| after determinant normalization, and the 2*cos(pi/n) its order gives it."""
-    a, b, c, d = base
-    return abs((a + d) / cmath.sqrt(a * d - b * c)), 2.0 * math.cos(math.pi / exponent)
-
-
-def traces(gens: GeneratorSet) -> list[tuple[float, float]]:
+def traces(gens: GeneratorSet, memo: dict | None = None) -> list[tuple[float, float]]:
     """Each relation word's |trace| and the 2*cos(pi/n) that its order n gives it.
 
     An element of order n conjugate to a rotation by 2*pi/n has
     |trace| = 2*cos(pi/n) after determinant normalization, which confirms
-    the relation exponents without computing any powers.
+    the relation exponents without computing any powers.  The |trace| is
+    the one ``trace_check`` measures, read from ``memo`` as there, and is
+    ``inf`` for a word that cannot be measured.
     """
-    return [_trace(base, exponent) for _, _, base, exponent in gens.words]
+    return [
+        (trace, 2.0 * math.cos(math.pi / exponent))
+        for (_, _, trace), exponent in zip(_word_residuals(gens, memo), gens.labeling)
+    ]
 
 
 def trace_check(gens: GeneratorSet, *, entry: str = "", memo: dict | None = None) -> Report:
@@ -349,6 +318,6 @@ def trace_check(gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
     too, and stored.  ``None`` (the default) measures every word.  A word
     that cannot be measured reads ``inf``, as in ``verify_relations``.
     """
-    residuals = tuple(trace for _, trace in _word_residuals(gens, memo))
+    residuals = tuple(trace for _, trace, _ in _word_residuals(gens, memo))
     tol = (TOLERANCES["trace"],) * len(residuals)
     return Report((Check("trace", EDGE_NAMES, residuals, tol, entry),))

@@ -23,6 +23,7 @@ import mpmath
 import numpy as np
 
 from prismcat import geometry, moebius
+from prismcat.labelings import EDGE_FACES
 
 # ---------------------------------------------------------------------------
 # Triangle classification via exact rationals
@@ -377,19 +378,16 @@ def loop_cusp_of(labels) -> tuple[int, int, int]:
 # MoebiusMatrix.pow, distance_to_identity and the trace check's |tr| as they
 # were first written, on plain (a, b, c, d) tuples: the determinant through
 # a*d - b*c, the trace through a + d, each operation in the same order.  A
-# faster kernel must agree with these bit for bit.
+# faster kernel must agree with these bit for bit.  The one change since:
+# pow has no singular branch, so a singular M raises ZeroDivisionError.
 
 
 def kernel_pow(m: tuple, n: int) -> tuple:
-    """M**n by the Chebyshev closed form, with its singular and parabolic branches."""
+    """M**n by the Chebyshev closed form, with its parabolic branch."""
     a, b, c, d = m
     if n == 0:
         return (1 + 0j, 0j, 0j, 1 + 0j)
-    det = a * d - b * c
-    if det == 0:
-        scale = (a + d) ** (n - 1)
-        return (scale * a, scale * b, scale * c, scale * d)
-    s = cmath.sqrt(det)
+    s = cmath.sqrt(a * d - b * c)
     tau = (a + d) / (2 * s)
     if tau * tau == 1:
         u_n1 = n * tau ** (n - 1)
@@ -418,6 +416,34 @@ def kernel_distance_to_identity(m: tuple) -> float:
 def kernel_abs_trace(m: tuple) -> float:
     """|tr M| / sqrt(det M), the trace check's measured value."""
     return abs((m[0] + m[3]) / cmath.sqrt(m[0] * m[3] - m[1] * m[2]))
+
+
+# ---------------------------------------------------------------------------
+# Relation words
+#
+# M1..M4 pair the red face with back, green, blue and top.  With the faces
+# in the order back, green, blue, top, red, the word of the edge between
+# faces f and g, f first, is M_g^-1 M_f, or M_f alone when g is red; its
+# exponent is the edge's label.
+
+_FACE_ORDER = ("back", "green", "blue", "top", "red")
+
+
+def word_bases(gens) -> list[tuple[str, str, moebius.MoebiusMatrix, int]]:
+    """Each edge's (edge, word, base, exponent) for ``gens``, a1..a9 in order.
+
+    The base is built with ``MoebiusMatrix.inv`` and ``@``, as the package
+    builds it, so its floats are the ones the package measures.
+    """
+    ms = (gens.m1, gens.m2, gens.m3, gens.m4)
+    words = []
+    for index, (faces, exponent) in enumerate(zip(EDGE_FACES, gens.labeling, strict=True)):
+        earlier, later = sorted(map(_FACE_ORDER.index, faces))
+        base, word = ms[earlier], f"M{earlier + 1}"
+        if _FACE_ORDER[later] != "red":
+            base, word = ms[later].inv() @ base, f"M{later + 1}^-1 {word}"
+        words.append((f"a{index + 1}", word, base, exponent))
+    return words
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def test_c07_relations_and_traces(capfd):
             gens = build_generators(lab, config)
             relations = verify_relations(gens)
             assert relations.ok, lab
-            for row, (_, _, _, exponent) in zip(oracles.rows(relations), gens.words):
+            for row, (_, _, _, exponent) in zip(oracles.rows(relations), oracles.word_bases(gens)):
                 assert row.residual <= relation_tolerance(exponent), (lab, row.edge)
             traces = trace_check(gens)
             assert traces.ok, lab

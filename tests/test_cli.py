@@ -17,6 +17,7 @@ from prismcat import catalog as cat
 from prismcat import cli, geometry
 from prismcat.cli import main
 from prismcat.labelings import EXPECTED_COUNTS, brief, enumerate_catalog, symmetry_mate
+from prismcat.moebius import MoebiusMatrix
 
 FIX1 = ["2", "6", "2", "7", "3", "2", "2", "3", "2"]
 # Far into a family, where the float64 generators miss the a4 relation's
@@ -213,6 +214,26 @@ def test_matrices_json(tmp_path, capsys):
     doc = json.loads(path.read_text())
     gens = doc["entries"][0]["generators"]
     assert gens["m1"][0][1] == {"re": -1.0, "im": 0.0}
+
+
+def test_matrices_measures_each_word_once(monkeypatch, capsys):
+    # The checks of build_entry and the trace lines read one memo, so M2, M3
+    # and M4 are each inverted once and each word is powered once.  The
+    # stdout is the one pinned in test_stdout_keeps_its_bytes_across_commits.
+    calls = dict.fromkeys(("inv", "pow"), 0)
+    for name in calls:
+        method = getattr(MoebiusMatrix, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(MoebiusMatrix, name, counted)
+    assert main(["matrices", *"2 4 3 5 4 2 2 2 2".split()]) == 0
+    out = capsys.readouterr().out
+    assert calls == {"inv": 3, "pow": 9}
+    digest = "75bf0f6719b5bbaf3e7a29a9e47d2bc4447815f4eaaa6b2c0cf134b43301251c"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

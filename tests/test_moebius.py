@@ -15,8 +15,9 @@ import prismcat
 from prismcat import catalog as cat
 from prismcat.catalog import check_entry
 from prismcat.geometry import TOLERANCES, PlanarCircle, PlanarConfig, realize
-from prismcat.labelings import Labeling, enumerate_catalog
+from prismcat.labelings import EDGE_NAMES, Labeling, enumerate_catalog
 from prismcat.moebius import (
+    WORD_NAMES,
     GeneratorSet,
     MoebiusMatrix,
     build_generators,
@@ -138,7 +139,7 @@ def exact_distance_of_power(m, n, dps=60):
 @pytest.mark.parametrize("n", [10**2, 10**3, 10**4])
 def test_pow_residual_matches_exact_power(n):
     gens, _ = gens_for((2, 3, 2, n, 6, 2, 2, 2, 2))
-    edge, _, base, exponent = gens.words[3]
+    edge, _, base, exponent = oracles.word_bases(gens)[3]
     assert (edge, exponent) == ("a4", n)
     residual = base.pow(n).distance_to_identity()
     assert residual == pytest.approx(exact_distance_of_power(base, n), rel=0.01)
@@ -161,6 +162,12 @@ def test_pow_of_parabolic_is_exact(n):
     ids=["loxodromic", "hyperbolic", "parabolic", "singular"],
 )
 def test_pow_matches_repeated_products(m):
+    if m.det == 0:  # the closed form divides by sqrt(det M)
+        assert m.pow(0) == MoebiusMatrix.identity()
+        for n in range(1, 13):
+            with pytest.raises(ZeroDivisionError):
+                m.pow(n)
+        return
     product = MoebiusMatrix.identity()
     for n in range(13):
         power = m.pow(n)
@@ -369,10 +376,10 @@ def test_check_entry_fails_unverified_config():
 
 def test_words_cover_all_nine_edges_with_label_exponents():
     gens, _ = gens_for((2, 3, 2, 3, 6, 5, 2, 2, 3))
-    words = gens.words
+    words = oracles.word_bases(gens)
     assert [w[0] for w in words] == [f"a{i}" for i in range(1, 10)]
     assert [w[3] for w in words] == [2, 3, 2, 3, 6, 5, 2, 2, 3]
-    assert [w[1] for w in words] == [
+    assert [w[1] for w in words] == list(WORD_NAMES) == [
         "M2",
         "M3",
         "M1",
@@ -389,6 +396,13 @@ def test_words_cover_all_nine_edges_with_label_exponents():
         m2, m3, m1,
         m2.inv() @ m1, m3.inv() @ m2, m3.inv() @ m1,
         m4.inv() @ m2, m4.inv() @ m3, m4.inv() @ m1,
+    ]
+    # The package measures each word on that base.
+    assert verify_relations(gens).checks[0].residuals == tuple(
+        base.pow(exponent).distance_to_identity() for _, _, base, exponent in words
+    )
+    assert [trace for trace, _ in traces(gens)] == [
+        oracles.kernel_abs_trace(tuple(base)) for _, _, base, _ in words
     ]
 
 
@@ -411,7 +425,8 @@ def test_relations_hold_far_into_a_family():
     report = verify_relations(gens)
     assert report.ok
     # the order-500 word gets the looser gate, everything else the strict one
-    for row, (_, _, _, exponent) in zip(oracles.rows(report), gens.words, strict=True):
+    words = oracles.word_bases(gens)
+    for row, (_, _, _, exponent) in zip(oracles.rows(report), words, strict=True):
         expected_tol = TOLERANCES["relation_large_power" if exponent > 100 else "relation"]
         assert row.tol == expected_tol
         assert row.residual <= expected_tol
@@ -478,10 +493,22 @@ def test_traces_match_elliptic_orders():
     gens, _ = gens_for((2, 4, 2, 5, 4, 3, 3, 2, 2))
     report = trace_check(gens)
     assert report.ok
-    rows = zip(traces(gens), oracles.rows(report), gens.words, strict=True)
+    rows = zip(traces(gens), oracles.rows(report), oracles.word_bases(gens), strict=True)
     for (measured, expected), row, (_, _, _, exponent) in rows:
         assert expected == pytest.approx(2 * math.cos(math.pi / exponent), abs=1e-15)
         assert row.residual == abs(measured - expected) <= TOLERANCES["trace"]
+
+
+def test_traces_read_inf_on_the_words_of_a_singular_generator():
+    # A zeroed M3 leaves the words that contain it unmeasurable.  traces
+    # reads them as inf, as trace_check does, and measures every other word
+    # as on the untouched generators.
+    gens, _ = gens_for((2, 3, 2, 2, 6, 4, 2, 2, 2))
+    singular = traces(gens._replace(m3=MoebiusMatrix(0j, 0j, 0j, 0j)))
+    failed = [edge for edge, (trace, _) in zip(EDGE_NAMES, singular) if trace == math.inf]
+    assert failed == ["a2", "a5", "a6", "a8"]
+    kept = [row for edge, row in zip(EDGE_NAMES, singular) if edge not in failed]
+    assert kept == [row for edge, row in zip(EDGE_NAMES, traces(gens)) if edge not in failed]
 
 
 def test_perturbed_top_matrix_breaks_only_its_relations():
@@ -537,20 +564,26 @@ def _assert_kernel_is_frozen(m: MoebiusMatrix, n: int) -> None:
     power = m.pow(n)
     expected = oracles.kernel_pow(tuple(m), n)
     assert entries(power) == expected, (m, n)
-    if power.det != 0:
-        assert power.distance_to_identity() == oracles.kernel_distance_to_identity(expected)
+    assert power.distance_to_identity() == oracles.kernel_distance_to_identity(expected)
+
+
+def _abs_trace(base: MoebiusMatrix) -> float:
+    """The |tr| the package measures for ``base``: the word of a3 is M1 alone."""
+    eye = MoebiusMatrix.identity()
+    gens = GeneratorSet(Labeling(*[2] * 9), base, eye, eye, eye, 0.0, 0.0, 0j, 0j)
+    return traces(gens)[2][0]
 
 
 def test_signs_of_zeros_do_not_change_a_relation_residual(monkeypatch):
     # A relation memo key compares with ==, under which -0.0 equals 0.0, so
-    # a word whose zeros carry other signs reads the residual measured for
-    # the first one.  Every sign of every zero, on every word of
-    # build_catalog(max_n=12) and of verify_catalog on it.
+    # a word whose zeros carry other signs reads the residual and |tr|
+    # measured for the first one.  Every sign of every zero, on every word
+    # of build_catalog(max_n=12) and of verify_catalog on it.
     words = set()
     verify = cat.verify_relations
 
     def recording(gens, *, entry="", memo=None):
-        words.update((base, exponent) for _, _, base, exponent in gens.words)
+        words.update((base, exponent) for _, _, base, exponent in oracles.word_bases(gens))
         return verify(gens, entry=entry, memo=memo)
 
     monkeypatch.setattr(cat, "verify_relations", recording)
@@ -561,12 +594,13 @@ def test_signs_of_zeros_do_not_change_a_relation_residual(monkeypatch):
         parts = [part for z in base for part in (z.real, z.imag)]
         zeros = [index for index, part in enumerate(parts) if part == 0.0]
         with_zeros += bool(zeros)
-        expected = repr(base.pow(exponent).distance_to_identity())
+        expected = repr(base.pow(exponent).distance_to_identity()), repr(_abs_trace(base))
         for signs in itertools.product((0.0, -0.0), repeat=len(zeros)):
             for index, zero in zip(zeros, signs):
                 parts[index] = zero
             flipped = MoebiusMatrix(*map(complex, parts[::2], parts[1::2]))
-            assert repr(flipped.pow(exponent).distance_to_identity()) == expected, flipped
+            measured = flipped.pow(exponent).distance_to_identity(), _abs_trace(flipped)
+            assert tuple(map(repr, measured)) == expected, flipped
             variants += 1
     assert (len(words), with_zeros, variants) == (686, 330, 1988)
 
@@ -578,7 +612,7 @@ def test_kernel_floats_are_bit_identical_on_every_word():
         # would multiply a complex componentwise, other operations than here.
         assert all(type(z) is complex for _, m in gens.named() for z in m), lab
         relations = oracles.rows(verify_relations(gens))
-        rows = zip(gens.words, relations, traces(gens), strict=True)
+        rows = zip(oracles.word_bases(gens), relations, traces(gens), strict=True)
         for (edge, _, base, exponent), relation, (trace, _) in rows:
             _assert_kernel_is_frozen(base, exponent)
             power = oracles.kernel_pow(tuple(base), exponent)
@@ -598,8 +632,13 @@ def test_kernel_floats_are_bit_identical_on_every_word():
 )
 def test_kernel_floats_are_bit_identical_on_singular_and_parabolic_branches(m, exponents):
     a, b, c, d = m
-    if m.det != 0:
-        tau = (a + d) / (2 * cmath.sqrt(m.det))
-        assert tau * tau == 1
+    if m.det == 0:  # both divide by sqrt(det M) = 0
+        for n in exponents:
+            for power in (m.pow, lambda n: oracles.kernel_pow(tuple(m), n)):
+                with pytest.raises(ZeroDivisionError):
+                    power(n)
+        return
+    tau = (a + d) / (2 * cmath.sqrt(m.det))
+    assert tau * tau == 1
     for n in exponents:
         _assert_kernel_is_frozen(m, n)
