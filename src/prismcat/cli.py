@@ -10,11 +10,15 @@ domain errors (bad arguments, inadmissible labelings).  ``enumerate``,
 ``realize`` and ``matrices`` build entries and check each one once; a failed
 check is a ``FAIL [labels]: ...`` line on stderr and exit code 1, after the
 output is written.
+
+The parser is built once per process, on the first ``main`` call, and every
+later call parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Iterable, Optional, Sequence
 
@@ -214,8 +218,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands: Iterable[str] = _COMMANDS) -> argparse.ArgumentParser:
-    """The parser of ``prismcat`` with the subcommands named in ``commands``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``prismcat`` and its subcommands."""
     parser = argparse.ArgumentParser(
         prog="prismcat",
         description=(
@@ -224,27 +228,19 @@ def build_parser(commands: Iterable[str] = _COMMANDS) -> argparse.ArgumentParser
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        help_text, func, add_arguments = _COMMANDS[name]
+    for name, (help_text, func, add_arguments) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         add_arguments(command)
         command.set_defaults(func=func)
     return parser
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse ``argv`` as the parser with every subcommand does.
+_parser = functools.cache(build_parser)
 
-    A named subcommand is parsed by a parser that holds only it, which costs
-    less than building all of them.  Anything else, and any argument that
-    parser leaves over, goes to the full parser, so help texts and usage
-    errors name every subcommand.
-    """
-    if argv and argv[0] in _COMMANDS:
-        args, extras = build_parser(argv[:1]).parse_known_args(argv)
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the one parser of this process, built on first use."""
+    return _parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

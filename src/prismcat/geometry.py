@@ -19,7 +19,7 @@ against a circle is measured with the sign of that normal.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, brief, is_admissible
 
@@ -233,9 +233,12 @@ FAILURE_TEXT = {
 }
 
 
-def _worst(residuals: Iterable[float]) -> float:
-    """The largest residual, or NaN if any is NaN (plain ``max`` keeps it only first); 0 if none."""
-    return max(residuals, key=lambda residual: (residual != residual, residual), default=0.0)
+def _worst(residuals: Sequence[float]) -> float:
+    """The largest residual, or the first NaN (plain ``max`` keeps one only first); 0 if none."""
+    total = sum(residuals)  # NaN if a residual is NaN, and also where inf and -inf meet
+    if total != total:
+        return next((residual for residual in residuals if residual != residual), max(residuals))
+    return max(residuals, default=0.0)
 
 
 class Report(NamedTuple):
@@ -256,12 +259,12 @@ class Report(NamedTuple):
 
     def max_residual(self, stage: Optional[str] = None) -> float:
         """The worst residual of one stage, or of all (NaN if any is); 0 if there are none."""
-        return _worst(
+        return _worst([
             residual
             for check in self.checks
             if stage is None or check.stage == stage
             for residual in check.residuals
-        )
+        ])
 
     def failures(self) -> list[str]:
         """One message per record with a failed edge, then the errors."""
@@ -276,7 +279,7 @@ class Report(NamedTuple):
                 text = FAILURE_TEXT.get(check.stage, "{stage} checks fail on {edges}").format(
                     stage=check.stage,
                     edges=", ".join(edge for edge, _ in failed),
-                    residual=_worst(residual for _, residual in failed),
+                    residual=_worst([residual for _, residual in failed]),
                 )
                 messages.append(f"{check.entry}: {text}" if check.entry else text)
         return messages + list(self.errors)

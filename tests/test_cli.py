@@ -1441,21 +1441,23 @@ def test_main_gives_the_arguments_of_the_parser_of_every_command(argv, place_arg
     assert vars(cli._parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
-@pytest.mark.parametrize(
-    "argv,code,built",
-    [
-        (["verify", "FILE", "--sample", "7"], 0, 2),
-        (["enumerate", "--cusp", "333", "-o", "OUT"], 0, 2),
-        (["realize", *FIX1], 0, 2),
-        (["matrices", *FIX1], 0, 2),
-        ([], ("SystemExit", 2), 5),
-        (["-h"], ("SystemExit", 0), 5),
-        (["bogus"], ("SystemExit", 2), 5),
-    ],
-)
-def test_main_builds_only_the_parser_of_the_named_command(
-    argv, code, built, place_argv, monkeypatch, capsys
-):
+# A sequence of main calls in one process: valid commands and usage errors.
+SEQUENCE_ARGVS = [
+    ["verify", "FILE", "--sample", "7"],
+    ["bogus"],
+    ["-h"],
+    ["verify", "x.json", "--bogus"],
+    ["realize", *FIX1],
+]
+
+
+def test_main_reuses_one_parser_across_calls(place_argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [place_argv(argv) for argv in SEQUENCE_ARGVS]
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        expected = [_outcome(argv, capsys) for argv in argvs]
+
     parsers = []
     init = argparse.ArgumentParser.__init__
 
@@ -1464,8 +1466,13 @@ def test_main_builds_only_the_parser_of_the_named_command(
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-    assert _outcome(place_argv(argv), capsys)[0] == code
-    assert len(parsers) == built
+    cli._parser.cache_clear()
+    first = _outcome(argvs[0], capsys)
+    built = len(parsers)
+    rest = [_outcome(argv, capsys) for argv in argvs[1:] + argvs]
+    assert [first, *rest] == expected * 2
+    # The first call builds the parser and its subcommands; no later call builds any.
+    assert built > 0 and len(parsers) == built
 
 
 def test_main_reads_sys_argv_without_an_argv(monkeypatch, capsys):

@@ -6,6 +6,8 @@ from itertools import permutations, product
 
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import _oracles as oracles
 from prismcat import catalog
@@ -19,6 +21,7 @@ from prismcat.geometry import (
     PlanarLine,
     RealizationError,
     Report,
+    _worst,
     build_lines,
     measure_angle,
     realize,
@@ -548,6 +551,24 @@ def test_report_rows_share_one_residual_rule():
     # when two records share an entry and stage, as a row stored twice does.
     twice = Report((records[1], records[1]))
     assert twice.failures() == ["[x]: relations fail on a2"] * 2
+
+
+# Residual lists that mix NaN, both infinities, zeros of both signs and
+# negatives with any other float, in any order.
+SPECIAL_RESIDUALS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
+RESIDUAL_LISTS = st.lists(st.one_of(st.sampled_from(SPECIAL_RESIDUALS), st.floats()))
+
+
+@given(RESIDUAL_LISTS)
+@example([])
+@example([math.inf, -math.inf])
+@example([-math.inf, 1.0, math.inf, math.nan])
+@example([-0.0, 0.0])
+@example([1e308, 1e308, -math.inf])
+def test_worst_is_max_with_nan_above_every_number(residuals):
+    # The plain form: a key puts any NaN above every number.
+    expected = max(residuals, key=lambda r: (r != r, r), default=0.0)
+    assert repr(_worst(residuals)) == repr(expected)
 
 
 def test_report_names_a_failed_stage_it_has_no_text_for():
