@@ -1441,6 +1441,54 @@ def test_main_gives_the_arguments_of_the_parser_of_every_command(argv, place_arg
     assert vars(cli._parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
+def _count_parsers(monkeypatch):
+    """The list that every ArgumentParser built from now on is appended to."""
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    return parsers
+
+
+# main runs each argv `calls` times in one process, from a cold cache.
+@pytest.mark.parametrize(
+    "argv,code,calls",
+    [
+        (["verify", "FILE", "--sample", "7"], 0, 2),
+        (["enumerate", "--cusp", "333", "-o", "OUT"], 0, 2),
+        (["realize", *FIX1], 0, 2),
+        (["matrices", *FIX1], 0, 2),
+        ([], ("SystemExit", 2), 5),
+        (["-h"], ("SystemExit", 0), 5),
+        (["bogus"], ("SystemExit", 2), 5),
+    ],
+)
+def test_main_builds_only_the_parser_of_the_named_command(
+    argv, code, calls, place_argv, monkeypatch, capsys
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = place_argv(argv)
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        expected = _outcome(argv, capsys)
+    assert expected[0] == code
+
+    parsers = _count_parsers(monkeypatch)
+    cli.build_parser()
+    full = len(parsers)
+    del parsers[:]
+    cli._parser.cache_clear()
+    assert _outcome(argv, capsys) == expected
+    # The first call builds the one full parser, whatever command argv names.
+    assert len(parsers) == full
+    assert [_outcome(argv, capsys) for _ in range(calls - 1)] == [expected] * (calls - 1)
+    assert len(parsers) == full
+
+
 # A sequence of main calls in one process: valid commands and usage errors.
 SEQUENCE_ARGVS = [
     ["verify", "FILE", "--sample", "7"],
@@ -1458,14 +1506,7 @@ def test_main_reuses_one_parser_across_calls(place_argv, monkeypatch, capsys):
         fresh.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
         expected = [_outcome(argv, capsys) for argv in argvs]
 
-    parsers = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted_init(self, *args, **kwargs):
-        parsers.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    parsers = _count_parsers(monkeypatch)
     cli._parser.cache_clear()
     first = _outcome(argvs[0], capsys)
     built = len(parsers)
