@@ -19,6 +19,7 @@ from typing import IO, Callable, Iterable, Optional, Sequence, Union
 
 from . import geometry
 from .geometry import (
+    STAGES,
     TOLERANCES,
     Check,
     PlanarCircle,
@@ -40,6 +41,7 @@ from .moebius import (
     GeneratorSet,
     MoebiusMatrix,
     build_generators,
+    pairing_residuals,
     rotation_parameters,
     trace_check,
     verify_relations,
@@ -54,11 +56,6 @@ FAMILY_SAMPLE_OFFSETS = (0, 1, 10)
 FAMILY_SAMPLE_LARGE = 500
 
 
-# The stages whose residuals an entry stores, by the field they are stored in,
-# in the order check_entry runs them.
-VERIFIED_STAGES = {"angles": "angle", "relations": "relation", "traces": "trace"}
-
-
 def label_tag(labeling: Sequence[Optional[int]]) -> str:
     """How failure messages name an entry: its labels in brackets, n for a free slot."""
     return "[" + " ".join("n" if v is None else brief(v) for v in labeling) + "]"
@@ -70,8 +67,9 @@ def check_entry(
     """Every check of one realized labeling, ``gens.labeling``, as one record a stage.
 
     The nine edge angles of the configuration, the generators' rotation
-    half-angles and centers recomputed from it, the four determinants, and
-    the nine relation words and trace identities: five records, whatever the
+    half-angles and centers recomputed from it, each generator's distance from
+    the product of its faces' reflections, the four determinants, and
+    the nine relation words and trace identities: six records, whatever the
     generators.  A word that cannot be measured (a singular generator) has
     infinite residuals.  Every record carries ``entry`` as its entry tag.
     ``memo`` goes to both ``verify_relations`` and ``trace_check``, so each
@@ -82,11 +80,13 @@ def check_entry(
     parameters = tuple(abs(getattr(gens, name) - value) for name, value in rotation.items())
     names, matrices = zip(*gens.named())
     drifts = tuple(abs(matrix.det - 1.0) for matrix in matrices)
+    pairings = pairing_residuals(config, gens)
     if memo is None:
         memo = {}
     return Report((
         *verify_config(lab, config, entry=entry).checks,
         Check("generator", tuple(rotation), parameters, (TOLERANCES["construction"],) * 4, entry),
+        Check("pairing", names, pairings, (TOLERANCES["construction"],) * 4, entry),
         Check("determinant", names, drifts, (TOLERANCES["determinant"],) * 4, entry),
         *verify_relations(gens, entry=entry, memo=memo).checks,
         *trace_check(gens, entry=entry, memo=memo).checks,
@@ -96,10 +96,10 @@ def check_entry(
 def stored_checks(report: Report) -> dict[str, Check]:
     """The records of one entry's report whose residuals the entry stores, by field.
 
-    The fields come in ``VERIFIED_STAGES`` order.
+    The fields come in ``STAGES`` order.
     """
     by_stage = {check.stage: check for check in report.checks}
-    return {field: by_stage[stage] for field, stage in VERIFIED_STAGES.items()}
+    return {field: by_stage[stage] for stage, (_, _, field) in STAGES.items() if field}
 
 
 def build_entry(
@@ -292,7 +292,8 @@ def _labeling_from(values: list) -> tuple[Optional[int], ...]:
 
 
 def _verification_from(d: dict) -> dict[str, tuple[float, ...]]:
-    verification = {field: tuple(map(_number, d[field])) for field in VERIFIED_STAGES}
+    fields = [field for _, _, field in STAGES.values() if field]
+    verification = {field: tuple(map(_number, d[field])) for field in fields}
     for field, residuals in verification.items():
         if len(residuals) != 9:
             raise ValueError(f"{field!r} holds {len(residuals)} residuals, expected 9")

@@ -23,7 +23,7 @@ import sys
 from typing import Iterable, Optional, Sequence
 
 from . import catalog as cat
-from .geometry import RealizationError, Report
+from .geometry import STAGES, RealizationError, Report
 from .labelings import (
     EXPECTED_COUNTS,
     CuspType,
@@ -78,8 +78,8 @@ def _print_generators(gens: GeneratorSet, report: Report, memo: dict, out) -> No
     """
     for name, matrix in gens.named():
         print(_matrix_lines(name, matrix), file=out)
-    checks = cat.stored_checks(report)
-    relations, traced = checks["relations"], checks["traces"]
+    checks = {check.stage: check for check in report.checks}
+    relations, traced = checks["relation"], checks["trace"]
     print("relations:", file=out)
     rows = zip(relations.edges, WORD_NAMES, gens.labeling, relations.residuals, relations.tol)
     for edge, word, exponent, residual, tol in rows:
@@ -161,18 +161,12 @@ def cmd_matrices(args: argparse.Namespace) -> int:
     return _print_failures(report.failures())
 
 
-# The lines of verify's summary: each stage's largest residual, by the name its line gives it.
-_VERIFY_SUMMARY = {
-    "angle": "angle residual", "relation": "relation residual", "trace": "trace residual",
-    "determinant": "determinant drift", "drift": "config drift",
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     report = cat.verify_catalog(cat.load_catalog(args.catalog), samples=args.sample)
     print(f"checked {report.entries_checked} configurations")
-    for stage, name in _VERIFY_SUMMARY.items():
-        print(f"max {name + ':':<19}{report.max_residual(stage):.3e}")
+    for stage, (_, name, _) in STAGES.items():
+        if name:
+            print(f"max {name + ':':<19}{report.max_residual(stage):.3e}")
     code = _print_failures(report.failures())
     print("FAIL" if code else "PASS")
     return code

@@ -221,15 +221,21 @@ class Check(NamedTuple):
     entry: str = ""
 
 
-# How a failed stage reads in a failure message: the edges that failed, and
-# the worst residual among them.  Report.failures names any other stage.
-FAILURE_TEXT = {
-    "angle": "configuration fails on {edges}",
-    "generator": "stored generator parameters disagree on {edges}",
-    "determinant": "{edges} determinant drifts by {residual:.3e}",
-    "relation": "relations fail on {edges}",
-    "trace": "trace checks fail on {edges}",
-    "drift": "stored configuration drifts from recomputation on {edges} by {residual:.3e}",
+# Every stage, in the order of verify's summary: the text of its FAIL line
+# (the edges that failed, and the worst residual among them), the name of its
+# summary line or None, and the field an entry stores its residuals in or None.
+# Report.failures names any other stage.
+STAGES: dict[str, tuple[str, Optional[str], Optional[str]]] = {
+    "angle": ("configuration fails on {edges}", "angle residual", "angles"),
+    "relation": ("relations fail on {edges}", "relation residual", "relations"),
+    "trace": ("trace checks fail on {edges}", "trace residual", "traces"),
+    "determinant": ("{edges} determinant drifts by {residual:.3e}", "determinant drift", None),
+    "drift": (
+        "stored configuration drifts from recomputation on {edges} by {residual:.3e}",
+        "config drift", None,
+    ),
+    "generator": ("stored generator parameters disagree on {edges}", None, None),
+    "pairing": ("face pairings fail on {edges} by {residual:.3e}", None, None),
 }
 
 
@@ -276,7 +282,7 @@ class Report(NamedTuple):
                 if not residual <= tol
             ]
             if failed:
-                text = FAILURE_TEXT.get(check.stage, "{stage} checks fail on {edges}").format(
+                text = STAGES.get(check.stage, ("{stage} checks fail on {edges}",))[0].format(
                     stage=check.stage,
                     edges=", ".join(edge for edge, _ in failed),
                     residual=_worst([residual for _, residual in failed]),

@@ -14,6 +14,13 @@ Each labeling imposes nine relations -- every edge contributes an elliptic
 word whose order is the edge label -- and this module verifies them
 numerically, together with the trace identity |tr| = 2*cos(pi/n) that a
 well-formed elliptic element of order n must satisfy.
+
+Each M_i is R_red o R_F, the reflection in the red face after the one in its
+face F (back, green, blue, top), and the ``pairing`` stage holds the stored
+generators to these products of the stored faces (``pairing_residuals``).  Once
+the pairing rows pass, every relation word is the product of its edge's two
+reflections, a rotation by twice their angle, so the angle rows decide the
+relations.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
-from .geometry import RED_LINE_X, TOLERANCES, Check, PlanarConfig, Report
+from .geometry import RED_LINE_X, TOLERANCES, Check, PlanarCircle, PlanarConfig, PlanarLine, Report
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling
 
 def relation_tolerance(exponent: int) -> float:
@@ -168,6 +175,46 @@ class GeneratorSet(NamedTuple):
         return (("M1", self.m1), ("M2", self.m2), ("M3", self.m3), ("M4", self.m4))
 
 
+def face_reflection(face: PlanarLine | PlanarCircle) -> MoebiusMatrix:
+    """A_F with the reflection R_F in ``face`` equal to z -> A_F(conj z).
+
+    A line n . p = d, with nu = nx + i*ny, gives [[-nu^2, 2*d*nu], [0, 1]], and
+    a circle with center c and radius r gives [[c, r^2 - |c|^2], [1, -conj(c)]].
+    So R_red o R_F is the Moebius map of A_red conj(A_F).
+    """
+    if isinstance(face, PlanarCircle):
+        c = face.cx + face.cy * 1j
+        return MoebiusMatrix(c, face.r**2 - abs(c) ** 2 + 0j, 1 + 0j, -c.conjugate())
+    nu = face.nx + face.ny * 1j
+    return MoebiusMatrix(-nu * nu, 2 * face.d * nu, 0j, 1 + 0j)
+
+
+def pairing_residuals(config: PlanarConfig, gens: GeneratorSet) -> tuple[float, ...]:
+    """Each of M1..M4's PSL2 distance from R_red o R_F, for F = back, green, blue, top.
+
+    R_red o R_F is P = A_red conj(A_F) (``face_reflection``).  With M and P
+    each divided by a square root of its determinant, the distance is the
+    Frobenius norm of M - P or of M + P, whichever is smaller.  A generator
+    that cannot be normalized (determinant 0) reads inf.
+    """
+    p, q, _, _ = face_reflection(config.red)  # [[p, q], [0, 1]]: the red face is a line
+    residuals = []
+    for face, (a, b, c, d) in zip(_GENERATOR_ORDER[:_RED], (gens.m1, gens.m2, gens.m3, gens.m4)):
+        e, f, g, h = face_reflection(getattr(config, face))
+        g, h = g.conjugate(), h.conjugate()
+        e, f = p * e.conjugate() + q * g, p * f.conjugate() + q * h
+        try:
+            s, t = cmath.sqrt(a * d - b * c), cmath.sqrt(e * h - f * g)
+            a, b, c, d, e, f, g, h = a / s, b / s, c / s, d / s, e / t, f / t, g / t, h / t
+        except ZeroDivisionError:
+            residuals.append(math.inf)
+            continue
+        residuals.append(
+            min(_frobenius(a - e, b - f, c - g, d - h), _frobenius(a + e, b + f, c + g, d + h))
+        )
+    return tuple(residuals)
+
+
 def _line_x_intersection(line, x: float) -> complex:
     """The point of a line at the given x, as a complex number; NaN on a vertical line."""
     if line.is_vertical:
@@ -197,9 +244,9 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
 
     Precondition: ``config`` realizes ``labeling``, as ``realize`` returns
     it or a catalog stores it.  Nothing here measures it again: the edge
-    angles, rotation parameters and determinants of the result are records of
-    ``catalog.check_entry``, which is where a configuration that does not
-    realize its labeling fails.
+    angles, rotation parameters, face pairings and determinants of the result
+    are records of ``catalog.check_entry``, which is where a configuration
+    that does not realize its labeling fails.
 
     M1 = [[2h,-1],[1,0]], h = ``RED_LINE_X`` of the a3 branch, is w -> 2h - 1/w:
     inversion in the unit circle, then reflection in the red line x = h.  It

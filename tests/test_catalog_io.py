@@ -20,6 +20,10 @@ from prismcat.labelings import (
 )
 
 
+# The stages whose residuals an entry stores, by the field that stores them.
+_STORED = {field: stage for stage, (_, _, field) in geometry.STAGES.items() if field}
+
+
 @pytest.fixture(scope="module")
 def full_entries():
     entries, failures = cat.build_catalog(enumerate_catalog())
@@ -52,17 +56,19 @@ def test_check_entry_rows_and_stored_residuals(full_entries):
     report = cat.check_entry(entry.config, entry.generators)
     assert report.ok and report.entries_checked == 1
     # One record a stage, and one row an edge.
-    stages = ["angle", "generator", "determinant", "relation", "trace"]
+    stages = ["angle", "generator", "pairing", "determinant", "relation", "trace"]
     assert [check.stage for check in report.checks] == stages
-    counts = {"angle": 9, "generator": 4, "determinant": 4, "relation": 9, "trace": 9}
+    counts = {
+        "angle": 9, "generator": 4, "pairing": 4, "determinant": 4, "relation": 9, "trace": 9
+    }
     assert [row.stage for row in oracles.rows(report)] == [
         stage for stage in stages for _ in range(counts[stage])
     ]
     # The rotation parameters are recomputed by the same float operations.
     assert report.max_residual("generator") == 0.0
     checks = cat.stored_checks(report)
-    assert list(checks) == list(cat.VERIFIED_STAGES)
-    for field, stage in cat.VERIFIED_STAGES.items():
+    assert list(checks) == list(_STORED)
+    for field, stage in _STORED.items():
         residuals = tuple(r.residual for r in oracles.rows(report) if r.stage == stage)
         assert entry.verification[field] == residuals == checks[field].residuals
 
@@ -106,6 +112,7 @@ def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     report = cat.check_entry(entry.config, gens, entry=tag)
     assert {check.entry for check in report.checks} == {tag} and report.errors == ()
     assert report.failures() == [
+        f"{tag}: face pairings fail on M3 by inf",
         f"{tag}: M3 determinant drifts by 1.000e+00",
         f"{tag}: relations fail on a2, a5, a6, a8",
         f"{tag}: trace checks fail on a2, a5, a6, a8",
@@ -134,10 +141,10 @@ def test_a_word_that_cannot_be_measured_reads_inf(full_entries, change, failed):
     gens = change(entry.generators)
     report = cat.check_entry(entry.config, gens)
     assert [check.stage for check in report.checks] == [
-        "angle", "generator", "determinant", "relation", "trace"
+        "angle", "generator", "pairing", "determinant", "relation", "trace"
     ]
     assert report.errors == ()
-    relation, trace = report.checks[3:]
+    relation, trace = report.checks[4:]
     assert moebius.verify_relations(gens) == Report((relation,))
     assert moebius.trace_check(gens) == Report((trace,))
     untouched = entry.verification
@@ -204,7 +211,9 @@ def test_each_entry_is_measured_once(full_entries, monkeypatch):
     assert counts == {"verify_config": 1, "inv": 3}
     # Each record is built once, already tagged with its entry: one for
     # each stage, and one for the drift of the stored faces.
-    assert records["built"] == len(report.checks) == 6
+    assert records["built"] == len(report.checks) == 7
+    # Every stage has its row in the table of stages, and every row its stage.
+    assert {check.stage for check in report.checks} == set(geometry.STAGES)
     counts.update(verify_config=0, inv=0)
     report = cat.verify_catalog([family], samples=[family.free_min])
     assert report.ok and report.entries_checked == 1
@@ -505,7 +514,7 @@ def _catalogs(draw, pool):
             entries.append(entry)
             continue
         entry = cat.entry_from_json(_with_numbers(cat.entry_to_json(entry), draw))
-        stages = draw(st.lists(st.sampled_from(list(cat.VERIFIED_STAGES)), unique=True))
+        stages = draw(st.lists(st.sampled_from(list(_STORED)), unique=True))
         verification = {s: tuple(draw(st.lists(_NUMBERS, max_size=10))) for s in stages}
         nulled = draw(st.lists(st.sampled_from(["config", "generators"]), unique=True))
         payload = {"verification": draw(st.sampled_from([entry.verification, verification]))}
@@ -707,7 +716,7 @@ def _readme_tolerance_rows() -> list[tuple[str, list[str], list[float]]]:
 
 def test_readme_tolerance_table_names_the_bound_each_stage_reads(monkeypatch):
     rows = _readme_tolerance_rows()
-    assert len(rows) == 7
+    assert len(rows) == 8
     for check, names, bounds in rows:
         assert [cat.TOLERANCES[name] for name in names] == bounds, check
     relation = next(check for check, _, _ in rows if "(`relation`)" in check)
@@ -746,7 +755,7 @@ def test_readme_tolerance_table_names_the_bound_each_stage_reads(monkeypatch):
     [
         (
             lambda v: {field: residuals[:3] for field, residuals in v.items()},
-            [f"entry stores 3 {field} residuals, expected 9" for field in cat.VERIFIED_STAGES],
+            [f"entry stores 3 {field} residuals, expected 9" for field in _STORED],
         ),
         (
             lambda v: {"traces": v["traces"]},

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import cmath
 import contextlib
 import hashlib
 import io
@@ -358,6 +359,29 @@ def _vertical(face, line):
     return tamper
 
 
+def _moved_matrices(move):
+    """Replace each stored matrix M of [2 3 2 2 6 4 2 2 2] by ``move(M)``."""
+
+    def tamper(doc):
+        row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+        for name in ("m1", "m2", "m3", "m4"):
+            (a, b), (c, d) = (
+                [complex(z["re"], z["im"]) for z in line] for line in row["generators"][name]
+            )
+            moved = move(MoebiusMatrix(a, b, c, d))
+            row["generators"][name] = [
+                [{"re": z.real, "im": z.imag} for z in moved[:2]],
+                [{"re": z.real, "im": z.imag} for z in moved[2:]],
+            ]
+
+    return tamper
+
+
+def _conjugated_by(t):
+    """Conjugation by the Moebius map of ``t``: M -> t M t^-1, which keeps every relation."""
+    return _moved_matrices(lambda m: t @ m @ t.inv())
+
+
 @pytest.mark.parametrize(
     "tamper,failure,summary",
     [
@@ -410,10 +434,44 @@ def _vertical(face, line):
             "[2 3 2 2 6 4 2 2 2]: stored generator parameters disagree on fixed2",
             "max config drift:      1.225e+00",
         ),
+        # Moving all four stored matrices together keeps their determinants,
+        # relations and traces, but the moved ones no longer pair the stored
+        # faces.  Negating them keeps the same elements of PSL2, so it passes.
+        (
+            _conjugated_by(MoebiusMatrix(1 + 0j, 0.3 + 0.2j, 0j, 1 + 0j)),
+            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M1, M2, M3, M4 by 7.211e-01",
+            "max config drift:      0.000e+00",
+        ),
+        (
+            _conjugated_by(MoebiusMatrix(cmath.exp(0.25j), 0j, 0j, cmath.exp(-0.25j))),
+            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M1, M3, M4 by 6.998e-01",
+            "max config drift:      0.000e+00",
+        ),
+        (
+            _conjugated_by(MoebiusMatrix(1.5 + 0j, 0j, 0j, 1 / 1.5 + 0j)),
+            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M1, M3, M4 by 1.768e+00",
+            "max config drift:      0.000e+00",
+        ),
+        (
+            _moved_matrices(lambda m: MoebiusMatrix(*(z.conjugate() for z in m))),
+            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M3 by 2.449e+00",
+            "max config drift:      0.000e+00",
+        ),
+        (
+            _moved_matrices(MoebiusMatrix.inv),
+            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M3, M4 by 2.828e+00",
+            "max config drift:      0.000e+00",
+        ),
+        (
+            _moved_matrices(lambda m: MoebiusMatrix(*(-z for z in m))),
+            None,
+            "max relation residual: 3.678e-10\nmax config drift:      0.000e+00",
+        ),
     ],
     ids=[
         "flipped-red", "first-m2", "last-m1", "nan-red", "nan-m2", "stored-infinity",
-        "vertical-green", "vertical-blue",
+        "vertical-green", "vertical-blue", "translated", "rotated", "dilated",
+        "complex-conjugated", "inverted", "negated-passes",
     ],
 )
 def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
@@ -423,12 +481,13 @@ def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
     doc = json.loads(path.read_text())
     tamper(doc)
     path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 1
+    assert main(["verify", str(path)]) == (1 if failure else 0)
     captured = capsys.readouterr()
-    assert f"FAIL {failure}" in captured.err.splitlines()
+    failures = captured.err.splitlines()
+    assert f"FAIL {failure}" in failures if failure else failures == []
     assert set(summary.splitlines()) <= set(captured.out.splitlines())
     assert "Traceback" not in captured.err
-    assert captured.out.strip().endswith("FAIL")
+    assert captured.out.strip().endswith("FAIL" if failure else "PASS")
 
 
 def test_verify_prints_every_line_of_a_stored_infinity(tmp_path, capsys):
@@ -453,6 +512,7 @@ def test_verify_prints_every_line_of_a_stored_infinity(tmp_path, capsys):
     assert captured.err == (
         f"{tag} stored configuration drifts from recomputation on top by 6.153e+00\n"
         f"{tag} configuration fails on a7, a8, a9\n"
+        f"{tag} face pairings fail on M4 by 4.878e+01\n"
         f"{tag} stored residuals disagree with recomputation on angles a7, angles a8,"
         " angles a9\n"
     )
@@ -630,6 +690,7 @@ def test_verify_names_each_failed_edge_of_a_row_stored_twice_once_per_copy(tmp_p
     copy = [
         f"FAIL {tag}: stored configuration drifts from recomputation on top by 1.000e-03",
         f"FAIL {tag}: configuration fails on a9",
+        f"FAIL {tag}: face pairings fail on M4 by 3.739e-03",
     ]
     assert captured.err.splitlines() == [
         *copy,
@@ -1151,6 +1212,7 @@ def test_verify_reports_singular_generator(tmp_path, capsys):
     label_text = " ".join(str(v) for v in victim["labeling"])
     stored = _stored_disagreement(("a2", "a5", "a6", "a8"))
     assert captured.err.splitlines() == [
+        f"FAIL [{label_text}]: face pairings fail on M3 by inf",
         f"FAIL [{label_text}]: M3 determinant drifts by 1.000e+00",
         f"FAIL [{label_text}]: relations fail on a2, a5, a6, a8",
         f"FAIL [{label_text}]: trace checks fail on a2, a5, a6, a8",
@@ -1161,22 +1223,23 @@ def test_verify_reports_singular_generator(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "corrupt,determinant",
+    "corrupt,pairing,determinant",
     [
         (
             lambda r: r["generators"]["m1"][0][1].update(re=5e-324),
+            "4.499e+161",
             ["M1 determinant drifts by 1.000e+00"],
         ),
-        (lambda r: r["generators"]["m1"][1][1].update(re=1e308), []),
+        (lambda r: r["generators"]["m1"][1][1].update(re=1e308), "1.000e+308", []),
     ],
     ids=["m1-subnormal", "m1-1e308"],
 )
 def test_verify_reports_an_extreme_stored_m1_as_record_fail_lines(
-    small_catalog, capsys, corrupt, determinant
+    small_catalog, capsys, corrupt, pairing, determinant
 ):
     # The words that contain M1 meet a determinant that underflows to 0, so
     # they cannot be measured and read inf.  M1 = [[0, -1], [1, 1e308]] keeps
-    # its determinant 1, so only its words fail.
+    # its determinant 1, so only its words and its pairing fail.
     doc = json.loads(small_catalog.read_text())
     victim = doc["entries"][_first_row(doc, False)]
     corrupt(victim)
@@ -1185,6 +1248,7 @@ def test_verify_reports_an_extreme_stored_m1_as_record_fail_lines(
     captured = capsys.readouterr()
     words = ("a3", "a4", "a6", "a9")
     lines = [
+        f"face pairings fail on M1 by {pairing}",
         *determinant,
         f"relations fail on {', '.join(words)}",
         f"trace checks fail on {', '.join(words)}",

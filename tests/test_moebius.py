@@ -21,6 +21,7 @@ from prismcat.moebius import (
     GeneratorSet,
     MoebiusMatrix,
     build_generators,
+    pairing_residuals,
     relation_tolerance,
     rotation_matrix,
     trace_check,
@@ -337,7 +338,8 @@ def test_generators_are_products_of_two_face_reflections():
     # M1..M4 are R_red o R_f for f = back, green, blue, top, by the
     # reflection form written out in _oracles, on every standalone row and
     # on each family at free_min, +1, +10, 500 and 10**4.  The largest
-    # entrywise distance is about 2.9e-13, on M4.
+    # entrywise distance is about 2.9e-13, on M4.  The pairing stage's own
+    # measurement, a Frobenius distance, stays within 1e-12 as well.
     items = enumerate_catalog()
     labelings = [item.labeling for item in items if not item.family]
     for item in (item for item in items if item.family):
@@ -349,6 +351,7 @@ def test_generators_are_products_of_two_face_reflections():
         for face, m in zip(("back", "green", "blue", "top"), (gens.m1, gens.m2, gens.m3, gens.m4)):
             expected = oracles.reflection_generator(config.red, getattr(config, face))
             assert oracles.psl2_distance(oracles.unit_determinant(tuple(m)), expected) <= 1e-12
+        assert max(pairing_residuals(config, gens)) <= 1e-12, lab
 
 
 def test_check_entry_fails_unverified_config():
