@@ -41,8 +41,6 @@ from .moebius import (
     GeneratorSet,
     MoebiusMatrix,
     build_generators,
-    pairing_residuals,
-    rotation_parameters,
     trace_check,
     verify_relations,
 )
@@ -66,27 +64,28 @@ def check_entry(
 ) -> Report:
     """Every check of one realized labeling, ``gens.labeling``, as one record a stage.
 
-    The nine edge angles of the configuration, the generators' rotation
-    half-angles and centers recomputed from it, each generator's distance from
-    the product of its faces' reflections, the four determinants, and
-    the nine relation words and trace identities: six records, whatever the
-    generators.  A word that cannot be measured (a singular generator) has
-    infinite residuals.  Every record carries ``entry`` as its entry tag.
-    ``memo`` goes to both ``verify_relations`` and ``trace_check``, so each
-    word is measured once for the two; ``None`` gives them one new dict.
+    The nine edge angles of the configuration; each generator against
+    ``build_generators`` of the configuration, in ``GeneratorSet`` order (M1..M4
+    by ``MoebiusMatrix.distance``, the half-angles and centers by their absolute
+    difference); the four determinants; and the nine relation words and trace
+    identities: five records, whatever the generators.  A word that cannot be
+    measured (a singular generator) has infinite residuals.  Every record
+    carries ``entry`` as its entry tag.  ``memo`` goes to both
+    ``verify_relations`` and ``trace_check``, so each word is measured once for
+    the two; ``None`` gives them one new dict.
     """
     lab = gens.labeling
-    rotation = rotation_parameters(lab, config)
-    parameters = tuple(abs(getattr(gens, name) - value) for name, value in rotation.items())
+    built = build_generators(lab, config)
     names, matrices = zip(*gens.named())
+    parameters = GeneratorSet._fields[5:]  # theta1, theta2, fixed1, fixed2
+    rebuilt = tuple(matrix.distance(other) for matrix, other in zip(matrices, built[1:5]))
+    rebuilt += tuple(abs(stored - other) for stored, other in zip(gens[5:], built[5:]))
     drifts = tuple(abs(matrix.det - 1.0) for matrix in matrices)
-    pairings = pairing_residuals(config, gens)
     if memo is None:
         memo = {}
     return Report((
         *verify_config(lab, config, entry=entry).checks,
-        Check("generator", tuple(rotation), parameters, (TOLERANCES["construction"],) * 4, entry),
-        Check("pairing", names, pairings, (TOLERANCES["construction"],) * 4, entry),
+        Check("generator", names + parameters, rebuilt, (TOLERANCES["construction"],) * 8, entry),
         Check("determinant", names, drifts, (TOLERANCES["determinant"],) * 4, entry),
         *verify_relations(gens, entry=entry, memo=memo).checks,
         *trace_check(gens, entry=entry, memo=memo).checks,

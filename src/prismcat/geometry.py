@@ -25,7 +25,7 @@ from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, brief, is_admissible
 
 # The bound of every check, read by each check when it runs, recorded by every
 # dump as ``provenance.tolerances`` and compared against by ``verify``.  A
-# solved configuration and the generators' rotation parameters are exact to
+# solved configuration and generators rebuilt from it are exact to
 # ``construction``; edge angles and stored-face drift get a looser ``angle``.
 # A relation word's PSL2 distance to the identity gets ``relation_large_power``
 # above order ``large_exponent``: powers are taken in closed form
@@ -234,8 +234,10 @@ STAGES: dict[str, tuple[str, Optional[str], Optional[str]]] = {
         "stored configuration drifts from recomputation on {edges} by {residual:.3e}",
         "config drift", None,
     ),
-    "generator": ("stored generator parameters disagree on {edges}", None, None),
-    "pairing": ("face pairings fail on {edges} by {residual:.3e}", None, None),
+    "generator": (
+        "stored generators disagree with a rebuild from the stored faces on {edges}"
+        " by {residual:.3e}", None, None,
+    ),
 }
 
 

@@ -16,11 +16,11 @@ numerically, together with the trace identity |tr| = 2*cos(pi/n) that a
 well-formed elliptic element of order n must satisfy.
 
 Each M_i is R_red o R_F, the reflection in the red face after the one in its
-face F (back, green, blue, top), and the ``pairing`` stage holds the stored
-generators to these products of the stored faces (``pairing_residuals``).  Once
-the pairing rows pass, every relation word is the product of its edge's two
-reflections, a rotation by twice their angle, so the angle rows decide the
-relations.
+face F (back, green, blue, top).  ``build_generators`` writes these products in
+closed form, and ``catalog.check_entry`` holds stored generators to what it
+makes of the stored faces.  Once they agree, every relation word is the product
+of its edge's two reflections, a rotation by twice their angle, so the angle
+rows decide the relations.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
-from .geometry import RED_LINE_X, TOLERANCES, Check, PlanarCircle, PlanarConfig, PlanarLine, Report
+from .geometry import RED_LINE_X, TOLERANCES, Check, PlanarConfig, Report
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling
 
 def relation_tolerance(exponent: int) -> float:
@@ -116,29 +116,37 @@ class MoebiusMatrix(NamedTuple):
         a, b, c, d = a / s, b / s, c / s, d / s
         return min(_frobenius(a - 1, b, c, d - 1), _frobenius(a + 1, b, c, d + 1))
 
+    def distance(self, other: "MoebiusMatrix") -> float:
+        """Frobenius norm of M - B or of M + B, whichever is smaller, for B = ``other``.
+
+        Neither matrix is normalized, so a matrix is at distance 0 from itself
+        and from its negative, the same element of PSL2.  Symmetric.
+        """
+        a, b, c, d = self
+        e, f, g, h = other
+        return min(_frobenius(a - e, b - f, c - g, d - h), _frobenius(a + e, b + f, c + g, d + h))
+
 
 def _frobenius(w: complex, x: complex, y: complex, z: complex) -> float:
     """Frobenius norm of the 2x2 matrix [[w, x], [y, z]]."""
     return math.hypot(w.real, w.imag, x.real, x.imag, y.real, y.imag, z.real, z.imag)
 
 
-def rotation_matrix(center: complex, theta: float, ccw: bool = True) -> MoebiusMatrix:
+def rotation_matrix(center: complex, theta: float) -> MoebiusMatrix:
     """Elliptic rotation by 2*theta about a point of the boundary plane.
 
-    Fixes ``center`` and infinity.  With ``ccw`` (the default) the action is
-    w -> center + e^{2i theta} (w - center), counter-clockwise in the
-    standard orientation of the plane; ``ccw=False`` turns the other way,
-    with matrix [[e^{-i theta}, center*(e^{i theta} - e^{-i theta})],
-    [0, e^{i theta}]].  Raising either to the n-th power with theta = pi/n
-    gives the identity in PSL2.
+    Fixes ``center`` and infinity: w -> center + e^{2i theta} (w - center),
+    with matrix [[e^{i theta}, center*(e^{-i theta} - e^{i theta})],
+    [0, e^{-i theta}]].  A positive half-angle ``theta`` turns
+    counter-clockwise in the standard orientation of the plane, a negative
+    one clockwise.  Raising it to the n-th power with |theta| = pi/n gives
+    the identity in PSL2.
     """
-    if not 0 < theta < math.pi:
-        raise ValueError(f"rotation half-angle must lie in (0, pi), got {theta!r}")
-    if ccw:
-        theta = -theta
+    if not 0 < abs(theta) < math.pi:
+        raise ValueError(f"rotation half-angle must satisfy 0 < |theta| < pi, got {theta!r}")
     e_plus = cmath.exp(1j * theta)
     e_minus = cmath.exp(-1j * theta)
-    return MoebiusMatrix(e_minus, center * (e_plus - e_minus), 0j, e_plus)
+    return MoebiusMatrix(e_plus, center * (e_minus - e_plus), 0j, e_minus)
 
 
 # The faces in generator order: M1..M4 each pair the red face with back,
@@ -175,46 +183,6 @@ class GeneratorSet(NamedTuple):
         return (("M1", self.m1), ("M2", self.m2), ("M3", self.m3), ("M4", self.m4))
 
 
-def face_reflection(face: PlanarLine | PlanarCircle) -> MoebiusMatrix:
-    """A_F with the reflection R_F in ``face`` equal to z -> A_F(conj z).
-
-    A line n . p = d, with nu = nx + i*ny, gives [[-nu^2, 2*d*nu], [0, 1]], and
-    a circle with center c and radius r gives [[c, r^2 - |c|^2], [1, -conj(c)]].
-    So R_red o R_F is the Moebius map of A_red conj(A_F).
-    """
-    if isinstance(face, PlanarCircle):
-        c = face.cx + face.cy * 1j
-        return MoebiusMatrix(c, face.r**2 - abs(c) ** 2 + 0j, 1 + 0j, -c.conjugate())
-    nu = face.nx + face.ny * 1j
-    return MoebiusMatrix(-nu * nu, 2 * face.d * nu, 0j, 1 + 0j)
-
-
-def pairing_residuals(config: PlanarConfig, gens: GeneratorSet) -> tuple[float, ...]:
-    """Each of M1..M4's PSL2 distance from R_red o R_F, for F = back, green, blue, top.
-
-    R_red o R_F is P = A_red conj(A_F) (``face_reflection``).  With M and P
-    each divided by a square root of its determinant, the distance is the
-    Frobenius norm of M - P or of M + P, whichever is smaller.  A generator
-    that cannot be normalized (determinant 0) reads inf.
-    """
-    p, q, _, _ = face_reflection(config.red)  # [[p, q], [0, 1]]: the red face is a line
-    residuals = []
-    for face, (a, b, c, d) in zip(_GENERATOR_ORDER[:_RED], (gens.m1, gens.m2, gens.m3, gens.m4)):
-        e, f, g, h = face_reflection(getattr(config, face))
-        g, h = g.conjugate(), h.conjugate()
-        e, f = p * e.conjugate() + q * g, p * f.conjugate() + q * h
-        try:
-            s, t = cmath.sqrt(a * d - b * c), cmath.sqrt(e * h - f * g)
-            a, b, c, d, e, f, g, h = a / s, b / s, c / s, d / s, e / t, f / t, g / t, h / t
-        except ZeroDivisionError:
-            residuals.append(math.inf)
-            continue
-        residuals.append(
-            min(_frobenius(a - e, b - f, c - g, d - h), _frobenius(a + e, b + f, c + g, d + h))
-        )
-    return tuple(residuals)
-
-
 def _line_x_intersection(line, x: float) -> complex:
     """The point of a line at the given x, as a complex number; NaN on a vertical line."""
     if line.is_vertical:
@@ -223,45 +191,35 @@ def _line_x_intersection(line, x: float) -> complex:
     return x + (slope * x + intercept) * 1j
 
 
-def rotation_parameters(
-    labeling: Sequence[int], config: PlanarConfig
-) -> dict[str, float | complex]:
-    """The GeneratorSet fields theta1, theta2, fixed1 and fixed2: the half-angles
-    pi/a1 and pi/a2 of M2 and M3, and their centers, where the green and blue
-    lines meet the red line.
-    """
-    red_x = RED_LINE_X[config.a3_branch]
-    return {
-        "theta1": math.pi / labeling[0],
-        "theta2": math.pi / labeling[1],
-        "fixed1": _line_x_intersection(config.green, red_x),
-        "fixed2": _line_x_intersection(config.blue, red_x),
-    }
-
-
 def build_generators(labeling: Sequence[int], config: PlanarConfig) -> GeneratorSet:
-    """Construct M1..M4 from a configuration.
+    """Construct M1..M4 from a configuration: the one map from faces to generators.
 
-    Precondition: ``config`` realizes ``labeling``, as ``realize`` returns
-    it or a catalog stores it.  Nothing here measures it again: the edge
-    angles, rotation parameters, face pairings and determinants of the result
-    are records of ``catalog.check_entry``, which is where a configuration
-    that does not realize its labeling fails.
+    It reads the green, blue and top faces and the a3 branch of ``config``,
+    and the labels a1 and a2.  Precondition: ``config`` realizes
+    ``labeling``, as ``realize`` returns it or a catalog stores it.  Nothing
+    here measures it again: ``catalog.check_entry`` measures the edge angles
+    and the determinants, and holds stored generators to what this function
+    makes of the stored faces, so that is where a configuration that does
+    not realize its labeling fails.
 
     M1 = [[2h,-1],[1,0]], h = ``RED_LINE_X`` of the a3 branch, is w -> 2h - 1/w:
     inversion in the unit circle, then reflection in the red line x = h.  It
     swaps the inside and outside of the unit circle for a3 = 2 (h = 0) and
     pairs the unit sphere with the one centered at (-1, 0) for a3 = 3
-    (h = -1/2).  The rotation centers are the green/blue intersections with
-    the red line.  M2 and M3 rotate by 2*pi/a1 and 2*pi/a2 in opposite senses
-    -- M2 turns the prism side toward the red line, M3 away from it -- and M4
+    (h = -1/2).  M2 and M3 rotate by 2*pi/a1 and 2*pi/a2 in opposite senses
+    about the points ``fixed1`` and ``fixed2`` where the green and blue lines
+    cross the red line, with half-angles ``theta1`` = pi/a1 and ``theta2`` =
+    pi/a2: M2 turns the prism side toward the red line, M3 away from it.  M4
     maps the top circle to its mirror image across the red line.
     """
     lab = Labeling(*labeling)
-    rotation = rotation_parameters(lab, config)
+    red_x = RED_LINE_X[config.a3_branch]
+    theta1, theta2 = math.pi / lab.a1, math.pi / lab.a2
+    fixed1 = _line_x_intersection(config.green, red_x)
+    fixed2 = _line_x_intersection(config.blue, red_x)
     x, y, r = config.top.cx, config.top.cy, config.top.r
 
-    m1 = MoebiusMatrix(2.0 * RED_LINE_X[config.a3_branch] + 0j, -1 + 0j, 1 + 0j, 0j)
+    m1 = MoebiusMatrix(2.0 * red_x + 0j, -1 + 0j, 1 + 0j, 0j)
     if config.a3_branch == 2:
         m4 = MoebiusMatrix(
             (-x + y * 1j) / r,
@@ -273,10 +231,10 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
         w = (-(x + 1.0) + y * 1j) / r
         m4 = MoebiusMatrix(w, w * (-x - y * 1j) - r, 1.0 / r + 0j, (-x - y * 1j) / r)
 
-    m2 = rotation_matrix(rotation["fixed1"], rotation["theta1"], ccw=False)
-    m3 = rotation_matrix(rotation["fixed2"], rotation["theta2"], ccw=True)
+    m2 = rotation_matrix(fixed1, -theta1)
+    m3 = rotation_matrix(fixed2, theta2)
 
-    return GeneratorSet(labeling=lab, m1=m1, m2=m2, m3=m3, m4=m4, **rotation)
+    return GeneratorSet(lab, m1, m2, m3, m4, theta1, theta2, fixed1, fixed2)
 
 
 def _word_residuals(gens: GeneratorSet, memo: dict | None) -> list[tuple[float, float, float]]:

@@ -56,15 +56,15 @@ def test_check_entry_rows_and_stored_residuals(full_entries):
     report = cat.check_entry(entry.config, entry.generators)
     assert report.ok and report.entries_checked == 1
     # One record a stage, and one row an edge.
-    stages = ["angle", "generator", "pairing", "determinant", "relation", "trace"]
+    stages = ["angle", "generator", "determinant", "relation", "trace"]
     assert [check.stage for check in report.checks] == stages
-    counts = {
-        "angle": 9, "generator": 4, "pairing": 4, "determinant": 4, "relation": 9, "trace": 9
-    }
+    counts = {"angle": 9, "generator": 8, "determinant": 4, "relation": 9, "trace": 9}
     assert [row.stage for row in oracles.rows(report)] == [
         stage for stage in stages for _ in range(counts[stage])
     ]
-    # The rotation parameters are recomputed by the same float operations.
+    # The generators are rebuilt by the same float operations, in GeneratorSet order.
+    generator = report.checks[1]
+    assert generator.edges == ("M1", "M2", "M3", "M4", "theta1", "theta2", "fixed1", "fixed2")
     assert report.max_residual("generator") == 0.0
     checks = cat.stored_checks(report)
     assert list(checks) == list(_STORED)
@@ -105,14 +105,15 @@ def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     tag = cat.label_tag(entry.labeling)
     _, report = cat.build_entry(entry.labeling)
     assert {check.entry for check in report.checks} == {tag}
-    # A singular M3 fails its determinant and the words that contain it, on
-    # records that carry the tag.
+    # A zeroed M3 fails its rebuild (by the rebuilt M3's own norm, 2), its
+    # determinant and the words that contain it, on records that carry the tag.
     zero = MoebiusMatrix(0j, 0j, 0j, 0j)
     gens = entry.generators._replace(m3=zero)
     report = cat.check_entry(entry.config, gens, entry=tag)
     assert {check.entry for check in report.checks} == {tag} and report.errors == ()
     assert report.failures() == [
-        f"{tag}: face pairings fail on M3 by inf",
+        f"{tag}: stored generators disagree with a rebuild from the stored faces on M3"
+        " by 2.000e+00",
         f"{tag}: M3 determinant drifts by 1.000e+00",
         f"{tag}: relations fail on a2, a5, a6, a8",
         f"{tag}: trace checks fail on a2, a5, a6, a8",
@@ -141,10 +142,10 @@ def test_a_word_that_cannot_be_measured_reads_inf(full_entries, change, failed):
     gens = change(entry.generators)
     report = cat.check_entry(entry.config, gens)
     assert [check.stage for check in report.checks] == [
-        "angle", "generator", "pairing", "determinant", "relation", "trace"
+        "angle", "generator", "determinant", "relation", "trace"
     ]
     assert report.errors == ()
-    relation, trace = report.checks[4:]
+    relation, trace = report.checks[3:]
     assert moebius.verify_relations(gens) == Report((relation,))
     assert moebius.trace_check(gens) == Report((trace,))
     untouched = entry.verification
@@ -211,7 +212,7 @@ def test_each_entry_is_measured_once(full_entries, monkeypatch):
     assert counts == {"verify_config": 1, "inv": 3}
     # Each record is built once, already tagged with its entry: one for
     # each stage, and one for the drift of the stored faces.
-    assert records["built"] == len(report.checks) == 7
+    assert records["built"] == len(report.checks) == 6
     # Every stage has its row in the table of stages, and every row its stage.
     assert {check.stage for check in report.checks} == set(geometry.STAGES)
     counts.update(verify_config=0, inv=0)
@@ -283,6 +284,27 @@ def test_an_unmoved_row_gets_six_zero_drifts(max12_entries):
     assert {(check.edges, check.residuals) for check in drifts} == {
         (PlanarConfig._fields, (0.0,) * 6)
     }
+
+
+def test_a_stored_row_rebuilds_exactly_and_up_to_sign(max12_entries):
+    # check_entry rebuilds a stored row's generators from its stored faces by
+    # the float operations that built them, so all eight edges of the
+    # generator record read 0.0.  They still do with any one stored matrix
+    # negated, the same element of PSL2.
+    _, loaded = max12_entries
+    rows = [entry for entry in loaded if not entry.family]
+    assert len(rows) == 158
+    memo: dict = {}
+    for entry in rows:
+        gens = entry.generators
+        negated = [
+            gens._replace(**{name: MoebiusMatrix(*(-z for z in getattr(gens, name)))})
+            for name in ("m1", "m2", "m3", "m4")
+        ]
+        for variant in (gens, *negated):
+            generator = cat.check_entry(entry.config, variant, memo=memo).checks[1]
+            assert generator.stage == "generator" and len(generator.edges) == 8
+            assert generator.residuals == (0.0,) * 8, entry.labeling
 
 
 def test_each_sweep_measures_each_distinct_word_once(max12_entries, monkeypatch):
@@ -716,7 +738,7 @@ def _readme_tolerance_rows() -> list[tuple[str, list[str], list[float]]]:
 
 def test_readme_tolerance_table_names_the_bound_each_stage_reads(monkeypatch):
     rows = _readme_tolerance_rows()
-    assert len(rows) == 8
+    assert len(rows) == 7
     for check, names, bounds in rows:
         assert [cat.TOLERANCES[name] for name in names] == bounds, check
     relation = next(check for check, _, _ in rows if "(`relation`)" in check)

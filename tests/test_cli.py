@@ -20,6 +20,9 @@ from prismcat.cli import main
 from prismcat.labelings import EXPECTED_COUNTS, brief, enumerate_catalog, symmetry_mate
 from prismcat.moebius import MoebiusMatrix
 
+# The FAIL text of the generator record, up to its edges and residual.
+_REBUILD = "stored generators disagree with a rebuild from the stored faces on"
+
 FIX1 = ["2", "6", "2", "7", "3", "2", "2", "3", "2"]
 # Far into a family, where the float64 generators miss the a4 relation's
 # bound of 1e-6.
@@ -423,43 +426,44 @@ def _conjugated_by(t):
             "max angle residual:    inf\nmax config drift:      6.153e+00",
         ),
         # A vertical green or blue line meets the red line nowhere, so the
-        # rotation center it gives is NaN.
+        # rotation center it gives is NaN, and so is the rotation about it.
         (
             _vertical("green", {"normal": [1.0, 0.0], "offset": 0.3}),
-            "[2 3 2 2 6 4 2 2 2]: stored generator parameters disagree on fixed1",
+            f"[2 3 2 2 6 4 2 2 2]: {_REBUILD} M2, fixed1 by nan",
             "max config drift:      1.446e+00",
         ),
         (
             _vertical("blue", {"normal": [-1.0, 0.0], "offset": 0.0}),
-            "[2 3 2 2 6 4 2 2 2]: stored generator parameters disagree on fixed2",
+            f"[2 3 2 2 6 4 2 2 2]: {_REBUILD} M3, fixed2 by nan",
             "max config drift:      1.225e+00",
         ),
         # Moving all four stored matrices together keeps their determinants,
-        # relations and traces, but the moved ones no longer pair the stored
-        # faces.  Negating them keeps the same elements of PSL2, so it passes.
+        # relations and traces, but the moved ones are no longer what the
+        # stored faces build.  Negating them keeps the same elements of PSL2,
+        # so it passes.
         (
             _conjugated_by(MoebiusMatrix(1 + 0j, 0.3 + 0.2j, 0j, 1 + 0j)),
-            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M1, M2, M3, M4 by 7.211e-01",
+            f"[2 3 2 2 6 4 2 2 2]: {_REBUILD} M1, M2, M3, M4 by 7.211e-01",
             "max config drift:      0.000e+00",
         ),
         (
             _conjugated_by(MoebiusMatrix(cmath.exp(0.25j), 0j, 0j, cmath.exp(-0.25j))),
-            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M1, M3, M4 by 6.998e-01",
+            f"[2 3 2 2 6 4 2 2 2]: {_REBUILD} M1, M3, M4 by 6.998e-01",
             "max config drift:      0.000e+00",
         ),
         (
             _conjugated_by(MoebiusMatrix(1.5 + 0j, 0j, 0j, 1 / 1.5 + 0j)),
-            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M1, M3, M4 by 1.768e+00",
+            f"[2 3 2 2 6 4 2 2 2]: {_REBUILD} M1, M3, M4 by 1.768e+00",
             "max config drift:      0.000e+00",
         ),
         (
             _moved_matrices(lambda m: MoebiusMatrix(*(z.conjugate() for z in m))),
-            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M3 by 2.449e+00",
+            f"[2 3 2 2 6 4 2 2 2]: {_REBUILD} M3 by 2.449e+00",
             "max config drift:      0.000e+00",
         ),
         (
             _moved_matrices(MoebiusMatrix.inv),
-            "[2 3 2 2 6 4 2 2 2]: face pairings fail on M3, M4 by 2.828e+00",
+            f"[2 3 2 2 6 4 2 2 2]: {_REBUILD} M3, M4 by 2.828e+00",
             "max config drift:      0.000e+00",
         ),
         (
@@ -490,6 +494,36 @@ def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
     assert captured.out.strip().endswith("FAIL" if failure else "PASS")
 
 
+@pytest.mark.parametrize(
+    "face,move,angles",
+    [
+        ("red", lambda f: f.update(offset=f["offset"] + 1e-8), ("a3",)),
+        ("back", lambda f: f.update(radius=f["radius"] * (1 + 1e-8)), ("a6", "a9")),
+    ],
+    ids=["red-offset", "back-radius"],
+)
+def test_verify_fails_a_moved_face_that_the_rebuild_does_not_read(
+    tmp_path, capsys, face, move, angles
+):
+    # build_generators reads neither the red nor the back face, so with the
+    # matrices untouched the generator record passes; drift fails the row.
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    row = next(r for r in doc["entries"] if not r["family"])
+    move(row["config"][face])
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    tag = f"FAIL {cat.label_tag(row['labeling'])}:"
+    assert captured.err.splitlines() == [
+        f"{tag} stored configuration drifts from recomputation on {face} by 1.000e-08",
+        f"{tag} configuration fails on {', '.join(angles)}",
+        f"{tag} stored residuals disagree with recomputation on"
+        f" {', '.join(f'angles {edge}' for edge in angles)}",
+    ]
+    assert captured.out.strip().endswith("FAIL")
+
+
 def test_verify_prints_every_line_of_a_stored_infinity(tmp_path, capsys):
     path = make_catalog(tmp_path, capsys)
     doc = json.loads(path.read_text())
@@ -512,7 +546,7 @@ def test_verify_prints_every_line_of_a_stored_infinity(tmp_path, capsys):
     assert captured.err == (
         f"{tag} stored configuration drifts from recomputation on top by 6.153e+00\n"
         f"{tag} configuration fails on a7, a8, a9\n"
-        f"{tag} face pairings fail on M4 by 4.878e+01\n"
+        f"{tag} {_REBUILD} M4 by 4.878e+01\n"
         f"{tag} stored residuals disagree with recomputation on angles a7, angles a8,"
         " angles a9\n"
     )
@@ -690,7 +724,7 @@ def test_verify_names_each_failed_edge_of_a_row_stored_twice_once_per_copy(tmp_p
     copy = [
         f"FAIL {tag}: stored configuration drifts from recomputation on top by 1.000e-03",
         f"FAIL {tag}: configuration fails on a9",
-        f"FAIL {tag}: face pairings fail on M4 by 3.739e-03",
+        f"FAIL {tag}: {_REBUILD} M4 by 3.739e-03",
     ]
     assert captured.err.splitlines() == [
         *copy,
@@ -713,10 +747,10 @@ def _assert_named_failures(path, capsys, expected):
 @pytest.mark.parametrize(
     "corrupt,edge",
     [
-        (lambda g: g.update(theta1=g["theta1"] + 1e-6), "theta1"),
-        (lambda g: g.update(theta2=g["theta2"] * (1 + 1e-9)), "theta2"),
-        (lambda g: g.update(fixed1={"re": 5.0, "im": 5.0}), "fixed1"),
-        (lambda g: g["fixed2"].update(im=g["fixed2"]["im"] + 1e-8), "fixed2"),
+        (lambda g: g.update(theta1=g["theta1"] + 1e-6), "theta1 by 1.000e-06"),
+        (lambda g: g.update(theta2=g["theta2"] * (1 + 1e-9)), "theta2 by 1.047e-09"),
+        (lambda g: g.update(fixed1={"re": 5.0, "im": 5.0}), "fixed1 by 7.071e+00"),
+        (lambda g: g["fixed2"].update(im=g["fixed2"]["im"] + 1e-8), "fixed2 by 1.000e-08"),
     ],
     ids=["theta1", "theta2", "fixed1", "fixed2"],
 )
@@ -727,7 +761,7 @@ def test_verify_flags_tampered_generator_parameters(tmp_path, capsys, corrupt, e
     corrupt(victim["generators"])
     path.write_text(json.dumps(doc))
     label_text = " ".join(str(v) for v in victim["labeling"])
-    expected = f"[{label_text}]: stored generator parameters disagree on {edge}"
+    expected = f"[{label_text}]: {_REBUILD} {edge}"
     _assert_named_failures(path, capsys, [expected])
 
 
@@ -1201,7 +1235,8 @@ def _stored_disagreement(edges):
 
 def test_verify_reports_singular_generator(tmp_path, capsys):
     # A singular M3 leaves the words that contain it unmeasurable: they read
-    # inf, so they fail, and disagree with the residuals the row stores.
+    # inf, so they fail, and disagree with the residuals the row stores.  It
+    # is as far from the rebuilt M3 as that is from 0.
     path = make_catalog(tmp_path, capsys)
     doc = json.loads(path.read_text())
     victim = next(r for r in doc["entries"] if not r["family"])
@@ -1212,7 +1247,7 @@ def test_verify_reports_singular_generator(tmp_path, capsys):
     label_text = " ".join(str(v) for v in victim["labeling"])
     stored = _stored_disagreement(("a2", "a5", "a6", "a8"))
     assert captured.err.splitlines() == [
-        f"FAIL [{label_text}]: face pairings fail on M3 by inf",
+        f"FAIL [{label_text}]: {_REBUILD} M3 by 2.000e+00",
         f"FAIL [{label_text}]: M3 determinant drifts by 1.000e+00",
         f"FAIL [{label_text}]: relations fail on a2, a5, a6, a8",
         f"FAIL [{label_text}]: trace checks fail on a2, a5, a6, a8",
@@ -1223,11 +1258,11 @@ def test_verify_reports_singular_generator(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "corrupt,pairing,determinant",
+    "corrupt,rebuild,determinant",
     [
         (
             lambda r: r["generators"]["m1"][0][1].update(re=5e-324),
-            "4.499e+161",
+            "1.000e+00",
             ["M1 determinant drifts by 1.000e+00"],
         ),
         (lambda r: r["generators"]["m1"][1][1].update(re=1e308), "1.000e+308", []),
@@ -1235,11 +1270,12 @@ def test_verify_reports_singular_generator(tmp_path, capsys):
     ids=["m1-subnormal", "m1-1e308"],
 )
 def test_verify_reports_an_extreme_stored_m1_as_record_fail_lines(
-    small_catalog, capsys, corrupt, pairing, determinant
+    small_catalog, capsys, corrupt, rebuild, determinant
 ):
     # The words that contain M1 meet a determinant that underflows to 0, so
     # they cannot be measured and read inf.  M1 = [[0, -1], [1, 1e308]] keeps
-    # its determinant 1, so only its words and its pairing fail.
+    # its determinant 1, so only its words and its rebuild fail; the rebuilt
+    # M1 is [[0, -1], [1, 0]], 1 and 1e308 from the two stored ones.
     doc = json.loads(small_catalog.read_text())
     victim = doc["entries"][_first_row(doc, False)]
     corrupt(victim)
@@ -1248,7 +1284,7 @@ def test_verify_reports_an_extreme_stored_m1_as_record_fail_lines(
     captured = capsys.readouterr()
     words = ("a3", "a4", "a6", "a9")
     lines = [
-        f"face pairings fail on M1 by {pairing}",
+        f"{_REBUILD} M1 by {rebuild}",
         *determinant,
         f"relations fail on {', '.join(words)}",
         f"trace checks fail on {', '.join(words)}",
