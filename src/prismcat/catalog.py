@@ -60,7 +60,8 @@ def label_tag(labeling: Sequence[Optional[int]]) -> str:
 
 
 def check_entry(
-    config: PlanarConfig, gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
+    config: PlanarConfig, gens: GeneratorSet, *, entry: str = "", memo: dict | None = None,
+    _fresh: bool = False,
 ) -> Report:
     """Every check of one realized labeling, ``gens.labeling``, as one record a stage.
 
@@ -71,20 +72,21 @@ def check_entry(
     identities: five records, whatever the generators.  A word that cannot be
     measured (a singular generator) has infinite residuals.  Every record
     carries ``entry`` as its entry tag.  ``memo`` goes to both
-    ``verify_relations`` and ``trace_check``, so each word is measured once for
-    the two; ``None`` gives them one new dict.
+    ``verify_relations`` and ``trace_check``, so the words are walked once for
+    the two; ``None`` gives them one new dict.  ``_fresh`` (``gens`` was just
+    built from ``config``) skips the rebuild: each generator residual is 0.0.
     """
-    lab = gens.labeling
-    built = build_generators(lab, config)
     names, matrices = zip(*gens.named())
     parameters = GeneratorSet._fields[5:]  # theta1, theta2, fixed1, fixed2
-    rebuilt = tuple(matrix.distance(other) for matrix, other in zip(matrices, built[1:5]))
-    rebuilt += tuple(abs(stored - other) for stored, other in zip(gens[5:], built[5:]))
+    rebuilt = (0.0,) * 8
+    if not _fresh:
+        built = build_generators(gens.labeling, config)
+        rebuilt = tuple(matrix.distance(other) for matrix, other in zip(matrices, built[1:5]))
+        rebuilt += tuple(abs(stored - other) for stored, other in zip(gens[5:], built[5:]))
     drifts = tuple(abs(matrix.det - 1.0) for matrix in matrices)
-    if memo is None:
-        memo = {}
+    memo = {} if memo is None else memo
     return Report((
-        *verify_config(lab, config, entry=entry).checks,
+        *verify_config(gens.labeling, config, entry=entry).checks,
         Check("generator", names + parameters, rebuilt, (TOLERANCES["construction"],) * 8, entry),
         Check("determinant", names, drifts, (TOLERANCES["determinant"],) * 4, entry),
         *verify_relations(gens, entry=entry, memo=memo).checks,
@@ -113,7 +115,7 @@ def build_entry(
     lab = Labeling(*labeling)
     config = realize(lab)
     gens = build_generators(lab, config)
-    report = check_entry(config, gens, entry=label_tag(lab), memo=memo)
+    report = check_entry(config, gens, entry=label_tag(lab), memo=memo, _fresh=True)
     entry = CatalogEntry(
         labeling=tuple(lab),
         cusp=CuspType.of(lab),
@@ -589,7 +591,7 @@ def _check_target(
         drifts = (*map(math.dist, config[:5], fresh[:5]), abs(config.a3_branch - fresh.a3_branch))
         tol = (TOLERANCES["angle"],) * len(drifts)
         checks.append(Check("drift", PlanarConfig._fields, drifts, tol, tag))
-    report = check_entry(config, gens, entry=tag, memo=memo)
+    report = check_entry(config, gens, entry=tag, memo=memo, _fresh=entry.family)
     checks += report.checks
     if not entry.family:
         disagree = []
@@ -648,13 +650,14 @@ def verify_catalog(
     Each checked labeling must also have the entry's cusp type.  No
     labeling or family pattern may be stored in more than one row, nor
     together with its mirror image (``symmetry_mate``) when that differs
-    from it.  A family instance must have its family's pattern row in the
-    catalog, with the same ``free_min``.  A catalog with no entries fails,
-    and so does one that gives no labeling to check (family rows only, with
-    every sample below its bound).  The ``provenance`` of a ``Catalog``, as
-    ``load_catalog`` returns it, must name this tool and record
-    ``TOLERANCES``.  ``entries`` and ``samples`` are each read once, so any
-    iterable will do.  The report's records carry their entry's tag, and
+    from it.  No standalone row, nor its mirror image, may be a member of a
+    stored family at some n >= its ``free_min``.  A family instance must have
+    its family's pattern row in the catalog, with the same ``free_min``.  A
+    catalog with no entries fails, and so does one that gives no labeling to
+    check (family rows only, with every sample below its bound).  The
+    ``provenance`` of a ``Catalog``, as ``load_catalog`` returns it, must name
+    this tool and record ``TOLERANCES``.  ``entries`` and ``samples`` are each
+    read once, so any iterable will do.  The report's records carry their entry's tag, and
     ``entries_checked`` counts the labelings checked.  They share one
     relation-word memo, so a word that repeats across them is measured once.
     """
@@ -662,15 +665,14 @@ def verify_catalog(
     sampled = None if samples is None else sorted(set(samples))
     stored: Counter = Counter()
     pattern_free_min = {}
-    instances = []
+    instances, standalone = [], []
     # Each labeling to check: a stored row's own, or a family row's samples.
     targets = []
     for entry in entries:
         stored[entry.labeling] += 1
         tag = label_tag(entry.labeling)
         if not entry.family:
-            if entry.free_slot is not None:
-                instances.append((entry, tag))
+            (standalone if entry.free_slot is None else instances).append((entry, tag))
             targets.append((entry, Labeling(*entry.labeling), tag))
             continue
         pattern_free_min[entry.labeling] = entry.free_min
@@ -692,6 +694,14 @@ def verify_catalog(
             errors.append(
                 f"{label_tag(labeling)}: its mirror image {label_tag(mate)} is stored too"
             )
+    for entry, tag in standalone:
+        for lab in dict.fromkeys((entry.labeling, symmetry_mate(entry.labeling))):
+            for slot, n in enumerate(lab):
+                pattern = lab[:slot] + (None,) + lab[slot + 1 :]
+                if isinstance(n, int) and pattern_free_min.get(pattern, math.inf) <= n:
+                    which = "it" if lab == entry.labeling else f"its mirror image {label_tag(lab)}"
+                    errors.append(f"{tag}: {which} is a member of family {label_tag(pattern)}"
+                                  f" (n = {brief(n)})")
     for entry, tag in instances:
         slot = entry.free_slot
         pattern = entry.labeling[:slot] + (None,) + entry.labeling[slot + 1 :]

@@ -155,7 +155,7 @@ def build_lines(labeling: Sequence[int]) -> tuple[PlanarLine, PlanarLine, Planar
     red-line branch.  The red line is x = 0 (a3 = 2, orthogonal to the unit
     circle) or x = -1/2 (a3 = 3, meeting it at pi/3).
     """
-    lab = Labeling(*labeling)
+    lab = labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
     if lab.a3 not in RED_LINE_X:
         raise ValueError(f"a3 must be 2 or 3, got {lab.a3}")
     red = PlanarLine.vertical(RED_LINE_X[lab.a3])
@@ -172,6 +172,29 @@ def build_lines(labeling: Sequence[int]) -> tuple[PlanarLine, PlanarLine, Planar
     return red, green, blue
 
 
+def _line_line(line1: PlanarLine, line2: PlanarLine) -> float:
+    return math.acos(min(abs(line1.nx * line2.nx + line1.ny * line2.ny), 1.0))
+
+
+def _line_circle(line: PlanarLine, circle: PlanarCircle) -> float | None:
+    offset = line.signed_distance(circle.cx, circle.cy)
+    return None if abs(offset) > circle.r else math.acos(offset / circle.r)
+
+
+def _circle_circle(circle1: PlanarCircle, circle2: PlanarCircle) -> float | None:
+    d2 = (circle1.cx - circle2.cx) ** 2 + (circle1.cy - circle2.cy) ** 2
+    cos_phi = (d2 - circle1.r**2 - circle2.r**2) / (2.0 * circle1.r * circle2.r)
+    return None if abs(cos_phi) > 1.0 else math.acos(cos_phi)
+
+
+# Each kernel by whether its faces are lines; each edge's PlanarConfig indices and kernel.
+_KERNELS = {(True, True): _line_line, (True, False): _line_circle, (False, False): _circle_circle}
+_EDGE_KERNELS = tuple(
+    (i, j, _KERNELS[i < 3, j < 3])
+    for i, j in (sorted(map(PlanarConfig._fields.index, faces)) for faces in EDGE_FACES)
+)
+
+
 def measure_angle(obj1: PlanarLine | PlanarCircle, obj2: PlanarLine | PlanarCircle) -> float | None:
     """Intersection angle of two lines/circles, or None when they are disjoint.
 
@@ -180,24 +203,11 @@ def measure_angle(obj1: PlanarLine | PlanarCircle, obj2: PlanarLine | PlanarCirc
     the mutual exterior for two circles -- so a line through the far side of a
     circle, or a deeply overlapping circle pair, reads as an obtuse angle
     rather than its supplement.  Symmetric in its arguments, and independent
-    of which intersection point is considered.
+    of which intersection point is considered.  A dispatch over three kernels.
     """
-    if isinstance(obj1, PlanarCircle) and isinstance(obj2, PlanarLine):
+    if isinstance(obj2, PlanarLine):
         obj1, obj2 = obj2, obj1
-    if isinstance(obj1, PlanarLine) and isinstance(obj2, PlanarLine):
-        dot = abs(obj1.nx * obj2.nx + obj1.ny * obj2.ny)
-        return math.acos(min(dot, 1.0))
-    if isinstance(obj1, PlanarLine) and isinstance(obj2, PlanarCircle):
-        offset = obj1.signed_distance(obj2.cx, obj2.cy)
-        if abs(offset) > obj2.r:
-            return None
-        return math.acos(offset / obj2.r)
-    assert isinstance(obj1, PlanarCircle) and isinstance(obj2, PlanarCircle)
-    d2 = (obj1.cx - obj2.cx) ** 2 + (obj1.cy - obj2.cy) ** 2
-    cos_phi = (d2 - obj1.r**2 - obj2.r**2) / (2.0 * obj1.r * obj2.r)
-    if abs(cos_phi) > 1.0:
-        return None
-    return math.acos(cos_phi)
+    return _KERNELS[isinstance(obj1, PlanarLine), isinstance(obj2, PlanarLine)](obj1, obj2)
 
 
 class Check(NamedTuple):
@@ -302,8 +312,8 @@ def verify_config(labeling: Sequence[int], config: PlanarConfig, *, entry: str =
     the named edge.  The one record carries ``entry`` as its entry tag.
     """
     residuals = []
-    for (f, g), label in zip(EDGE_FACES, labeling, strict=True):
-        angle = measure_angle(getattr(config, f), getattr(config, g))
+    for (f, g, kernel), label in zip(_EDGE_KERNELS, labeling, strict=True):
+        angle = kernel(config[f], config[g])
         residuals.append(math.inf if angle is None else abs(angle - math.pi / label))
     tol = (TOLERANCES["angle"],) * len(residuals)
     return Report((Check("angle", EDGE_NAMES, tuple(residuals), tol, entry),))
@@ -346,9 +356,9 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
     the positive root fails either gate.
     """
     adm = is_admissible(labeling)
-    if not adm:
+    if not adm.ok:
         raise ValueError(f"labeling is not admissible: {adm.reason}")
-    lab = Labeling(*labeling)
+    lab = labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
     red, green, blue = build_lines(lab)
     cos7 = math.cos(math.pi / lab.a7)
     cos8 = math.cos(math.pi / lab.a8)

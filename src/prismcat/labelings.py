@@ -158,33 +158,22 @@ EXPECTED_COUNTS: dict[CuspType, tuple[int, int]] = {
 }
 
 
+# The class of the triangle (p, q, r) by the sign (1, 0, -1) of q*r + p*r + p*q - p*q*r.
+_CLASS_BY_SIGN = dict(zip((1, 0, -1), TriangleClass))
+
+
 def classify_triangle(p: int, q: int, r: int) -> TriangleClass:
     """Classify the triangle with angles pi/p, pi/q, pi/r.
 
     The sign of 1/p + 1/q + 1/r - 1 decides: spherical if positive, Euclidean
-    if zero, hyperbolic if negative.  The comparison is performed in exact
-    integer arithmetic (q*r + p*r + p*q versus p*q*r), so the Euclidean
-    boundary is never subject to floating-point rounding.
+    if zero, hyperbolic if negative.  It is the sign of q*r + p*r + p*q - p*q*r,
+    taken in exact integer arithmetic, so the Euclidean boundary is never
+    subject to floating-point rounding.
     """
     if min(p, q, r) < 2:
         raise ValueError(f"triangle labels must be >= 2, got {(p, q, r)}")
-    lhs = q * r + p * r + p * q
-    rhs = p * q * r
-    if lhs > rhs:
-        return TriangleClass.SPHERICAL
-    if lhs == rhs:
-        return TriangleClass.EUCLIDEAN
-    return TriangleClass.HYPERBOLIC
-
-
-def _validate(labeling: Sequence[int]) -> None:
-    if len(labeling) != 9:
-        raise ValueError(f"a labeling has nine entries, got {len(labeling)}")
-    for v in labeling:
-        if not isinstance(v, int) or v < 2:
-            raise ValueError(
-                f"edge labels must be integers >= 2, got ({', '.join(map(brief, labeling))})"
-            )
+    excess = q * r + p * r + p * q - p * q * r
+    return _CLASS_BY_SIGN[(excess > 0) - (excess < 0)]
 
 
 class Admissibility(NamedTuple):
@@ -210,6 +199,9 @@ _FAILURE = {
     TriangleClass.SPHERICAL: "vertex triple ({edges}) = {values} is {got}, must be spherical",
     TriangleClass.HYPERBOLIC: "prismatic circuit ({edges}) = {values} is {got}, must be hyperbolic",
 }
+# Each condition as its three edges, the sign of its required class, and itself.
+_SIGN_OF = {cls: sign for sign, cls in _CLASS_BY_SIGN.items()}
+_SIGN_TABLE = tuple((*edges, _SIGN_OF[cls], edges, cls) for edges, cls in _CONDITIONS)
 
 
 def is_admissible(labeling: Sequence[int]) -> Admissibility:
@@ -223,14 +215,21 @@ def is_admissible(labeling: Sequence[int]) -> Admissibility:
     vertical edge and at most one of a1, a2 can carry the label 2 -- so they
     are deliberately not checked.
     """
-    _validate(labeling)
-    for indices, required in _CONDITIONS:
-        i, j, k = indices
-        got = classify_triangle(labeling[i], labeling[j], labeling[k])
-        if got is not required:
+    if len(labeling) != 9:
+        raise ValueError(f"a labeling has nine entries, got {len(labeling)}")
+    for v in labeling:
+        if not isinstance(v, int) or v < 2:
+            raise ValueError(
+                f"edge labels must be integers >= 2, got ({', '.join(map(brief, labeling))})"
+            )
+    for i, j, k, sign, indices, required in _SIGN_TABLE:
+        p, q, r = labeling[i], labeling[j], labeling[k]
+        excess = q * r + p * r + p * q - p * q * r
+        if (excess > 0) - (excess < 0) != sign:
             edges = ", ".join(EDGE_NAMES[index] for index in indices)
             values = f"({', '.join(brief(labeling[index]) for index in indices)})"
-            reason = _FAILURE[required].format(edges=edges, values=values, got=got.value)
+            got = classify_triangle(p, q, r).value
+            reason = _FAILURE[required].format(edges=edges, values=values, got=got)
             return Admissibility(False, reason, indices)
     return Admissibility(True)
 

@@ -212,7 +212,7 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     pi/a2: M2 turns the prism side toward the red line, M3 away from it.  M4
     maps the top circle to its mirror image across the red line.
     """
-    lab = Labeling(*labeling)
+    lab = labeling if isinstance(labeling, Labeling) else Labeling(*labeling)
     red_x = RED_LINE_X[config.a3_branch]
     theta1, theta2 = math.pi / lab.a1, math.pi / lab.a2
     fixed1 = _line_x_intersection(config.green, red_x)
@@ -237,22 +237,24 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     return GeneratorSet(lab, m1, m2, m3, m4, theta1, theta2, fixed1, fixed2)
 
 
-def _word_residuals(gens: GeneratorSet, memo: dict | None) -> list[tuple[float, float, float]]:
+def _word_residuals(gens: GeneratorSet, memo: dict | None) -> tuple[tuple[float, ...], ...]:
     """Each relation word's (relation residual, trace residual, |trace|), read from ``memo``.
 
     The one place a word is built, inverted, powered and traced.  Its base is
     M_later^-1 M_earlier, or M_earlier alone when the later face is red, and
-    each generator is inverted at most once a call.  ``memo`` maps
+    each generator is inverted at most once a call.  ``memo`` maps ``gens`` to
+    the tuple this returns, so a second call is one lookup, and each word's
     ``(M_earlier, M_later or None, exponent)``, with ``None`` when the later
-    face is red, to the three values.  A hit measures nothing; a miss
+    face is red, to its three values.  A hit measures nothing; a miss
     measures the word and stores them.  A key matches only generators with
     equal entries, which give the same base up to the signs of its zeros,
     and such bases have the same values.  ``None`` stands for an empty memo.
     A word that cannot be measured, one whose inverse, base or power has
     determinant 0, reads ``(inf, inf, inf)``.
     """
-    if memo is None:
-        memo = {}
+    memo = {} if memo is None else memo
+    if gens in memo:
+        return memo[gens]
     ms, inverses, measured = (gens.m1, gens.m2, gens.m3, gens.m4), {}, []
     for (earlier, later), exponent in zip(_WORD_GENERATORS, gens.labeling):
         key = ms[earlier], None if later == _RED else ms[later], exponent
@@ -275,6 +277,7 @@ def _word_residuals(gens: GeneratorSet, memo: dict | None) -> list[tuple[float, 
                 values = math.inf, math.inf, math.inf
             memo[key] = values
         measured.append(values)
+    memo[gens] = measured = tuple(measured)
     return measured
 
 
@@ -284,16 +287,15 @@ def verify_relations(
     """Evaluate the nine relation words and their PSL2 distances to identity.
 
     The one record holds each word's distance as its residual, carries each
-    word's tolerance for its order, and ``entry`` as its entry tag.  ``memo``
-    maps a word's generator pair and exponent to what was measured of it;
-    pass one dict to every call of a sweep, and to ``trace_check`` and
-    ``traces`` too, and each distinct word is built, powered and traced once.
-    ``None`` (the default) measures every word.  A residual read from the
-    memo is the one a fresh measurement gives, and a word that cannot be
+    word's tolerance for its order, and ``entry`` as its entry tag.  Pass one
+    ``memo`` (see ``_word_residuals``) to every call of a sweep, and to
+    ``trace_check`` and ``traces`` too, and each distinct word is measured
+    once; ``None`` (the default) measures every word.  A residual read from
+    the memo is the one a fresh measurement gives, and a word that cannot be
     measured (a generator it inverts, or its base or power, is singular)
     reads ``inf``.
     """
-    residuals = tuple(relation for relation, _, _ in _word_residuals(gens, memo))
+    residuals, _, _ = zip(*_word_residuals(gens, memo))
     tols = tuple(map(relation_tolerance, gens.labeling))
     return Report((Check("relation", EDGE_NAMES, residuals, tols, entry),))
 
@@ -318,11 +320,10 @@ def trace_check(gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
 
     The one record holds each word's ``|trace| - 2*cos(pi/n)``, the two
     values ``traces`` gives, in absolute value, and carries ``entry`` as its
-    entry tag.  ``memo`` is the memo of ``verify_relations``: a word it holds
-    is read from it, and a word it lacks is measured, its relation residual
-    too, and stored.  ``None`` (the default) measures every word.  A word
+    entry tag.  ``memo`` is the memo of ``verify_relations``, after which
+    this is one lookup; ``None`` (the default) measures every word.  A word
     that cannot be measured reads ``inf``, as in ``verify_relations``.
     """
-    residuals = tuple(trace for _, trace, _ in _word_residuals(gens, memo))
+    _, residuals, _ = zip(*_word_residuals(gens, memo))
     tol = (TOLERANCES["trace"],) * len(residuals)
     return Report((Check("trace", EDGE_NAMES, residuals, tol, entry),))

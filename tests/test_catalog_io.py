@@ -276,6 +276,98 @@ def test_a_shared_memo_changes_no_row(max12_entries, monkeypatch):
     assert [repr(e.verification) for e in fresh_built] == [repr(e.verification) for e in built]
 
 
+def _rewired_labelings(max12_entries) -> list[Labeling]:
+    """Every labeling of the ``--max-n 12`` dump, and each family at n = 500, 4500 and 5000."""
+    built, _ = max12_entries
+    labelings = [Labeling(*entry.labeling) for entry in built if not entry.family]
+    labelings += [row.instantiate(n) for row in built if row.family for n in (500, 4500, 5000)]
+    assert len(labelings) == 158 + 36
+    return labelings
+
+
+def test_a_fresh_build_gives_the_records_of_a_rebuild(max12_entries):
+    # check_entry(_fresh=True) rebuilds nothing: each generator residual is the
+    # 0.0 that the rebuild's comparison of equal finite entries gives.  Every
+    # record is the same, bit for bit (repr shows every digit and -0.0).
+    for lab in _rewired_labelings(max12_entries):
+        config = geometry.realize(lab)
+        gens = moebius.build_generators(lab, config)
+        fresh = cat.check_entry(config, gens, _fresh=True)
+        assert repr(fresh) == repr(cat.check_entry(config, gens)), lab
+
+
+def test_a_fresh_build_is_built_once(full_entries, monkeypatch):
+    # build_entry and a family sample pass their build to check_entry; a stored
+    # row is rebuilt from its stored faces.
+    calls = []
+    build = moebius.build_generators
+
+    def counted(labeling, config):
+        calls.append(labeling)
+        return build(labeling, config)
+
+    monkeypatch.setattr(cat, "build_generators", counted)
+    stored = next(e for e in full_entries if not e.family)
+    family = next(e for e in full_entries if e.family)
+    assert cat.build_entry(stored.labeling)[1].ok and len(calls) == 1
+    assert cat.verify_catalog([family], samples=[family.free_min, 500]).ok and len(calls) == 3
+    assert cat.verify_catalog([stored]).ok and len(calls) == 4
+
+
+def _loop_angle_residuals(labeling, config) -> tuple[float, ...]:
+    """verify_config's residuals as measure_angle gives them, edge by edge of EDGE_FACES."""
+    residuals = []
+    for (f, g), label in zip(EDGE_FACES, labeling, strict=True):
+        angle = geometry.measure_angle(getattr(config, f), getattr(config, g))
+        residuals.append(math.inf if angle is None else abs(angle - math.pi / label))
+    return tuple(residuals)
+
+
+def test_verify_config_is_the_measure_angle_loop(max12_entries):
+    # Each edge's kernel, picked once from EDGE_FACES, gives what measure_angle
+    # gives the face pair, bit for bit; so does a disjoint pair (inf) and a NaN
+    # offset, which stays NaN.
+    for lab in _rewired_labelings(max12_entries):
+        config = geometry.realize(lab)
+        far = config._replace(top=geometry.PlanarCircle(5.0, 5.0, config.top.r))
+        nan = config._replace(red=geometry.PlanarLine(1.0, 0.0, math.nan))
+        for moved in (config, far, nan):
+            (check,) = geometry.verify_config(lab, moved).checks
+            assert repr(check.residuals) == repr(_loop_angle_residuals(lab, moved)), lab
+    (check,) = geometry.verify_config(lab, far).checks
+    assert check.residuals[8] == math.inf  # the back and top circles are disjoint
+    (check,) = geometry.verify_config(lab, nan).checks
+    assert math.isnan(check.residuals[2]) and math.isfinite(sum(check.residuals[3:]))
+
+
+def test_trace_check_after_verify_relations_powers_nothing(full_entries, monkeypatch):
+    # One memo walks a generator set's words once: verify_relations measures
+    # them and stores the nine values under the set, as a tuple, and
+    # trace_check and traces read them back with no power taken.
+    powers = []
+    power = MoebiusMatrix.pow
+
+    def counted(self, n):
+        powers.append(n)
+        return power(self, n)
+
+    stored = next(e for e in full_entries if not e.family)
+    gens = stored.generators
+    fresh_traces, fresh_check = moebius.traces(gens), moebius.trace_check(gens)
+    monkeypatch.setattr(MoebiusMatrix, "pow", counted)
+    memo: dict = {}
+    moebius.verify_relations(gens, memo=memo)
+    assert powers and isinstance(memo[gens], tuple) and len(memo[gens]) == 9
+    powers.clear()
+    assert moebius.trace_check(gens, memo=memo) == fresh_check
+    assert moebius.traces(gens, memo) == fresh_traces
+    assert powers == []
+    # A memo lives for one sweep: a second sweep measures its words again.
+    assert cat.verify_catalog([stored]).ok
+    first = len(powers)
+    assert cat.verify_catalog([stored]).ok and len(powers) == 2 * first > 0
+
+
 def test_an_unmoved_row_gets_six_zero_drifts(max12_entries):
     # Each face of a stored row lies at distance 0.0 from its fresh realization.
     _, loaded = max12_entries

@@ -17,7 +17,9 @@ import _oracles as oracles
 from prismcat import catalog as cat
 from prismcat import cli, geometry
 from prismcat.cli import main
-from prismcat.labelings import EXPECTED_COUNTS, brief, enumerate_catalog, symmetry_mate
+from prismcat.labelings import (
+    EXPECTED_COUNTS, brief, enumerate_catalog, is_admissible, symmetry_mate
+)
 from prismcat.moebius import MoebiusMatrix
 
 # The FAIL text of the generator record, up to its edges and residual.
@@ -871,6 +873,97 @@ def test_verify_flags_a_row_stored_with_its_mirror_image(tmp_path, capsys, label
     path.write_text(json.dumps(doc))
     expected = f"{tag(labels)}: its mirror image {tag(mate)} is stored too"
     _assert_named_failures(path, capsys, [expected])
+
+
+# The 8 family rows whose free_min comes from the fold rule, each with the
+# least slot value at which its pattern is admissible, below that free_min.
+_FOLDED = [
+    ([2, 3, 2, None, 6, 2, 2, 2, 2], 4),
+    ([2, 3, 2, None, 6, 3, 2, 2, 2], 3),
+    ([2, 3, 2, None, 6, 4, 2, 2, 2], 2),
+    ([2, 3, 2, None, 6, 5, 2, 2, 2], 2),
+    ([2, 4, 2, None, 4, 2, 2, 2, 2], 5),
+    ([2, 4, 2, None, 4, 2, 2, 3, 2], 5),
+    ([2, 4, 2, None, 4, 3, 2, 2, 2], 3),
+    ([2, 4, 2, None, 4, 3, 2, 3, 2], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "pattern,lowest", _FOLDED, ids=["".join(str(v or "n") for v in p) for p, _ in _FOLDED]
+)
+def test_verify_flags_a_standalone_row_inside_a_lowered_family(tmp_path, capsys, pattern, lowest):
+    # Lowered to its admissibility threshold, the family covers stored
+    # standalone rows (or their mirror images), and the counts stop being a
+    # classification.  With those rows removed the file passes: completeness
+    # has no rule.
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    row = next(r for r in doc["entries"] if r["labeling"] == pattern)
+    slot = row["free_slot"]
+
+    def member(n):
+        return tuple(pattern[:slot] + [n] + pattern[slot + 1 :])
+
+    assert is_admissible(member(lowest)) and (lowest == 2 or not is_admissible(member(lowest - 1)))
+    assert row["free_min"] > lowest
+    members = {member(n): n for n in range(lowest, row["free_min"])}
+    expected, inside = [], []
+    for stored in (r["labeling"] for r in doc["entries"] if not r["family"]):
+        for labels in dict.fromkeys((tuple(stored), tuple(symmetry_mate(stored)))):
+            if labels in members:
+                which = "it" if list(labels) == stored else f"its mirror image {tag(labels)}"
+                expected.append(
+                    f"{tag(stored)}: {which} is a member of family {tag(pattern)}"
+                    f" (n = {members[labels]})"
+                )
+                inside.append(stored)
+    assert expected
+    row["free_min"] = lowest
+    path.write_text(json.dumps(doc))
+    _assert_named_failures(path, capsys, expected)
+    doc["entries"] = [r for r in doc["entries"] if r["labeling"] not in inside]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+def test_verify_flags_a_standalone_row_whose_mirror_image_is_in_a_family(tmp_path, capsys):
+    # [2 3 2 4 6 2 2 2 2] stored as its mirror image: with the family lowered to
+    # free_min 4, the mirror image of the stored row is a member.  Outside the
+    # family, at its own free_min 6, the same file passes.
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    labels = [2, 3, 2, 4, 6, 2, 2, 2, 2]
+    mate = list(symmetry_mate(labels))
+    index = next(i for i, r in enumerate(doc["entries"]) if r["labeling"] == labels)
+    doc["entries"][index] = cat.entry_to_json(cat.build_entry(mate)[0])
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    next(r for r in doc["entries"] if r["labeling"] == PATTERN)["free_min"] = 4
+    doc["entries"] = [r for r in doc["entries"] if r["labeling"] != [2, 3, 2, 5, 6, 2, 2, 2, 2]]
+    path.write_text(json.dumps(doc))
+    expected = f"{tag(mate)}: its mirror image {tag(labels)} is a member of family {tag(PATTERN)}"
+    _assert_named_failures(path, capsys, [expected + " (n = 4)"])
+
+
+def test_the_partition_rule_passes_over_a_null_label_of_a_standalone_row(
+    tmp_path, capsys, small_dump
+):
+    # A null label of a row with no free slot is no family's free slot: the
+    # row fails to realize, and the partition rule compares no label with it.
+    for index in range(9):
+        doc = json.loads(json.dumps(small_dump))
+        row = next(r for r in doc["entries"] if r["free_slot"] is None)
+        row["labeling"][index] = None
+        path = tmp_path / "null_label.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        failures = capsys.readouterr().err.splitlines()
+        assert failures[0].startswith(
+            f"FAIL {tag(row['labeling'])}: realization failed: edge labels must be integers"
+        ), failures
 
 
 def test_verify_accepts_a_labeling_that_is_its_own_mirror_image(tmp_path, capsys):

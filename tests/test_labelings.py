@@ -204,6 +204,34 @@ def test_is_admissible_matches_loop_form_on_the_scan():
         _assert_matches_loop_forms(symmetry_mate(lab))
 
 
+def test_the_sign_table_decides_each_condition_as_classify_triangle():
+    # is_admissible decides each of its seven conditions by the sign of
+    # q*r + p*r + p*q - p*q*r against its row of _SIGN_TABLE.  The row agrees
+    # with classify_triangle on every triple of labels 2..7 or 10^4, so the
+    # verdict agrees on every labeling with those labels: each condition
+    # reads only its own triple.
+    values = [*range(2, SCAN_BOUND + 1), 10**4]
+    conditions = [*VERTEX_TRIPLES, (PRISMATIC_CIRCUIT, TriangleClass.HYPERBOLIC)]
+    assert [(edges, required) for *_, edges, required in labelings._SIGN_TABLE] == conditions
+    for i, j, k, sign, edges, required in labelings._SIGN_TABLE:
+        assert (i, j, k) == edges
+        for p, q, r in product(values, repeat=3):
+            excess = q * r + p * r + p * q - p * q * r
+            got = classify_triangle(p, q, r)
+            assert ((excess > 0) - (excess < 0) == sign) == (got is required), (edges, p, q, r)
+
+
+def test_is_admissible_matches_loop_form_at_ten_thousand():
+    # Each family member at n = 10^4, and each labeling one label away from
+    # it, keeps its verdict, reason and triple.
+    for row in enumerate_catalog():
+        if row.family:
+            member = row.instantiate(10**4)
+            _assert_matches_loop_forms(member)
+            for slot, value in product(range(9), range(2, SCAN_BOUND + 1)):
+                _assert_matches_loop_forms(member[:slot] + (value,) + member[slot + 1 :])
+
+
 @given(st.lists(st.integers(1, 40), min_size=9, max_size=9))
 @example([2, 6, 2, 7, 3, 2, 2, 3, 2])  # admissible
 @example([2, 3, 2, 7, 5, 2, 2, 3, 2])  # ideal triple not Euclidean
