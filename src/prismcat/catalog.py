@@ -60,34 +60,24 @@ def label_tag(labeling: Sequence[Optional[int]]) -> str:
 
 
 def check_entry(
-    config: PlanarConfig, gens: GeneratorSet, *, entry: str = "", memo: dict | None = None,
-    _fresh: bool = False,
+    config: PlanarConfig, gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
 ) -> Report:
     """Every check of one realized labeling, ``gens.labeling``, as one record a stage.
 
-    The nine edge angles of the configuration; each generator against
-    ``build_generators`` of the configuration, in ``GeneratorSet`` order (M1..M4
-    by ``MoebiusMatrix.distance``, the half-angles and centers by their absolute
-    difference); the four determinants; and the nine relation words and trace
-    identities: five records, whatever the generators.  A word that cannot be
-    measured (a singular generator) has infinite residuals.  Every record
-    carries ``entry`` as its entry tag.  ``memo`` goes to both
-    ``verify_relations`` and ``trace_check``, so the words are walked once for
-    the two; ``None`` gives them one new dict.  ``_fresh`` (``gens`` was just
-    built from ``config``) skips the rebuild: each generator residual is 0.0.
+    The nine edge angles of the configuration, the four determinants, and the
+    nine relation words and trace identities: four records, whatever the
+    generators.  A word that cannot be measured (a singular generator) has
+    infinite residuals.  Every record carries ``entry`` as its entry tag.
+    ``memo`` goes to both ``verify_relations`` and ``trace_check``, so the words
+    are walked once for the two; ``None`` gives them one new dict.  Whether
+    stored generators are the ones their stored faces give is
+    ``verify_catalog``'s ``generator`` record.
     """
     names, matrices = zip(*gens.named())
-    parameters = GeneratorSet._fields[5:]  # theta1, theta2, fixed1, fixed2
-    rebuilt = (0.0,) * 8
-    if not _fresh:
-        built = build_generators(gens.labeling, config)
-        rebuilt = tuple(matrix.distance(other) for matrix, other in zip(matrices, built[1:5]))
-        rebuilt += tuple(abs(stored - other) for stored, other in zip(gens[5:], built[5:]))
     drifts = tuple(abs(matrix.det - 1.0) for matrix in matrices)
     memo = {} if memo is None else memo
     return Report((
         *verify_config(gens.labeling, config, entry=entry).checks,
-        Check("generator", names + parameters, rebuilt, (TOLERANCES["construction"],) * 8, entry),
         Check("determinant", names, drifts, (TOLERANCES["determinant"],) * 4, entry),
         *verify_relations(gens, entry=entry, memo=memo).checks,
         *trace_check(gens, entry=entry, memo=memo).checks,
@@ -115,7 +105,7 @@ def build_entry(
     lab = Labeling(*labeling)
     config = realize(lab)
     gens = build_generators(lab, config)
-    report = check_entry(config, gens, entry=label_tag(lab), memo=memo, _fresh=True)
+    report = check_entry(config, gens, entry=label_tag(lab), memo=memo)
     entry = CatalogEntry(
         labeling=tuple(lab),
         cusp=CuspType.of(lab),
@@ -582,7 +572,7 @@ def _check_target(
             f"{tag}: stored cusp {entry.cusp.code} is not the labeling's cusp {cusp.code}"
         )
     if entry.family:
-        config, gens = fresh, build_generators(lab, fresh)
+        config, gens, rebuilt = fresh, build_generators(lab, fresh), ()
     else:
         missing = [name for name in _PAYLOAD if getattr(entry, name) is None]
         if missing:
@@ -591,8 +581,14 @@ def _check_target(
         drifts = (*map(math.dist, config[:5], fresh[:5]), abs(config.a3_branch - fresh.a3_branch))
         tol = (TOLERANCES["angle"],) * len(drifts)
         checks.append(Check("drift", PlanarConfig._fields, drifts, tol, tag))
-    report = check_entry(config, gens, entry=tag, memo=memo, _fresh=entry.family)
-    checks += report.checks
+        built = build_generators(gens.labeling, config)
+        residuals = tuple(matrix.distance(other) for matrix, other in zip(gens[1:5], built[1:5]))
+        residuals += tuple(abs(stored - other) for stored, other in zip(gens[5:], built[5:]))
+        edges = (*(name for name, _ in gens.named()), *GeneratorSet._fields[5:])
+        rebuilt = (Check("generator", edges, residuals, (TOLERANCES["construction"],) * 8, tag),)
+    report = check_entry(config, gens, entry=tag, memo=memo)
+    angle, *rest = report.checks
+    checks += [angle, *rebuilt, *rest]
     if not entry.family:
         disagree = []
         for field, check in stored_checks(report).items():
@@ -643,8 +639,11 @@ def verify_catalog(
     and residuals.  They go through ``check_entry`` with the stored
     configuration and generators, each stored face must lie within the
     ``drift`` bound of a fresh realization's, by its Euclidean distance, and
-    so must ``a3_branch``; and each stored residual must equal the
-    recomputed one to within that edge's tolerance.  Family
+    so must ``a3_branch``; the stored generators must be, to the
+    ``construction`` tolerance, what ``build_generators`` makes of the stored
+    faces (the ``generator`` record); and each stored residual must equal the
+    recomputed one to within that edge's tolerance.  A stored row's records
+    are drift, angle, generator, determinant, relation and trace.  Family
     pattern rows are spot-checked with ``check_entry`` on fresh realizations
     at the sampled free-slot values (default: free_min, +1, +10, and 500).
     Each checked labeling must also have the entry's cusp type.  No

@@ -71,11 +71,8 @@ def _print_config(entry: cat.CatalogEntry, out) -> None:
         print(f"{name + ':':<7}circle center {center} radius {_sig(circle.r)}", file=out)
 
 
-def _print_generators(gens: GeneratorSet, report: Report, memo: dict, out) -> None:
-    """Print the generators, and each relation word against the relation and trace records.
-
-    The |tr| of each word is read from ``memo``, the memo the report's checks filled.
-    """
+def _print_generators(gens: GeneratorSet, report: Report, out) -> None:
+    """Print the generators, and each relation word against the relation and trace records."""
     for name, matrix in gens.named():
         print(_matrix_lines(name, matrix), file=out)
     checks = {check.stage: check for check in report.checks}
@@ -86,7 +83,7 @@ def _print_generators(gens: GeneratorSet, report: Report, memo: dict, out) -> No
         status = "ok" if residual <= tol else "FAIL"
         print(f"  {edge}: ({word})^{exponent}  residual {residual:.3e}  {status}", file=out)
     print("traces:", file=out)
-    rows = zip(traced.edges, WORD_NAMES, traces(gens, memo), traced.residuals, traced.tol)
+    rows = zip(traced.edges, WORD_NAMES, traces(gens), traced.residuals, traced.tol)
     for edge, word, (measured, expected), residual, tol in rows:
         status = "ok" if residual <= tol else "FAIL"
         print(
@@ -105,9 +102,9 @@ def _print_failures(failures: Iterable[str]) -> int:
     return code
 
 
-def _build(args: argparse.Namespace, memo: dict | None = None) -> tuple[cat.CatalogEntry, Report]:
-    """Build the entry of ``args.labels`` with ``memo``; write it to ``args.json`` if given."""
-    entry, report = cat.build_entry(Labeling(*args.labels), memo=memo)
+def _build(args: argparse.Namespace) -> tuple[cat.CatalogEntry, Report]:
+    """Build the entry of ``args.labels``; write it to ``args.json`` if given."""
+    entry, report = cat.build_entry(Labeling(*args.labels))
     if args.json:
         cat.dump_catalog([entry], args.json)
     return entry, report
@@ -155,9 +152,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 
 def cmd_matrices(args: argparse.Namespace) -> int:
-    memo: dict = {}
-    entry, report = _build(args, memo)
-    _print_generators(entry.generators, report, memo, sys.stdout)
+    entry, report = _build(args)
+    _print_generators(entry.generators, report, sys.stdout)
     return _print_failures(report.failures())
 
 

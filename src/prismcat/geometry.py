@@ -390,8 +390,9 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
     # construction tolerance) is a degenerate second cusp.
     tol = TOLERANCES["construction"]
     if residual > tol or red.signed_distance(x0, y0) - r <= tol:
+        labels = ", ".join(map(brief, lab))
         raise RealizationError(
-            f"no valid top circle for {tuple(lab)}: the labeling is degenerate "
+            f"no valid top circle for ({labels}): the labeling is degenerate "
             "or not realizable with one cusp"
         )
     return PlanarConfig(red, green, blue, UNIT_CIRCLE, PlanarCircle(x0, y0, r), lab.a3)

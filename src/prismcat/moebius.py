@@ -17,7 +17,7 @@ well-formed elliptic element of order n must satisfy.
 
 Each M_i is R_red o R_F, the reflection in the red face after the one in its
 face F (back, green, blue, top).  ``build_generators`` writes these products in
-closed form, and ``catalog.check_entry`` holds stored generators to what it
+closed form, and ``catalog.verify_catalog`` holds stored generators to what it
 makes of the stored faces.  Once they agree, every relation word is the product
 of its edge's two reflections, a rotation by twice their angle, so the angle
 rows decide the relations.
@@ -198,9 +198,9 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     and the labels a1 and a2.  Precondition: ``config`` realizes
     ``labeling``, as ``realize`` returns it or a catalog stores it.  Nothing
     here measures it again: ``catalog.check_entry`` measures the edge angles
-    and the determinants, and holds stored generators to what this function
-    makes of the stored faces, so that is where a configuration that does
-    not realize its labeling fails.
+    and the determinants, so that is where a configuration that does not
+    realize its labeling fails, and ``catalog.verify_catalog`` holds stored
+    generators to what this function makes of the stored faces.
 
     M1 = [[2h,-1],[1,0]], h = ``RED_LINE_X`` of the a3 branch, is w -> 2h - 1/w:
     inversion in the unit circle, then reflection in the red line x = h.  It
@@ -289,7 +289,7 @@ def verify_relations(
     The one record holds each word's distance as its residual, carries each
     word's tolerance for its order, and ``entry`` as its entry tag.  Pass one
     ``memo`` (see ``_word_residuals``) to every call of a sweep, and to
-    ``trace_check`` and ``traces`` too, and each distinct word is measured
+    ``trace_check`` too, and each distinct word is measured
     once; ``None`` (the default) measures every word.  A residual read from
     the memo is the one a fresh measurement gives, and a word that cannot be
     measured (a generator it inverts, or its base or power, is singular)
@@ -300,18 +300,18 @@ def verify_relations(
     return Report((Check("relation", EDGE_NAMES, residuals, tols, entry),))
 
 
-def traces(gens: GeneratorSet, memo: dict | None = None) -> list[tuple[float, float]]:
+def traces(gens: GeneratorSet) -> list[tuple[float, float]]:
     """Each relation word's |trace| and the 2*cos(pi/n) that its order n gives it.
 
     An element of order n conjugate to a rotation by 2*pi/n has
     |trace| = 2*cos(pi/n) after determinant normalization, which confirms
     the relation exponents without computing any powers.  The |trace| is
-    the one ``trace_check`` measures, read from ``memo`` as there, and is
-    ``inf`` for a word that cannot be measured.
+    the one ``trace_check`` measures, and is ``inf`` for a word that cannot
+    be measured.
     """
     return [
         (trace, 2.0 * math.cos(math.pi / exponent))
-        for (_, _, trace), exponent in zip(_word_residuals(gens, memo), gens.labeling)
+        for (_, _, trace), exponent in zip(_word_residuals(gens, None), gens.labeling)
     ]
 
 

@@ -1,6 +1,7 @@
 """Tests for catalog construction, JSON round-tripping and re-verification."""
 
 import io
+import itertools
 import json
 import math
 import sys
@@ -53,23 +54,27 @@ def test_build_catalog_shape(full_entries):
 
 def test_check_entry_rows_and_stored_residuals(full_entries):
     entry = next(e for e in full_entries if not e.family)
-    report = cat.check_entry(entry.config, entry.generators)
+    report = cat.verify_catalog([entry])
     assert report.ok and report.entries_checked == 1
     # One record a stage, and one row an edge.
-    stages = ["angle", "generator", "determinant", "relation", "trace"]
+    stages = ["drift", "angle", "generator", "determinant", "relation", "trace"]
     assert [check.stage for check in report.checks] == stages
-    counts = {"angle": 9, "generator": 8, "determinant": 4, "relation": 9, "trace": 9}
+    counts = {"drift": 6, "angle": 9, "generator": 8, "determinant": 4, "relation": 9, "trace": 9}
     assert [row.stage for row in oracles.rows(report)] == [
         stage for stage in stages for _ in range(counts[stage])
     ]
     # The generators are rebuilt by the same float operations, in GeneratorSet order.
-    generator = report.checks[1]
+    generator = report.checks[2]
     assert generator.edges == ("M1", "M2", "M3", "M4", "theta1", "theta2", "fixed1", "fixed2")
     assert report.max_residual("generator") == 0.0
-    checks = cat.stored_checks(report)
+    # check_entry gives the other four records, and the stored residuals.
+    tag = cat.label_tag(entry.labeling)
+    own = cat.check_entry(entry.config, entry.generators, entry=tag)
+    assert own.checks == tuple(c for c in report.checks if c.stage not in ("drift", "generator"))
+    checks = cat.stored_checks(own)
     assert list(checks) == list(_STORED)
     for field, stage in _STORED.items():
-        residuals = tuple(r.residual for r in oracles.rows(report) if r.stage == stage)
+        residuals = tuple(r.residual for r in oracles.rows(own) if r.stage == stage)
         assert entry.verification[field] == residuals == checks[field].residuals
 
 
@@ -100,6 +105,14 @@ def test_label_tag_shows_a_label_of_more_than_40_digits_briefly():
     assert cat.label_tag([10**40 + 1]) != cat.label_tag([10**40])
 
 
+def _disagreement(tag: str, failed) -> tuple[str, ...]:
+    """The error of a stored row whose relation and trace residuals on ``failed`` were recomputed."""
+    if not failed:
+        return ()
+    fields = ", ".join(f"{field} {edge}" for field in ("relations", "traces") for edge in failed)
+    return (f"{tag}: stored residuals disagree with recomputation on {fields}",)
+
+
 def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     entry = next(e for e in full_entries if not e.family)
     tag = cat.label_tag(entry.labeling)
@@ -109,9 +122,10 @@ def test_entry_rows_and_errors_carry_the_entry_tag(full_entries):
     # determinant and the words that contain it, on records that carry the tag.
     zero = MoebiusMatrix(0j, 0j, 0j, 0j)
     gens = entry.generators._replace(m3=zero)
-    report = cat.check_entry(entry.config, gens, entry=tag)
-    assert {check.entry for check in report.checks} == {tag} and report.errors == ()
-    assert report.failures() == [
+    report = cat.verify_catalog([entry._replace(generators=gens)])
+    assert {check.entry for check in report.checks} == {tag}
+    assert report.errors == _disagreement(tag, ("a2", "a5", "a6", "a8"))
+    assert Report(report.checks).failures() == [
         f"{tag}: stored generators disagree with a rebuild from the stored faces on M3"
         " by 2.000e+00",
         f"{tag}: M3 determinant drifts by 1.000e+00",
@@ -140,12 +154,16 @@ def test_a_word_that_cannot_be_measured_reads_inf(full_entries, change, failed):
     # stage keeps its record and every other word its residual.
     entry = next(e for e in full_entries if not e.family)
     gens = change(entry.generators)
-    report = cat.check_entry(entry.config, gens)
+    report = cat.verify_catalog([entry._replace(generators=gens)])
     assert [check.stage for check in report.checks] == [
-        "angle", "generator", "determinant", "relation", "trace"
+        "drift", "angle", "generator", "determinant", "relation", "trace"
     ]
-    assert report.errors == ()
-    relation, trace = report.checks[3:]
+    tag = cat.label_tag(entry.labeling)
+    assert report.errors == _disagreement(tag, failed)
+    # check_entry gives the same four records but drift and generator.
+    own = cat.check_entry(entry.config, gens, entry=tag)
+    assert own.checks == tuple(c for c in report.checks if c.stage not in ("drift", "generator"))
+    relation, trace = (check._replace(entry="") for check in report.checks[4:])
     assert moebius.verify_relations(gens) == Report((relation,))
     assert moebius.trace_check(gens) == Report((trace,))
     untouched = entry.verification
@@ -285,15 +303,13 @@ def _rewired_labelings(max12_entries) -> list[Labeling]:
     return labelings
 
 
-def test_a_fresh_build_gives_the_records_of_a_rebuild(max12_entries):
-    # check_entry(_fresh=True) rebuilds nothing: each generator residual is the
-    # 0.0 that the rebuild's comparison of equal finite entries gives.  Every
-    # record is the same, bit for bit (repr shows every digit and -0.0).
+def test_build_entry_reports_check_entry_of_its_build(max12_entries):
+    # build_entry's report is check_entry's on the configuration and generators
+    # it built, bit for bit (repr shows every digit and -0.0).
     for lab in _rewired_labelings(max12_entries):
-        config = geometry.realize(lab)
-        gens = moebius.build_generators(lab, config)
-        fresh = cat.check_entry(config, gens, _fresh=True)
-        assert repr(fresh) == repr(cat.check_entry(config, gens)), lab
+        entry, report = cat.build_entry(lab)
+        own = cat.check_entry(entry.config, entry.generators, entry=cat.label_tag(lab))
+        assert repr(report) == repr(own), lab
 
 
 def test_a_fresh_build_is_built_once(full_entries, monkeypatch):
@@ -343,7 +359,7 @@ def test_verify_config_is_the_measure_angle_loop(max12_entries):
 def test_trace_check_after_verify_relations_powers_nothing(full_entries, monkeypatch):
     # One memo walks a generator set's words once: verify_relations measures
     # them and stores the nine values under the set, as a tuple, and
-    # trace_check and traces read them back with no power taken.
+    # trace_check reads them back with no power taken.
     powers = []
     power = MoebiusMatrix.pow
 
@@ -353,14 +369,13 @@ def test_trace_check_after_verify_relations_powers_nothing(full_entries, monkeyp
 
     stored = next(e for e in full_entries if not e.family)
     gens = stored.generators
-    fresh_traces, fresh_check = moebius.traces(gens), moebius.trace_check(gens)
+    fresh_check = moebius.trace_check(gens)
     monkeypatch.setattr(MoebiusMatrix, "pow", counted)
     memo: dict = {}
     moebius.verify_relations(gens, memo=memo)
     assert powers and isinstance(memo[gens], tuple) and len(memo[gens]) == 9
     powers.clear()
     assert moebius.trace_check(gens, memo=memo) == fresh_check
-    assert moebius.traces(gens, memo) == fresh_traces
     assert powers == []
     # A memo lives for one sweep: a second sweep measures its words again.
     assert cat.verify_catalog([stored]).ok
@@ -379,24 +394,45 @@ def test_an_unmoved_row_gets_six_zero_drifts(max12_entries):
 
 
 def test_a_stored_row_rebuilds_exactly_and_up_to_sign(max12_entries):
-    # check_entry rebuilds a stored row's generators from its stored faces by
-    # the float operations that built them, so all eight edges of the
+    # verify_catalog rebuilds a stored row's generators from its stored faces
+    # by the float operations that built them, so all eight edges of the
     # generator record read 0.0.  They still do with any one stored matrix
     # negated, the same element of PSL2.
     _, loaded = max12_entries
     rows = [entry for entry in loaded if not entry.family]
     assert len(rows) == 158
-    memo: dict = {}
-    for entry in rows:
-        gens = entry.generators
-        negated = [
-            gens._replace(**{name: MoebiusMatrix(*(-z for z in getattr(gens, name)))})
-            for name in ("m1", "m2", "m3", "m4")
+    for name in (None, "m1", "m2", "m3", "m4"):
+        variants = [
+            entry._replace(generators=entry.generators._replace(
+                **{name: MoebiusMatrix(*(-z for z in getattr(entry.generators, name)))}
+            )) if name and not entry.family else entry
+            for entry in loaded
         ]
-        for variant in (gens, *negated):
-            generator = cat.check_entry(entry.config, variant, memo=memo).checks[1]
-            assert generator.stage == "generator" and len(generator.edges) == 8
+        report = cat.verify_catalog(variants)
+        assert report.ok, name
+        generators = [check for check in report.checks if check.stage == "generator"]
+        assert len(generators) == 158
+        for entry, generator in zip(rows, generators, strict=True):
+            assert len(generator.edges) == 8
             assert generator.residuals == (0.0,) * 8, entry.labeling
+
+
+def test_verify_gives_each_stored_row_six_records_and_each_sample_four(max12_entries):
+    # A stored row's records hold it to a fresh realization (drift) and its
+    # generators to its stored faces (generator); a family sample, built
+    # afresh, has check_entry's four.
+    _, loaded = max12_entries
+    report = cat.verify_catalog(loaded)
+    assert report.ok and report.entries_checked == 206
+    targets = [
+        (tag, [check.stage for check in checks])
+        for tag, checks in itertools.groupby(report.checks, key=lambda check: check.entry)
+    ]
+    assert len(targets) == 206
+    stored = ["drift", "angle", "generator", "determinant", "relation", "trace"]
+    sample = ["angle", "determinant", "relation", "trace"]
+    assert sum(" at n=" not in tag and stages == stored for tag, stages in targets) == 158
+    assert sum(" at n=" in tag and stages == sample for tag, stages in targets) == 48
 
 
 def test_each_sweep_measures_each_distinct_word_once(max12_entries, monkeypatch):

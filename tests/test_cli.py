@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -220,26 +221,6 @@ def test_matrices_json(tmp_path, capsys):
     doc = json.loads(path.read_text())
     gens = doc["entries"][0]["generators"]
     assert gens["m1"][0][1] == {"re": -1.0, "im": 0.0}
-
-
-def test_matrices_measures_each_word_once(monkeypatch, capsys):
-    # The checks of build_entry and the trace lines read one memo, so M2, M3
-    # and M4 are each inverted once and each word is powered once.  The
-    # stdout is the one pinned in test_stdout_keeps_its_bytes_across_commits.
-    calls = dict.fromkeys(("inv", "pow"), 0)
-    for name in calls:
-        method = getattr(MoebiusMatrix, name)
-
-        def counted(self, *args, _name=name, _method=method):
-            calls[_name] += 1
-            return _method(self, *args)
-
-        monkeypatch.setattr(MoebiusMatrix, name, counted)
-    assert main(["matrices", *"2 4 3 5 4 2 2 2 2".split()]) == 0
-    out = capsys.readouterr().out
-    assert calls == {"inv": 3, "pow": 9}
-    digest = "75bf0f6719b5bbaf3e7a29a9e47d2bc4447815f4eaaa6b2c0cf134b43301251c"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +782,12 @@ INSTANCE = [2, 3, 2, 7, 6, 2, 2, 2, 2]
 PATTERN = [2, 3, 2, None, 6, 2, 2, 2, 2]
 tag = cat.label_tag
 _HUGE = 10**3999
+# A label of 301 digits, which still converts to a float.
+_FLOAT_HUGE = 10**300
+# A run of more digits than brief shows in full.
+_LONG_RUN = re.compile(r"\d{41}")
 _INADMISSIBLE = "labeling is not admissible: "
+_DEGENERATE = ": the labeling is degenerate or not realizable with one cusp"
 
 
 def _set_free_min(doc):
@@ -1436,8 +1422,15 @@ def test_verify_reports_a_free_slot_too_large_for_a_float(tmp_path, capsys):
         ("labeling", 0, -_HUGE),
         ("free_min", None, _HUGE),
         ("--sample", None, _HUGE),
+        # A float holds these, so realize's gate rejects them: it names the
+        # labeling in its message.
+        ("labeling", 3, _FLOAT_HUGE),
+        ("--sample", None, _FLOAT_HUGE),
     ],
-    ids=[*(f"a{slot + 1}" for slot in range(9)), "a1-negative", "free-min", "sample"],
+    ids=[
+        *(f"a{slot + 1}" for slot in range(9)), "a1-negative", "free-min", "sample",
+        "a4-float", "sample-float",
+    ],
 )
 def test_verify_shows_a_huge_integer_briefly(tmp_path, capsys, field, slot, value):
     path = make_catalog(tmp_path, capsys)
@@ -1450,8 +1443,19 @@ def test_verify_shows_a_huge_integer_briefly(tmp_path, capsys, field, slot, valu
     sample = ["--sample", str(value)] if field == "--sample" else []
     assert main(["verify", str(path), *sample]) == 1
     lines = capsys.readouterr().err.splitlines()
-    # realize's prefix of an inadmissible labeling is the one text beyond the bound.
-    assert lines and max(len(line.replace(_INADMISSIBLE, "")) for line in lines) <= 200
+    # realize's prefix of an inadmissible labeling, and its text after the
+    # labels of one that fails its gate, are the texts beyond the bound.
+    texts = [line.replace(_INADMISSIBLE, "").replace(_DEGENERATE, "") for line in lines]
+    assert lines and max(map(len, texts)) <= 200
+    assert not any(_LONG_RUN.search(line) for line in lines)
+
+
+def test_realize_shows_a_huge_label_briefly(capsys):
+    labels = ["2", "3", "2", str(_FLOAT_HUGE), "6", "2", "2", "2", "2"]
+    assert main(["realize", *labels]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: no valid top circle for (2, 3, 2, {brief(_FLOAT_HUGE)}, 6,")
+    assert not _LONG_RUN.search(err)
 
 
 def test_realize_rejects_a_label_too_large_for_a_float(capsys):
