@@ -558,13 +558,12 @@ def load_catalog(fp: Union[str, IO[str]]) -> Catalog:
 
 def _check_target(
     entry: CatalogEntry, lab: Labeling, tag: str, memo: dict
-) -> tuple[list[Check], list[str]]:
+) -> tuple[tuple[Check, ...], list[str]]:
     """The records and the errors of one labeling ``verify_catalog`` checks for ``entry``."""
     try:
         fresh = realize(lab)
     except (ValueError, geometry.RealizationError) as exc:
-        return [], [f"{tag}: realization failed: {exc}"]
-    checks: list[Check] = []
+        return (), [f"{tag}: realization failed: {exc}"]
     errors = []
     cusp = CuspType.of(lab)
     if cusp is not entry.cusp:
@@ -572,44 +571,42 @@ def _check_target(
             f"{tag}: stored cusp {entry.cusp.code} is not the labeling's cusp {cusp.code}"
         )
     if entry.family:
-        config, gens, rebuilt = fresh, build_generators(lab, fresh), ()
-    else:
-        missing = [name for name in _PAYLOAD if getattr(entry, name) is None]
-        if missing:
-            return checks, [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
-        config, gens = entry.config, entry.generators
-        drifts = (*map(math.dist, config[:5], fresh[:5]), abs(config.a3_branch - fresh.a3_branch))
-        tol = (TOLERANCES["angle"],) * len(drifts)
-        checks.append(Check("drift", PlanarConfig._fields, drifts, tol, tag))
-        built = build_generators(gens.labeling, config)
-        residuals = tuple(matrix.distance(other) for matrix, other in zip(gens[1:5], built[1:5]))
-        residuals += tuple(abs(stored - other) for stored, other in zip(gens[5:], built[5:]))
-        edges = (*(name for name, _ in gens.named()), *GeneratorSet._fields[5:])
-        rebuilt = (Check("generator", edges, residuals, (TOLERANCES["construction"],) * 8, tag),)
+        report = check_entry(fresh, build_generators(lab, fresh), entry=tag, memo=memo)
+        return report.checks, errors
+    missing = [name for name in _PAYLOAD if getattr(entry, name) is None]
+    if missing:
+        return (), [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
+    config, gens = entry.config, entry.generators
+    drifts = (*map(math.dist, config[:5], fresh[:5]), abs(config.a3_branch - fresh.a3_branch))
+    tol = (TOLERANCES["angle"],) * len(drifts)
+    drift = Check("drift", PlanarConfig._fields, drifts, tol, tag)
+    built = build_generators(gens.labeling, config)
+    residuals = tuple(matrix.distance(other) for matrix, other in zip(gens[1:5], built[1:5]))
+    residuals += tuple(abs(stored - other) for stored, other in zip(gens[5:], built[5:]))
+    edges = (*(name for name, _ in gens.named()), *GeneratorSet._fields[5:])
+    generator = Check("generator", edges, residuals, (TOLERANCES["construction"],) * 8, tag)
     report = check_entry(config, gens, entry=tag, memo=memo)
     angle, *rest = report.checks
-    checks += [angle, *rebuilt, *rest]
-    if not entry.family:
-        disagree = []
-        for field, check in stored_checks(report).items():
-            stored = entry.verification.get(field, ())
-            if len(stored) != 9:
-                errors.append(f"{tag}: entry stores {len(stored)} {field} residuals, expected 9")
-                continue
-            # Equal finite residuals agree on every edge; an infinite one
-            # is compared below, where inf - inf is NaN and disagrees.
-            if stored == check.residuals and math.isfinite(sum(stored)):
-                continue
-            compared = zip(stored, check.edges, check.residuals, check.tol)
-            disagree += (
-                f"{field} {edge}" for value, edge, residual, tol in compared
-                if not abs(value - residual) <= tol
-            )
-        if disagree:
-            errors.append(
-                f"{tag}: stored residuals disagree with recomputation on {', '.join(disagree)}"
-            )
-    return checks, errors
+    disagree = []
+    for field, check in stored_checks(report).items():
+        stored = entry.verification.get(field, ())
+        if len(stored) != 9:
+            errors.append(f"{tag}: entry stores {len(stored)} {field} residuals, expected 9")
+            continue
+        # Equal finite residuals agree on every edge; an infinite one
+        # is compared below, where inf - inf is NaN and disagrees.
+        if stored == check.residuals and math.isfinite(sum(stored)):
+            continue
+        compared = zip(stored, check.edges, check.residuals, check.tol)
+        disagree += (
+            f"{field} {edge}" for value, edge, residual, tol in compared
+            if not abs(value - residual) <= tol
+        )
+    if disagree:
+        errors.append(
+            f"{tag}: stored residuals disagree with recomputation on {', '.join(disagree)}"
+        )
+    return (drift, angle, generator, *rest), errors
 
 
 def _provenance_errors(provenance: dict) -> list[str]:

@@ -168,46 +168,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
-def _enumerate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-n", type=int, default=None, metavar="N",
-                        help="expand each family into instances up to N")
-    parser.add_argument("--cusp", choices=[c.code for c in CuspType], default=None,
-                        help="restrict to one cusp type")
-    parser.add_argument("-o", "--output", default=None, metavar="FILE",
-                        help="write JSON here instead of stdout")
-
-
-def _realize_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("labels", type=int, nargs=9, metavar="a")
-    parser.add_argument("--svg", default=None, metavar="FILE",
-                        help="write an SVG rendering of the configuration")
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="write the full catalog entry as JSON")
-
-
-def _matrices_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("labels", type=int, nargs=9, metavar="a")
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="write the full catalog entry as JSON")
-
-
-def _verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("catalog", metavar="FILE")
-    parser.add_argument("--sample", type=int, nargs="+", default=None, metavar="N",
-                        help="free-slot values for spot-checking families"
-                             " (values below a family's bound are skipped)")
-
-
-# Each subcommand, in the order of the usage line: its help, the function it
-# runs and the function that adds its arguments.
-_COMMANDS = {
-    "enumerate": ("write the catalog as JSON", cmd_enumerate, _enumerate_arguments),
-    "realize": ("solve one labeling", cmd_realize, _realize_arguments),
-    "matrices": ("print generators and relations", cmd_matrices, _matrices_arguments),
-    "verify": ("re-verify a catalog file", cmd_verify, _verify_arguments),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The parser of ``prismcat`` and its subcommands."""
     parser = argparse.ArgumentParser(
@@ -218,23 +178,44 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, add_arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        add_arguments(command)
-        command.set_defaults(func=func)
+
+    p_enum = sub.add_parser("enumerate", help="write the catalog as JSON")
+    p_enum.add_argument("--max-n", type=int, default=None, metavar="N",
+                        help="expand each family into instances up to N")
+    p_enum.add_argument("--cusp", choices=[c.code for c in CuspType], default=None,
+                        help="restrict to one cusp type")
+    p_enum.add_argument("-o", "--output", default=None, metavar="FILE",
+                        help="write JSON here instead of stdout")
+    p_enum.set_defaults(func=cmd_enumerate)
+
+    p_real = sub.add_parser("realize", help="solve one labeling")
+    p_real.add_argument("labels", type=int, nargs=9, metavar="a")
+    p_real.add_argument("--svg", default=None, metavar="FILE",
+                        help="write an SVG rendering of the configuration")
+    p_real.add_argument("--json", default=None, metavar="FILE",
+                        help="write the full catalog entry as JSON")
+    p_real.set_defaults(func=cmd_realize)
+
+    p_mat = sub.add_parser("matrices", help="print generators and relations")
+    p_mat.add_argument("labels", type=int, nargs=9, metavar="a")
+    p_mat.add_argument("--json", default=None, metavar="FILE",
+                       help="write the full catalog entry as JSON")
+    p_mat.set_defaults(func=cmd_matrices)
+
+    p_ver = sub.add_parser("verify", help="re-verify a catalog file")
+    p_ver.add_argument("catalog", metavar="FILE")
+    p_ver.add_argument("--sample", type=int, nargs="+", default=None, metavar="N",
+                       help="free-slot values for spot-checking families"
+                            " (values below a family's bound are skipped)")
+    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
 _parser = functools.cache(build_parser)
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse ``argv`` with the one parser of this process, built on first use."""
-    return _parser().parse_args(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, OverflowError, RealizationError, OSError) as exc:

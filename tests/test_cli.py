@@ -1628,14 +1628,14 @@ def test_main_parses_as_the_parser_of_every_command(argv, place_argv, monkeypatc
     monkeypatch.setenv("COLUMNS", "80")
     argv = place_argv(argv)
     got = _outcome(argv, capsys)
-    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert got == _outcome(argv, capsys)
 
 
 @pytest.mark.parametrize("argv", VALID_ARGVS, ids=_argv_id)
 def test_main_gives_the_arguments_of_the_parser_of_every_command(argv, place_argv):
     argv = place_argv(argv)
-    assert vars(cli._parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 def _count_parsers(monkeypatch):
@@ -1664,13 +1664,13 @@ def _count_parsers(monkeypatch):
         (["bogus"], ("SystemExit", 2), 5),
     ],
 )
-def test_main_builds_only_the_parser_of_the_named_command(
+def test_main_builds_the_full_parser_once_then_none(
     argv, code, calls, place_argv, monkeypatch, capsys
 ):
     monkeypatch.setenv("COLUMNS", "80")
     argv = place_argv(argv)
     with monkeypatch.context() as fresh:
-        fresh.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        fresh.setattr(cli, "_parser", cli.build_parser)
         expected = _outcome(argv, capsys)
     assert expected[0] == code
 
@@ -1700,7 +1700,7 @@ def test_main_reuses_one_parser_across_calls(place_argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     argvs = [place_argv(argv) for argv in SEQUENCE_ARGVS]
     with monkeypatch.context() as fresh:
-        fresh.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        fresh.setattr(cli, "_parser", cli.build_parser)
         expected = [_outcome(argv, capsys) for argv in argvs]
 
     parsers = _count_parsers(monkeypatch)
@@ -1711,6 +1711,27 @@ def test_main_reuses_one_parser_across_calls(place_argv, monkeypatch, capsys):
     assert [first, *rest] == expected * 2
     # The first call builds the parser and its subcommands; no later call builds any.
     assert built > 0 and len(parsers) == built
+
+
+# The usage line of each command, as a usage error prints it.  The tests
+# above compare main with build_parser, so only a literal catches a renamed
+# or reordered argument.  The full -h text differs between Pythons; these
+# lines do not.
+USAGE_LINES = {
+    "enumerate --max-n":
+        "usage: prismcat enumerate [-h] [--max-n N] [--cusp {236,244,333}] [-o FILE]",
+    "realize 2": "usage: prismcat realize [-h] [--svg FILE] [--json FILE] a a a a a a a a a",
+    "matrices 2": "usage: prismcat matrices [-h] [--json FILE] a a a a a a a a a",
+    "verify": "usage: prismcat verify [-h] [--sample N [N ...]] FILE",
+}
+
+
+@pytest.mark.parametrize("argv,usage", USAGE_LINES.items(), ids=list(USAGE_LINES))
+def test_each_command_keeps_its_usage_line(argv, usage, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _outcome(argv.split(), capsys)
+    assert (code, out) == (("SystemExit", 2), "")
+    assert err.splitlines()[0] == usage
 
 
 def test_main_reads_sys_argv_without_an_argv(monkeypatch, capsys):
