@@ -12,6 +12,7 @@ bit.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections import Counter
@@ -59,6 +60,12 @@ def label_tag(labeling: Sequence[Optional[int]]) -> str:
     return "[" + " ".join("n" if v is None else brief(v) for v in labeling) + "]"
 
 
+# The generator record's edges: the four matrices, then the parameters.  Each stage
+# whose residuals an entry stores, and the field that stores them, in STAGES order.
+_GENERATOR_EDGES = ("M1", "M2", "M3", "M4", *GeneratorSet._fields[5:])
+_STORED = tuple((stage, field) for stage, (_, _, field) in STAGES.items() if field)
+
+
 def check_entry(
     config: PlanarConfig, gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
 ) -> Report:
@@ -73,12 +80,11 @@ def check_entry(
     stored generators are the ones their stored faces give is
     ``verify_catalog``'s ``generator`` record.
     """
-    names, matrices = zip(*gens.named())
-    drifts = tuple(abs(matrix.det - 1.0) for matrix in matrices)
+    drifts = tuple(abs(a * d - b * c - 1.0) for a, b, c, d in gens[1:5])  # MoebiusMatrix.det
     memo = {} if memo is None else memo
     return Report((
         *verify_config(gens.labeling, config, entry=entry).checks,
-        Check("determinant", names, drifts, (TOLERANCES["determinant"],) * 4, entry),
+        Check("determinant", _GENERATOR_EDGES[:4], drifts, (TOLERANCES["determinant"],) * 4, entry),
         *verify_relations(gens, entry=entry, memo=memo).checks,
         *trace_check(gens, entry=entry, memo=memo).checks,
     ))
@@ -90,7 +96,7 @@ def stored_checks(report: Report) -> dict[str, Check]:
     The fields come in ``STAGES`` order.
     """
     by_stage = {check.stage: check for check in report.checks}
-    return {field: by_stage[stage] for stage, (_, _, field) in STAGES.items() if field}
+    return {field: by_stage[stage] for stage, field in _STORED}
 
 
 def build_entry(
@@ -159,7 +165,8 @@ def _complex_json(z: complex) -> dict:
 
 
 def _complex_from(d: dict) -> complex:
-    return complex(_number(d["re"]), _number(d["im"]))
+    re = re if type(re := d["re"]) is float else _number(re)
+    return complex(re, im if type(im := d["im"]) is float else _number(im))
 
 
 def _matrix_json(m: MoebiusMatrix) -> list:
@@ -177,7 +184,8 @@ def _line_json(line: PlanarLine) -> dict:
 
 def _line_from(d: dict) -> PlanarLine:
     nx, ny = d["normal"]
-    return PlanarLine(_number(nx), _number(ny), _number(d["offset"]))
+    nx, ny = (nx, ny) if type(nx) is type(ny) is float else (_number(nx), _number(ny))
+    return PlanarLine(nx, ny, o if type(o := d["offset"]) is float else _number(o))
 
 
 def _circle_json(circle: PlanarCircle) -> dict:
@@ -186,7 +194,8 @@ def _circle_json(circle: PlanarCircle) -> dict:
 
 def _circle_from(d: dict) -> PlanarCircle:
     cx, cy = d["center"]
-    return PlanarCircle(_number(cx), _number(cy), _number(d["radius"]))
+    cx, cy = (cx, cy) if type(cx) is type(cy) is float else (_number(cx), _number(cy))
+    return PlanarCircle(cx, cy, r if type(r := d["radius"]) is float else _number(r))
 
 
 def _config_json(config: PlanarConfig) -> dict:
@@ -196,9 +205,10 @@ def _config_json(config: PlanarConfig) -> dict:
 
 
 def _config_from(d: dict) -> PlanarConfig:
-    lines = [_line_from(d[name]) for name in ("red", "green", "blue")]
-    circles = [_circle_from(d[name]) for name in ("back", "top")]
-    return PlanarConfig(*lines, *circles, _typed(d["a3_branch"], int))
+    return PlanarConfig(
+        _line_from(d["red"]), _line_from(d["green"]), _line_from(d["blue"]),
+        _circle_from(d["back"]), _circle_from(d["top"]), _typed(d["a3_branch"], int),
+    )
 
 
 def _generators_json(gens: GeneratorSet) -> dict:
@@ -229,10 +239,12 @@ def _number(value) -> float:
     return value
 
 
-def _generators_from(d: dict, labeling: Labeling) -> GeneratorSet:
+def _generators_from(d: dict, labeling: Sequence[int]) -> GeneratorSet:
     matrices = map(_matrix_from, (d["m1"], d["m2"], d["m3"], d["m4"]))
     return GeneratorSet(
-        labeling, *matrices, _number(d["theta1"]), _number(d["theta2"]),
+        Labeling._make(labeling), *matrices,
+        theta1 if type(theta1 := d["theta1"]) is float else _number(theta1),
+        theta2 if type(theta2 := d["theta2"]) is float else _number(theta2),
         _complex_from(d["fixed1"]), _complex_from(d["fixed2"]),
     )
 
@@ -256,8 +268,8 @@ def entry_to_json(entry: CatalogEntry) -> dict:
     return record
 
 
-def _decode_field(record: dict, name: str, decode: Callable, optional: bool = False):
-    """``decode(record[name])``, with any failure a ValueError naming the field.
+def _decode_field(record: dict, name: str, decode: Callable, *args, optional: bool = False):
+    """``decode(record[name], *args)``, with any failure a ValueError naming the field.
 
     An optional field that is absent or null decodes to None.
     """
@@ -267,7 +279,7 @@ def _decode_field(record: dict, name: str, decode: Callable, optional: bool = Fa
     if name not in record:
         raise ValueError(f"field {name!r} is missing")
     try:
-        return decode(value)
+        return decode(value, *args)
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field {name!r} is malformed ({type(exc).__name__}: {exc})") from exc
 
@@ -283,8 +295,10 @@ def _labeling_from(values: list) -> tuple[Optional[int], ...]:
 
 
 def _verification_from(d: dict) -> dict[str, tuple[float, ...]]:
-    fields = [field for _, _, field in STAGES.values() if field]
-    verification = {field: tuple(map(_number, d[field])) for field in fields}
+    verification = {  # one type test for a list of floats, _number for any other value
+        field: tuple(values if {float}.issuperset(map(type, values)) else map(_number, values))
+        for field, values in ((field, d[field]) for _, field in _STORED)
+    }
     for field, residuals in verification.items():
         if len(residuals) != 9:
             raise ValueError(f"{field!r} holds {len(residuals)} residuals, expected 9")
@@ -313,13 +327,11 @@ def entry_from_json(record: dict) -> CatalogEntry:
     _typed(record, dict)
     labeling = _decode_field(record, "labeling", _labeling_from)
     cusp = _decode_field(record, "cusp", CuspType.from_code)
-    fields = {
-        name: _decode_field(record, name, lambda value: _typed(value, int), optional=True)
-        for name in ("free_slot", "free_min", "family_n")
-    }
-    fields["family"] = _decode_field(record, "family", lambda value: _typed(value, bool))
-    slot, free_min, family_n = fields["free_slot"], fields["free_min"], fields["family_n"]
-    if fields["family"]:
+    slot = _decode_field(record, "free_slot", _typed, int, optional=True)
+    free_min = _decode_field(record, "free_min", _typed, int, optional=True)
+    family_n = _decode_field(record, "family_n", _typed, int, optional=True)
+    family = _decode_field(record, "family", _typed, bool)
+    if family:
         kind = "family row"
         free = [index for index, label in enumerate(labeling) if label is None]
         if not free:
@@ -347,18 +359,18 @@ def entry_from_json(record: dict) -> CatalogEntry:
     for name in must_be_null:
         if record.get(name) is not None:
             raise ValueError(f"field {name!r} must be null in a {kind}, got {brief(record[name])}")
+    if family:
+        return CatalogEntry(labeling, cusp, family, slot, free_min)
     if kind == "family instance" and family_n < free_min:
         raise ValueError(
             f"field 'family_n' is {brief(family_n)}, below the row's free_min {brief(free_min)}"
         )
-    decoders = {
-        "config": _config_from,
-        "generators": lambda d: _generators_from(d, Labeling(*labeling)),
-        "verification": _verification_from,
-    }
-    for name, read in decoders.items():
-        fields[name] = _decode_field(record, name, read, optional=True)
-    return CatalogEntry(labeling=labeling, cusp=cusp, **fields)
+    return CatalogEntry(
+        labeling, cusp, family, slot, free_min, family_n,
+        _decode_field(record, "config", _config_from, optional=True),
+        _decode_field(record, "generators", _generators_from, labeling, optional=True),
+        _decode_field(record, "verification", _verification_from, optional=True),
+    )
 
 
 def catalog_to_json(entries: Iterable[CatalogEntry]) -> dict:
@@ -539,7 +551,7 @@ def load_catalog(fp: Union[str, IO[str]]) -> Catalog:
             f"unsupported catalog schema {brief(payload.get('schema'))}; expected {SCHEMA!r}"
         )
     try:
-        records = _decode_field(payload, "entries", lambda value: _typed(value, list))
+        records = _decode_field(payload, "entries", _typed, list)
         provenance = _decode_field(payload, "provenance", _provenance_from)
     except ValueError as exc:
         raise ValueError(f"catalog {exc}") from exc
@@ -556,14 +568,26 @@ def load_catalog(fp: Union[str, IO[str]]) -> Catalog:
 # Verification sweep
 
 
-def _check_target(
-    entry: CatalogEntry, lab: Labeling, tag: str, memo: dict
-) -> tuple[tuple[Check, ...], list[str]]:
-    """The records and the errors of one labeling ``verify_catalog`` checks for ``entry``."""
+def _realized(lab: Labeling) -> Union[PlanarConfig, Exception]:
+    """``realize(lab)``, or the error it raises, which ``_check_target`` reports."""
     try:
-        fresh = realize(lab)
-    except (ValueError, geometry.RealizationError) as exc:
-        return (), [f"{tag}: realization failed: {exc}"]
+        return realize(lab)
+    except (ValueError, geometry.RealizationError, ArithmeticError) as exc:
+        return exc
+
+
+def _check_target(
+    entry: CatalogEntry, lab: Labeling, tag: str, fresh: Union[PlanarConfig, Exception], memo: dict
+) -> tuple[tuple[Check, ...], list[str]]:
+    """The records and the errors of one labeling ``verify_catalog`` checks for ``entry``.
+
+    ``fresh`` is ``_realized(lab)``.  Stored generators that equal their rebuild and
+    are all finite read the zeros that measuring them gives, unmeasured.
+    """
+    if isinstance(fresh, ArithmeticError):
+        raise fresh
+    if isinstance(fresh, Exception):
+        return (), [f"{tag}: realization failed: {fresh}"]
     errors = []
     cusp = CuspType.of(lab)
     if cusp is not entry.cusp:
@@ -578,13 +602,15 @@ def _check_target(
         return (), [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
     config, gens = entry.config, entry.generators
     drifts = (*map(math.dist, config[:5], fresh[:5]), abs(config.a3_branch - fresh.a3_branch))
-    tol = (TOLERANCES["angle"],) * len(drifts)
-    drift = Check("drift", PlanarConfig._fields, drifts, tol, tag)
+    drift = Check("drift", PlanarConfig._fields, drifts, (TOLERANCES["angle"],) * 6, tag)
     built = build_generators(gens.labeling, config)
-    residuals = tuple(matrix.distance(other) for matrix, other in zip(gens[1:5], built[1:5]))
-    residuals += tuple(abs(stored - other) for stored, other in zip(gens[5:], built[5:]))
-    edges = (*(name for name, _ in gens.named()), *GeneratorSet._fields[5:])
-    generator = Check("generator", edges, residuals, (TOLERANCES["construction"],) * 8, tag)
+    if gens == built and cmath.isfinite(sum(map(sum, gens[1:5]), sum(gens[5:]))):
+        residuals = (0.0,) * 8
+    else:
+        residuals = (*map(MoebiusMatrix.distance, gens[1:5], built[1:5]),
+                     *(abs(stored - other) for stored, other in zip(gens[5:], built[5:])))
+    tol = (TOLERANCES["construction"],) * 8
+    generator = Check("generator", _GENERATOR_EDGES, residuals, tol, tag)
     report = check_entry(config, gens, entry=tag, memo=memo)
     angle, *rest = report.checks
     disagree = []
@@ -638,7 +664,8 @@ def verify_catalog(
     ``drift`` bound of a fresh realization's, by its Euclidean distance, and
     so must ``a3_branch``; the stored generators must be, to the
     ``construction`` tolerance, what ``build_generators`` makes of the stored
-    faces (the ``generator`` record); and each stored residual must equal the
+    faces (the ``generator`` record, all zeros without a measurement when they
+    are equal to it and all finite); and each stored residual must equal the
     recomputed one to within that edge's tolerance.  A stored row's records
     are drift, angle, generator, determinant, relation and trace.  Family
     pattern rows are spot-checked with ``check_entry`` on fresh realizations
@@ -690,11 +717,14 @@ def verify_catalog(
             errors.append(
                 f"{label_tag(labeling)}: its mirror image {label_tag(mate)} is stored too"
             )
+    least = min(pattern_free_min.values(), default=math.inf)
     for entry, tag in standalone:
         for lab in dict.fromkeys((entry.labeling, symmetry_mate(entry.labeling))):
             for slot, n in enumerate(lab):
+                if not isinstance(n, int) or n < least:  # below every stored free_min
+                    continue
                 pattern = lab[:slot] + (None,) + lab[slot + 1 :]
-                if isinstance(n, int) and pattern_free_min.get(pattern, math.inf) <= n:
+                if pattern_free_min.get(pattern, math.inf) <= n:
                     which = "it" if lab == entry.labeling else f"its mirror image {label_tag(lab)}"
                     errors.append(f"{tag}: {which} is a member of family {label_tag(pattern)}"
                                   f" (n = {brief(n)})")
@@ -714,9 +744,12 @@ def verify_catalog(
         errors.append("no labeling to check: every sample is below its family's bound")
     checks: list[Check] = []
     memo: dict = {}
-    for entry, lab, tag in targets:
+    # Every target is realized before the first is checked, which keeps each
+    # stage's code and data warm and makes the sweep faster.
+    realized = [_realized(lab) for _, lab, _ in targets]
+    for (entry, lab, tag), fresh in zip(targets, realized):
         try:
-            target_checks, target_errors = _check_target(entry, lab, tag, memo)
+            target_checks, target_errors = _check_target(entry, lab, tag, fresh, memo)
         except ArithmeticError as exc:
             errors.append(f"{tag}: arithmetic failed: {type(exc).__name__}: {exc}")
             continue

@@ -19,6 +19,7 @@ against a circle is measured with the sign of that normal.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Optional, Sequence
 
 from .labelings import EDGE_FACES, EDGE_NAMES, Labeling, brief, is_admissible
@@ -71,7 +72,7 @@ class PlanarLine(_LineFields):
         norm = math.hypot(nx, ny)
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"line normal must have unit length, got {norm!r}")
-        return super().__new__(cls, nx, ny, d)
+        return tuple.__new__(cls, (nx, ny, d))
 
     @classmethod
     def vertical(cls, x: float) -> "PlanarLine":
@@ -116,7 +117,7 @@ class PlanarCircle(_CircleFields):
     def __new__(cls, cx: float, cy: float, r: float) -> PlanarCircle:
         if not r > 0:
             raise ValueError(f"circle radius must be positive, got {brief(r)}")
-        return super().__new__(cls, cx, cy, r)
+        return tuple.__new__(cls, (cx, cy, r))
 
 
 UNIT_CIRCLE = PlanarCircle(0.0, 0.0, 1.0)
@@ -143,7 +144,7 @@ class PlanarConfig(_ConfigFields):
     def __new__(cls, red, green, blue, back, top, a3_branch: int) -> PlanarConfig:
         if a3_branch not in RED_LINE_X:
             raise ValueError(f"a3 branch must be 2 or 3, got {brief(a3_branch)}")
-        return super().__new__(cls, red, green, blue, back, top, a3_branch)
+        return tuple.__new__(cls, (red, green, blue, back, top, a3_branch))
 
 
 def build_lines(labeling: Sequence[int]) -> tuple[PlanarLine, PlanarLine, PlanarLine]:
@@ -288,6 +289,8 @@ class Report(NamedTuple):
         """One message per record with a failed edge, then the errors."""
         messages = []
         for check in self.checks:
+            if all(map(operator.le, check.residuals, check.tol)):  # NaN fails <=, as below
+                continue
             failed = [
                 (edge, residual)
                 for edge, residual, tol in zip(check.edges, check.residuals, check.tol)

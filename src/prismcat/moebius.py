@@ -253,8 +253,8 @@ def _word_residuals(gens: GeneratorSet, memo: dict | None) -> tuple[tuple[float,
     determinant 0, reads ``(inf, inf, inf)``.
     """
     memo = {} if memo is None else memo
-    if gens in memo:
-        return memo[gens]
+    if (measured := memo.get(gens)) is not None:
+        return measured
     ms, inverses, measured = (gens.m1, gens.m2, gens.m3, gens.m4), {}, []
     for (earlier, later), exponent in zip(_WORD_GENERATORS, gens.labeling):
         key = ms[earlier], None if later == _RED else ms[later], exponent
@@ -300,18 +300,19 @@ def verify_relations(
     return Report((Check("relation", EDGE_NAMES, residuals, tols, entry),))
 
 
-def traces(gens: GeneratorSet) -> list[tuple[float, float]]:
+def traces(gens: GeneratorSet, *, memo: dict | None = None) -> list[tuple[float, float]]:
     """Each relation word's |trace| and the 2*cos(pi/n) that its order n gives it.
 
     An element of order n conjugate to a rotation by 2*pi/n has
     |trace| = 2*cos(pi/n) after determinant normalization, which confirms
     the relation exponents without computing any powers.  The |trace| is
     the one ``trace_check`` measures, and is ``inf`` for a word that cannot
-    be measured.
+    be measured.  ``memo`` is the memo of ``verify_relations``, after which
+    this is one lookup; ``None`` (the default) measures every word.
     """
     return [
         (trace, 2.0 * math.cos(math.pi / exponent))
-        for (_, _, trace), exponent in zip(_word_residuals(gens, None), gens.labeling)
+        for (_, _, trace), exponent in zip(_word_residuals(gens, memo), gens.labeling)
     ]
 
 

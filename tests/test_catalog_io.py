@@ -1003,6 +1003,26 @@ def test_verify_catalog_names_a_nan_face_in_the_drift_row(full_entries):
             assert report.ok
 
 
+def test_verify_catalog_measures_stored_values_that_equal_their_rebuild_but_are_infinite(
+    full_entries, monkeypatch
+):
+    # Stored faces and generators that equal a fresh realization and a rebuild
+    # read zero drift and zero generator residuals only while they are finite:
+    # an infinite top center, or theta2, equal on both sides, is measured, and
+    # inf - inf is NaN.
+    entry = next(e for e in full_entries if not e.family)
+    top = entry.config.top
+    config = entry.config._replace(top=top._replace(cx=math.inf))
+    gens = entry.generators._replace(theta2=math.inf)
+    monkeypatch.setattr(cat, "realize", lambda labeling: config)
+    monkeypatch.setattr(cat, "build_generators", lambda labeling, faces: gens)
+    report = cat.verify_catalog([entry._replace(config=config, generators=gens)])
+    records = {check.stage: check for check in report.checks}
+    drift, generator = records["drift"].residuals, records["generator"].residuals
+    assert drift[:4] == (0.0,) * 4 and math.isnan(drift[4]) and drift[5] == 0
+    assert generator[:5] == (0.0,) * 5 and math.isnan(generator[5]) and generator[6:] == (0.0, 0.0)
+
+
 def test_verify_catalog_flags_tampered_generator(full_entries):
     text = cat.dumps_catalog(full_entries)
     doc = json.loads(text)

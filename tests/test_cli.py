@@ -21,7 +21,7 @@ from prismcat.cli import main
 from prismcat.labelings import (
     EXPECTED_COUNTS, brief, enumerate_catalog, is_admissible, symmetry_mate
 )
-from prismcat.moebius import MoebiusMatrix
+from prismcat.moebius import MoebiusMatrix, build_generators
 
 # The FAIL text of the generator record, up to its edges and residual.
 _REBUILD = "stored generators disagree with a rebuild from the stored faces on"
@@ -143,6 +143,17 @@ def test_realize_prints_configuration(capsys):
     assert "circle center (0, 0) radius 1" in out
 
 
+def test_realize_prints_a_tiny_intercept_with_its_sign(capsys):
+    # The green line of this labeling crosses the y-axis at +6.1e-17 (cos(pi/2)
+    # in floating point), which prints with "+", not as "- 6.1e-17".
+    assert main(["realize", "2", "3", "2", "2", "6", "4", "2", "2", "2"]) == 0
+    green = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("green:"))
+    assert green == (
+        "green: y = -6.12323399573677e-17*x + 6.12323399573677e-17"
+        "  (normal [-6.12323399573677e-17, -1], offset -6.12323399573677e-17)"
+    )
+
+
 def test_realize_writes_svg_and_json(tmp_path, capsys):
     svg_path = tmp_path / "out.svg"
     json_path = tmp_path / "out.json"
@@ -212,6 +223,24 @@ def test_matrices_output_is_deterministic(capsys):
     main(["matrices", *FIX1])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_matrices_measures_each_word_once(monkeypatch, capsys):
+    # The relation lines and the trace lines read one memo: each of the nine
+    # words is powered once, and each of the three inverted generators
+    # (M2, M3 and M4, the later face of some word) is inverted once.
+    calls = {"pow": 0, "inv": 0}
+    for name in calls:
+        method = getattr(MoebiusMatrix, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(MoebiusMatrix, name, counted)
+    assert main(["matrices", "2", "4", "3", "5", "4", "2", "2", "2", "2"]) == 0
+    capsys.readouterr()
+    assert calls == {"pow": 9, "inv": 3}
 
 
 def test_matrices_json(tmp_path, capsys):
@@ -748,6 +777,48 @@ def test_verify_flags_tampered_generator_parameters(tmp_path, capsys, corrupt, e
     _assert_named_failures(path, capsys, [expected])
 
 
+def _generator_record(path, labeling):
+    report = cat.verify_catalog(cat.load_catalog(str(path)))
+    tag = cat.label_tag(labeling)
+    return next(c for c in report.checks if c.stage == "generator" and c.entry == tag)
+
+
+def test_verify_reads_a_one_ulp_move_of_theta1_on_the_generator_record(tmp_path, capsys):
+    # The stored generators no longer equal their rebuild, so the record is
+    # measured: it reads exactly the ulp, which is within its bound, and the
+    # printed summary does not change.
+    path = make_catalog(tmp_path, capsys)
+    assert main(["verify", str(path)]) == 0
+    untouched = capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    victim = doc["entries"][_first_row(doc, False)]
+    theta1 = victim["generators"]["theta1"]
+    victim["generators"]["theta1"] = math.nextafter(theta1, math.inf)
+    path.write_text(json.dumps(doc))
+    record = _generator_record(path, victim["labeling"])
+    assert dict(zip(record.edges, record.residuals)) == {
+        "M1": 0.0, "M2": 0.0, "M3": 0.0, "M4": 0.0,
+        "theta1": math.ulp(theta1), "theta2": 0.0, "fixed1": 0.0, "fixed2": 0.0,
+    }
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == untouched
+
+
+def test_verify_measures_a_one_ulp_move_of_m2_as_its_distance(tmp_path, capsys):
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    victim = doc["entries"][_first_row(doc, False)]
+    entry = victim["generators"]["m2"][0][1]
+    entry["re"] = math.nextafter(entry["re"], math.inf)
+    path.write_text(json.dumps(doc))
+    stored = cat.entry_from_json(victim)
+    moved = stored.generators.m2
+    rebuilt = build_generators(stored.generators.labeling, stored.config).m2
+    assert moved.distance(rebuilt) > 0.0
+    record = _generator_record(path, victim["labeling"])
+    assert record.residuals == (0.0, moved.distance(rebuilt), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 def test_verify_flags_cusp_that_disagrees_with_labeling(tmp_path, capsys):
     path = make_catalog(tmp_path, capsys)
     doc = json.loads(path.read_text())
@@ -796,6 +867,13 @@ def _set_free_min(doc):
     row["free_min"] = 7
 
 
+def _claim_the_first_slot(doc):
+    # Slot 0 holds a 2, so the row passes as an instance of a family whose
+    # pattern nobody stored.
+    row = next(r for r in doc["entries"] if r["labeling"] == INSTANCE[:3] + [6] + INSTANCE[4:])
+    row.update(free_slot=0, family_n=2, free_min=2)
+
+
 def _drop_pattern(doc):
     doc["entries"] = [r for r in doc["entries"] if r["labeling"] != PATTERN]
 
@@ -808,6 +886,11 @@ def _set_huge_pattern_free_min(doc):
     "corrupt,expected",
     [
         (_set_free_min, [f"{tag(INSTANCE)}: free_min 7 differs from 6 in its family row"]),
+        (
+            _claim_the_first_slot,
+            [f"{tag(INSTANCE[:3] + [6] + INSTANCE[4:])}: its family row"
+             f" {tag([None] + INSTANCE[1:3] + [6] + INSTANCE[4:])} is not stored"],
+        ),
         (
             _drop_pattern,
             [
@@ -830,7 +913,7 @@ def _set_huge_pattern_free_min(doc):
             ],
         ),
     ],
-    ids=["free-min-7", "no-family-row", "huge-family-free-min"],
+    ids=["free-min-7", "first-slot", "no-family-row", "huge-family-free-min"],
 )
 def test_verify_flags_instances_that_disagree_with_their_family_row(
     tmp_path, capsys, corrupt, expected
