@@ -66,35 +66,59 @@ _GENERATOR_EDGES = ("M1", "M2", "M3", "M4", *GeneratorSet._fields[5:])
 _STORED = tuple((stage, field) for stage, (_, _, field) in STAGES.items() if field)
 
 
+# A stage's measurement, measure(config, gens, fresh, memo, tag) -> Check, is its
+# record tagged ``tag`` of the faces and generators checked, given the fresh faces
+# (None for a fresh build) and the word memo.  STAGES gives the stage's texts.
+def _drift(config: PlanarConfig, gens, fresh: PlanarConfig, memo, tag: str) -> Check:
+    drifts = (*map(math.dist, config[:5], fresh[:5]), abs(config.a3_branch - fresh.a3_branch))
+    return Check("drift", PlanarConfig._fields, drifts, (TOLERANCES["angle"],) * 6, tag)
+
+
+def _generator(config: PlanarConfig, gens: GeneratorSet, fresh, memo, tag: str) -> Check:
+    built = build_generators(gens.labeling, config)
+    if gens == built and cmath.isfinite(sum(map(sum, gens[1:5]), sum(gens[5:]))):
+        residuals = (0.0,) * 8  # what measuring equal, finite generators gives
+    else:
+        residuals = (*map(MoebiusMatrix.distance, gens[1:5], built[1:5]),
+                     *(abs(stored - other) for stored, other in zip(gens[5:], built[5:])))
+    return Check("generator", _GENERATOR_EDGES, residuals, (TOLERANCES["construction"],) * 8, tag)
+
+
+def _determinant(config, gens: GeneratorSet, fresh, memo, tag: str) -> Check:
+    drifts = tuple(abs(a * d - b * c - 1.0) for a, b, c, d in gens[1:5])  # MoebiusMatrix.det
+    return Check("determinant", _GENERATOR_EDGES[:4], drifts, (TOLERANCES["determinant"],) * 4, tag)
+
+
+# The record order: each stage's measurement, and whether only stored rows get it.
+# A row calls this module's globals when it runs, so a tracer that rebinds them sees it.
+_MEASURES: tuple[tuple[Callable[..., Check], bool], ...] = (
+    (_drift, True),
+    (lambda config, gens, _, memo, tag: verify_config(gens.labeling, config, entry=tag).checks[0],
+     False),
+    (_generator, True),
+    (_determinant, False),
+    (lambda config, gens, _, memo, tag: verify_relations(gens, entry=tag, memo=memo).checks[0],
+     False),
+    (lambda config, gens, _, memo, tag: trace_check(gens, entry=tag, memo=memo).checks[0], False),
+)
+
+
 def check_entry(
     config: PlanarConfig, gens: GeneratorSet, *, entry: str = "", memo: dict | None = None
 ) -> Report:
     """Every check of one realized labeling, ``gens.labeling``, as one record a stage.
 
-    The nine edge angles of the configuration, the four determinants, and the
-    nine relation words and trace identities: four records, whatever the
-    generators.  A word that cannot be measured (a singular generator) has
-    infinite residuals.  Every record carries ``entry`` as its entry tag.
-    ``memo`` goes to both ``verify_relations`` and ``trace_check``, so the words
-    are walked once for the two; ``None`` gives them one new dict.  Whether
-    stored generators are the ones their stored faces give is
-    ``verify_catalog``'s ``generator`` record.
+    A record, tagged ``entry``, for each row of ``_MEASURES`` that is not
+    stored-only, in its order.  ``memo`` goes to both ``verify_relations`` and
+    ``trace_check``, so the words are walked once; ``None`` gives one new dict.
     """
-    drifts = tuple(abs(a * d - b * c - 1.0) for a, b, c, d in gens[1:5])  # MoebiusMatrix.det
     memo = {} if memo is None else memo
-    return Report((
-        *verify_config(gens.labeling, config, entry=entry).checks,
-        Check("determinant", _GENERATOR_EDGES[:4], drifts, (TOLERANCES["determinant"],) * 4, entry),
-        *verify_relations(gens, entry=entry, memo=memo).checks,
-        *trace_check(gens, entry=entry, memo=memo).checks,
-    ))
+    measures = [measure for measure, stored_only in _MEASURES if not stored_only]
+    return Report(tuple([measure(config, gens, None, memo, entry) for measure in measures]))
 
 
 def stored_checks(report: Report) -> dict[str, Check]:
-    """The records of one entry's report whose residuals the entry stores, by field.
-
-    The fields come in ``STAGES`` order.
-    """
+    """The records of a report whose residuals an entry stores, by field in ``STAGES`` order."""
     by_stage = {check.stage: check for check in report.checks}
     return {field: by_stage[stage] for stage, field in _STORED}
 
@@ -581,8 +605,8 @@ def _check_target(
 ) -> tuple[tuple[Check, ...], list[str]]:
     """The records and the errors of one labeling ``verify_catalog`` checks for ``entry``.
 
-    ``fresh`` is ``_realized(lab)``.  Stored generators that equal their rebuild and
-    are all finite read the zeros that measuring them gives, unmeasured.
+    ``fresh`` is ``_realized(lab)``.  A stored row gets a record of each row of
+    ``_MEASURES``, and a family sample ``check_entry``'s.
     """
     if isinstance(fresh, ArithmeticError):
         raise fresh
@@ -595,24 +619,12 @@ def _check_target(
             f"{tag}: stored cusp {entry.cusp.code} is not the labeling's cusp {cusp.code}"
         )
     if entry.family:
-        report = check_entry(fresh, build_generators(lab, fresh), entry=tag, memo=memo)
-        return report.checks, errors
+        return check_entry(fresh, build_generators(lab, fresh), entry=tag, memo=memo).checks, errors
     missing = [name for name in _PAYLOAD if getattr(entry, name) is None]
     if missing:
         return (), [*errors, f"{tag}: entry stores no {', '.join(missing)}"]
     config, gens = entry.config, entry.generators
-    drifts = (*map(math.dist, config[:5], fresh[:5]), abs(config.a3_branch - fresh.a3_branch))
-    drift = Check("drift", PlanarConfig._fields, drifts, (TOLERANCES["angle"],) * 6, tag)
-    built = build_generators(gens.labeling, config)
-    if gens == built and cmath.isfinite(sum(map(sum, gens[1:5]), sum(gens[5:]))):
-        residuals = (0.0,) * 8
-    else:
-        residuals = (*map(MoebiusMatrix.distance, gens[1:5], built[1:5]),
-                     *(abs(stored - other) for stored, other in zip(gens[5:], built[5:])))
-    tol = (TOLERANCES["construction"],) * 8
-    generator = Check("generator", _GENERATOR_EDGES, residuals, tol, tag)
-    report = check_entry(config, gens, entry=tag, memo=memo)
-    angle, *rest = report.checks
+    report = Report(tuple([measure(config, gens, fresh, memo, tag) for measure, _ in _MEASURES]))
     disagree = []
     for field, check in stored_checks(report).items():
         stored = entry.verification.get(field, ())
@@ -632,7 +644,7 @@ def _check_target(
         errors.append(
             f"{tag}: stored residuals disagree with recomputation on {', '.join(disagree)}"
         )
-    return (drift, angle, generator, *rest), errors
+    return report.checks, errors
 
 
 def _provenance_errors(provenance: dict) -> list[str]:
@@ -659,17 +671,11 @@ def verify_catalog(
     """Re-realize and re-verify every entry of a catalog.
 
     Standalone and instance entries must store a configuration, generators
-    and residuals.  They go through ``check_entry`` with the stored
-    configuration and generators, each stored face must lie within the
-    ``drift`` bound of a fresh realization's, by its Euclidean distance, and
-    so must ``a3_branch``; the stored generators must be, to the
-    ``construction`` tolerance, what ``build_generators`` makes of the stored
-    faces (the ``generator`` record, all zeros without a measurement when they
-    are equal to it and all finite); and each stored residual must equal the
-    recomputed one to within that edge's tolerance.  A stored row's records
-    are drift, angle, generator, determinant, relation and trace.  Family
-    pattern rows are spot-checked with ``check_entry`` on fresh realizations
-    at the sampled free-slot values (default: free_min, +1, +10, and 500).
+    and residuals.  Each gets a record from every row of ``_MEASURES``, and
+    each stored residual must equal the recomputed one to within that edge's
+    tolerance.  Family pattern rows are spot-checked with ``check_entry`` on
+    fresh realizations at the sampled free-slot values (default: free_min, +1,
+    +10, and 500).
     Each checked labeling must also have the entry's cusp type.  No
     labeling or family pattern may be stored in more than one row, nor
     together with its mirror image (``symmetry_mate``) when that differs

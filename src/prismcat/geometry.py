@@ -296,13 +296,12 @@ class Report(NamedTuple):
                 for edge, residual, tol in zip(check.edges, check.residuals, check.tol)
                 if not residual <= tol
             ]
-            if failed:
-                text = STAGES.get(check.stage, ("{stage} checks fail on {edges}",))[0].format(
-                    stage=check.stage,
-                    edges=", ".join(edge for edge, _ in failed),
-                    residual=_worst([residual for _, residual in failed]),
-                )
-                messages.append(f"{check.entry}: {text}" if check.entry else text)
+            text = STAGES.get(check.stage, ("{stage} checks fail on {edges}",))[0].format(
+                stage=check.stage,
+                edges=", ".join(edge for edge, _ in failed),
+                residual=_worst([residual for _, residual in failed]),
+            )
+            messages.append(f"{check.entry}: {text}" if check.entry else text)
         return messages + list(self.errors)
 
 
@@ -352,8 +351,7 @@ def realize(labeling: Sequence[int]) -> PlanarConfig:
     The root must satisfy all three conditions to TOLERANCES["construction"],
     and the red line must stay strictly clear of the top circle by more than
     it (red and top share no edge; tangency would mean a second ideal
-    vertex).  The nine edge angles are not measured here: check_entry runs
-    that independent oracle (verify_config) on the result.
+    vertex).  The nine edge angles are the ``angle`` stage's, not measured here.
 
     Raises ValueError for an inadmissible labeling and RealizationError when
     the positive root fails either gate.

@@ -414,7 +414,7 @@ def enumerate_catalog() -> list[CatalogEntry]:
         cusp = CuspType.of(Labeling(*head, lo, *tail))
         # One past the largest value the slot takes among core labelings of
         # the same cusp; above this, every admissible labeling is on a ray.
-        fold = 1 + max((lab[slot] for c, lab in core if c is cusp), default=1)
+        fold = 1 + max(lab[slot] for c, lab in core if c is cusp)
         row = CatalogEntry(pattern, cusp, True, free_slot=slot, free_min=max(lo, fold))
         rows.append(row)
         for n in range(row.free_min, SCAN_BOUND + 1):

@@ -17,10 +17,9 @@ well-formed elliptic element of order n must satisfy.
 
 Each M_i is R_red o R_F, the reflection in the red face after the one in its
 face F (back, green, blue, top).  ``build_generators`` writes these products in
-closed form, and ``catalog.verify_catalog`` holds stored generators to what it
-makes of the stored faces.  Once they agree, every relation word is the product
-of its edge's two reflections, a rotation by twice their angle, so the angle
-rows decide the relations.
+closed form, and the ``generator`` stage holds stored generators to them.  Once
+they agree, every relation word is the product of its edge's two reflections, a
+rotation by twice their angle, so the angle rows decide the relations.
 """
 
 from __future__ import annotations
@@ -197,10 +196,7 @@ def build_generators(labeling: Sequence[int], config: PlanarConfig) -> Generator
     It reads the green, blue and top faces and the a3 branch of ``config``,
     and the labels a1 and a2.  Precondition: ``config`` realizes
     ``labeling``, as ``realize`` returns it or a catalog stores it.  Nothing
-    here measures it again: ``catalog.check_entry`` measures the edge angles
-    and the determinants, so that is where a configuration that does not
-    realize its labeling fails, and ``catalog.verify_catalog`` holds stored
-    generators to what this function makes of the stored faces.
+    here measures it again: the stages of ``catalog._MEASURES`` do.
 
     M1 = [[2h,-1],[1,0]], h = ``RED_LINE_X`` of the a3 branch, is w -> 2h - 1/w:
     inversion in the unit circle, then reflection in the red line x = h.  It

@@ -5,6 +5,7 @@ import cmath
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -1602,6 +1603,54 @@ def test_no_subcommand_is_a_usage_error():
 
 
 # ---------------------------------------------------------------------------
+# a new stage
+
+
+@pytest.mark.parametrize(
+    "position, stored_only", [(1, False), (3, True), (6, False)], ids=["second", "stored", "last"]
+)
+def test_a_stage_is_one_measurement_one_table_row_and_one_stages_row(
+    tmp_path, capsys, monkeypatch, position, stored_only
+):
+    # A dummy stage that reads how far a1 is above 2, with a bound of 0.5: it
+    # fails on every labeling with a1 = 3, the largest a1 in the catalog.
+    def dummy(config, gens, fresh, memo, tag):
+        return geometry.Check("dummy", ("a1",), (float(gens.labeling.a1 - 2),), (0.5,), tag)
+
+    path = make_catalog(tmp_path, capsys)
+    measures = list(cat._MEASURES)
+    measures.insert(position, (dummy, stored_only))
+    monkeypatch.setattr(cat, "_MEASURES", tuple(measures))
+    stage = ("a1 is off by {residual:.3e}", "dummy residual", None)
+    monkeypatch.setitem(geometry.STAGES, "dummy", stage)
+
+    report = cat.verify_catalog(cat.load_catalog(str(path)))
+    stored = ["drift", "angle", "generator", "determinant", "relation", "trace"]
+    stored.insert(position, "dummy")
+    sample = [s for s in stored if s not in ("drift", "generator", "dummy" if stored_only else "")]
+    targets = [
+        (tag, [check.stage for check in checks])
+        for tag, checks in itertools.groupby(report.checks, key=lambda check: check.entry)
+    ]
+    assert len(targets) == 126
+    assert sum(" at n=" not in tag and stages == stored for tag, stages in targets) == 78
+    assert sum(" at n=" in tag and stages == sample for tag, stages in targets) == 48
+    failed = [
+        f"{check.entry}: a1 is off by {check.residuals[0]:.3e}"
+        for check in report.checks
+        if check.stage == "dummy" and check.residuals[0] > 0.5
+    ]
+    assert failed and [line for line in report.failures() if " a1 is off " in line] == failed
+
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "max dummy residual:    1.000e+00" in captured.out.splitlines()
+    assert [line for line in captured.err.splitlines() if " a1 is off " in line] == [
+        f"FAIL {line}" for line in failed
+    ]
+
+
+# ---------------------------------------------------------------------------
 # the output contract across commits
 
 
@@ -1652,6 +1701,45 @@ def test_stdout_keeps_its_bytes_across_commits(argv, digest, tmp_path, capsys):
     capsys.readouterr()
     assert main(command) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _fail_every_stage(doc):
+    # The first standalone row, [2 3 2 2 6 4 2 2 2], with its top radius moved
+    # by 0.1 % and m3 zeroed: one FAIL line for each stage, in record order.
+    row = next(r for r in doc["entries"] if not r["family"])
+    row["config"]["top"]["radius"] *= 1.001
+    row["generators"]["m3"] = [[{"re": 0.0, "im": 0.0}] * 2] * 2
+
+
+@pytest.mark.parametrize(
+    "tamper, args, digest",
+    [
+        (
+            None,
+            ["--sample", "1000", "4500", "5000"],
+            "d34b35f530e4229dda23f2ed0ea2e278ee9717109e8c177087c982264ad40c89",
+        ),
+        (
+            _fail_every_stage,
+            [],
+            "8c5c01cb914a6f0816e2974377be33e5c746fabf10deb3ea08245155c733f9b8",
+        ),
+    ],
+    ids=["deep-samples", "every-stage"],
+)
+def test_failing_verify_keeps_its_bytes_across_commits(tamper, args, digest, tmp_path, capsys):
+    """The SHA-256 of stdout then stderr of a ``verify`` of the ``enumerate`` dump that exits 1.
+
+    ``tamper``, if given, edits the dump first.
+    """
+    path = make_catalog(tmp_path, capsys)
+    if tamper:
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), *args]) == 1
+    captured = capsys.readouterr()
+    assert hashlib.sha256((captured.out + captured.err).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
