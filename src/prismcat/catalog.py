@@ -85,7 +85,7 @@ def _generator(config: PlanarConfig, gens: GeneratorSet, fresh, memo, tag: str) 
 
 
 def _determinant(config, gens: GeneratorSet, fresh, memo, tag: str) -> Check:
-    drifts = tuple(abs(a * d - b * c - 1.0) for a, b, c, d in gens[1:5])  # MoebiusMatrix.det
+    drifts = tuple(abs(matrix.det - 1.0) for matrix in gens[1:5])
     return Check("determinant", _GENERATOR_EDGES[:4], drifts, (TOLERANCES["determinant"],) * 4, tag)
 
 

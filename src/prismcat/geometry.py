@@ -286,9 +286,19 @@ class Report(NamedTuple):
         ])
 
     def failures(self) -> list[str]:
-        """One message per record with a failed edge, then the errors."""
+        """One message per record with a failed edge, then the errors.
+
+        Raises ``ValueError`` for a record whose ``edges``, ``residuals`` and
+        ``tol`` differ in length: it holds no verdict.
+        """
         messages = []
         for check in self.checks:
+            if not len(check.edges) == len(check.residuals) == len(check.tol):
+                text = (
+                    f"the {check.stage} record has {len(check.edges)} edges,"
+                    f" {len(check.residuals)} residuals and {len(check.tol)} bounds"
+                )
+                raise ValueError(f"{check.entry}: {text}" if check.entry else text)
             if all(map(operator.le, check.residuals, check.tol)):  # NaN fails <=, as below
                 continue
             failed = [

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
+import _tampers as tampers
 from prismcat import catalog as cat
 from prismcat import cli, geometry
 from prismcat.cli import main
@@ -326,11 +327,6 @@ def test_verify_flags_corruption_and_names_entry(tmp_path, capsys):
     assert captured.out.strip().endswith("FAIL")
 
 
-def _flip_red_normal(doc):
-    row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
-    row["config"]["red"] = {"normal": [-1.0, 0.0], "offset": -0.0}
-
-
 def _bump_first_m2(doc):
     row = next(r for r in doc["entries"] if not r["family"])
     row["generators"]["m2"][0][0]["re"] += 1e-4
@@ -354,17 +350,6 @@ def _nan_first_m2(doc):
     row["generators"]["m2"][0][0]["re"] = math.nan
 
 
-def _far_top_with_its_angles(doc):
-    # The top circle moved off the prism, so it meets no face it should: a7,
-    # a8 and a9 measure infinite residuals, and the row stores them.
-    row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
-    row["config"]["top"]["center"] = [5.0, 5.0]
-    config = cat.entry_from_json(row).config
-    row["verification"]["angles"] = list(
-        geometry.verify_config(row["labeling"], config).checks[0].residuals
-    )
-
-
 def _vertical(face, line):
     """Store a vertical ``face`` line in the first standalone row."""
 
@@ -375,34 +360,25 @@ def _vertical(face, line):
     return tamper
 
 
-def _moved_matrices(move):
-    """Replace each stored matrix M of [2 3 2 2 6 4 2 2 2] by ``move(M)``."""
-
-    def tamper(doc):
-        row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
-        for name in ("m1", "m2", "m3", "m4"):
-            (a, b), (c, d) = (
-                [complex(z["re"], z["im"]) for z in line] for line in row["generators"][name]
-            )
-            moved = move(MoebiusMatrix(a, b, c, d))
-            row["generators"][name] = [
-                [{"re": z.real, "im": z.imag} for z in moved[:2]],
-                [{"re": z.real, "im": z.imag} for z in moved[2:]],
-            ]
-
-    return tamper
-
-
 def _conjugated_by(t):
     """Conjugation by the Moebius map of ``t``: M -> t M t^-1, which keeps every relation."""
-    return _moved_matrices(lambda m: t @ m @ t.inv())
+    return tampers.moved_matrices(lambda m: t @ m @ t.inv())
+
+
+def _tampered(tmp_path, capsys, name):
+    """The ``enumerate`` dump with the edit of ``tampers.TAMPERS[name]``, written; and its rows."""
+    path = make_catalog(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    tampers.TAMPERS[name].edit(doc)
+    path.write_text(json.dumps(doc))
+    return path, doc
 
 
 @pytest.mark.parametrize(
     "tamper,failure,summary",
     [
         (
-            _flip_red_normal,
+            tampers.TAMPERS["flipped_red"].edit,
             "[2 3 2 2 6 4 2 2 2]: stored configuration drifts from recomputation on red"
             " by 2.000e+00",
             "max config drift:      2.000e+00",
@@ -433,7 +409,7 @@ def _conjugated_by(t):
         # A stored infinity equals its recomputation, but inf - inf is NaN,
         # so the two disagree edge by edge.
         (
-            _far_top_with_its_angles,
+            tampers.TAMPERS["inf"].edit,
             "[2 3 2 2 6 4 2 2 2]: stored residuals disagree with recomputation on"
             " angles a7, angles a8, angles a9",
             "max angle residual:    inf\nmax config drift:      6.153e+00",
@@ -470,17 +446,17 @@ def _conjugated_by(t):
             "max config drift:      0.000e+00",
         ),
         (
-            _moved_matrices(lambda m: MoebiusMatrix(*(z.conjugate() for z in m))),
+            tampers.TAMPERS["conjugated"].edit,
             f"[2 3 2 2 6 4 2 2 2]: {_REBUILD} M3 by 2.449e+00",
             "max config drift:      0.000e+00",
         ),
         (
-            _moved_matrices(MoebiusMatrix.inv),
+            tampers.moved_matrices(MoebiusMatrix.inv),
             f"[2 3 2 2 6 4 2 2 2]: {_REBUILD} M3, M4 by 2.828e+00",
             "max config drift:      0.000e+00",
         ),
         (
-            _moved_matrices(lambda m: MoebiusMatrix(*(-z for z in m))),
+            tampers.TAMPERS["negated"].edit,
             None,
             "max relation residual: 3.678e-10\nmax config drift:      0.000e+00",
         ),
@@ -505,6 +481,30 @@ def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
     assert set(summary.splitlines()) <= set(captured.out.splitlines())
     assert "Traceback" not in captured.err
     assert captured.out.strip().endswith("FAIL" if failure else "PASS")
+
+
+@pytest.fixture(scope="module")
+def tampered_files(tmp_path_factory):
+    """What ``tests/_tampers.py`` writes from the ``enumerate`` dump: its directory and lines."""
+    directory = tmp_path_factory.mktemp("tampers")
+    source = directory / "cat.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["enumerate", "-o", str(source)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        tampers.main([str(source), str(directory / "out")])
+    return directory / "out", out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("name", tampers.TAMPERS)
+def test_verify_exits_with_the_code_of_each_tampered_catalog(name, tampered_files, capsys):
+    # What the CI smoke step checks of each file that the script writes: its
+    # printed exit code, and no traceback.
+    directory, lines = tampered_files
+    code = tampers.TAMPERS[name].code
+    assert f"{name} {code}" in lines
+    assert main(["verify", str(directory / f"{name}.json")]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize(
@@ -538,12 +538,9 @@ def test_verify_fails_a_moved_face_that_the_rebuild_does_not_read(
 
 
 def test_verify_prints_every_line_of_a_stored_infinity(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    _far_top_with_its_angles(doc)
+    path, doc = _tampered(tmp_path, capsys, "inf")
     row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
     assert row["verification"]["angles"][6:] == [math.inf] * 3
-    path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == (
@@ -599,13 +596,6 @@ def _first_row(doc, family):
     return next(i for i, r in enumerate(doc["entries"]) if r["family"] is family)
 
 
-def _give_standalone_payload(row):
-    """Copy the config, generators and verification of a standalone row into ``row``."""
-    labeling = next(item for item in enumerate_catalog() if not item.family).labeling
-    record = cat.entry_to_json(cat.build_entry(labeling)[0])
-    row.update((name, record[name]) for name in ("config", "generators", "verification"))
-
-
 @pytest.mark.parametrize(
     "family,corrupt,field",
     [
@@ -630,7 +620,6 @@ def _give_standalone_payload(row):
         (False, lambda r: r.update(config=False), "config"),
         (False, lambda r: r.update(generators={}), "generators"),
         (False, lambda r: r.update(verification=0), "verification"),
-        (True, _give_standalone_payload, "config"),
         (True, lambda r: r.update(free_min=None), "free_min"),
         (False, lambda r: r["config"]["red"]["normal"].append(0.0), "config"),
         (False, lambda r: r["config"]["top"]["center"].append(0.0), "config"),
@@ -663,7 +652,6 @@ def _give_standalone_payload(row):
         "standalone-config-false",
         "standalone-generators-object",
         "standalone-verification-0",
-        "family-payload",
         "family-free-min-null",
         "normal-three-numbers",
         "center-three-numbers",
@@ -684,6 +672,11 @@ def test_verify_rejects_malformed_family_and_generator_fields(
     corrupt(doc["entries"][index])
     path.write_text(json.dumps(doc))
     _assert_rejected(path, capsys, index, field)
+
+
+def test_verify_rejects_a_family_row_that_carries_a_standalone_payload(tmp_path, capsys):
+    path, doc = _tampered(tmp_path, capsys, "family_payload")
+    _assert_rejected(path, capsys, _first_row(doc, True), "config")
 
 
 @pytest.mark.parametrize(
@@ -725,12 +718,7 @@ def test_verify_rejects_duplicate_rows(tmp_path, capsys):
 def test_verify_names_each_failed_edge_of_a_row_stored_twice_once_per_copy(tmp_path, capsys):
     # Both copies carry one tag, and each copy's records make their own
     # lines: each names its failed edges once.
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = next(r for r in doc["entries"] if not r["family"])
-    victim["config"]["top"]["radius"] *= 1.001
-    doc["entries"].append(json.loads(json.dumps(victim)))
-    path.write_text(json.dumps(doc))
+    path, _ = _tampered(tmp_path, capsys, "twice")
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     tag = "[2 3 2 2 6 4 2 2 2]"
@@ -791,12 +779,9 @@ def test_verify_reads_a_one_ulp_move_of_theta1_on_the_generator_record(tmp_path,
     path = make_catalog(tmp_path, capsys)
     assert main(["verify", str(path)]) == 0
     untouched = capsys.readouterr().out
-    doc = json.loads(path.read_text())
-    victim = doc["entries"][_first_row(doc, False)]
-    theta1 = victim["generators"]["theta1"]
-    victim["generators"]["theta1"] = math.nextafter(theta1, math.inf)
-    path.write_text(json.dumps(doc))
-    record = _generator_record(path, victim["labeling"])
+    theta1 = tampers.first_standalone(json.loads(path.read_text()))["generators"]["theta1"]
+    path, doc = _tampered(tmp_path, capsys, "ulp_theta1")
+    record = _generator_record(path, tampers.first_standalone(doc)["labeling"])
     assert dict(zip(record.edges, record.residuals)) == {
         "M1": 0.0, "M2": 0.0, "M3": 0.0, "M4": 0.0,
         "theta1": math.ulp(theta1), "theta2": 0.0, "fixed1": 0.0, "fixed2": 0.0,
@@ -989,7 +974,7 @@ def test_verify_flags_a_standalone_row_inside_a_lowered_family(tmp_path, capsys,
                 )
                 inside.append(stored)
     assert expected
-    row["free_min"] = lowest
+    tampers.lowered(pattern, lowest)(doc)
     path.write_text(json.dumps(doc))
     _assert_named_failures(path, capsys, expected)
     doc["entries"] = [r for r in doc["entries"] if r["labeling"] not in inside]
@@ -1011,7 +996,7 @@ def test_verify_flags_a_standalone_row_whose_mirror_image_is_in_a_family(tmp_pat
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 0
     capsys.readouterr()
-    next(r for r in doc["entries"] if r["labeling"] == PATTERN)["free_min"] = 4
+    tampers.TAMPERS["lowered"].edit(doc)
     doc["entries"] = [r for r in doc["entries"] if r["labeling"] != [2, 3, 2, 5, 6, 2, 2, 2, 2]]
     path.write_text(json.dumps(doc))
     expected = f"{tag(mate)}: its mirror image {tag(labels)} is a member of family {tag(PATTERN)}"
@@ -1400,14 +1385,10 @@ def test_verify_reports_singular_generator(tmp_path, capsys):
     # A singular M3 leaves the words that contain it unmeasurable: they read
     # inf, so they fail, and disagree with the residuals the row stores.  It
     # is as far from the rebuilt M3 as that is from 0.
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = next(r for r in doc["entries"] if not r["family"])
-    victim["generators"]["m3"] = [[{"re": 0.0, "im": 0.0}] * 2] * 2
-    path.write_text(json.dumps(doc))
+    path, doc = _tampered(tmp_path, capsys, "singular")
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
-    label_text = " ".join(str(v) for v in victim["labeling"])
+    label_text = " ".join(str(v) for v in tampers.first_standalone(doc)["labeling"])
     stored = _stored_disagreement(("a2", "a5", "a6", "a8"))
     assert captured.err.splitlines() == [
         f"FAIL [{label_text}]: {_REBUILD} M3 by 2.000e+00",
@@ -1703,14 +1684,6 @@ def test_stdout_keeps_its_bytes_across_commits(argv, digest, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def _fail_every_stage(doc):
-    # The first standalone row, [2 3 2 2 6 4 2 2 2], with its top radius moved
-    # by 0.1 % and m3 zeroed: one FAIL line for each stage, in record order.
-    row = next(r for r in doc["entries"] if not r["family"])
-    row["config"]["top"]["radius"] *= 1.001
-    row["generators"]["m3"] = [[{"re": 0.0, "im": 0.0}] * 2] * 2
-
-
 @pytest.mark.parametrize(
     "tamper, args, digest",
     [
@@ -1720,7 +1693,7 @@ def _fail_every_stage(doc):
             "d34b35f530e4229dda23f2ed0ea2e278ee9717109e8c177087c982264ad40c89",
         ),
         (
-            _fail_every_stage,
+            "every_stage",
             [],
             "8c5c01cb914a6f0816e2974377be33e5c746fabf10deb3ea08245155c733f9b8",
         ),
@@ -1730,13 +1703,9 @@ def _fail_every_stage(doc):
 def test_failing_verify_keeps_its_bytes_across_commits(tamper, args, digest, tmp_path, capsys):
     """The SHA-256 of stdout then stderr of a ``verify`` of the ``enumerate`` dump that exits 1.
 
-    ``tamper``, if given, edits the dump first.
+    ``tamper``, if given, names the row of ``tampers.TAMPERS`` whose edit the dump gets first.
     """
-    path = make_catalog(tmp_path, capsys)
-    if tamper:
-        doc = json.loads(path.read_text())
-        tamper(doc)
-        path.write_text(json.dumps(doc))
+    path = _tampered(tmp_path, capsys, tamper)[0] if tamper else make_catalog(tmp_path, capsys)
     assert main(["verify", str(path), *args]) == 1
     captured = capsys.readouterr()
     assert hashlib.sha256((captured.out + captured.err).encode()).hexdigest() == digest

@@ -580,6 +580,31 @@ def test_report_names_a_failed_stage_it_has_no_text_for():
     assert tagged.failures() == ["[x]: certificate checks fail on M1"]
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        (
+            Check("angle", ("a1",), (0.0, 1.0), (1e-9, 1e-9), "[x]"),
+            "[x]: the angle record has 1 edges, 2 residuals and 2 bounds",
+        ),
+        (
+            Check("angle", ("a1", "a2"), (0.0, 1.0), (1e-9,)),
+            "the angle record has 2 edges, 2 residuals and 1 bounds",
+        ),
+    ],
+    ids=["short-edges", "short-tol"],
+)
+def test_a_record_whose_fields_differ_in_length_holds_no_verdict(record, message):
+    # A short edge list would fail on an unnamed edge, and a short tol would
+    # pass the residuals it has no bound for.
+    report = Report((record,))
+    with pytest.raises(ValueError) as failures:
+        report.failures()
+    assert str(failures.value) == message
+    with pytest.raises(ValueError, match="the angle record has"):
+        report.ok
+
+
 def test_config_requires_a_known_red_line_branch():
     config = realize(Labeling(2, 6, 2, 7, 3, 2, 2, 3, 2))
     with pytest.raises(ValueError, match="a3 branch"):
