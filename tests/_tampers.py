@@ -1,9 +1,9 @@
 """Tampered copies of the ``enumerate`` dump, each defined once.
 
 ``TAMPERS`` maps a name to an edit of the decoded dump, made in place, and the
-exit code of ``prismcat verify`` on the edited file; ``tests/test_cli.py`` takes
-its edits from it.  ``python tests/_tampers.py CATALOG DIR`` writes
-``DIR/<name>.json`` for each row and prints ``<name> <exit code>`` a line.
+exit code of ``prismcat verify`` on the edited file.  ``write`` makes every
+edited file, here and in the tests.  ``python tests/_tampers.py CATALOG DIR``
+writes ``DIR/<name>.json`` for each row and prints ``<name> <exit code>`` a line.
 """
 
 import json
@@ -21,9 +21,32 @@ class Tamper(NamedTuple):
     code: int
 
 
+def write(text, edit, path):
+    """Write ``text`` to ``path`` with ``edit`` made in place on its document; the document."""
+    doc = json.loads(text)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return doc
+
+
+def first_index(doc, family=False):
+    """The index of the first row that is not a family row, or of the first family row."""
+    return next(i for i, row in enumerate(doc["entries"]) if row["family"] is family)
+
+
 def first_standalone(doc):
     """The first standalone row of the dump, [2 3 2 2 6 4 2 2 2]."""
-    return next(row for row in doc["entries"] if not row["family"])
+    return doc["entries"][first_index(doc)]
+
+
+def first_family(doc):
+    """The first family row of the dump, [2 3 2 n 6 2 2 2 2]."""
+    return doc["entries"][first_index(doc, True)]
+
+
+def on_first_standalone(edit):
+    """The edit of the dump that makes ``edit`` on its first standalone row."""
+    return lambda doc: edit(first_standalone(doc))
 
 
 def moved_matrices(move):
@@ -82,7 +105,7 @@ def _inf(doc):
 
 
 def _family_payload(doc):
-    family = next(row for row in doc["entries"] if row["family"])
+    family = first_family(doc)
     family.update((k, first_standalone(doc)[k]) for k in ("config", "generators", "verification"))
 
 
@@ -122,9 +145,7 @@ def main(argv):
     text = source.read_text()
     directory.mkdir(exist_ok=True)
     for name, (edit, code) in TAMPERS.items():
-        doc = json.loads(text)
-        edit(doc)
-        (directory / f"{name}.json").write_text(json.dumps(doc))
+        write(text, edit, directory / f"{name}.json")
         print(name, code)
 
 

@@ -257,19 +257,28 @@ def _without_a_shared_memo(monkeypatch) -> None:
         monkeypatch.setattr(cat, name, fresh)
 
 
+def _reloaded(entries, edit) -> tuple[cat.Catalog, dict]:
+    """The entries' dump, loaded with ``edit`` made in place on its document; and the document."""
+    doc = json.loads(cat.dumps_catalog(entries))
+    edit(doc)
+    return cat.load_catalog(io.StringIO(json.dumps(doc))), doc
+
+
 def _flip_zero_signs(entries) -> tuple[cat.Catalog, int]:
     """The entries' dump, loaded with the sign of every zero matrix entry
     flipped in every other stored row, and the number of zeros flipped."""
-    doc = json.loads(cat.dumps_catalog(entries))
-    flipped = 0
-    for row in [row for row in doc["entries"] if not row["family"]][::2]:
-        for name in ("m1", "m2", "m3", "m4"):
-            for z in (z for matrix_row in row["generators"][name] for z in matrix_row):
-                for part in ("re", "im"):
-                    if z[part] == 0.0:
-                        z[part] = math.copysign(0.0, -math.copysign(1.0, z[part]))
-                        flipped += 1
-    return cat.load_catalog(io.StringIO(json.dumps(doc))), flipped
+    flipped = []
+
+    def flip(doc):
+        for row in [row for row in doc["entries"] if not row["family"]][::2]:
+            for name in ("m1", "m2", "m3", "m4"):
+                for z in (z for matrix_row in row["generators"][name] for z in matrix_row):
+                    for part in ("re", "im"):
+                        if z[part] == 0.0:
+                            z[part] = math.copysign(0.0, -math.copysign(1.0, z[part]))
+                            flipped.append(z)
+
+    return _reloaded(entries, flip)[0], len(flipped)
 
 
 def test_a_shared_memo_changes_no_row(max12_entries, monkeypatch):
@@ -785,10 +794,8 @@ def test_family_rows_serialize_with_null_slot(full_entries):
 
 
 def test_load_rejects_unknown_schema(full_entries):
-    doc = json.loads(cat.dumps_catalog(full_entries[:1]))
-    doc["schema"] = "something-else/2"
     with pytest.raises(ValueError, match="schema"):
-        cat.load_catalog(io.StringIO(json.dumps(doc)))
+        _reloaded(full_entries[:1], lambda doc: doc.update(schema="something-else/2"))
 
 
 def test_dump_and_load_via_path(tmp_path, full_entries):
@@ -841,9 +848,7 @@ def test_verify_catalog_reads_a_one_shot_iterator_of_entries(full_entries):
 def test_verify_catalog_compares_the_provenance_of_a_loaded_catalog(full_entries):
     # The loaded Catalog carries its provenance, so the library call reaches
     # the verdict the verify command prints.  A plain list has none to compare.
-    doc = json.loads(cat.dumps_catalog(full_entries[:1]))
-    doc["provenance"]["tool"] = "other"
-    loaded = cat.load_catalog(io.StringIO(json.dumps(doc)))
+    loaded, _ = _reloaded(full_entries[:1], lambda doc: doc["provenance"].update(tool="other"))
     report = cat.verify_catalog(loaded)
     assert report.errors == ("provenance: tool 'other' is not 'prismcat'",)
     assert not report.ok
@@ -947,11 +952,11 @@ def test_verify_catalog_fails_when_no_sample_reaches_a_family(full_entries):
 
 
 def test_verify_catalog_flags_corrupted_radius(full_entries):
-    text = cat.dumps_catalog(full_entries)
-    doc = json.loads(text)
+    def edit(doc):
+        next(r for r in doc["entries"] if not r["family"])["config"]["top"]["radius"] += 1e-3
+
+    entries, doc = _reloaded(full_entries, edit)
     victim = next(r for r in doc["entries"] if not r["family"])
-    victim["config"]["top"]["radius"] += 1e-3
-    entries = cat.load_catalog(io.StringIO(json.dumps(doc)))
     report = cat.verify_catalog(entries)
     assert not report.ok
     label_text = " ".join(str(v) for v in victim["labeling"])
@@ -964,11 +969,12 @@ def test_verify_catalog_flags_a_stored_line_with_its_normal_flipped(full_entries
     # Negating a line's normal and offset keeps the line and every angle it
     # makes with another face, so only the comparison of the stored faces
     # with a fresh realization sees the change.
-    doc = json.loads(cat.dumps_catalog(full_entries))
-    victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
-    line = victim["config"][face]
-    line.update(normal=[-v for v in line["normal"]], offset=-line["offset"])
-    report = cat.verify_catalog(cat.load_catalog(io.StringIO(json.dumps(doc))))
+    def edit(doc):
+        victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+        line = victim["config"][face]
+        line.update(normal=[-v for v in line["normal"]], offset=-line["offset"])
+
+    report = cat.verify_catalog(_reloaded(full_entries, edit)[0])
     assert report.failures() == [
         f"[2 3 2 2 6 4 2 2 2]: stored configuration drifts from recomputation on {face}"
         " by 2.000e+00"
@@ -987,10 +993,12 @@ def test_verify_catalog_names_a_nan_face_in_the_drift_row(full_entries):
          "1.000e-12"),
     ]
     for face, tamper, shown in tampers:
-        doc = json.loads(cat.dumps_catalog(full_entries))
-        victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
-        tamper(victim["config"])
-        report = cat.verify_catalog(cat.load_catalog(io.StringIO(json.dumps(doc))))
+
+        def edit(doc, tamper=tamper):
+            victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+            tamper(victim["config"])
+
+        report = cat.verify_catalog(_reloaded(full_entries, edit)[0])
         [drift] = [c for c in report.checks if c.stage == "drift" and c.entry == tag]
         assert drift.edges == PlanarConfig._fields
         assert [e for e, residual in zip(drift.edges, drift.residuals) if residual != 0.0] == [face]
@@ -1024,11 +1032,11 @@ def test_verify_catalog_measures_stored_values_that_equal_their_rebuild_but_are_
 
 
 def test_verify_catalog_flags_tampered_generator(full_entries):
-    text = cat.dumps_catalog(full_entries)
-    doc = json.loads(text)
+    def edit(doc):
+        next(r for r in doc["entries"] if not r["family"])["generators"]["m2"][0][0]["re"] += 1e-4
+
+    entries, doc = _reloaded(full_entries, edit)
     victim = next(r for r in doc["entries"] if not r["family"])
-    victim["generators"]["m2"][0][0]["re"] += 1e-4
-    entries = cat.load_catalog(io.StringIO(json.dumps(doc)))
     report = cat.verify_catalog(entries)
     assert not report.ok
     label_text = " ".join(str(v) for v in victim["labeling"])

@@ -258,10 +258,37 @@ def test_matrices_json(tmp_path, capsys):
 # verify
 
 
-def make_catalog(tmp_path, capsys):
+def _dump(tmp_path_factory, *args):
+    """The text of the file that ``enumerate`` writes with ``args``."""
+    path = tmp_path_factory.mktemp("dump") / "catalog.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["enumerate", *args, "-o", str(path)]) == 0
+    return path.read_text()
+
+
+@pytest.fixture(scope="module")
+def dump(tmp_path_factory):
+    """The ``enumerate`` dump."""
+    return _dump(tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def dump_12(tmp_path_factory):
+    """The ``enumerate --max-n 12`` dump."""
+    return _dump(tmp_path_factory, "--max-n", "12")
+
+
+@pytest.fixture(scope="module")
+def dump_244(tmp_path_factory):
+    """The ``enumerate --cusp 244 --max-n 6`` dump."""
+    return _dump(tmp_path_factory, "--cusp", "244", "--max-n", "6")
+
+
+@pytest.fixture
+def catalog(tmp_path, dump):
+    """``dump`` written to a file."""
     path = tmp_path / "catalog.json"
-    assert main(["enumerate", "-o", str(path)]) == 0
-    capsys.readouterr()
+    path.write_text(dump)
     return path
 
 
@@ -273,40 +300,37 @@ def small_dump():
     standalone = [item for item in items if not item.family][:2]
     entries, failures = cat.build_catalog([family, *standalone], max_n=family.free_min)
     assert failures == [] and len(entries) == 4
-    return json.loads(cat.dumps_catalog(entries))
+    return cat.dumps_catalog(entries)
 
 
 @pytest.fixture
 def small_catalog(tmp_path, small_dump):
     """``small_dump`` written to a file."""
     path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(small_dump))
+    path.write_text(small_dump)
     return path
 
 
-def test_verify_passes_on_enumerated_catalog(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    assert main(["verify", str(path)]) == 0
+def test_verify_passes_on_enumerated_catalog(catalog, capsys):
+    assert main(["verify", str(catalog)]) == 0
     out = capsys.readouterr().out
     assert "checked 126 configurations" in out
     assert "max angle residual" in out
     assert out.strip().endswith("PASS")
 
 
-def test_verify_with_samples(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    assert main(["verify", str(path), "--sample", "7", "12"]) == 0
+def test_verify_with_samples(catalog, capsys):
+    assert main(["verify", str(catalog), "--sample", "7", "12"]) == 0
     out = capsys.readouterr().out
     # free_min 6 and 7 families both admit n = 7 and n = 12
     assert "checked 102 configurations" in out
 
 
-def test_verify_fails_every_family_at_a_million(tmp_path, capsys):
+def test_verify_fails_every_family_at_a_million(catalog, capsys):
     # At n = 10^6 each family's top circle fails realize's absolute red/top
     # clearance gate.  ROADMAP item 8 makes that gate relative, which is
     # expected to turn these into passes.
-    path = make_catalog(tmp_path, capsys)
-    assert main(["verify", str(path), "--sample", "1000000"]) == 1
+    assert main(["verify", str(catalog), "--sample", "1000000"]) == 1
     captured = capsys.readouterr()
     failures = captured.err.splitlines()
     assert len(failures) == 12
@@ -314,13 +338,12 @@ def test_verify_fails_every_family_at_a_million(tmp_path, capsys):
     assert "checked 90 configurations" in captured.out
 
 
-def test_verify_flags_corruption_and_names_entry(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = next(r for r in doc["entries"] if not r["family"])
-    victim["config"]["top"]["radius"] += 1e-3
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 1
+def test_verify_flags_corruption_and_names_entry(dump, catalog, capsys):
+    def edit(doc):
+        tampers.first_standalone(doc)["config"]["top"]["radius"] += 1e-3
+
+    victim = tampers.first_standalone(tampers.write(dump, edit, catalog))
+    assert main(["verify", str(catalog)]) == 1
     captured = capsys.readouterr()
     label_text = " ".join(str(v) for v in victim["labeling"])
     assert label_text in captured.err
@@ -328,8 +351,7 @@ def test_verify_flags_corruption_and_names_entry(tmp_path, capsys):
 
 
 def _bump_first_m2(doc):
-    row = next(r for r in doc["entries"] if not r["family"])
-    row["generators"]["m2"][0][0]["re"] += 1e-4
+    tampers.first_standalone(doc)["generators"]["m2"][0][0]["re"] += 1e-4
 
 
 def _bump_last_m1(doc):
@@ -346,32 +368,17 @@ def _nan_red_offset(doc):
 
 
 def _nan_first_m2(doc):
-    row = next(r for r in doc["entries"] if not r["family"])
-    row["generators"]["m2"][0][0]["re"] = math.nan
+    tampers.first_standalone(doc)["generators"]["m2"][0][0]["re"] = math.nan
 
 
 def _vertical(face, line):
     """Store a vertical ``face`` line in the first standalone row."""
-
-    def tamper(doc):
-        row = next(r for r in doc["entries"] if not r["family"])
-        row["config"][face] = line
-
-    return tamper
+    return tampers.on_first_standalone(lambda row: row["config"].update({face: line}))
 
 
 def _conjugated_by(t):
     """Conjugation by the Moebius map of ``t``: M -> t M t^-1, which keeps every relation."""
     return tampers.moved_matrices(lambda m: t @ m @ t.inv())
-
-
-def _tampered(tmp_path, capsys, name):
-    """The ``enumerate`` dump with the edit of ``tampers.TAMPERS[name]``, written; and its rows."""
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    tampers.TAMPERS[name].edit(doc)
-    path.write_text(json.dumps(doc))
-    return path, doc
 
 
 @pytest.mark.parametrize(
@@ -468,13 +475,10 @@ def _tampered(tmp_path, capsys, name):
     ],
 )
 def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
-    tmp_path, capsys, tamper, failure, summary
+    dump, catalog, capsys, tamper, failure, summary
 ):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    tamper(doc)
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == (1 if failure else 0)
+    tampers.write(dump, tamper, catalog)
+    assert main(["verify", str(catalog)]) == (1 if failure else 0)
     captured = capsys.readouterr()
     failures = captured.err.splitlines()
     assert f"FAIL {failure}" in failures if failure else failures == []
@@ -484,12 +488,11 @@ def test_verify_fails_a_tampered_row_of_the_enumerate_dump(
 
 
 @pytest.fixture(scope="module")
-def tampered_files(tmp_path_factory):
+def tampered_files(tmp_path_factory, dump):
     """What ``tests/_tampers.py`` writes from the ``enumerate`` dump: its directory and lines."""
     directory = tmp_path_factory.mktemp("tampers")
     source = directory / "cat.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["enumerate", "-o", str(source)]) == 0
+    source.write_text(dump)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         tampers.main([str(source), str(directory / "out")])
     return directory / "out", out.getvalue().splitlines()
@@ -516,16 +519,14 @@ def test_verify_exits_with_the_code_of_each_tampered_catalog(name, tampered_file
     ids=["red-offset", "back-radius"],
 )
 def test_verify_fails_a_moved_face_that_the_rebuild_does_not_read(
-    tmp_path, capsys, face, move, angles
+    dump, catalog, capsys, face, move, angles
 ):
     # build_generators reads neither the red nor the back face, so with the
     # matrices untouched the generator record passes; drift fails the row.
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    row = next(r for r in doc["entries"] if not r["family"])
-    move(row["config"][face])
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 1
+    edit = tampers.on_first_standalone(lambda r: move(r["config"][face]))
+    doc = tampers.write(dump, edit, catalog)
+    row = tampers.first_standalone(doc)
+    assert main(["verify", str(catalog)]) == 1
     captured = capsys.readouterr()
     tag = f"FAIL {cat.label_tag(row['labeling'])}:"
     assert captured.err.splitlines() == [
@@ -537,11 +538,11 @@ def test_verify_fails_a_moved_face_that_the_rebuild_does_not_read(
     assert captured.out.strip().endswith("FAIL")
 
 
-def test_verify_prints_every_line_of_a_stored_infinity(tmp_path, capsys):
-    path, doc = _tampered(tmp_path, capsys, "inf")
+def test_verify_prints_every_line_of_a_stored_infinity(dump, catalog, capsys):
+    doc = tampers.write(dump, tampers.TAMPERS["inf"].edit, catalog)
     row = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
     assert row["verification"]["angles"][6:] == [math.inf] * 3
-    assert main(["verify", str(path)]) == 1
+    assert main(["verify", str(catalog)]) == 1
     captured = capsys.readouterr()
     assert captured.out == (
         "checked 126 configurations\n"
@@ -562,21 +563,10 @@ def test_verify_prints_every_line_of_a_stored_infinity(tmp_path, capsys):
     )
 
 
-def test_verify_rejects_unknown_schema(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    doc["schema"] = "other/1"
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 2
+def test_verify_rejects_unknown_schema(dump, catalog, capsys):
+    tampers.write(dump, lambda doc: doc.update(schema="other/1"), catalog)
+    assert main(["verify", str(catalog)]) == 2
     assert "schema" in capsys.readouterr().err
-
-
-def _corrupt_first_standalone(path, corrupt):
-    doc = json.loads(path.read_text())
-    index = next(i for i, r in enumerate(doc["entries"]) if not r["family"])
-    corrupt(doc["entries"][index])
-    path.write_text(json.dumps(doc))
-    return index
 
 
 def _assert_rejected(path, capsys, index, field):
@@ -586,14 +576,9 @@ def _assert_rejected(path, capsys, index, field):
     assert "Traceback" not in err
 
 
-def test_verify_rejects_entry_without_cusp(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    index = _corrupt_first_standalone(path, lambda r: r.pop("cusp"))
-    _assert_rejected(path, capsys, index, "cusp")
-
-
-def _first_row(doc, family):
-    return next(i for i, r in enumerate(doc["entries"]) if r["family"] is family)
+def test_verify_rejects_entry_without_cusp(dump, catalog, capsys):
+    doc = tampers.write(dump, tampers.on_first_standalone(lambda r: r.pop("cusp")), catalog)
+    _assert_rejected(catalog, capsys, tampers.first_index(doc), "cusp")
 
 
 @pytest.mark.parametrize(
@@ -664,19 +649,17 @@ def _first_row(doc, family):
     ],
 )
 def test_verify_rejects_malformed_family_and_generator_fields(
-    tmp_path, capsys, family, corrupt, field
+    dump, catalog, capsys, family, corrupt, field
 ):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    index = _first_row(doc, family)
-    corrupt(doc["entries"][index])
-    path.write_text(json.dumps(doc))
-    _assert_rejected(path, capsys, index, field)
+    # Some edits change the row's family field, so the index is the unedited dump's.
+    index = tampers.first_index(json.loads(dump), family)
+    tampers.write(dump, lambda doc: corrupt(doc["entries"][index]), catalog)
+    _assert_rejected(catalog, capsys, index, field)
 
 
-def test_verify_rejects_a_family_row_that_carries_a_standalone_payload(tmp_path, capsys):
-    path, doc = _tampered(tmp_path, capsys, "family_payload")
-    _assert_rejected(path, capsys, _first_row(doc, True), "config")
+def test_verify_rejects_a_family_row_that_carries_a_standalone_payload(dump, catalog, capsys):
+    doc = tampers.write(dump, tampers.TAMPERS["family_payload"].edit, catalog)
+    _assert_rejected(catalog, capsys, tampers.first_index(doc, True), "config")
 
 
 @pytest.mark.parametrize(
@@ -690,24 +673,18 @@ def test_verify_rejects_a_family_row_that_carries_a_standalone_payload(tmp_path,
     ],
     ids=["family-n-plus-1", "free-min-above", "family-n-null", "free-min-null", "slot-9"],
 )
-def test_verify_rejects_inconsistent_instance_rows(tmp_path, capsys, corrupt, field):
+def test_verify_rejects_inconsistent_instance_rows(dump_244, tmp_path, capsys, corrupt, field):
+    rows = json.loads(dump_244)["entries"]
+    index = next(i for i, r in enumerate(rows) if r["family_n"] is not None)
     path = tmp_path / "catalog.json"
-    assert main(["enumerate", "--cusp", "244", "--max-n", "6", "-o", str(path)]) == 0
-    capsys.readouterr()
-    doc = json.loads(path.read_text())
-    index = next(i for i, r in enumerate(doc["entries"]) if r["family_n"] is not None)
-    corrupt(doc["entries"][index])
-    path.write_text(json.dumps(doc))
+    tampers.write(dump_244, lambda doc: corrupt(doc["entries"][index]), path)
     _assert_rejected(path, capsys, index, field)
 
 
-def test_verify_rejects_duplicate_rows(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    rows = doc["entries"]
-    doc["entries"] = rows + rows
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 1
+def test_verify_rejects_duplicate_rows(dump, catalog, capsys):
+    rows = json.loads(dump)["entries"]
+    tampers.write(dump, lambda doc: doc.update(entries=doc["entries"] * 2), catalog)
+    assert main(["verify", str(catalog)]) == 1
     captured = capsys.readouterr()
     tags = [" ".join("n" if v is None else str(v) for v in r["labeling"]) for r in rows]
     assert captured.err.splitlines() == [f"FAIL [{tag}]: the row is stored 2 times" for tag in tags]
@@ -715,11 +692,13 @@ def test_verify_rejects_duplicate_rows(tmp_path, capsys):
     assert captured.out.strip().endswith("FAIL")
 
 
-def test_verify_names_each_failed_edge_of_a_row_stored_twice_once_per_copy(tmp_path, capsys):
+def test_verify_names_each_failed_edge_of_a_row_stored_twice_once_per_copy(
+    dump, catalog, capsys
+):
     # Both copies carry one tag, and each copy's records make their own
     # lines: each names its failed edges once.
-    path, _ = _tampered(tmp_path, capsys, "twice")
-    assert main(["verify", str(path)]) == 1
+    tampers.write(dump, tampers.TAMPERS["twice"].edit, catalog)
+    assert main(["verify", str(catalog)]) == 1
     captured = capsys.readouterr()
     tag = "[2 3 2 2 6 4 2 2 2]"
     copy = [
@@ -755,15 +734,13 @@ def _assert_named_failures(path, capsys, expected):
     ],
     ids=["theta1", "theta2", "fixed1", "fixed2"],
 )
-def test_verify_flags_tampered_generator_parameters(tmp_path, capsys, corrupt, edge):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = doc["entries"][_first_row(doc, False)]
-    corrupt(victim["generators"])
-    path.write_text(json.dumps(doc))
+def test_verify_flags_tampered_generator_parameters(dump, catalog, capsys, corrupt, edge):
+    edit = tampers.on_first_standalone(lambda r: corrupt(r["generators"]))
+    doc = tampers.write(dump, edit, catalog)
+    victim = tampers.first_standalone(doc)
     label_text = " ".join(str(v) for v in victim["labeling"])
     expected = f"[{label_text}]: {_REBUILD} {edge}"
-    _assert_named_failures(path, capsys, [expected])
+    _assert_named_failures(catalog, capsys, [expected])
 
 
 def _generator_record(path, labeling):
@@ -772,61 +749,59 @@ def _generator_record(path, labeling):
     return next(c for c in report.checks if c.stage == "generator" and c.entry == tag)
 
 
-def test_verify_reads_a_one_ulp_move_of_theta1_on_the_generator_record(tmp_path, capsys):
+def test_verify_reads_a_one_ulp_move_of_theta1_on_the_generator_record(dump, catalog, capsys):
     # The stored generators no longer equal their rebuild, so the record is
     # measured: it reads exactly the ulp, which is within its bound, and the
     # printed summary does not change.
-    path = make_catalog(tmp_path, capsys)
-    assert main(["verify", str(path)]) == 0
+    assert main(["verify", str(catalog)]) == 0
     untouched = capsys.readouterr().out
-    theta1 = tampers.first_standalone(json.loads(path.read_text()))["generators"]["theta1"]
-    path, doc = _tampered(tmp_path, capsys, "ulp_theta1")
-    record = _generator_record(path, tampers.first_standalone(doc)["labeling"])
+    theta1 = tampers.first_standalone(json.loads(dump))["generators"]["theta1"]
+    doc = tampers.write(dump, tampers.TAMPERS["ulp_theta1"].edit, catalog)
+    record = _generator_record(catalog, tampers.first_standalone(doc)["labeling"])
     assert dict(zip(record.edges, record.residuals)) == {
         "M1": 0.0, "M2": 0.0, "M3": 0.0, "M4": 0.0,
         "theta1": math.ulp(theta1), "theta2": 0.0, "fixed1": 0.0, "fixed2": 0.0,
     }
-    assert main(["verify", str(path)]) == 0
+    assert main(["verify", str(catalog)]) == 0
     assert capsys.readouterr().out == untouched
 
 
-def test_verify_measures_a_one_ulp_move_of_m2_as_its_distance(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = doc["entries"][_first_row(doc, False)]
-    entry = victim["generators"]["m2"][0][1]
-    entry["re"] = math.nextafter(entry["re"], math.inf)
-    path.write_text(json.dumps(doc))
+def test_verify_measures_a_one_ulp_move_of_m2_as_its_distance(dump, catalog, capsys):
+    def edit(doc):
+        entry = tampers.first_standalone(doc)["generators"]["m2"][0][1]
+        entry["re"] = math.nextafter(entry["re"], math.inf)
+
+    victim = tampers.first_standalone(tampers.write(dump, edit, catalog))
     stored = cat.entry_from_json(victim)
     moved = stored.generators.m2
     rebuilt = build_generators(stored.generators.labeling, stored.config).m2
     assert moved.distance(rebuilt) > 0.0
-    record = _generator_record(path, victim["labeling"])
+    record = _generator_record(catalog, victim["labeling"])
     assert record.residuals == (0.0, moved.distance(rebuilt), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_verify_flags_cusp_that_disagrees_with_labeling(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = doc["entries"][_first_row(doc, False)]
-    assert victim["cusp"] == "236"
-    victim["cusp"] = "333"
-    path.write_text(json.dumps(doc))
+def test_verify_flags_cusp_that_disagrees_with_labeling(dump, catalog, capsys):
+    def edit(doc):
+        victim = tampers.first_standalone(doc)
+        assert victim["cusp"] == "236"
+        victim["cusp"] = "333"
+
+    victim = tampers.first_standalone(tampers.write(dump, edit, catalog))
     label_text = " ".join(str(v) for v in victim["labeling"])
     expected = f"[{label_text}]: stored cusp 333 is not the labeling's cusp 236"
-    _assert_named_failures(path, capsys, [expected])
+    _assert_named_failures(catalog, capsys, [expected])
 
 
-def test_verify_checks_family_cusp_on_every_sample(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = doc["entries"][_first_row(doc, True)]
-    assert victim["cusp"] == "236" and victim["free_min"] == 6
-    victim["cusp"] = "244"
-    path.write_text(json.dumps(doc))
+def test_verify_checks_family_cusp_on_every_sample(dump, catalog, capsys):
+    def edit(doc):
+        victim = tampers.first_family(doc)
+        assert victim["cusp"] == "236" and victim["free_min"] == 6
+        victim["cusp"] = "244"
+
+    victim = tampers.first_family(tampers.write(dump, edit, catalog))
     label_text = " ".join("n" if v is None else str(v) for v in victim["labeling"])
     _assert_named_failures(
-        path,
+        catalog,
         capsys,
         [
             f"[{label_text}] at n={n}: stored cusp 244 is not the labeling's cusp 236"
@@ -860,8 +835,12 @@ def _claim_the_first_slot(doc):
     row.update(free_slot=0, family_n=2, free_min=2)
 
 
+def _drop(doc, labelings):
+    doc["entries"] = [r for r in doc["entries"] if r["labeling"] not in labelings]
+
+
 def _drop_pattern(doc):
-    doc["entries"] = [r for r in doc["entries"] if r["labeling"] != PATTERN]
+    _drop(doc, [PATTERN])
 
 
 def _set_huge_pattern_free_min(doc):
@@ -902,32 +881,29 @@ def _set_huge_pattern_free_min(doc):
     ids=["free-min-7", "first-slot", "no-family-row", "huge-family-free-min"],
 )
 def test_verify_flags_instances_that_disagree_with_their_family_row(
-    tmp_path, capsys, corrupt, expected
+    dump_12, tmp_path, capsys, corrupt, expected
 ):
     path = tmp_path / "catalog.json"
-    assert main(["enumerate", "--max-n", "12", "-o", str(path)]) == 0
-    capsys.readouterr()
-    doc = json.loads(path.read_text())
-    corrupt(doc)
-    path.write_text(json.dumps(doc))
+    tampers.write(dump_12, corrupt, path)
     _assert_named_failures(path, capsys, expected)
 
 
 @pytest.mark.parametrize(
     "labels", [[2, 3, 2, 2, 6, 4, 2, 2, 2], PATTERN], ids=["labeling", "family-pattern"]
 )
-def test_verify_flags_a_row_stored_with_its_mirror_image(tmp_path, capsys, labels):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
+def test_verify_flags_a_row_stored_with_its_mirror_image(dump, catalog, capsys, labels):
     mate = list(symmetry_mate(labels))
-    if None in labels:
-        row = next(r for r in doc["entries"] if r["labeling"] == labels)
-        doc["entries"].append(dict(row, labeling=mate, free_slot=mate.index(None)))
-    else:
-        doc["entries"].append(cat.entry_to_json(cat.build_entry(mate)[0]))
-    path.write_text(json.dumps(doc))
+
+    def edit(doc):
+        if None in labels:
+            row = next(r for r in doc["entries"] if r["labeling"] == labels)
+            doc["entries"].append(dict(row, labeling=mate, free_slot=mate.index(None)))
+        else:
+            doc["entries"].append(cat.entry_to_json(cat.build_entry(mate)[0]))
+
+    tampers.write(dump, edit, catalog)
     expected = f"{tag(labels)}: its mirror image {tag(mate)} is stored too"
-    _assert_named_failures(path, capsys, [expected])
+    _assert_named_failures(catalog, capsys, [expected])
 
 
 # The 8 family rows whose free_min comes from the fold rule, each with the
@@ -947,13 +923,14 @@ _FOLDED = [
 @pytest.mark.parametrize(
     "pattern,lowest", _FOLDED, ids=["".join(str(v or "n") for v in p) for p, _ in _FOLDED]
 )
-def test_verify_flags_a_standalone_row_inside_a_lowered_family(tmp_path, capsys, pattern, lowest):
+def test_verify_flags_a_standalone_row_inside_a_lowered_family(
+    dump, catalog, capsys, pattern, lowest
+):
     # Lowered to its admissibility threshold, the family covers stored
     # standalone rows (or their mirror images), and the counts stop being a
     # classification.  With those rows removed the file passes: completeness
     # has no rule.
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
+    doc = json.loads(dump)
     row = next(r for r in doc["entries"] if r["labeling"] == pattern)
     slot = row["free_slot"]
 
@@ -974,47 +951,49 @@ def test_verify_flags_a_standalone_row_inside_a_lowered_family(tmp_path, capsys,
                 )
                 inside.append(stored)
     assert expected
-    tampers.lowered(pattern, lowest)(doc)
-    path.write_text(json.dumps(doc))
-    _assert_named_failures(path, capsys, expected)
-    doc["entries"] = [r for r in doc["entries"] if r["labeling"] not in inside]
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 0
+    tampers.write(dump, tampers.lowered(pattern, lowest), catalog)
+    _assert_named_failures(catalog, capsys, expected)
+    tampers.write(catalog.read_text(), lambda doc: _drop(doc, inside), catalog)
+    assert main(["verify", str(catalog)]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
 
 
-def test_verify_flags_a_standalone_row_whose_mirror_image_is_in_a_family(tmp_path, capsys):
+def test_verify_flags_a_standalone_row_whose_mirror_image_is_in_a_family(dump, catalog, capsys):
     # [2 3 2 4 6 2 2 2 2] stored as its mirror image: with the family lowered to
     # free_min 4, the mirror image of the stored row is a member.  Outside the
     # family, at its own free_min 6, the same file passes.
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
     labels = [2, 3, 2, 4, 6, 2, 2, 2, 2]
     mate = list(symmetry_mate(labels))
-    index = next(i for i, r in enumerate(doc["entries"]) if r["labeling"] == labels)
-    doc["entries"][index] = cat.entry_to_json(cat.build_entry(mate)[0])
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 0
+
+    def mirrored(doc):
+        index = next(i for i, r in enumerate(doc["entries"]) if r["labeling"] == labels)
+        doc["entries"][index] = cat.entry_to_json(cat.build_entry(mate)[0])
+
+    def lowered(doc):
+        tampers.TAMPERS["lowered"].edit(doc)
+        _drop(doc, [[2, 3, 2, 5, 6, 2, 2, 2, 2]])
+
+    tampers.write(dump, mirrored, catalog)
+    assert main(["verify", str(catalog)]) == 0
     capsys.readouterr()
-    tampers.TAMPERS["lowered"].edit(doc)
-    doc["entries"] = [r for r in doc["entries"] if r["labeling"] != [2, 3, 2, 5, 6, 2, 2, 2, 2]]
-    path.write_text(json.dumps(doc))
+    tampers.write(catalog.read_text(), lowered, catalog)
     expected = f"{tag(mate)}: its mirror image {tag(labels)} is a member of family {tag(PATTERN)}"
-    _assert_named_failures(path, capsys, [expected + " (n = 4)"])
+    _assert_named_failures(catalog, capsys, [expected + " (n = 4)"])
 
 
 def test_the_partition_rule_passes_over_a_null_label_of_a_standalone_row(
-    tmp_path, capsys, small_dump
+    small_dump, small_catalog, capsys
 ):
     # A null label of a row with no free slot is no family's free slot: the
     # row fails to realize, and the partition rule compares no label with it.
     for index in range(9):
-        doc = json.loads(json.dumps(small_dump))
+
+        def null_label(doc, index=index):
+            next(r for r in doc["entries"] if r["free_slot"] is None)["labeling"][index] = None
+
+        doc = tampers.write(small_dump, null_label, small_catalog)
         row = next(r for r in doc["entries"] if r["free_slot"] is None)
-        row["labeling"][index] = None
-        path = tmp_path / "null_label.json"
-        path.write_text(json.dumps(doc))
-        assert main(["verify", str(path)]) == 1
+        assert main(["verify", str(small_catalog)]) == 1
         failures = capsys.readouterr().err.splitlines()
         assert failures[0].startswith(
             f"FAIL {tag(row['labeling'])}: realization failed: edge labels must be integers"
@@ -1033,14 +1012,12 @@ def test_verify_accepts_a_labeling_that_is_its_own_mirror_image(tmp_path, capsys
 @pytest.mark.parametrize(
     "fields", [("config",), ("generators",), ("verification",), ("config", "generators")]
 )
-def test_verify_requires_the_payload_of_non_family_rows(tmp_path, capsys, fields):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = doc["entries"][_first_row(doc, False)]
-    victim.update(dict.fromkeys(fields))
-    path.write_text(json.dumps(doc))
+def test_verify_requires_the_payload_of_non_family_rows(dump, catalog, capsys, fields):
+    edit = tampers.on_first_standalone(lambda r: r.update(dict.fromkeys(fields)))
+    victim = tampers.first_standalone(tampers.write(dump, edit, catalog))
     label_text = " ".join(str(v) for v in victim["labeling"])
-    _assert_named_failures(path, capsys, [f"[{label_text}]: entry stores no {', '.join(fields)}"])
+    expected = f"[{label_text}]: entry stores no {', '.join(fields)}"
+    _assert_named_failures(catalog, capsys, [expected])
 
 
 @pytest.mark.parametrize(
@@ -1053,18 +1030,17 @@ def test_verify_requires_the_payload_of_non_family_rows(tmp_path, capsys, fields
     ],
     ids=["relation-123", "angle-over-tol", "trace-negative", "angle-within-tol"],
 )
-def test_verify_reads_stored_residuals(tmp_path, capsys, field, index, value, disagree):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = doc["entries"][_first_row(doc, False)]
-    victim["verification"][field][index] += value
-    path.write_text(json.dumps(doc))
+def test_verify_reads_stored_residuals(dump, catalog, capsys, field, index, value, disagree):
+    def edit(doc):
+        tampers.first_standalone(doc)["verification"][field][index] += value
+
+    victim = tampers.first_standalone(tampers.write(dump, edit, catalog))
     if disagree is None:  # within the row's tolerance
-        assert main(["verify", str(path)]) == 0
+        assert main(["verify", str(catalog)]) == 0
         return
     label_text = " ".join(str(v) for v in victim["labeling"])
     expected = f"[{label_text}]: stored residuals disagree with recomputation on {disagree}"
-    _assert_named_failures(path, capsys, [expected])
+    _assert_named_failures(catalog, capsys, [expected])
 
 
 @pytest.mark.parametrize(
@@ -1078,22 +1054,22 @@ def test_verify_reads_stored_residuals(tmp_path, capsys, field, index, value, di
     ],
     ids=["8-relations", "10-traces", "string-angle", "no-angles", "huge-angle"],
 )
-def test_verify_rejects_malformed_verification(tmp_path, capsys, corrupt):
-    path = make_catalog(tmp_path, capsys)
-    index = _corrupt_first_standalone(path, lambda r: corrupt(r["verification"]))
-    _assert_rejected(path, capsys, index, "verification")
+def test_verify_rejects_malformed_verification(dump, catalog, capsys, corrupt):
+    edit = tampers.on_first_standalone(lambda r: corrupt(r["verification"]))
+    doc = tampers.write(dump, edit, catalog)
+    _assert_rejected(catalog, capsys, tampers.first_index(doc), "verification")
 
 
-def test_verify_rejects_short_labeling(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    index = _corrupt_first_standalone(path, lambda r: r.update(labeling=[2, 3]))
-    _assert_rejected(path, capsys, index, "labeling")
+def test_verify_rejects_short_labeling(dump, catalog, capsys):
+    edit = tampers.on_first_standalone(lambda r: r.update(labeling=[2, 3]))
+    doc = tampers.write(dump, edit, catalog)
+    _assert_rejected(catalog, capsys, tampers.first_index(doc), "labeling")
 
 
-def test_verify_rejects_malformed_config(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    index = _corrupt_first_standalone(path, lambda r: r.update(config={"red": 1}))
-    _assert_rejected(path, capsys, index, "config")
+def test_verify_rejects_malformed_config(dump, catalog, capsys):
+    edit = tampers.on_first_standalone(lambda r: r.update(config={"red": 1}))
+    doc = tampers.write(dump, edit, catalog)
+    _assert_rejected(catalog, capsys, tampers.first_index(doc), "config")
 
 
 @pytest.mark.parametrize(
@@ -1125,43 +1101,45 @@ def test_verify_rejects_malformed_config(tmp_path, capsys):
     ],
 )
 def test_verify_rejects_a_line_or_circle_that_is_not_numbers(
-    small_catalog, capsys, corrupt, message
+    small_dump, small_catalog, capsys, corrupt, message
 ):
-    index = _corrupt_first_standalone(small_catalog, lambda r: corrupt(r["config"]))
+    edit = tampers.on_first_standalone(lambda r: corrupt(r["config"]))
+    doc = tampers.write(small_dump, edit, small_catalog)
+    index = tampers.first_index(doc)
     assert main(["verify", str(small_catalog)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: catalog entry {index}: field 'config' is malformed ({message})\n"
 
 
-def test_verify_rejects_a_label_that_is_not_an_integer(small_catalog, capsys):
-    index = _corrupt_first_standalone(small_catalog, lambda r: r["labeling"].__setitem__(0, [2]))
-    _assert_rejected(small_catalog, capsys, index, "labeling")
+def test_verify_rejects_a_label_that_is_not_an_integer(small_dump, small_catalog, capsys):
+    edit = tampers.on_first_standalone(lambda r: r["labeling"].__setitem__(0, [2]))
+    doc = tampers.write(small_dump, edit, small_catalog)
+    _assert_rejected(small_catalog, capsys, tampers.first_index(doc), "labeling")
 
 
-def test_verify_fails_a_label_below_two(small_catalog, capsys):
-    doc = json.loads(small_catalog.read_text())
-    victim = doc["entries"][_first_row(doc, False)]
-    victim["labeling"][0] = 1
-    small_catalog.write_text(json.dumps(doc))
+def test_verify_fails_a_label_below_two(small_dump, small_catalog, capsys):
+    edit = tampers.on_first_standalone(lambda r: r["labeling"].__setitem__(0, 1))
+    victim = tampers.first_standalone(tampers.write(small_dump, edit, small_catalog))
     assert main(["verify", str(small_catalog)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"FAIL {tag(victim['labeling'])}: realization failed:")
 
 
-def test_verify_says_why_a_stored_labeling_is_not_admissible(small_catalog, capsys):
-    doc = json.loads(small_catalog.read_text())
-    victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
-    victim["labeling"][4] = 5
-    small_catalog.write_text(json.dumps(doc))
+def test_verify_says_why_a_stored_labeling_is_not_admissible(small_dump, small_catalog, capsys):
+    def edit(doc):
+        victim = next(r for r in doc["entries"] if r["labeling"] == [2, 3, 2, 2, 6, 4, 2, 2, 2])
+        victim["labeling"][4] = 5
+
+    tampers.write(small_dump, edit, small_catalog)
     reason = "ideal triple not Euclidean: (a1, a2, a5) = (2, 3, 5) is spherical"
     line = f"[2 3 2 2 5 4 2 2 2]: realization failed: {_INADMISSIBLE}{reason}"
     _assert_named_failures(small_catalog, capsys, [line])
 
 
-def test_verify_shows_a_label_of_40_digits_in_full_in_tag_and_message(tmp_path, capsys):
-    path = make_catalog(tmp_path, capsys)
-    _corrupt_first_standalone(path, lambda r: r["labeling"].__setitem__(0, -(10**39)))
-    assert main(["verify", str(path)]) == 1
+def test_verify_shows_a_label_of_40_digits_in_full_in_tag_and_message(dump, catalog, capsys):
+    edit = tampers.on_first_standalone(lambda r: r["labeling"].__setitem__(0, -(10**39)))
+    tampers.write(dump, edit, catalog)
+    assert main(["verify", str(catalog)]) == 1
     labels = "-1" + "0" * 39, "3", "2", "2", "6", "4", "2", "2", "2"
     assert capsys.readouterr().err == (
         f"FAIL [{' '.join(labels)}]: realization failed:"
@@ -1186,12 +1164,9 @@ def test_verify_shows_a_label_of_40_digits_in_full_in_tag_and_message(tmp_path, 
     ],
     ids=["missing", "object", "number", "entry-number", "entry-list"],
 )
-def test_verify_rejects_malformed_entries_field(tmp_path, capsys, corrupt, message):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    corrupt(doc)
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 2
+def test_verify_rejects_malformed_entries_field(dump, catalog, capsys, corrupt, message):
+    tampers.write(dump, corrupt, catalog)
+    assert main(["verify", str(catalog)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
@@ -1218,10 +1193,10 @@ def test_verify_rejects_malformed_entries_field(tmp_path, capsys, corrupt, messa
     ],
     ids=["missing", "string", "no-tool", "tool-number", "tolerances-list", "tolerance-string"],
 )
-def test_verify_rejects_a_missing_or_malformed_provenance(small_catalog, capsys, corrupt, message):
-    doc = json.loads(small_catalog.read_text())
-    corrupt(doc)
-    small_catalog.write_text(json.dumps(doc))
+def test_verify_rejects_a_missing_or_malformed_provenance(
+    small_dump, small_catalog, capsys, corrupt, message
+):
+    tampers.write(small_dump, corrupt, small_catalog)
     assert main(["verify", str(small_catalog)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: catalog field 'provenance' {message}")
@@ -1256,35 +1231,33 @@ def test_verify_rejects_a_missing_or_malformed_provenance(small_catalog, capsys,
     ids=["tool", "tolerances", "both"],
 )
 def test_verify_fails_a_provenance_of_another_tool_or_tolerances(
-    small_catalog, capsys, provenance, failures
+    small_dump, small_catalog, capsys, provenance, failures
 ):
-    doc = json.loads(small_catalog.read_text())
-    doc["provenance"].update(provenance)
-    small_catalog.write_text(json.dumps(doc))
+    tampers.write(small_dump, lambda doc: doc["provenance"].update(provenance), small_catalog)
     assert main(["verify", str(small_catalog)]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == failures
     assert captured.out.strip().endswith("FAIL")
 
 
-def test_verify_does_not_compare_the_provenance_version(small_catalog, capsys):
-    doc = json.loads(small_catalog.read_text())
+def test_verify_does_not_compare_the_provenance_version(small_dump, small_catalog, capsys):
     expected = (main(["verify", str(small_catalog)]), capsys.readouterr())
     for edit in (lambda p: p.update(version="0.0.0-other"), lambda p: p.pop("version")):
-        edit(doc["provenance"])
-        small_catalog.write_text(json.dumps(doc))
+        tampers.write(small_dump, lambda doc: edit(doc["provenance"]), small_catalog)
         assert (main(["verify", str(small_catalog)]), capsys.readouterr()) == expected
     assert expected[0] == 0 and expected[1].err == ""
 
 
 @pytest.mark.parametrize("sample", ["3", "-5"])
-def test_verify_fails_when_no_sample_reaches_a_family(small_dump, tmp_path, capsys, sample):
+def test_verify_fails_when_no_sample_reaches_a_family(small_dump, small_catalog, capsys, sample):
     # A file of family rows only: every family bound is 6 or 7, so nothing
     # is realized or checked.
-    doc = dict(small_dump, entries=[row for row in small_dump["entries"] if row["family"]])
-    path = tmp_path / "families.json"
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path), "--sample", sample]) == 1
+    tampers.write(
+        small_dump,
+        lambda doc: doc.update(entries=[row for row in doc["entries"] if row["family"]]),
+        small_catalog,
+    )
+    assert main(["verify", str(small_catalog), "--sample", sample]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
         "FAIL no labeling to check: every sample is below its family's bound\n"
@@ -1293,10 +1266,8 @@ def test_verify_fails_when_no_sample_reaches_a_family(small_dump, tmp_path, caps
     assert captured.out.endswith("\nFAIL\n")
 
 
-def test_verify_fails_an_empty_catalog(small_catalog, capsys):
-    doc = json.loads(small_catalog.read_text())
-    doc["entries"] = []
-    small_catalog.write_text(json.dumps(doc))
+def test_verify_fails_an_empty_catalog(small_dump, small_catalog, capsys):
+    tampers.write(small_dump, lambda doc: doc.update(entries=[]), small_catalog)
     assert main(["verify", str(small_catalog)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "FAIL the catalog has no entries\n"
@@ -1320,7 +1291,7 @@ def test_verify_rejects_a_document_nested_too_deeply(small_dump, tmp_path, capsy
     path.write_text("[" * 100_000)
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == "error: the catalog is nested too deeply to read\n"
-    doc = json.dumps({**small_dump, "entries": "@"})
+    doc = json.dumps({**json.loads(small_dump), "entries": "@"})
     path.write_text(doc.replace('"@"', "[" * 3000 + "]" * 3000))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -1353,10 +1324,10 @@ _DEEP = "@"  # stands in the document for a list nested 900 levels deep
     ],
 )
 def test_verify_names_a_bad_value_briefly(small_dump, tmp_path, capsys, row, path, value, field):
-    doc = json.loads(json.dumps(small_dump))
+    doc = json.loads(small_dump)
     rows = doc["entries"]
     index = {
-        "family": _first_row(doc, True),
+        "family": tampers.first_index(doc, True),
         "standalone": next(i for i, r in enumerate(rows) if r["config"] and r["free_slot"] is None),
         "instance": next(i for i, r in enumerate(rows) if r["family_n"] is not None),
     }.get(row)
@@ -1381,12 +1352,12 @@ def _stored_disagreement(edges):
     return ", ".join(f"{field} {edge}" for field in ("relations", "traces") for edge in edges)
 
 
-def test_verify_reports_singular_generator(tmp_path, capsys):
+def test_verify_reports_singular_generator(dump, catalog, capsys):
     # A singular M3 leaves the words that contain it unmeasurable: they read
     # inf, so they fail, and disagree with the residuals the row stores.  It
     # is as far from the rebuilt M3 as that is from 0.
-    path, doc = _tampered(tmp_path, capsys, "singular")
-    assert main(["verify", str(path)]) == 1
+    doc = tampers.write(dump, tampers.TAMPERS["singular"].edit, catalog)
+    assert main(["verify", str(catalog)]) == 1
     captured = capsys.readouterr()
     label_text = " ".join(str(v) for v in tampers.first_standalone(doc)["labeling"])
     stored = _stored_disagreement(("a2", "a5", "a6", "a8"))
@@ -1414,16 +1385,14 @@ def test_verify_reports_singular_generator(tmp_path, capsys):
     ids=["m1-subnormal", "m1-1e308"],
 )
 def test_verify_reports_an_extreme_stored_m1_as_record_fail_lines(
-    small_catalog, capsys, corrupt, rebuild, determinant
+    small_dump, small_catalog, capsys, corrupt, rebuild, determinant
 ):
     # The words that contain M1 meet a determinant that underflows to 0, so
     # they cannot be measured and read inf.  M1 = [[0, -1], [1, 1e308]] keeps
     # its determinant 1, so only its words and its rebuild fail; the rebuilt
     # M1 is [[0, -1], [1, 0]], 1 and 1e308 from the two stored ones.
-    doc = json.loads(small_catalog.read_text())
-    victim = doc["entries"][_first_row(doc, False)]
-    corrupt(victim)
-    small_catalog.write_text(json.dumps(doc))
+    doc = tampers.write(small_dump, tampers.on_first_standalone(corrupt), small_catalog)
+    victim = tampers.first_standalone(doc)
     assert main(["verify", str(small_catalog)]) == 1
     captured = capsys.readouterr()
     words = ("a3", "a4", "a6", "a9")
@@ -1447,11 +1416,11 @@ def test_verify_reports_an_extreme_stored_m1_as_record_fail_lines(
     ],
     ids=["top-center-minus-1e308", "top-radius-1e308"],
 )
-def test_verify_reports_an_arithmetic_failure_as_a_fail_line(small_catalog, capsys, corrupt):
-    doc = json.loads(small_catalog.read_text())
-    victim = doc["entries"][_first_row(doc, False)]
-    corrupt(victim)
-    small_catalog.write_text(json.dumps(doc))
+def test_verify_reports_an_arithmetic_failure_as_a_fail_line(
+    small_dump, small_catalog, capsys, corrupt
+):
+    doc = tampers.write(small_dump, tampers.on_first_standalone(corrupt), small_catalog)
+    victim = tampers.first_standalone(doc)
     assert main(["verify", str(small_catalog)]) == 1
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
@@ -1459,21 +1428,17 @@ def test_verify_reports_an_arithmetic_failure_as_a_fail_line(small_catalog, caps
     assert "checked 7 configurations" in captured.out
 
 
-def test_verify_reports_a_free_slot_too_large_for_a_float(tmp_path, capsys):
+def test_verify_reports_a_free_slot_too_large_for_a_float(dump, catalog, capsys):
     huge = 10**400
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    victim = doc["entries"][_first_row(doc, True)]
-    victim["free_min"] = huge
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 1
-    pattern = tag(victim["labeling"])
+    doc = tampers.write(dump, lambda doc: tampers.first_family(doc).update(free_min=huge), catalog)
+    assert main(["verify", str(catalog)]) == 1
+    pattern = tag(tampers.first_family(doc)["labeling"])
     assert capsys.readouterr().err.splitlines() == [
         f"FAIL {pattern} at n={brief(n)}: arithmetic failed: OverflowError:"
         " int too large to convert to float"
         for n in (huge, huge + 1, huge + 10)
     ]
-    assert main(["verify", str(path), "--sample", str(huge)]) == 1
+    assert main(["verify", str(catalog), "--sample", str(huge)]) == 1
     failures = capsys.readouterr().err.splitlines()
     assert len(failures) == 12
     expected = f" at n={brief(huge)}: arithmetic failed: OverflowError: "
@@ -1497,16 +1462,16 @@ def test_verify_reports_a_free_slot_too_large_for_a_float(tmp_path, capsys):
         "a4-float", "sample-float",
     ],
 )
-def test_verify_shows_a_huge_integer_briefly(tmp_path, capsys, field, slot, value):
-    path = make_catalog(tmp_path, capsys)
-    doc = json.loads(path.read_text())
-    if field == "labeling":
-        doc["entries"][_first_row(doc, False)]["labeling"][slot] = value
-    elif field == "free_min":
-        doc["entries"][_first_row(doc, True)]["free_min"] = value
-    path.write_text(json.dumps(doc))
+def test_verify_shows_a_huge_integer_briefly(dump, catalog, capsys, field, slot, value):
+    def edit(doc):
+        if field == "labeling":
+            tampers.first_standalone(doc)["labeling"][slot] = value
+        elif field == "free_min":
+            tampers.first_family(doc)["free_min"] = value
+
+    tampers.write(dump, edit, catalog)
     sample = ["--sample", str(value)] if field == "--sample" else []
-    assert main(["verify", str(path), *sample]) == 1
+    assert main(["verify", str(catalog), *sample]) == 1
     lines = capsys.readouterr().err.splitlines()
     # realize's prefix of an inadmissible labeling, and its text after the
     # labels of one that fails its gate, are the texts beyond the bound.
@@ -1546,7 +1511,7 @@ _DELETE = object()
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_verify_exits_cleanly_after_any_one_edit(small_dump, tmp_path_factory, data):
-    doc = json.loads(json.dumps(small_dump))
+    doc = json.loads(small_dump)
     path = data.draw(st.sampled_from(list(_nodes(doc))))
     parent = doc
     for key in path[:-1]:
@@ -1591,21 +1556,20 @@ def test_no_subcommand_is_a_usage_error():
     "position, stored_only", [(1, False), (3, True), (6, False)], ids=["second", "stored", "last"]
 )
 def test_a_stage_is_one_measurement_one_table_row_and_one_stages_row(
-    tmp_path, capsys, monkeypatch, position, stored_only
+    catalog, capsys, monkeypatch, position, stored_only
 ):
     # A dummy stage that reads how far a1 is above 2, with a bound of 0.5: it
     # fails on every labeling with a1 = 3, the largest a1 in the catalog.
     def dummy(config, gens, fresh, memo, tag):
         return geometry.Check("dummy", ("a1",), (float(gens.labeling.a1 - 2),), (0.5,), tag)
 
-    path = make_catalog(tmp_path, capsys)
     measures = list(cat._MEASURES)
     measures.insert(position, (dummy, stored_only))
     monkeypatch.setattr(cat, "_MEASURES", tuple(measures))
     stage = ("a1 is off by {residual:.3e}", "dummy residual", None)
     monkeypatch.setitem(geometry.STAGES, "dummy", stage)
 
-    report = cat.verify_catalog(cat.load_catalog(str(path)))
+    report = cat.verify_catalog(cat.load_catalog(str(catalog)))
     stored = ["drift", "angle", "generator", "determinant", "relation", "trace"]
     stored.insert(position, "dummy")
     sample = [s for s in stored if s not in ("drift", "generator", "dummy" if stored_only else "")]
@@ -1623,7 +1587,7 @@ def test_a_stage_is_one_measurement_one_table_row_and_one_stages_row(
     ]
     assert failed and [line for line in report.failures() if " a1 is off " in line] == failed
 
-    assert main(["verify", str(path)]) == 1
+    assert main(["verify", str(catalog)]) == 1
     captured = capsys.readouterr()
     assert "max dummy residual:    1.000e+00" in captured.out.splitlines()
     assert [line for line in captured.err.splitlines() if " a1 is off " in line] == [
@@ -1700,13 +1664,16 @@ def test_stdout_keeps_its_bytes_across_commits(argv, digest, tmp_path, capsys):
     ],
     ids=["deep-samples", "every-stage"],
 )
-def test_failing_verify_keeps_its_bytes_across_commits(tamper, args, digest, tmp_path, capsys):
+def test_failing_verify_keeps_its_bytes_across_commits(
+    tamper, args, digest, dump, catalog, capsys
+):
     """The SHA-256 of stdout then stderr of a ``verify`` of the ``enumerate`` dump that exits 1.
 
     ``tamper``, if given, names the row of ``tampers.TAMPERS`` whose edit the dump gets first.
     """
-    path = _tampered(tmp_path, capsys, tamper)[0] if tamper else make_catalog(tmp_path, capsys)
-    assert main(["verify", str(path), *args]) == 1
+    if tamper:
+        tampers.write(dump, tampers.TAMPERS[tamper].edit, catalog)
+    assert main(["verify", str(catalog), *args]) == 1
     captured = capsys.readouterr()
     assert hashlib.sha256((captured.out + captured.err).encode()).hexdigest() == digest
 
