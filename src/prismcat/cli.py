@@ -169,8 +169,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of ``prismcat`` and its subcommands."""
+    """The parser of ``prismcat`` and its subcommands, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="prismcat",
         description=(
@@ -212,11 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = functools.cache(build_parser)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, OverflowError, RealizationError, OSError) as exc:

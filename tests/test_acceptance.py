@@ -73,6 +73,7 @@ def test_c01_catalog_counts(capfd):
         assert counts[CuspType.C236] == (8, 32)
         assert counts[CuspType.C244] == (4, 24)
         assert counts[CuspType.C333] == (0, 22)
+        assert len(items) == 90
         assert elapsed < 1.0, f"enumeration took {elapsed:.3f}s"
 
 
@@ -247,3 +248,8 @@ def test_sweep_red_top_disjointness_holds_everywhere(capfd):
         assert measure_angle(config.red, config.top) is None
         gap = config.red.signed_distance(config.top.cx, config.top.cy) - config.top.r
         assert gap > 1e-10
+        for face in ("green", "blue"):
+            # The center sits at distance r*cos(angle) on the prism side,
+            # which is exactly on the line when the edge angle is pi/2.
+            line = getattr(config, face)
+            assert line.signed_distance(config.top.cx, config.top.cy) >= -1e-12, (lab, face)

@@ -38,9 +38,11 @@ FAR = ["2", "3", "2", "5000", "6", "2", "2", "2", "2"]
 # enumerate
 
 
-def test_enumerate_to_stdout(capsys):
+def test_enumerate_to_stdout(dump, capsys):
     assert main(["enumerate"]) == 0
     captured = capsys.readouterr()
+    # stdout carries the bytes of the -o file
+    assert captured.out == dump
     doc = json.loads(captured.out)
     assert doc["schema"] == "prism-catalog/1"
     assert len(doc["entries"]) == 90
@@ -1629,22 +1631,22 @@ def test_a_stage_is_one_measurement_one_table_row_and_one_stages_row(
         ),
     ],
 )
-def test_stdout_keeps_its_bytes_across_commits(argv, digest, tmp_path, capsys):
+def test_stdout_keeps_its_bytes_across_commits(argv, digest, dump, dump_12, tmp_path, capsys):
     """The SHA-256 of each command's stdout, the same on Python 3.10 to 3.13.
 
     A change to the code under these commands must keep these bytes; only a
     deliberate change of the output contract updates a digest.  The catalog
     embeds ``prismcat.__version__`` in its provenance, so a version bump
     changes the two ``enumerate`` digests.  Where commands are joined by
-    ``&&``, the earlier ones write the catalog FILE the last one reads, and
-    only the last one's stdout is hashed.
+    ``&&``, the first writes the catalog FILE the second reads, and only the
+    second one's stdout is hashed; FILE holds the module's dump of that
+    ``enumerate`` command, which is the text the command writes.
     """
-    path = str(tmp_path / "catalog.json")
-    *writers, command = ([path if w == "FILE" else w for w in c.split()] for c in argv.split("&&"))
-    for writer in writers:
-        assert main(writer) == 0
-    capsys.readouterr()
-    assert main(command) == 0
+    path = tmp_path / "catalog.json"
+    writer, _, command = argv.rpartition(" && ")
+    if writer:
+        path.write_text({"enumerate -o FILE": dump, "enumerate --max-n 12 -o FILE": dump_12}[writer])
+    assert main([str(path) if w == "FILE" else w for w in command.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -1726,25 +1728,6 @@ def _outcome(argv, capsys):
     return (code, *capsys.readouterr())
 
 
-def _argv_id(argv):
-    return " ".join(argv) or "no-argument"
-
-
-@pytest.mark.parametrize("argv", USAGE_ARGVS + VALID_ARGVS, ids=_argv_id)
-def test_main_parses_as_the_parser_of_every_command(argv, place_argv, monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
-    argv = place_argv(argv)
-    got = _outcome(argv, capsys)
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
-    assert got == _outcome(argv, capsys)
-
-
-@pytest.mark.parametrize("argv", VALID_ARGVS, ids=_argv_id)
-def test_main_gives_the_arguments_of_the_parser_of_every_command(argv, place_argv):
-    argv = place_argv(argv)
-    assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
-
-
 def _count_parsers(monkeypatch):
     """The list that every ArgumentParser built from now on is appended to."""
     parsers = []
@@ -1758,70 +1741,39 @@ def _count_parsers(monkeypatch):
     return parsers
 
 
-# main runs each argv `calls` times in one process, from a cold cache.
-@pytest.mark.parametrize(
-    "argv,code,calls",
-    [
-        (["verify", "FILE", "--sample", "7"], 0, 2),
-        (["enumerate", "--cusp", "333", "-o", "OUT"], 0, 2),
-        (["realize", *FIX1], 0, 2),
-        (["matrices", *FIX1], 0, 2),
-        ([], ("SystemExit", 2), 5),
-        (["-h"], ("SystemExit", 0), 5),
-        (["bogus"], ("SystemExit", 2), 5),
-    ],
-)
-def test_main_builds_the_full_parser_once_then_none(
-    argv, code, calls, place_argv, monkeypatch, capsys
+def test_main_parses_every_argv_twice_with_one_parser_as_a_fresh_parser(
+    place_argv, monkeypatch, capsys
 ):
+    """From a cold cache, main builds the full parser once and no other, whatever its argvs.
+
+    Every outcome, and the namespace of every valid argv, is what a fresh parser gives.
+    """
     monkeypatch.setenv("COLUMNS", "80")
-    argv = place_argv(argv)
-    with monkeypatch.context() as fresh:
-        fresh.setattr(cli, "_parser", cli.build_parser)
-        expected = _outcome(argv, capsys)
-    assert expected[0] == code
-
-    parsers = _count_parsers(monkeypatch)
-    cli.build_parser()
-    full = len(parsers)
-    del parsers[:]
-    cli._parser.cache_clear()
-    assert _outcome(argv, capsys) == expected
-    # The first call builds the one full parser, whatever command argv names.
-    assert len(parsers) == full
-    assert [_outcome(argv, capsys) for _ in range(calls - 1)] == [expected] * (calls - 1)
-    assert len(parsers) == full
-
-
-# A sequence of main calls in one process: valid commands and usage errors.
-SEQUENCE_ARGVS = [
-    ["verify", "FILE", "--sample", "7"],
-    ["bogus"],
-    ["-h"],
-    ["verify", "x.json", "--bogus"],
-    ["realize", *FIX1],
-]
-
-
-def test_main_reuses_one_parser_across_calls(place_argv, monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
-    argvs = [place_argv(argv) for argv in SEQUENCE_ARGVS]
-    with monkeypatch.context() as fresh:
-        fresh.setattr(cli, "_parser", cli.build_parser)
+    argvs = [place_argv(argv) for argv in USAGE_ARGVS + VALID_ARGVS]
+    fresh = cli.build_parser.__wrapped__
+    with monkeypatch.context() as uncached:
+        uncached.setattr(cli, "build_parser", fresh)
         expected = [_outcome(argv, capsys) for argv in argvs]
 
     parsers = _count_parsers(monkeypatch)
-    cli._parser.cache_clear()
+    fresh()
+    full = len(parsers)
+    del parsers[:]
+    cli.build_parser.cache_clear()
     first = _outcome(argvs[0], capsys)
-    built = len(parsers)
+    # The first call, a usage error, builds the full parser; no later call builds any.
+    assert len(parsers) == full
     rest = [_outcome(argv, capsys) for argv in argvs[1:] + argvs]
     assert [first, *rest] == expected * 2
-    # The first call builds the parser and its subcommands; no later call builds any.
-    assert built > 0 and len(parsers) == built
+    assert len(parsers) == full
+    valid = argvs[len(USAGE_ARGVS):]
+    assert [vars(cli.build_parser().parse_args(argv)) for argv in valid] == [
+        vars(fresh().parse_args(argv)) for argv in valid
+    ]
 
 
-# The usage line of each command, as a usage error prints it.  The tests
-# above compare main with build_parser, so only a literal catches a renamed
+# The usage line of each command, as a usage error prints it.  The test
+# above compares main with a fresh parser, so only a literal catches a renamed
 # or reordered argument.  The full -h text differs between Pythons; these
 # lines do not.
 USAGE_LINES = {

@@ -302,26 +302,6 @@ def test_realize_rejects_inadmissible():
         realize((2, 6, 2, 2, 3, 2, 2, 2, 2))
 
 
-def test_realized_catalog_keeps_red_and_top_disjoint():
-    # The red face and the top face are the one non-adjacent pair; every
-    # realized configuration must keep them strictly apart, and the circle
-    # center must lie strictly on the prism side of all three lines.
-    for item in enumerate_catalog():
-        lab = item.instantiate(item.free_min) if item.family else item.labeling
-        config = realize(lab)
-        assert measure_angle(config.red, config.top) is None
-        gap = config.red.signed_distance(config.top.cx, config.top.cy) - config.top.r
-        assert gap > 1e-10, lab
-        for face in ("green", "blue"):
-            # The center sits at distance r*cos(angle) on the prism side,
-            # which is exactly on the line when the edge angle is pi/2.
-            line = getattr(config, face)
-            assert line.signed_distance(config.top.cx, config.top.cy) >= -1e-12, (
-                lab,
-                face,
-            )
-
-
 def test_realize_raises_when_the_one_root_fails_the_clearance_gate():
     # At n = 10^6 the red/top clearance is of order 1e-12, below the absolute
     # gate TOLERANCES["construction"] = 1e-10.  ROADMAP item 8 makes that gate

