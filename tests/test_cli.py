@@ -1728,6 +1728,10 @@ def _outcome(argv, capsys):
     return (code, *capsys.readouterr())
 
 
+def _argv_id(argv):
+    return " ".join(argv) or "no-argument"
+
+
 def _count_parsers(monkeypatch):
     """The list that every ArgumentParser built from now on is appended to."""
     parsers = []
@@ -1741,39 +1745,89 @@ def _count_parsers(monkeypatch):
     return parsers
 
 
-def test_main_parses_every_argv_twice_with_one_parser_as_a_fresh_parser(
-    place_argv, monkeypatch, capsys
-):
-    """From a cold cache, main builds the full parser once and no other, whatever its argvs.
+# build_parser without its cache: a fresh parser each call.
+_fresh_parser = cli.build_parser.__wrapped__
 
-    Every outcome, and the namespace of every valid argv, is what a fresh parser gives.
-    """
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS + VALID_ARGVS, ids=_argv_id)
+def test_main_parses_as_the_parser_of_every_command(argv, place_argv, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
-    argvs = [place_argv(argv) for argv in USAGE_ARGVS + VALID_ARGVS]
-    fresh = cli.build_parser.__wrapped__
-    with monkeypatch.context() as uncached:
-        uncached.setattr(cli, "build_parser", fresh)
-        expected = [_outcome(argv, capsys) for argv in argvs]
+    argv = place_argv(argv)
+    got = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser", _fresh_parser)
+    assert got == _outcome(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=_argv_id)
+def test_main_gives_the_arguments_of_the_parser_of_every_command(argv, place_argv):
+    argv = place_argv(argv)
+    assert vars(cli.build_parser().parse_args(argv)) == vars(_fresh_parser().parse_args(argv))
+
+
+# main runs each argv `calls` times in one process, from a cold cache.
+@pytest.mark.parametrize(
+    "argv,code,calls",
+    [
+        (["verify", "FILE", "--sample", "7"], 0, 2),
+        (["enumerate", "--cusp", "333", "-o", "OUT"], 0, 2),
+        (["realize", *FIX1], 0, 2),
+        (["matrices", *FIX1], 0, 2),
+        ([], ("SystemExit", 2), 5),
+        (["-h"], ("SystemExit", 0), 5),
+        (["bogus"], ("SystemExit", 2), 5),
+    ],
+)
+def test_main_builds_the_full_parser_once_then_none(
+    argv, code, calls, place_argv, monkeypatch, capsys
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = place_argv(argv)
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "build_parser", _fresh_parser)
+        expected = _outcome(argv, capsys)
+    assert expected[0] == code
 
     parsers = _count_parsers(monkeypatch)
-    fresh()
+    _fresh_parser()
     full = len(parsers)
     del parsers[:]
     cli.build_parser.cache_clear()
-    first = _outcome(argvs[0], capsys)
-    # The first call, a usage error, builds the full parser; no later call builds any.
+    assert _outcome(argv, capsys) == expected
+    # The first call builds the one full parser, whatever command argv names.
     assert len(parsers) == full
+    assert [_outcome(argv, capsys) for _ in range(calls - 1)] == [expected] * (calls - 1)
+    assert len(parsers) == full
+
+
+# A sequence of main calls in one process: valid commands and usage errors.
+SEQUENCE_ARGVS = [
+    ["verify", "FILE", "--sample", "7"],
+    ["bogus"],
+    ["-h"],
+    ["verify", "x.json", "--bogus"],
+    ["realize", *FIX1],
+]
+
+
+def test_main_reuses_one_parser_across_calls(place_argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [place_argv(argv) for argv in SEQUENCE_ARGVS]
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "build_parser", _fresh_parser)
+        expected = [_outcome(argv, capsys) for argv in argvs]
+
+    parsers = _count_parsers(monkeypatch)
+    cli.build_parser.cache_clear()
+    first = _outcome(argvs[0], capsys)
+    built = len(parsers)
     rest = [_outcome(argv, capsys) for argv in argvs[1:] + argvs]
     assert [first, *rest] == expected * 2
-    assert len(parsers) == full
-    valid = argvs[len(USAGE_ARGVS):]
-    assert [vars(cli.build_parser().parse_args(argv)) for argv in valid] == [
-        vars(fresh().parse_args(argv)) for argv in valid
-    ]
+    # The first call builds the parser and its subcommands; no later call builds any.
+    assert built > 0 and len(parsers) == built
 
 
-# The usage line of each command, as a usage error prints it.  The test
-# above compares main with a fresh parser, so only a literal catches a renamed
+# The usage line of each command, as a usage error prints it.  The tests
+# above compare main with a fresh parser, so only a literal catches a renamed
 # or reordered argument.  The full -h text differs between Pythons; these
 # lines do not.
 USAGE_LINES = {
